@@ -96,6 +96,19 @@ class BilinearProduct:
                 spans.append(self.apply(a, b))
         return Subspace.from_vectors(self.field, self.dim, spans)
 
+    def left_multiplication_rows(self):
+        """The maps x -> e_i * x, stacked: row (i, k) holds gamma[i][j][k] over j.
+
+        Their common kernel is the right annihilator; for transpose_args()
+        it is the left annihilator.
+        """
+        n = self.dim
+        return tuple(
+            Vec(self.field, tuple(self.rows[i][j].coords[k] for j in range(n)))
+            for i in range(n)
+            for k in range(n)
+        )
+
     def transpose_args(self):
         """The product with swapped arguments: gamma'[i][j] = gamma[j][i]."""
         return BilinearProduct(

@@ -24,7 +24,6 @@ from .errors import (
     FieldMismatchError,
     InternalCheckError,
     NotADialgebraError,
-    SearchBoundExceededError,
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME, Field, Scalar
@@ -39,7 +38,7 @@ from .gfsearch import (
 )
 from .identities import bar_units, check_dialgebra
 from .linalg import Mat, Subspace, Vec
-from .structure import DEFAULT_SEARCH_BOUND, annihilators
+from .structure import DEFAULT_SEARCH_BOUND, annihilators, guard_search, zero_cubed_decompose
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"
@@ -234,20 +233,15 @@ def _extract_params(d):
 
 
 def _one_sided_zero_label(d):
-    from .structure import algebra_annihilator
-
     kind = KIND_ZERO_CUBED_LEFT if d.left.is_zero() else KIND_ZERO_CUBED_RIGHT
     single = d.as_single(ProductTag.RIGHT if kind == KIND_ZERO_CUBED_LEFT else ProductTag.LEFT)
     # For a valid dialgebra the surviving product is zero-cubed, so in dim 2
-    # the annihilator is a line and the complement square generates it.
-    ann = algebra_annihilator(single)
-    _require(ann.dim == 1, "one-sided zero dialgebra with non-line annihilator")
-    pivot = ann.pivots[0]
-    z0 = ann.basis.row(0)
-    x0 = Vec.unit(d.field, 2, 1 - pivot)
-    v = single.multiply(x0, x0)
-    c = v.coords[pivot]
-    _require(bool(c) and ann.contains(v), "complement square escaped the annihilator")
+    # the annihilator is a line z0 and the complement square x0 x0 = c z0.
+    triple, base = zero_cubed_decompose(single)
+    _require(triple.z_dim == 1, "one-sided zero dialgebra with non-line annihilator")
+    z0, x0 = base.rows
+    c = triple.f[0][0].coords[0]
+    _require(bool(c), "complement square vanished")
     witness = Mat(d.field, (z0.scale(c), x0), 2)
     canonical = canonical_dialgebra(kind, d.field)
     _require(d.rebase(witness) == canonical, "zero-cubed witness is not a base change to the table")
@@ -388,6 +382,15 @@ def _rational_dim2_witness(a, b):
     return witness
 
 
+def _gl_isomorphisms(a, b, bound):
+    """The maps sending a to b over GF(p), lazily, in GL(dim, p) enumeration order."""
+    p, n = a.field.p, a.dim
+    guard_search(f"GL({n}, {p}) scan", p ** (n * n), bound)
+    hits = isomorphism_indices(dialgebra_to_arrays(a), dialgebra_to_arrays(b), p)
+    mats, _ = gl_matrices(p, n)
+    return (int_matrix_to_mat(a.field, mats[int(g)]) for g in hits)
+
+
 def are_isomorphic(a, b, bound=DEFAULT_SEARCH_BOUND):
     """A simultaneous isomorphism matrix for both products, or None.
 
@@ -404,17 +407,7 @@ def are_isomorphic(a, b, bound=DEFAULT_SEARCH_BOUND):
     if a.dim == 0:
         return Mat(a.field, (), 0)
     if a.field.kind == PRIME:
-        if a.field.p ** (a.dim * a.dim) > bound:
-            raise SearchBoundExceededError(
-                f"GL({a.dim}, {a.field.p}) scan exceeds the search bound {bound}"
-            )
-        pa = dialgebra_to_arrays(a)
-        pb = dialgebra_to_arrays(b)
-        hits = isomorphism_indices(pa, pb, a.field.p)
-        if len(hits) == 0:
-            return None
-        mats, _ = gl_matrices(a.field.p, a.dim)
-        return int_matrix_to_mat(a.field, mats[int(hits[0])])
+        return next(_gl_isomorphisms(a, b, bound), None)
     if a.dim == 1:
         return _rational_dim1_witness(a, b)
     if a.dim == 2:
@@ -428,14 +421,7 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
     """All base changes preserving both products, by exhaustive GL scan."""
     if d.field.kind != PRIME:
         raise UnsupportedOverRationalsError("automorphism scan needs a finite field")
-    if d.field.p ** (d.dim * d.dim) > bound:
-        raise SearchBoundExceededError(
-            f"GL({d.dim}, {d.field.p}) scan exceeds the search bound {bound}"
-        )
-    arrays = dialgebra_to_arrays(d)
-    hits = isomorphism_indices(arrays, arrays, d.field.p)
-    mats, _ = gl_matrices(d.field.p, d.dim)
-    return [int_matrix_to_mat(d.field, mats[int(g)]) for g in hits]
+    return list(_gl_isomorphisms(d, d, bound))
 
 
 def enumerate_valid_dialgebras(p, dim=2):

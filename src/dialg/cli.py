@@ -21,6 +21,7 @@ from .classify import (
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
+from .gfsearch import dialgebra_to_arrays
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
 from .structure import DEFAULT_SEARCH_BOUND
@@ -132,22 +133,16 @@ def cmd_iso(args, out):
     return 0
 
 
-def _tensor_as_lists(product):
-    return [
-        [[c.value for c in product.row(i, j).coords] for j in range(product.dim)]
-        for i in range(product.dim)
-    ]
-
-
 def cmd_census(args, out):
     classes = census(args.prime, args.dim)
     for cls in classes:
+        left, right = dialgebra_to_arrays(cls.representative)
         record = {
             "label": cls.label.label_string(),
             "kind": cls.label.kind,
             "k": None if cls.label.k is None else str(cls.label.k),
-            "left": _tensor_as_lists(cls.representative.left),
-            "right": _tensor_as_lists(cls.representative.right),
+            "left": left.tolist(),
+            "right": right.tolist(),
             "orbit_size": cls.orbit_size,
         }
         print(json.dumps(record), file=out)

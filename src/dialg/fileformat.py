@@ -25,8 +25,10 @@ from .fields import Field
 
 MAX_DIM = 16
 
-_RATIONAL_COEFF = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-_INT_COEFF = re.compile(r"^[+-]?\d+$")
+# ASCII-only: int() and Fraction() would also accept other Unicode digits
+# and underscores, which are not part of the format.
+_RATIONAL_COEFF = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+_INT_COEFF = re.compile(r"^[+-]?\d+$", re.ASCII)
 
 
 def _logical_lines(text):
@@ -41,9 +43,13 @@ def _parse_coefficient(field, token, lineno):
         if not _RATIONAL_COEFF.match(token):
             raise ParseError(lineno, f"bad rational coefficient {token!r}")
         return field.scalar(token)
+    return field.scalar(_parse_int(token, lineno, f"coefficient {token!r} is not in {field}"))
+
+
+def _parse_int(token, lineno, message):
     if not _INT_COEFF.match(token):
-        raise ParseError(lineno, f"coefficient {token!r} is not in {field}")
-    return field.scalar(int(token))
+        raise ParseError(lineno, message)
+    return int(token)
 
 
 def _parse_common(text, allow_right):
@@ -69,19 +75,18 @@ def _parse_common(text, allow_right):
     if toks[1:] == ["rational"]:
         field = Field.rationals()
     elif len(toks) == 3 and toks[1] == "prime":
-        if not _INT_COEFF.match(toks[2]):
-            raise ParseError(lineno, f"bad prime modulus {toks[2]!r}")
+        p = _parse_int(toks[2], lineno, f"bad prime modulus {toks[2]!r}")
         try:
-            field = Field.prime(int(toks[2]))
+            field = Field.prime(p)
         except NonPrimeError as exc:
             raise ParseError(lineno, str(exc))
     else:
         raise ParseError(lineno, "expected `field rational` or `field prime <p>`")
 
     lineno, toks = take("a `dim` line")
-    if len(toks) != 2 or toks[0] != "dim" or not toks[1].isdigit():
+    if len(toks) != 2 or toks[0] != "dim":
         raise ParseError(lineno, "expected `dim <n>`")
-    dim = int(toks[1])
+    dim = _parse_int(toks[1], lineno, "expected `dim <n>`")
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(lineno, f"dim must be between 1 and {MAX_DIM}, got {dim}")
 
@@ -105,10 +110,7 @@ def _parse_common(text, allow_right):
             raise ParseError(lineno, "`right` entries are not allowed in an algebra file")
         if len(toks) != 5:
             raise ParseError(lineno, f"expected `{toks[0]} <i> <j> <k> <c>`")
-        try:
-            i, j, k = (int(t) for t in toks[1:4])
-        except ValueError:
-            raise ParseError(lineno, "indices must be integers")
+        i, j, k = (_parse_int(t, lineno, "indices must be integers") for t in toks[1:4])
         for idx in (i, j, k):
             if not 1 <= idx <= dim:
                 raise ParseError(lineno, f"index {idx} out of range [1, {dim}]")

@@ -4,12 +4,19 @@ Structure tensors over GF(p) are plain integer residue arrays here, which
 keeps exhaustive censuses and GL(n, p) scans fast. Everything user-facing
 stays in the exact Scalar world; tests cross-check the two routes against
 each other.
+
+GL(n, p) is built row by row: row k takes, in increasing base-p code, every
+vector outside the span of rows 0..k-1. The prefixes are kept in
+lexicographic order and each is extended by its admissible rows in
+lexicographic order, so the finished list is exactly the invertible
+matrices in lexicographic order of their flattened entries, the order in
+which every first-hit search picks its witness. One batched Gauss-Jordan
+pass mod p then inverts them all.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
 
 import numpy as np
 
@@ -19,37 +26,43 @@ from .fields import PRIME
 from .linalg import Mat, Vec
 
 
-def _perm_sign(perm):
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+def _place_values(p, length):
+    """Weights of base-p digits, most significant first."""
+    return p ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
-def dets_mod(mats, p):
-    """Determinants mod p of a batch of n x n integer matrices."""
-    n = mats.shape[1]
-    total = np.zeros(len(mats), dtype=np.int64)
-    for perm in permutations(range(n)):
-        term = np.ones(len(mats), dtype=np.int64)
-        for i, pi in enumerate(perm):
-            term = term * mats[:, i, pi] % p
-        total = (total + _perm_sign(perm) * term) % p
-    return total % p
+def _digits(p, length):
+    """Every length-digit base-p vector, one per row, in increasing code order."""
+    return np.arange(p**length, dtype=np.int64)[:, None] // _place_values(p, length) % p
 
 
-def _adjugates_mod(mats, p):
-    n = mats.shape[1]
-    adj = np.zeros_like(mats)
-    if n == 0:
-        return adj
-    for i in range(n):
-        rows = [r for r in range(n) if r != i]
-        for j in range(n):
-            cols = [c for c in range(n) if c != j]
-            minor = mats[:, rows][:, :, cols]
-            adj[:, j, i] = ((-1) ** (i + j) * dets_mod(minor, p)) % p
-    return adj
+def _reciprocals_mod(values, p):
+    """Elementwise inverses of nonzero residues, as values^(p-2) mod p."""
+    result = np.ones_like(values)
+    base = values % p
+    exponent = p - 2
+    while exponent:
+        if exponent & 1:
+            result = result * base % p
+        base = base * base % p
+        exponent >>= 1
+    return result
+
+
+def _matrix_inverses_mod(mats, p):
+    """Inverses mod p of a batch of invertible matrices, by Gauss-Jordan."""
+    count, n, _ = mats.shape
+    batch = np.arange(count)
+    aug = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)], axis=2)
+    for col in range(n):
+        # Invertibility guarantees a nonzero entry at or below the diagonal.
+        hit = col + np.argmax(aug[:, col:, col] != 0, axis=1)
+        pivot = aug[batch, hit]
+        aug[batch, hit] = aug[:, col]
+        pivot = pivot * _reciprocals_mod(pivot[:, col], p)[:, None] % p
+        aug = (aug - aug[:, :, col : col + 1] * pivot[:, None, :]) % p
+        aug[:, col] = pivot
+    return aug[:, :, n:].copy()
 
 
 @lru_cache(maxsize=None)
@@ -59,20 +72,16 @@ def gl_matrices(p, n):
     Matrices are enumerated in lexicographic order of their flattened
     entries, which makes every search that picks the first hit deterministic.
     """
-    if n == 0:
-        empty = np.zeros((1, 0, 0), dtype=np.int64)
-        return empty, empty.copy()
-    count = p ** (n * n)
-    flat = np.array(list(product(range(p), repeat=n * n)), dtype=np.int64)
-    mats = flat.reshape(count, n, n)
-    dets = dets_mod(mats, p)
-    keep = dets != 0
-    mats = mats[keep]
-    dets = dets[keep]
-    inv_table = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv_table[v] = pow(v, p - 2, p)
-    invs = _adjugates_mod(mats, p) * inv_table[dets][:, None, None] % p
+    vectors = _digits(p, n)
+    place = _place_values(p, n)
+    mats = np.zeros((1, 0, n), dtype=np.int64)
+    for k in range(n):
+        span = (np.einsum("ck,gkj->gcj", _digits(p, k), mats) % p) @ place
+        outside = np.ones((len(mats), len(vectors)), dtype=bool)
+        np.put_along_axis(outside, span, False, axis=1)
+        prefix, row = np.nonzero(outside)
+        mats = np.concatenate([mats[prefix], vectors[row][:, None, :]], axis=1)
+    invs = _matrix_inverses_mod(mats, p)
     mats.setflags(write=False)
     invs.setflags(write=False)
     return mats, invs
@@ -81,8 +90,7 @@ def gl_matrices(p, n):
 @lru_cache(maxsize=None)
 def all_tensors(p, n):
     """Every n x n x n structure tensor over GF(p), lexicographic order."""
-    size = n**3
-    arr = np.array(list(product(range(p), repeat=size)), dtype=np.int64).reshape(-1, n, n, n)
+    arr = _digits(p, n**3).reshape(-1, n, n, n)
     arr.setflags(write=False)
     return arr
 
@@ -90,8 +98,7 @@ def all_tensors(p, n):
 def tensor_index(tensor, p):
     """Position of an integer tensor in the all_tensors enumeration."""
     flat = np.asarray(tensor, dtype=np.int64).reshape(-1)
-    powers = p ** np.arange(flat.size - 1, -1, -1, dtype=np.int64)
-    return int(flat @ powers)
+    return int(flat @ _place_values(p, flat.size))
 
 
 def associative_indices(p, n):
@@ -137,18 +144,26 @@ def valid_pairs(p, n=2):
     return tensors, tuple(pairs)
 
 
+def _products_of_images(mats, tensor, p):
+    """sum_ab mats[g,i,a] mats[g,j,b] tensor[a,b,c] mod p, for every g.
+
+    Each einsum multiplies two residues and is reduced before the next, so
+    no int64 intermediate holds a product of more than two residues.
+    """
+    t = np.einsum("gjb,abc->gajc", mats, np.asarray(tensor)) % p
+    return np.einsum("gia,gajc->gijc", mats, t) % p
+
+
 def transform_tensor_batch(tensor, mats, invs, p):
     """Rewrite a tensor on every basis in mats; returns a (G, n, n, n) array."""
-    return (
-        np.einsum("gia,gjb,abc,gck->gijk", mats, mats, np.asarray(tensor), invs) % p
-    )
+    return np.einsum("gijc,gck->gijk", _products_of_images(mats, tensor, p), invs) % p
 
 
 def pair_orbit(left, right, p):
     """The GL-orbit of a tensor pair as a set of index pairs."""
     n = left.shape[0]
     mats, invs = gl_matrices(p, n)
-    flat_powers = p ** np.arange(n**3 - 1, -1, -1, dtype=np.int64)
+    flat_powers = _place_values(p, n**3)
     tl = transform_tensor_batch(left, mats, invs, p).reshape(len(mats), -1) @ flat_powers
     tr = transform_tensor_batch(right, mats, invs, p).reshape(len(mats), -1) @ flat_powers
     return set(zip(tl.tolist(), tr.tolist()))
@@ -156,7 +171,7 @@ def pair_orbit(left, right, p):
 
 def _iso_mask(ga, gb, mats, p):
     lhs = np.einsum("ijc,gck->gijk", ga, mats) % p
-    rhs = np.einsum("gil,gjm,lmk->gijk", mats, mats, gb) % p
+    rhs = _products_of_images(mats, gb, p)
     return (lhs == rhs).reshape(len(mats), -1).all(axis=1)
 
 

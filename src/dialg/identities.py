@@ -8,7 +8,9 @@ their nonzero residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
+from .algebras import ProductTag
 from .linalg import Mat, Subspace, Vec, solve
 
 LAW_ASSOC = "assoc"
@@ -31,6 +33,28 @@ class ViolationReport:
     residual: Vec
 
 
+# Every law is (x a y) b z = x c (y d z); each row names (a, b, c, d).
+_LEFT, _RIGHT = ProductTag.LEFT, ProductTag.RIGHT
+_LAWS = {
+    LAW_ASSOC_LEFT: (_LEFT, _LEFT, _LEFT, _LEFT),
+    LAW_ASSOC_RIGHT: (_RIGHT, _RIGHT, _RIGHT, _RIGHT),
+    LAW_AX1: (_LEFT, _LEFT, _LEFT, _RIGHT),
+    LAW_AX2: (_RIGHT, _LEFT, _RIGHT, _LEFT),
+    LAW_AX3: (_LEFT, _RIGHT, _RIGHT, _RIGHT),
+}
+
+
+def _law(a, b, c, d):
+    """The residual (x a y) b z - x c (y d z) of four bilinear products."""
+    return lambda x, y, z: b.apply(a.apply(x, y), z) - c.apply(x, d.apply(y, z))
+
+
+def _dialgebra_law(d, law):
+    if law not in _LAWS:
+        raise ValueError(f"unknown law {law!r}")
+    return _law(*(d.product(tag) for tag in _LAWS[law]))
+
+
 def law_residual(d, law, x, y, z):
     """LHS minus RHS of one dialgebra law on arbitrary elements.
 
@@ -38,81 +62,47 @@ def law_residual(d, law, x, y, z):
     ax2: (x |> y) <| z = x |> (y <| z)
     ax3: (x <| y) |> z = x |> (y |> z)
     """
-    l, r = d.left, d.right
-    if law == LAW_ASSOC_LEFT:
-        return l.apply(l.apply(x, y), z) - l.apply(x, l.apply(y, z))
-    if law == LAW_ASSOC_RIGHT:
-        return r.apply(r.apply(x, y), z) - r.apply(x, r.apply(y, z))
-    if law == LAW_AX1:
-        return l.apply(l.apply(x, y), z) - l.apply(x, r.apply(y, z))
-    if law == LAW_AX2:
-        return l.apply(r.apply(x, y), z) - r.apply(x, l.apply(y, z))
-    if law == LAW_AX3:
-        return r.apply(l.apply(x, y), z) - r.apply(x, r.apply(y, z))
-    raise ValueError(f"unknown law {law!r}")
+    return _dialgebra_law(d, law)(x, y, z)
 
 
-def _units(field, n):
-    return tuple(Vec.unit(field, n, i) for i in range(n))
+def _violations(field, n, laws):
+    """Yield a report per (law, basis triple) with a nonzero residual, in order."""
+    units = tuple(Vec.unit(field, n, i) for i in range(n))
+    for law, residual in laws:
+        for i, j, k in product(range(n), repeat=3):
+            res = residual(units[i], units[j], units[k])
+            if res:
+                yield ViolationReport(law, (i, j, k), res)
 
 
-def _product_violations(product, law, residual):
-    units = _units(product.field, product.dim)
-    reports = []
-    n = product.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = residual(units[i], units[j], units[k])
-                if res:
-                    reports.append(ViolationReport(law, (i, j, k), res))
-    return reports
+def _dialgebra_violations(d):
+    return _violations(d.field, d.dim, ((law, _dialgebra_law(d, law)) for law in DIALGEBRA_LAWS))
 
 
 def check_associative(a):
     """All basis triples where (xy)z differs from x(yz); empty iff associative."""
     p = a.product
-    return _product_violations(
-        p, LAW_ASSOC, lambda x, y, z: p.apply(p.apply(x, y), z) - p.apply(x, p.apply(y, z))
-    )
+    return list(_violations(a.field, a.dim, [(LAW_ASSOC, _law(p, p, p, p))]))
 
 
 def check_dialgebra(d):
     """Violations of both associativities and the three mixed laws, all triples."""
-    units = _units(d.field, d.dim)
-    n = d.dim
-    reports = []
-    for law in DIALGEBRA_LAWS:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = law_residual(d, law, units[i], units[j], units[k])
-                    if res:
-                        reports.append(ViolationReport(law, (i, j, k), res))
-    return reports
+    return list(_dialgebra_violations(d))
 
 
 def is_valid_dialgebra(d):
     """Same laws as check_dialgebra, stopping at the first violation."""
-    units = _units(d.field, d.dim)
-    n = d.dim
-    for law in DIALGEBRA_LAWS:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if law_residual(d, law, units[i], units[j], units[k]):
-                        return False
-    return True
+    return next(_dialgebra_violations(d), None) is None
 
 
 def check_leibniz(a):
     """Violations of [[x,y],z] = [[x,z],y] + [x,[y,z]] where [,] is a's product."""
     br = a.product.apply
-    return _product_violations(
-        a.product,
-        LAW_LEIBNIZ,
-        lambda x, y, z: br(br(x, y), z) - br(br(x, z), y) - br(x, br(y, z)),
-    )
+
+    def leibniz(x, y, z):
+        return br(br(x, y), z) - br(br(x, z), y) - br(x, br(y, z))
+
+    return list(_violations(a.field, a.dim, [(LAW_LEIBNIZ, leibniz)]))
 
 
 @dataclass(frozen=True)
@@ -146,20 +136,11 @@ class BarUnitSet:
 def bar_units(d):
     """Solve the linear system for bar-units; returns the whole solution set."""
     field, n = d.field, d.dim
-    rows = []
-    rhs = []
-    # x <| e = x on basis x = e_i, coordinate k: sum_j gl[i][j][k] e_j = delta_ik
-    for i in range(n):
-        for k in range(n):
-            rows.append(Vec(field, tuple(d.left.entry(i, j, k) for j in range(n))))
-            rhs.append(field.one if i == k else field.zero)
-    # e |> x = x on basis x = e_i: sum_j e_j gr[j][i][k] = delta_ik
-    for i in range(n):
-        for k in range(n):
-            rows.append(Vec(field, tuple(d.right.entry(j, i, k) for j in range(n))))
-            rhs.append(field.one if i == k else field.zero)
-    system = Mat(field, tuple(rows), n)
-    result = solve(system, Vec(field, tuple(rhs)))
+    # x <| e = x on basis x = e_i, coordinate k: sum_j gl[i][j][k] e_j = delta_ik;
+    # e |> x = x likewise, with gr's arguments swapped: sum_j e_j gr[j][i][k].
+    rows = d.left.left_multiplication_rows() + d.right.transpose_args().left_multiplication_rows()
+    delta = tuple(field.one if i == k else field.zero for i in range(n) for k in range(n))
+    result = solve(Mat(field, rows, n), Vec(field, delta + delta))
     if result is None:
         return BarUnitSet(None, None)
     point, direction = result

@@ -182,8 +182,9 @@ class Mat:
             ),
             2 * n,
         )
-        red, rank = rref(aug)
-        if rank < n or any(red.rows[i].coords[:n] != Vec.unit(self.field, n, i).coords for i in range(n)):
+        red, pivots = _rref(aug)
+        # [M | I] always has rank n; M is invertible iff its pivots are 0..n-1.
+        if pivots != list(range(n)):
             raise NotInvertibleError("matrix is singular")
         return Mat(self.field, tuple(Vec(self.field, r.coords[n:]) for r in red.rows), n)
 
@@ -215,10 +216,17 @@ def rref(m):
     The row space is preserved; pivots are normalized to 1 and are the only
     nonzero entries in their columns.
     """
+    red, pivots = _rref(m)
+    return red, len(pivots)
+
+
+def _rref(m):
+    """Like rref, but returns (rref, pivot columns in increasing order)."""
     rows = [list(r.coords) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
-    piv = 0
+    pivots = []
     for col in range(ncols):
+        piv = len(pivots)
         if piv == nrows:
             break
         hit = None
@@ -235,21 +243,14 @@ def rref(m):
             if r != piv and rows[r][col]:
                 c = rows[r][col]
                 rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
-        piv += 1
+        pivots.append(col)
     out = Mat(m.field, tuple(Vec(m.field, tuple(r)) for r in rows), ncols)
-    return out, piv
+    return out, pivots
 
 
 def kernel(m):
     """The solution space {x : m @ x = 0}, as a canonical Subspace."""
-    red, rank = rref(m)
-    pivots = []
-    col = 0
-    for r in range(rank):
-        while not red.rows[r].coords[col]:
-            col += 1
-        pivots.append(col)
-        col += 1
+    red, pivots = _rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -273,14 +274,7 @@ def solve(m, b):
         tuple(Vec(m.field, r.coords + (c,)) for r, c in zip(m.rows, b.coords)),
         m.ncols + 1,
     )
-    red, rank = rref(aug)
-    pivots = []
-    col = 0
-    for r in range(rank):
-        while not red.rows[r].coords[col]:
-            col += 1
-        pivots.append(col)
-        col += 1
+    red, pivots = _rref(aug)
     if m.ncols in pivots:
         return None
     coords = [m.field.zero] * m.ncols
@@ -312,15 +306,8 @@ class Subspace:
             if v.field is not field or len(v) != ambient_dim:
                 raise FieldMismatchError("spanning vector shape mismatch")
         m = Mat(field, tuple(vecs), ambient_dim)
-        red, rank = rref(m)
-        rows = red.rows[:rank]
-        pivots = []
-        col = 0
-        for r in range(rank):
-            while not rows[r].coords[col]:
-                col += 1
-            pivots.append(col)
-            col += 1
+        red, pivots = _rref(m)
+        rows = red.rows[: len(pivots)]
         return cls(field, ambient_dim, Mat(field, rows, ambient_dim), tuple(pivots))
 
     @classmethod
@@ -372,25 +359,14 @@ class Subspace:
             self.field, self.basis.rows + other.basis.rows, self.ambient_dim
         )
         left_null = kernel(stacked.transpose())
-        r = self.dim
-        vectors = []
-        for w in left_null.basis.rows:
-            v = Vec.zero(self.field, self.ambient_dim)
-            for i in range(r):
-                if w.coords[i]:
-                    v = v + self.basis.rows[i].scale(w.coords[i])
-            vectors.append(v)
+        vectors = [Vec(self.field, w.coords[: self.dim]) @ self.basis for w in left_null.basis.rows]
         return Subspace.from_vectors(self.field, self.ambient_dim, vectors)
 
     def elements(self):
         """All vectors of the subspace; finite fields only."""
         scalars = self.field.elements()
         for coeffs in product(scalars, repeat=self.dim):
-            v = Vec.zero(self.field, self.ambient_dim)
-            for c, row in zip(coeffs, self.basis.rows):
-                if c:
-                    v = v + row.scale(c)
-            yield v
+            yield Vec(self.field, coeffs) @ self.basis
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

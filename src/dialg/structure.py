@@ -41,32 +41,17 @@ class AnnihilatorProfile:
     ann: Subspace
 
 
-def _stacked_right_mult(product):
-    # {x : e_i * x = 0 for all i}: rows indexed by (i, k), columns by j.
-    field, n = product.field, product.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            rows.append(Vec(field, tuple(product.entry(i, j, k) for j in range(n))))
-    return Mat(field, tuple(rows), n)
-
-
-def _stacked_left_mult(product):
-    # {x : x * e_j = 0 for all j}: rows indexed by (j, k), columns by i.
-    field, n = product.field, product.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(Vec(field, tuple(product.entry(i, j, k) for i in range(n))))
-    return Mat(field, tuple(rows), n)
+def _right_annihilator(product):
+    """{x : e_i * x = 0 for all i}; the left one for product.transpose_args()."""
+    return kernel(Mat(product.field, product.left_multiplication_rows(), product.dim))
 
 
 def annihilators(d):
     """All four annihilators of a dialgebra, plus their intersection."""
-    rann_left = kernel(_stacked_right_mult(d.left))
-    lann_left = kernel(_stacked_left_mult(d.left))
-    rann_right = kernel(_stacked_right_mult(d.right))
-    lann_right = kernel(_stacked_left_mult(d.right))
+    rann_left = _right_annihilator(d.left)
+    lann_left = _right_annihilator(d.left.transpose_args())
+    rann_right = _right_annihilator(d.right)
+    lann_right = _right_annihilator(d.right.transpose_args())
     return AnnihilatorProfile(
         rann_left, lann_left, rann_right, lann_right, rann_left.intersect(lann_right)
     )
@@ -74,40 +59,40 @@ def annihilators(d):
 
 def algebra_annihilator(a):
     """{x : x A = A x = 0} for a single-product algebra."""
-    stacked = Mat(
-        a.field,
-        _stacked_right_mult(a.product).rows + _stacked_left_mult(a.product).rows,
-        a.dim,
-    )
-    return kernel(stacked)
+    prod = a.product
+    rows = prod.left_multiplication_rows() + prod.transpose_args().left_multiplication_rows()
+    return kernel(Mat(a.field, rows, a.dim))
+
+
+def _products_with_units(u, products):
+    """Yield b * e and e * b for each basis vector b of u, unit e and product."""
+    units = tuple(Vec.unit(u.field, u.ambient_dim, i) for i in range(u.ambient_dim))
+    for b in u.basis.rows:
+        for e in units:
+            for prod in products:
+                yield prod.apply(b, e)
+                yield prod.apply(e, b)
+
+
+def _is_closed(u, products):
+    return all(u.contains(v) for v in _products_with_units(u, products))
 
 
 def is_ideal(d, u):
     """True iff u is closed under multiplication by A on both sides, both products."""
     if u.field is not d.field or u.ambient_dim != d.dim:
         raise FieldMismatchError("subspace does not live in the dialgebra's space")
-    units = tuple(Vec.unit(d.field, d.dim, i) for i in range(d.dim))
-    for b in u.basis.rows:
-        for e in units:
-            for prod in (d.left, d.right):
-                if not (u.contains(prod.apply(b, e)) and u.contains(prod.apply(e, b))):
-                    return False
-    return True
+    return _is_closed(u, (d.left, d.right))
 
 
 def generated_ideal(d, seed):
     """The smallest two-sided ideal (for both products) containing seed."""
     if seed.field is not d.field or seed.ambient_dim != d.dim:
         raise FieldMismatchError("subspace does not live in the dialgebra's space")
-    units = tuple(Vec.unit(d.field, d.dim, i) for i in range(d.dim))
     current = seed
     while True:
         vectors = list(current.basis.rows)
-        for b in current.basis.rows:
-            for e in units:
-                for prod in (d.left, d.right):
-                    vectors.append(prod.apply(b, e))
-                    vectors.append(prod.apply(e, b))
+        vectors.extend(_products_with_units(current, (d.left, d.right)))
         grown = Subspace.from_vectors(d.field, d.dim, vectors)
         if grown.dim == current.dim:
             return grown
@@ -116,12 +101,15 @@ def generated_ideal(d, seed):
 
 def is_algebra_ideal(a, u):
     """Two-sided ideal test for a single product."""
-    units = tuple(Vec.unit(a.field, a.dim, i) for i in range(a.dim))
-    for b in u.basis.rows:
-        for e in units:
-            if not (u.contains(a.multiply(b, e)) and u.contains(a.multiply(e, b))):
-                return False
-    return True
+    return _is_closed(u, (a.product,))
+
+
+def guard_search(what, candidates, bound):
+    """Refuse an exhaustive search over more candidates than the bound allows."""
+    if candidates > bound:
+        raise SearchBoundExceededError(
+            f"{what} needs {candidates} candidates, over the search bound {bound}"
+        )
 
 
 def _enumeration_guard(field, dim, bound):
@@ -129,10 +117,7 @@ def _enumeration_guard(field, dim, bound):
         raise UnsupportedOverRationalsError(
             "exhaustive ideal enumeration needs a finite field"
         )
-    if field.p**dim > bound:
-        raise SearchBoundExceededError(
-            f"{field.p}^{dim} exceeds the search bound {bound}"
-        )
+    guard_search(f"ideal enumeration in GF({field.p})^{dim}", field.p**dim, bound)
 
 
 def algebra_ideals(a, bound=DEFAULT_SEARCH_BOUND):
@@ -141,36 +126,36 @@ def algebra_ideals(a, bound=DEFAULT_SEARCH_BOUND):
     return [u for u in all_subspaces(a.field, a.dim) if is_algebra_ideal(a, u)]
 
 
-def _square_is_zero(a, u):
-    return a.product.subspace_product(u, u).dim == 0
+# The perfection predicates, each decided from the list of all ideals of a.
+
+
+def _is_simple(a, ideals):
+    return a.square_space().dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
+
+
+def _is_semiprime(a, ideals):
+    return not any(u.dim > 0 and a.product.subspace_product(u, u).dim == 0 for u in ideals)
+
+
+def _is_prime(a, ideals):
+    nonzero = [u for u in ideals if u.dim > 0]
+    return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)
 
 
 def algebra_simple(a, bound=DEFAULT_SEARCH_BOUND):
     """No proper nonzero ideal and A*A != 0."""
-    if a.square_space().dim == 0:
-        return False
-    for u in algebra_ideals(a, bound):
-        if 0 < u.dim < a.dim:
-            return False
-    return True
+    # A*A = 0 answers False before the bounded ideal search is attempted.
+    return a.square_space().dim > 0 and _is_simple(a, algebra_ideals(a, bound))
 
 
 def algebra_semiprime(a, bound=DEFAULT_SEARCH_BOUND):
     """No nonzero ideal I with I*I = 0."""
-    for u in algebra_ideals(a, bound):
-        if u.dim > 0 and _square_is_zero(a, u):
-            return False
-    return True
+    return _is_semiprime(a, algebra_ideals(a, bound))
 
 
 def algebra_prime(a, bound=DEFAULT_SEARCH_BOUND):
     """No nonzero ideals I, J with I*J = 0."""
-    ideals = [u for u in algebra_ideals(a, bound) if u.dim > 0]
-    for u in ideals:
-        for v in ideals:
-            if a.product.subspace_product(u, v).dim == 0:
-                return False
-    return True
+    return _is_prime(a, algebra_ideals(a, bound))
 
 
 @dataclass(frozen=True)
@@ -191,22 +176,12 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
     if d.field.kind != PRIME:
         return StructureFlags(equal, None, None, None, None, None, None)
     _enumeration_guard(d.field, d.dim, bound)
-    la = d.as_single(ProductTag.LEFT)
-    ra = d.as_single(ProductTag.RIGHT)
-    left_ideals = algebra_ideals(la, bound)
-    right_ideals = algebra_ideals(ra, bound)
-
-    def flags_for(a, ideals):
-        nonzero = [u for u in ideals if u.dim > 0]
-        simple = a.square_space().dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
-        semiprime = not any(_square_is_zero(a, u) for u in nonzero)
-        prime = not any(
-            a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero
-        )
-        return simple, semiprime, prime
-
-    ls, lsp, lp = flags_for(la, left_ideals)
-    rs, rsp, rp = flags_for(ra, right_ideals)
+    flags = []
+    for tag in (ProductTag.LEFT, ProductTag.RIGHT):
+        a = d.as_single(tag)
+        ideals = algebra_ideals(a, bound)
+        flags.append((_is_simple(a, ideals), _is_semiprime(a, ideals), _is_prime(a, ideals)))
+    (ls, lsp, lp), (rs, rsp, rp) = flags
     return StructureFlags(equal, ls, rs, lsp, rsp, lp, rp)
 
 
@@ -263,21 +238,17 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
     if t1.z_dim != t2.z_dim or t1.x_dim != t2.x_dim:
         return None
     z, x = t1.z_dim, t1.x_dim
-    if field.p ** (z * z + x * x) > bound:
-        raise SearchBoundExceededError("triple equivalence search exceeds the bound")
+    guard_search("triple equivalence search", field.p ** (z * z + x * x), bound)
     from .gfsearch import gl_matrices, int_matrix_to_mat
 
-    alphas, _ = gl_matrices(field.p, z)
-    betas, _ = gl_matrices(field.p, x)
-    x_units = tuple(Vec.unit(field, x, i) for i in range(x))
-    for bi in range(len(betas)):
-        beta = int_matrix_to_mat(field, betas[bi])
-        images = tuple(x_units[a] @ beta for a in range(x))
+    alphas = [int_matrix_to_mat(field, m) for m in gl_matrices(field.p, z)[0]]
+    for m in gl_matrices(field.p, x)[0]:
+        beta = int_matrix_to_mat(field, m)
+        images = beta.rows
         pairings = tuple(
             tuple(t2.apply(images[a], images[b]) for b in range(x)) for a in range(x)
         )
-        for ai in range(len(alphas)):
-            alpha = int_matrix_to_mat(field, alphas[ai])
+        for alpha in alphas:
             if all(
                 t1.f[a][b] @ alpha == pairings[a][b]
                 for a in range(x)

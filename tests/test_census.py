@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,9 @@ from dialg import (
     KIND_TRIVIAL,
     KIND_ZERO_CUBED_LEFT,
     KIND_ZERO_CUBED_RIGHT,
+    Field,
+    Mat,
+    NotInvertibleError,
     are_isomorphic,
     census,
     check_dialgebra,
@@ -137,6 +141,28 @@ def test_all_tensors_enumeration_is_lexicographic():
     flat1 = tensors[1].reshape(-1)
     assert list(flat0) == [0] * 8
     assert list(flat1) == [0] * 7 + [1]
+    for p in (2, 3):
+        expected = list(product(range(p), repeat=8))
+        assert all_tensors(p, 2).reshape(len(expected), 8).tolist() == [list(t) for t in expected]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
+def test_gl_matrices_are_the_invertible_matrices_in_lexicographic_order(p, n):
+    from dialg.gfsearch import gl_matrices
+
+    field = Field.prime(p)
+    expected = []
+    for entries in product(range(p), repeat=n * n):
+        m = Mat.from_rows(field, [entries[r * n : (r + 1) * n] for r in range(n)])
+        try:
+            expected.append((m, m.inverse()))
+        except NotInvertibleError:
+            pass
+    mats, invs = gl_matrices(p, n)
+    assert len(mats) == len(invs) == len(expected)
+    for g, (m, inv) in enumerate(expected):
+        assert mats[g].tolist() == [[c.value for c in row] for row in m.rows]
+        assert invs[g].tolist() == [[c.value for c in row] for row in inv.rows]
 
 
 def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):

@@ -13,6 +13,7 @@ from dialg import (
     KIND_ZERO_CUBED_RIGHT,
     SUBLABEL_SQUARE,
     Dialgebra,
+    Field,
     NotADialgebraError,
     ParamTable,
     SearchBoundExceededError,
@@ -257,6 +258,17 @@ def test_iso_search_respects_the_bound():
     d = canonical_dialgebra(KIND_I, GF7)
     with pytest.raises(SearchBoundExceededError):
         are_isomorphic(d, d, bound=100)
+
+
+def test_gl_scan_over_a_large_prime_does_not_overflow():
+    # Residue products near p^3 ~ 2.7e19 would wrap in int64 if not reduced
+    # after every factor; e -> -e is the only isomorphism here.
+    big = Field.prime(3000017)
+    a = Dialgebra.from_entries(big, 1, {(0, 0, 0): 1}, {(0, 0, 0): 1})
+    b = Dialgebra.from_entries(big, 1, {(0, 0, 0): -1}, {(0, 0, 0): -1})
+    w = are_isomorphic(a, b, bound=10**7)
+    assert w is not None and [[c.value for c in row] for row in w.rows] == [[3000016]]
+    assert is_isomorphism(a, b, w)
 
 
 def test_dialgebras_of_different_dimensions_are_not_isomorphic():

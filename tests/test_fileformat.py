@@ -136,3 +136,21 @@ def test_algebra_round_trip():
 def test_unknown_directive_rejected():
     with pytest.raises(ParseError, match="unknown directive"):
         parse_dialgebra("dialg 1\nfield rational\ndim 2\nmiddle 1 1 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("field rational\ndim 3\nleft 1 1 1 ٣\n", 4),
+        ("field prime 5\ndim 3\nleft 1 1 1 ٣\n", 4),
+        ("field rational\ndim 3\nleft ٣ 1 1 1\n", 4),
+        ("field prime ٧\ndim 3\n", 2),
+        ("field rational\ndim ²\n", 3),
+        ("field rational\ndim 16\nleft 1_0 1 1 1\n", 4),
+    ],
+    ids=["rational-coeff", "prime-coeff", "index", "modulus", "dim", "underscore"],
+)
+def test_only_ascii_decimal_numerals_parse(text, lineno):
+    with pytest.raises(ParseError) as info:
+        parse_dialgebra("dialg 1\n" + text)
+    assert info.value.lineno == lineno

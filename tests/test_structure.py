@@ -21,6 +21,8 @@ from dialg import (
     algebra_semiprime,
     algebra_simple,
     annihilators,
+    are_isomorphic,
+    automorphism_group,
     canonical_dialgebra,
     from_associative,
     generated_ideal,
@@ -137,6 +139,41 @@ def test_structure_flags_unsupported_over_the_rationals():
 def test_structure_flags_respects_the_search_bound():
     with pytest.raises(SearchBoundExceededError):
         structure_flags(canonical_dialgebra(KIND_I, GF5), bound=3)
+
+
+def _gf5_I():
+    return canonical_dialgebra(KIND_I, GF5)
+
+
+@pytest.mark.parametrize(
+    "search, needed",
+    [
+        (lambda bound: structure_flags(_gf5_I(), bound=bound), 25),
+        (lambda bound: algebra_simple(upper_triangular_algebra(GF3), bound=bound), 27),
+        (lambda bound: are_isomorphic(_gf5_I(), _gf5_I(), bound=bound), 625),
+        (lambda bound: automorphism_group(_gf5_I(), bound=bound), 625),
+        (
+            lambda bound: triples_equivalent(
+                ZeroCubedTriple.from_entries(GF3, 1, 2, {}),
+                ZeroCubedTriple.from_entries(GF3, 1, 2, {}),
+                bound=bound,
+            ),
+            243,
+        ),
+    ],
+    ids=[
+        "structure_flags",
+        "algebra_simple",
+        "are_isomorphic",
+        "automorphism_group",
+        "triples_equivalent",
+    ],
+)
+def test_search_bound_error_states_candidates_and_bound(search, needed):
+    with pytest.raises(
+        SearchBoundExceededError, match=f"needs {needed} candidates, over the search bound 20$"
+    ):
+        search(20)
 
 
 def test_split_pair_is_semiprime_but_not_prime():
