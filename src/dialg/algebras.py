@@ -5,6 +5,13 @@ e_i * e_j = sum_k gamma[i][j][k] e_k. A Dialgebra carries two of them,
 the left product and the right product, on a shared basis. Construction
 never enforces the dialgebra laws; validity is checked separately so that
 invalid candidates can be represented during censuses.
+
+Arithmetic on the tensor goes through one exact contraction kernel,
+`contract`, over a lazily built raw sparse view: for each pair (i, j) the
+tuple of (k, value) with gamma[i][j][k] != 0, where a value is the bare
+int residue over GF(p) or the Fraction over Q. Sums are accumulated
+unreduced and reduced mod p once per output coordinate (Field.reduce);
+Scalar and Vec objects are built only for results.
 """
 
 from __future__ import annotations
@@ -13,6 +20,25 @@ from enum import Enum
 
 from .errors import FieldMismatchError
 from .linalg import Subspace, Vec
+
+
+def _terms(values):
+    """The nonzero raw values as (index, value) pairs."""
+    return [(k, v) for k, v in enumerate(values) if v]
+
+
+def _vec_terms(v):
+    """The raw terms of a Vec's coordinates."""
+    return [(k, c.value) for k, c in enumerate(v.coords) if c.value]
+
+
+def contract(acc, xs, vectors):
+    """The exact contraction kernel: acc[k] += a * g for (t, a) in xs and
+    (k, g) in vectors[t], on raw values; returns acc, unreduced."""
+    for t, a in xs:
+        for k, g in vectors[t]:
+            acc[k] += a * g
+    return acc
 
 
 class ProductTag(Enum):
@@ -26,12 +52,13 @@ class BilinearProduct:
     Rows are stored as gamma[i][j] = the Vec of coordinates of e_i * e_j.
     """
 
-    __slots__ = ("field", "dim", "rows")
+    __slots__ = ("field", "dim", "rows", "_sparse")
 
     def __init__(self, field, dim, rows):
         self.field = field
         self.dim = dim
         self.rows = tuple(tuple(r) for r in rows)
+        self._sparse = None
         if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
         for r in self.rows:
@@ -62,27 +89,28 @@ class BilinearProduct:
     def row(self, i, j):
         return self.rows[i][j]
 
+    @property
+    def sparse(self):
+        """The raw sparse view: sparse[i][j] holds (k, value) for each nonzero gamma[i][j][k]."""
+        if self._sparse is None:
+            self._sparse = tuple(tuple(tuple(_vec_terms(g)) for g in r) for r in self.rows)
+        return self._sparse
+
+    def _product_raw(self, xs, ys):
+        """Unreduced raw coordinates of x * y from the raw terms of x and y."""
+        view = self.sparse
+        acc = [0] * self.dim
+        for i, a in xs:
+            contract(acc, [(j, a * b) for j, b in ys], view[i])
+        return acc
+
     def apply(self, x, y):
         """Bilinear extension: the product of two coordinate vectors."""
         if x.field is not self.field or y.field is not self.field:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.dim or len(y) != self.dim:
             raise FieldMismatchError("vector length mismatch")
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            row_i = self.rows[i]
-            for j, yj in enumerate(y.coords):
-                if not yj:
-                    continue
-                g = row_i[j]
-                if g:
-                    c = xi * yj
-                    for k, gk in enumerate(g.coords):
-                        if gk:
-                            out[k] = out[k] + c * gk
-        return Vec(self.field, tuple(out))
+        return Vec.from_raw(self.field, self._product_raw(_vec_terms(x), _vec_terms(y)))
 
     def subspace_product(self, u, v):
         """The span of all u_a * v_b over basis vectors of u and v."""
@@ -90,10 +118,7 @@ class BilinearProduct:
             raise FieldMismatchError("subspace field mismatch")
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise FieldMismatchError("subspace ambient dimension mismatch")
-        spans = []
-        for a in u.basis.rows:
-            for b in v.basis.rows:
-                spans.append(self.apply(a, b))
+        spans = [self.apply(a, b) for a in u.basis.rows for b in v.basis.rows]
         return Subspace.from_vectors(self.field, self.dim, spans)
 
     def left_multiplication_rows(self):
@@ -119,14 +144,25 @@ class BilinearProduct:
 
     def rebase(self, t, t_inv):
         """Structure constants in the basis whose rows (in old coordinates) are t."""
-        new_rows = []
-        for i in range(self.dim):
-            bi = t.row(i)
-            row = []
-            for j in range(self.dim):
-                row.append(self.apply(bi, t.row(j)) @ t_inv)
-            new_rows.append(tuple(row))
-        return BilinearProduct(self.field, self.dim, tuple(new_rows))
+        field, n = self.field, self.dim
+        if any(m.field is not field or m.shape != (n, n) for m in (t, t_inv)):
+            raise FieldMismatchError("base change matrix shape mismatch")
+        view = self.sparse
+        basis = [_vec_terms(r) for r in t.rows]
+        back = [_vec_terms(r) for r in t_inv.rows]
+        # by_right[j][a] = e_a * t_j, so t_i * t_j = sum_a t_i[a] by_right[j][a].
+        by_right = [
+            [_terms(field.reduce(contract([0] * n, ys, view[a]))) for a in range(n)]
+            for ys in basis
+        ]
+
+        def image(xs, by_right_j):
+            # (t_i * t_j) @ t_inv
+            prod = _terms(field.reduce(contract([0] * n, xs, by_right_j)))
+            return Vec.from_raw(field, contract([0] * n, prod, back))
+
+        rows = tuple(tuple(image(xs, b) for b in by_right) for xs in basis)
+        return BilinearProduct(field, n, rows)
 
     def is_zero(self):
         return not any(any(v for v in r) for r in self.rows)

@@ -21,7 +21,6 @@ from .classify import (
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
-from .gfsearch import dialgebra_to_arrays
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
 from .structure import DEFAULT_SEARCH_BOUND
@@ -134,6 +133,8 @@ def cmd_iso(args, out):
 
 
 def cmd_census(args, out):
+    from .gfsearch import dialgebra_to_arrays
+
     classes = census(args.prime, args.dim)
     for cls in classes:
         left, right = dialgebra_to_arrays(cls.representative)

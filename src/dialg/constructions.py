@@ -19,15 +19,15 @@ from .errors import (
     NotAnIdealError,
     NotAssociativeError,
 )
-from .identities import check_associative, check_dialgebra
+from .identities import associative_violations, dialgebra_violations
 from .linalg import Mat, Subspace, Vec, kernel
 
 
 def from_associative(a):
     """The dialgebra with x <| y = xy = x |> y for an associative algebra a."""
-    violations = check_associative(a)
-    if violations:
-        raise NotAssociativeError(f"input is not associative, e.g. at {violations[0].triple}")
+    violation = next(associative_violations(a), None)
+    if violation is not None:
+        raise NotAssociativeError(f"input is not associative, e.g. at {violation.triple}")
     return Dialgebra(a.field, a.dim, a.product, a.product, a.basis_names)
 
 
@@ -111,7 +111,7 @@ def from_differential(a, d):
     product rule and square to zero; the mixed laws need every x d(d(y)) z
     term to vanish, so anything weaker is rejected.
     """
-    if check_associative(a):
+    if any(associative_violations(a)):
         raise NotAssociativeError("the underlying algebra must be associative")
     if d.field is not a.field or d.shape != (a.dim, a.dim):
         raise FieldMismatchError("derivation matrix shape mismatch")
@@ -140,11 +140,9 @@ def from_differential(a, d):
 
 def leibniz_bracket(d):
     """The bracket [x, y] = x <| y - y |> x of a valid dialgebra."""
-    violations = check_dialgebra(d)
-    if violations:
-        raise NotADialgebraError(
-            f"input fails {violations[0].law} at {violations[0].triple}"
-        )
+    violation = next(dialgebra_violations(d), None)
+    if violation is not None:
+        raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
     rows = []
     for i in range(d.dim):
         rows.append(
@@ -181,6 +179,6 @@ def quotient(d, ideal):
     for prod in (d.left, d.right):
         rows = []
         for a in keep:
-            rows.append(tuple(project(prod.apply(units[a], units[b])) for b in keep))
+            rows.append(tuple(project(prod.row(a, b)) for b in keep))
         products.append(BilinearProduct(d.field, new_dim, tuple(rows)))
     return Dialgebra(d.field, new_dim, products[0], products[1]), proj

@@ -15,15 +15,39 @@ RATIONAL = "rational"
 PRIME = "prime"
 
 
+# Miller-Rabin with these bases is exact below MILLER_RABIN_BOUND
+# (Sorenson and Webster, 2015).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
-    """Trial-division primality test; intended for small desk-scale moduli."""
+    """Deterministic Miller-Rabin primality test, exact below MILLER_RABIN_BOUND.
+
+    Larger moduli raise NonPrimeError rather than risk a wrong answer.
+    """
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MILLER_RABIN_BOUND:
+        raise NonPrimeError(
+            f"cannot certify {p} as a prime: moduli must be below {MILLER_RABIN_BOUND}"
+        )
+    for b in MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -58,6 +82,10 @@ class Field:
         inst._one = None
         cls._instances[key] = inst
         return inst
+
+    def __reduce__(self):
+        # Unpickling and copying go through __new__, so they return the interned instance.
+        return (Field, (self.kind, self.p))
 
     @classmethod
     def rationals(cls):
@@ -112,6 +140,14 @@ class Field:
         if self._one is None:
             self._one = self.scalar(1)
         return self._one
+
+    def reduce(self, values):
+        """A list of raw accumulated values (ints over GF(p), Fractions over Q)
+        in canonical form: reduced mod p over GF(p), unchanged over Q."""
+        if self.kind == PRIME:
+            p = self.p
+            return [v % p for v in values]
+        return values
 
     def elements(self):
         """All field elements, in residue order. Finite fields only."""

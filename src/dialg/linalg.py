@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import FieldMismatchError, NotInvertibleError
+from .fields import Scalar
 
 
 class Vec:
@@ -26,6 +27,12 @@ class Vec:
     @classmethod
     def of(cls, field, values):
         return cls(field, tuple(field.scalar(v) for v in values))
+
+    @classmethod
+    def from_raw(cls, field, values):
+        """A Vec from raw accumulated values (see Field.reduce), reduced once each."""
+        z = field.zero
+        return cls(field, [Scalar(field, v) if v else z for v in field.reduce(values)])
 
     @classmethod
     def zero(cls, field, n):

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME
-from .identities import check_associative
+from .identities import associative_violations
 from .linalg import Mat, Subspace, Vec, all_subspaces, kernel
 
 DEFAULT_SEARCH_BOUND = 10**6
@@ -187,7 +187,7 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
 
 def is_zero_cubed(a):
     """Associative with A(AA) = (AA)A = 0."""
-    if check_associative(a):
+    if any(associative_violations(a)):
         return False
     full = Subspace.full(a.field, a.dim)
     square = a.product.subspace_product(full, full)

@@ -159,3 +159,79 @@ def random_valid_dialgebras(count, seed=20240811):
             d = opposite(d)
         out.append(d)
     return out
+
+
+# Scalar-loop reference implementations, kept only as test oracles for the
+# raw contraction kernel in algebras and identities.
+
+
+def reference_apply(prod, x, y):
+    """The bilinear product of two vectors, entry by entry on Scalars."""
+    out = [prod.field.zero] * prod.dim
+    for i, xi in enumerate(x.coords):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coords):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, gk in enumerate(prod.rows[i][j].coords):
+                if gk:
+                    out[k] = out[k] + c * gk
+    return Vec(prod.field, tuple(out))
+
+
+def reference_rebase(prod, t):
+    """Structure constants on the basis of t's rows: (t_i * t_j) @ t^-1."""
+    t_inv = t.inverse()
+    return BilinearProduct(
+        prod.field,
+        prod.dim,
+        tuple(
+            tuple(reference_apply(prod, t.row(i), t.row(j)) @ t_inv for j in range(prod.dim))
+            for i in range(prod.dim)
+        ),
+    )
+
+
+def reference_violations(field, n, laws):
+    """(law, triple, residual) for every nonzero residual on basis triples, in order."""
+    units = [Vec.unit(field, n, i) for i in range(n)]
+    out = []
+    for law, residual in laws:
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    res = residual(units[i], units[j], units[k])
+                    if res:
+                        out.append((law, (i, j, k), res))
+    return out
+
+
+def reference_check_dialgebra(d):
+    lm = lambda x, y: reference_apply(d.left, x, y)  # noqa: E731
+    rm = lambda x, y: reference_apply(d.right, x, y)  # noqa: E731
+    laws = [
+        ("assoc-left", lambda x, y, z: lm(lm(x, y), z) - lm(x, lm(y, z))),
+        ("assoc-right", lambda x, y, z: rm(rm(x, y), z) - rm(x, rm(y, z))),
+        ("ax1", lambda x, y, z: lm(lm(x, y), z) - lm(x, rm(y, z))),
+        ("ax2", lambda x, y, z: lm(rm(x, y), z) - rm(x, lm(y, z))),
+        ("ax3", lambda x, y, z: rm(lm(x, y), z) - rm(x, rm(y, z))),
+    ]
+    return reference_violations(d.field, d.dim, laws)
+
+
+def reference_check_associative(a):
+    m = lambda x, y: reference_apply(a.product, x, y)  # noqa: E731
+    return reference_violations(
+        a.field, a.dim, [("assoc", lambda x, y, z: m(m(x, y), z) - m(x, m(y, z)))]
+    )
+
+
+def reference_check_leibniz(a):
+    br = lambda x, y: reference_apply(a.product, x, y)  # noqa: E731
+    return reference_violations(
+        a.field,
+        a.dim,
+        [("leibniz", lambda x, y, z: br(br(x, y), z) - br(br(x, z), y) - br(x, br(y, z)))],
+    )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -125,3 +127,16 @@ def test_products_equal_flag():
 
     assert from_associative(square_algebra(QQ)).products_equal()
     assert not canonical_dialgebra(KIND_I, QQ).products_equal()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_vectors_and_dialgebras_survive_pickle_and_deepcopy(field):
+    d = canonical_dialgebra(KIND_II, field, 1).rebase(random_invertible(field, 2, random.Random(3)))
+    d.left.sparse  # a built raw view travels along and stays equal
+    v = Vec.of(field, [1, 2])
+    for obj in (v, d):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert clone == obj and clone.field is field
+    clone = pickle.loads(pickle.dumps(d))
+    assert clone.left.sparse == d.left.sparse
+    assert clone.left.apply(v, v) == d.left.apply(v, v)

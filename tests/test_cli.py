@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import dialg
 from dialg import (
     KIND_I,
     KIND_II,
@@ -193,3 +197,25 @@ def test_outputs_are_deterministic(tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _ = run(["check", "/nonexistent/nope.dialg"])
     assert code == 2
+
+
+def _modules_after(code):
+    """Run code in a fresh interpreter on this dialg; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dialg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_exact_verbs_do_not_import_numpy(tmp_path):
+    path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
+    probe = "import sys\n{}\nprint('numpy' in sys.modules)"
+    assert _modules_after(probe.format("import dialg")) == "False\n"
+    check = f"from dialg.cli import main\nassert main(['check', {path!r}]) == 0"
+    assert _modules_after(probe.format(check)) == "PASS\nFalse\n"
+    # The census verb does need numpy, so the probe can see it.
+    census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
+    assert _modules_after(probe.format(census)) == "True\n"

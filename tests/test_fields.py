@@ -1,9 +1,14 @@
+import copy
+import math
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dialg import Field, FieldMismatchError, NonPrimeError
+from dialg import Field, FieldMismatchError, NonPrimeError, is_prime, parse_dialgebra
+from dialg.fields import MILLER_RABIN_BOUND
 from helpers import GF2, GF3, GF5, GF7, QQ, random_scalar
 
 FIELDS = [QQ, GF2, GF3, GF5, GF7]
@@ -85,3 +90,45 @@ def test_field_elements_enumeration():
     assert [s.value for s in GF3.elements()] == [0, 1, 2]
     with pytest.raises(Exception):
         QQ.elements()
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**14 + 31)
+    for carmichael in (561, 41041, 3215031751):
+        assert not is_prime(carmichael)
+    # Strong pseudoprime to the bases 2..37, caught by base 41.
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_moduli_past_the_certified_bound_are_refused():
+    with pytest.raises(NonPrimeError, match=str(MILLER_RABIN_BOUND)):
+        Field.prime(2**89 - 1)
+    with pytest.raises(NonPrimeError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(MILLER_RABIN_BOUND)
+
+
+def test_a_14_digit_prime_modulus_parses_quickly():
+    start = time.perf_counter()
+    d = parse_dialgebra("dialg 1\nfield prime 100000000000031\ndim 1\n")
+    assert time.perf_counter() - start < 0.1
+    assert d.field.p == 100000000000031
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_fields_and_scalars_survive_pickle_and_copy(field):
+    assert pickle.loads(pickle.dumps(field)) is field
+    assert copy.deepcopy(field) is field
+    assert copy.copy(field) is field
+    for s in (field.zero, field.one, field.scalar(3)):
+        for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert clone == s and clone.field is field
