@@ -27,6 +27,7 @@ from .errors import (
     FieldMismatchError,
     InternalCheckError,
     NotADialgebraError,
+    NotInvertibleError,
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME, Field, Scalar
@@ -208,7 +209,7 @@ def is_isomorphism(a, b, t):
         return False
     try:
         t.inverse()
-    except Exception:
+    except NotInvertibleError:
         return False
     for pa, pb in ((a.left, b.left), (a.right, b.right)):
         for i in range(a.dim):

@@ -11,13 +11,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
-from .classify import (
-    are_isomorphic,
-    census,
-    classify_dim2,
-    fingerprint,
-)
+from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
@@ -67,26 +63,11 @@ def cmd_check(args, out):
     return 1
 
 
-def _info_fields(d):
-    fp = fingerprint(d)
-    pairs = [("field", str(d.field)), ("dim", d.dim)]
-    pairs += [
-        ("dim_left_square", fp.dim_left_square),
-        ("dim_right_square", fp.dim_right_square),
-        ("dim_rann_left", fp.dim_rann_left),
-        ("dim_lann_left", fp.dim_lann_left),
-        ("dim_rann_right", fp.dim_rann_right),
-        ("dim_lann_right", fp.dim_lann_right),
-        ("dim_ann", fp.dim_ann),
-        ("products_equal", fp.products_equal),
-        ("has_bar_unit", fp.has_bar_unit),
-    ]
-    return pairs
-
-
 def cmd_info(args, out):
     d = _load(args.path)
-    pairs = _info_fields(d)
+    fp = fingerprint(d)
+    pairs = [("field", str(d.field)), ("dim", d.dim)]
+    pairs += [(f.name, getattr(fp, f.name)) for f in fields(Fingerprint)]
     if args.json:
         print(json.dumps(dict(pairs)), file=out)
         return 0
@@ -97,14 +78,21 @@ def cmd_info(args, out):
     return 0
 
 
+def _label_record(label):
+    """The label, kind and k of a classification label, as JSON fields."""
+    return {
+        "label": label.label_string(),
+        "kind": label.kind,
+        "k": None if label.k is None else str(label.k),
+    }
+
+
 def cmd_classify2(args, out):
     d = _load(args.path)
     label = classify_dim2(d)
     if args.json:
         record = {
-            "label": label.label_string(),
-            "kind": label.kind,
-            "k": None if label.k is None else str(label.k),
+            **_label_record(label),
             "sublabel": label.sublabel,
             "witness": [[str(c) for c in row.coords] for row in label.witness.rows],
         }
@@ -139,9 +127,7 @@ def cmd_census(args, out):
     for cls in classes:
         left, right = dialgebra_to_arrays(cls.representative)
         record = {
-            "label": cls.label.label_string(),
-            "kind": cls.label.kind,
-            "k": None if cls.label.k is None else str(cls.label.k),
+            **_label_record(cls.label),
             "left": left.tolist(),
             "right": right.tolist(),
             "orbit_size": cls.orbit_size,

@@ -95,12 +95,6 @@ def all_tensors(p, n):
     return arr
 
 
-def tensor_index(tensor, p):
-    """Position of an integer tensor in the all_tensors enumeration."""
-    flat = np.asarray(tensor, dtype=np.int64).reshape(-1)
-    return int(flat @ _place_values(p, flat.size))
-
-
 def associative_indices(p, n):
     """Indices of all associative tensors within all_tensors(p, n)."""
     g = all_tensors(p, n)

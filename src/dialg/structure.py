@@ -1,14 +1,19 @@
 """Annihilators, ideals, zero-cubed decomposition and perfection predicates.
 
 The simple/semiprime/prime predicates are decided exactly over finite
-fields by enumerating every subspace and filtering for ideals; over the
-rationals the subspace lattice is infinite, so those predicates report
-`None` (unsupported) rather than guess.
+fields from the principal ideals (v), v != 0: one ideal closure per line of
+GF(p)^dim, so at most p^dim closures, and the search bound (`bound`) caps
+exactly that count. Over the rationals there are infinitely many lines, so
+those predicates report `None` (unsupported) rather than guess.
+`algebra_ideals` lists every ideal by scanning the whole subspace lattice;
+its bound counts every subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 
 from .algebras import ProductTag
 from .constructions import ZeroCubedTriple
@@ -64,44 +69,44 @@ def algebra_annihilator(a):
     return kernel(Mat(a.field, rows, a.dim))
 
 
-def _products_with_units(u, products):
-    """Yield b * e and e * b for each basis vector b of u, unit e and product."""
-    units = tuple(Vec.unit(u.field, u.ambient_dim, i) for i in range(u.ambient_dim))
-    for b in u.basis.rows:
-        for e in units:
-            for prod in products:
-                yield prod.apply(b, e)
-                yield prod.apply(e, b)
-
-
-def _is_closed(u, products):
-    return all(u.contains(v) for v in _products_with_units(u, products))
+def _closure(u, products, stop=None):
+    """The smallest subspace holding u and closed under multiplication by the
+    units on both sides, for each product (u itself iff u is an ideal). Only
+    new basis vectors are multiplied, each product is reduced against the span
+    so far, and the search stops once the span has stop (at most n) dimensions."""
+    n = u.ambient_dim
+    stop = n if stop is None else min(stop, n)
+    units = tuple(Vec.unit(u.field, n, i) for i in range(n))
+    span, queue = u, list(u.basis.rows)
+    while queue and span.dim < stop:
+        b = queue.pop()
+        for w in (m.apply(x, y) for e in units for m in products for x, y in ((b, e), (e, b))):
+            w = span.reduce(w)
+            if w:
+                span = Subspace.from_vectors(u.field, n, span.basis.rows + (w,))
+                if span.dim == stop:
+                    break
+                queue.append(w)
+    return span
 
 
 def is_ideal(d, u):
     """True iff u is closed under multiplication by A on both sides, both products."""
     if u.field is not d.field or u.ambient_dim != d.dim:
         raise FieldMismatchError("subspace does not live in the dialgebra's space")
-    return _is_closed(u, (d.left, d.right))
+    return _closure(u, (d.left, d.right), u.dim + 1) == u
 
 
 def generated_ideal(d, seed):
     """The smallest two-sided ideal (for both products) containing seed."""
     if seed.field is not d.field or seed.ambient_dim != d.dim:
         raise FieldMismatchError("subspace does not live in the dialgebra's space")
-    current = seed
-    while True:
-        vectors = list(current.basis.rows)
-        vectors.extend(_products_with_units(current, (d.left, d.right)))
-        grown = Subspace.from_vectors(d.field, d.dim, vectors)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    return _closure(seed, (d.left, d.right))
 
 
 def is_algebra_ideal(a, u):
     """Two-sided ideal test for a single product."""
-    return _is_closed(u, (a.product,))
+    return _closure(u, (a.product,), u.dim + 1) == u
 
 
 def guard_search(what, candidates, bound):
@@ -112,50 +117,64 @@ def guard_search(what, candidates, bound):
         )
 
 
-def _enumeration_guard(field, dim, bound):
+def _subspace_count(p, n):
+    """Sum over k of the Gaussian binomials [n, k]_p: G(k+1) = 2 G(k) + (p^k - 1) G(k-1)."""
+    before, count = 1, 1
+    for k in range(n):
+        before, count = count, 2 * count + (p**k - 1) * before
+    return count
+
+
+def _enumeration_guard(field, dim, candidates, bound):
+    """Refuse the ideal search over Q, or when candidates(p, dim) exceeds the bound."""
     if field.kind != PRIME:
-        raise UnsupportedOverRationalsError(
-            "exhaustive ideal enumeration needs a finite field"
-        )
-    guard_search(f"ideal enumeration in GF({field.p})^{dim}", field.p**dim, bound)
+        raise UnsupportedOverRationalsError("exhaustive ideal enumeration needs a finite field")
+    guard_search(f"ideal enumeration in GF({field.p})^{dim}", candidates(field.p, dim), bound)
 
 
 def algebra_ideals(a, bound=DEFAULT_SEARCH_BOUND):
-    """Every two-sided ideal of a single-product algebra over GF(p)."""
-    _enumeration_guard(a.field, a.dim, bound)
+    """Every two-sided ideal of a single-product algebra over GF(p), by a scan
+    of the whole subspace lattice (the bound counts every subspace)."""
+    _enumeration_guard(a.field, a.dim, _subspace_count, bound)
     return [u for u in all_subspaces(a.field, a.dim) if is_algebra_ideal(a, u)]
 
 
-# The perfection predicates, each decided from the list of all ideals of a.
+def _perfection(a, bound):
+    """(simple, semiprime, prime) of a over GF(p), from its principal ideals.
 
-
-def _is_simple(a, ideals):
-    return a.square_space().dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
-
-
-def _is_semiprime(a, ideals):
-    return not any(u.dim > 0 and a.product.subspace_product(u, u).dim == 0 for u in ideals)
-
-
-def _is_prime(a, ideals):
-    nonzero = [u for u in ideals if u.dim > 0]
-    return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)
+    Every nonzero ideal contains some (v), v != 0, and two distinct minimal
+    ideals annihilate each other. So A is simple iff A*A != 0 and every (v)
+    is A; semiprime iff no (v) has (v)(v) = 0; prime iff the intersection K
+    of all (v) has K*K != 0, or there is no (v) at all (dim 0). The (v) run
+    over the lines, the rank-1 stretch of all_subspaces: under p^dim closures.
+    """
+    _enumeration_guard(a.field, a.dim, pow, bound)
+    p, n = a.field.p, a.dim
+    lines = islice(all_subspaces(a.field, n), 1, 1 + (p**n - 1) // (p - 1))
+    principal = {_closure(v, (a.product,)) for v in lines}
+    square = a.product.subspace_product
+    full = Subspace.full(a.field, n)
+    meet = reduce(Subspace.intersect, principal, full)
+    simple = a.square_space().dim > 0 and principal <= {full}
+    semiprime = all(square(u, u).dim > 0 for u in principal)
+    prime = not principal or square(meet, meet).dim > 0
+    return simple, semiprime, prime
 
 
 def algebra_simple(a, bound=DEFAULT_SEARCH_BOUND):
     """No proper nonzero ideal and A*A != 0."""
     # A*A = 0 answers False before the bounded ideal search is attempted.
-    return a.square_space().dim > 0 and _is_simple(a, algebra_ideals(a, bound))
+    return a.square_space().dim > 0 and _perfection(a, bound)[0]
 
 
 def algebra_semiprime(a, bound=DEFAULT_SEARCH_BOUND):
     """No nonzero ideal I with I*I = 0."""
-    return _is_semiprime(a, algebra_ideals(a, bound))
+    return _perfection(a, bound)[1]
 
 
 def algebra_prime(a, bound=DEFAULT_SEARCH_BOUND):
     """No nonzero ideals I, J with I*J = 0."""
-    return _is_prime(a, algebra_ideals(a, bound))
+    return _perfection(a, bound)[2]
 
 
 @dataclass(frozen=True)
@@ -175,13 +194,8 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
     equal = d.products_equal()
     if d.field.kind != PRIME:
         return StructureFlags(equal, None, None, None, None, None, None)
-    _enumeration_guard(d.field, d.dim, bound)
-    flags = []
-    for tag in (ProductTag.LEFT, ProductTag.RIGHT):
-        a = d.as_single(tag)
-        ideals = algebra_ideals(a, bound)
-        flags.append((_is_simple(a, ideals), _is_semiprime(a, ideals), _is_prime(a, ideals)))
-    (ls, lsp, lp), (rs, rsp, rp) = flags
+    ls, lsp, lp = _perfection(d.as_single(ProductTag.LEFT), bound)
+    rs, rsp, rp = (ls, lsp, lp) if equal else _perfection(d.as_single(ProductTag.RIGHT), bound)
     return StructureFlags(equal, ls, rs, lsp, rsp, lp, rp)
 
 

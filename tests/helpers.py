@@ -15,6 +15,7 @@ from dialg import (
     Subspace,
     Vec,
     ZeroCubedTriple,
+    all_subspaces,
     canonical_dialgebra,
     from_associative,
     from_differential,
@@ -51,13 +52,20 @@ def split_pair_algebra(field):
     return Algebra.from_entries(field, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
 
 
-def upper_triangular_algebra(field):
-    """Upper triangular 2x2 matrices on basis (E11, E12, E22)."""
+def upper_triangular_algebra(field, k=2):
+    """Upper triangular k x k matrices on the basis E_ab, a <= b, row by row:
+    (E11, E12, E22) for k = 2, with E_ab E_bc = E_ac."""
+    idx = [(a, b) for a in range(k) for b in range(a, k)]
     return Algebra.from_entries(
         field,
-        3,
-        {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1},
-        basis_names=("E11", "E12", "E22"),
+        len(idx),
+        {
+            (idx.index((a, b)), idx.index((b, c)), idx.index((a, c))): 1
+            for (a, b) in idx
+            for (b2, c) in idx
+            if b == b2
+        },
+        basis_names=tuple(f"E{a + 1}{b + 1}" for a, b in idx),
     )
 
 
@@ -235,3 +243,34 @@ def reference_check_leibniz(a):
         a.dim,
         [("leibniz", lambda x, y, z: br(br(x, y), z) - br(br(x, z), y) - br(x, br(y, z)))],
     )
+
+
+# The perfection formulas over the list of all ideals, kept only as test
+# oracles for the principal-ideal route in structure.
+
+
+def reference_ideals(a):
+    """Every ideal of a, by testing each subspace against the unit products."""
+    units = [Vec.unit(a.field, a.dim, i) for i in range(a.dim)]
+    return [
+        u
+        for u in all_subspaces(a.field, a.dim)
+        if all(
+            u.contains(a.multiply(b, e)) and u.contains(a.multiply(e, b))
+            for b in u.basis.rows
+            for e in units
+        )
+    ]
+
+
+def reference_simple(a, ideals):
+    return a.square_space().dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
+
+
+def reference_semiprime(a, ideals):
+    return not any(u.dim > 0 and a.product.subspace_product(u, u).dim == 0 for u in ideals)
+
+
+def reference_prime(a, ideals):
+    nonzero = [u for u in ideals if u.dim > 0]
+    return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)

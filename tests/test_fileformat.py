@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialg import (
     KIND_I,
@@ -154,3 +156,76 @@ def test_only_ascii_decimal_numerals_parse(text, lineno):
     with pytest.raises(ParseError) as info:
         parse_dialgebra("dialg 1\n" + text)
     assert info.value.lineno == lineno
+
+
+# A basis name is one token: no whitespace, line break or control character,
+# and no comment sign.
+_NAMES = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Z"), blacklist_characters="#"),
+    min_size=1,
+    max_size=3,
+)
+_FIELDS = ["rational", "prime 2", "prime 3", "prime 9973", "prime 1000000007"]
+
+
+@st.composite
+def file_texts(draw, tags=("left", "right")):
+    """Well-formed files: any field, dim 1-4, optional basis names, sparse entries."""
+    field = draw(st.sampled_from(_FIELDS))
+    dim = draw(st.integers(1, 4))
+    lines = ["dialg 1", f"field {field}", f"dim {dim}"]
+    if draw(st.booleans()):
+        lines.append("basis " + " ".join(draw(st.lists(_NAMES, min_size=dim, max_size=dim))))
+    idx = st.integers(1, dim)
+    keys = draw(st.lists(st.tuples(st.sampled_from(tags), idx, idx, idx), unique=True, max_size=10))
+    for tag, i, j, k in keys:
+        c = str(draw(st.integers(-10**12, 10**12)))
+        if field == "rational" and draw(st.booleans()):
+            c += f"/{draw(st.integers(1, 99))}"
+        lines.append(f"{tag} {i} {j} {k} {c}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(file_texts())
+def test_parse_serialize_parse_round_trips(text):
+    d = parse_dialgebra(text)
+    out = serialize_dialgebra(d)
+    again = parse_dialgebra(out)
+    assert again == d
+    assert again.basis_names == d.basis_names
+    assert serialize_dialgebra(again) == out
+
+
+@settings(max_examples=60)
+@given(file_texts(tags=("left",)))
+def test_algebra_parse_serialize_parse_round_trips(text):
+    a = parse_algebra(text)
+    again = parse_algebra(serialize_algebra(a))
+    assert again == a
+    assert again.basis_names == a.basis_names
+
+
+# Tokens near the grammar, including non-ASCII numerals, underscores, signs,
+# zero denominators, a composite and a prime beyond the primality bound.
+_TOKENS = st.sampled_from(
+    ["dialg", "1", "field", "rational", "prime", "dim", "basis", "left", "right", "#",
+     "0", "2", "3", "-1", "+3", "17", "1/2", "1/0", "3/-2", "0x1", "1e3", "1_0", "\u0663",
+     "\u00b2", "4", str(10**30 + 57), "9" * 40, "", "\x00", "\u2028"]
+)
+_LINES = st.one_of(st.lists(_TOKENS, max_size=6).map(" ".join), st.text(max_size=12))
+_HEADERS = st.sampled_from(
+    [[], ["dialg 1"], ["dialg 1", "field rational"], ["dialg 1", "field prime 3", "dim 2"],
+     ["dialg 1", "field rational", "dim 3", "basis a b c"]]
+)
+
+
+@settings(max_examples=200)
+@given(_HEADERS, st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parsers_raise_nothing_but_parse_error(header, body, newline):
+    text = newline.join(header + body)
+    for parse in (parse_dialgebra, parse_algebra):
+        try:
+            parse(text)
+        except ParseError:
+            pass

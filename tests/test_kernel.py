@@ -30,12 +30,7 @@ from helpers import (
 
 FIELDS = [QQ, GF2, Field.prime(9973), Field.prime(3000017)]
 VALID = random_valid_dialgebras(24, seed=7)
-SETTINGS = settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite

@@ -2,12 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import dialg.structure as structure
 from dialg import (
     KIND_I,
     KIND_II,
     Algebra,
     Dialgebra,
+    Field,
     NotZeroCubedError,
     ProductTag,
     SearchBoundExceededError,
@@ -20,6 +24,7 @@ from dialg import (
     algebra_prime,
     algebra_semiprime,
     algebra_simple,
+    all_subspaces,
     annihilators,
     are_isomorphic,
     automorphism_group,
@@ -39,6 +44,10 @@ from helpers import (
     GF5,
     QQ,
     random_valid_dialgebras,
+    reference_ideals,
+    reference_prime,
+    reference_semiprime,
+    reference_simple,
     square_algebra,
     upper_triangular_algebra,
 )
@@ -174,6 +183,81 @@ def test_search_bound_error_states_candidates_and_bound(search, needed):
         SearchBoundExceededError, match=f"needs {needed} candidates, over the search bound 20$"
     ):
         search(20)
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2)])
+def test_algebra_ideals_bound_counts_every_subspace(p, n):
+    zero = Algebra.from_entries(Field.prime(p), n, {})
+    count = len(list(all_subspaces(zero.field, n)))
+    assert len(algebra_ideals(zero, bound=count)) == count
+    with pytest.raises(
+        SearchBoundExceededError,
+        match=f"^ideal enumeration in GF\\({p}\\)\\^{n} needs {count} candidates, "
+        f"over the search bound {count - 1}$",
+    ):
+        algebra_ideals(zero, bound=count - 1)
+
+
+def test_algebra_ideals_refuses_more_subspaces_than_the_bound():
+    # GF(2)^5 has 32 vectors but 374 subspaces, all of them ideals here.
+    with pytest.raises(
+        SearchBoundExceededError, match="needs 374 candidates, over the search bound 100$"
+    ):
+        algebra_ideals(Algebra.from_entries(GF2, 5, {}), bound=100)
+
+
+# (p, dim) of the random tables checked against the ideal-list formulas.
+PERFECTION_SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
+
+
+@st.composite
+def small_algebras(draw):
+    """Single-product tables over GF(p), mostly not associative; a split point
+    m > 0 keeps only the blocks of a direct sum F^m + F^(n-m)."""
+    p, n = draw(st.sampled_from(PERFECTION_SIZES))
+    m = draw(st.integers(0, n - 1))
+    idx = st.integers(0, n - 1)
+    entries = draw(
+        st.dictionaries(st.tuples(idx, idx, idx), st.integers(1, p - 1), max_size=n**3)
+    )
+    blocks = {key: c for key, c in entries.items() if m == 0 or len({t < m for t in key}) == 1}
+    return Algebra.from_entries(Field.prime(p), n, blocks)
+
+
+def _check_perfection_against_the_ideal_list(a):
+    ideals = algebra_ideals(a)
+    assert ideals == reference_ideals(a)
+    assert algebra_simple(a) is reference_simple(a, ideals)
+    assert algebra_semiprime(a) is reference_semiprime(a, ideals)
+    assert algebra_prime(a) is reference_prime(a, ideals)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(small_algebras())
+def test_perfection_predicates_match_the_ideal_list_formulas(a):
+    _check_perfection_against_the_ideal_list(a)
+
+
+def test_perfection_of_the_zero_dimensional_algebra():
+    a = Algebra.from_entries(GF2, 0, {})
+    _check_perfection_against_the_ideal_list(a)
+    assert (algebra_simple(a), algebra_semiprime(a), algebra_prime(a)) == (False, True, True)
+
+
+def test_structure_flags_draws_only_lines_from_the_subspace_lattice(monkeypatch):
+    drawn = []
+
+    def counted(field, n):
+        for u in all_subspaces(field, n):
+            drawn.append(u.dim)
+            yield u
+
+    monkeypatch.setattr(structure, "all_subspaces", counted)
+    flags = structure_flags(from_associative(upper_triangular_algebra(GF2, 3)))
+    assert (flags.simple_left, flags.semiprime_left, flags.prime_left) == (False, False, False)
+    # At most one closure per vector of GF(2)^6 and product; the lattice has 2825.
+    assert len(drawn) <= 2 * 2**6
+    assert max(drawn) <= 1
 
 
 def test_split_pair_is_semiprime_but_not_prime():
