@@ -12,18 +12,24 @@ lexicographic order, so the finished list is exactly the invertible
 matrices in lexicographic order of their flattened entries, the order in
 which every first-hit search picks its witness. One batched Gauss-Jordan
 pass mod p then inverts them all.
+
+The census screens tensors against identities._LAWS, the law table of the
+exact checker, one basis equation at a time over the surviving candidates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .algebras import BilinearProduct, Dialgebra
 from .errors import FieldMismatchError
 from .fields import PRIME
+from .identities import _LAWS, _LEFT, _RIGHT, LAW_ASSOC_LEFT, LAW_AX1, LAW_AX2, LAW_AX3
 from .linalg import Mat, Vec
+from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
 
 def _place_values(p, length):
@@ -90,18 +96,36 @@ def gl_matrices(p, n):
 @lru_cache(maxsize=None)
 def all_tensors(p, n):
     """Every n x n x n structure tensor over GF(p), lexicographic order."""
+    guard_search(f"tensor enumeration over GF({p}) in dim {n}", p ** (n**3), DEFAULT_SEARCH_BOUND)
     arr = _digits(p, n**3).reshape(-1, n, n, n)
     arr.setflags(write=False)
     return arr
 
 
+def _law_screen(flat, sel, laws, n, p):
+    """Cut the candidates sel (tag -> row indices into flat, the flattened
+    tensors) to those satisfying every law row (a, b, c, d) of _LAWS, in
+    order. Each basis equation sum_m a[i,j,m] b[m,k,out] - d[j,k,m] c[i,m,out]
+    = 0 mod p is gathered in turn for the survivors only."""
+
+    def entry(tag, i, j, k):
+        return flat[sel[tag], (i * n + j) * n + k]
+
+    for a, b, c, d in laws:
+        for i, j, k, out in product(range(n), repeat=4):
+            residual = sum(
+                entry(a, i, j, m) * entry(b, m, k, out) - entry(d, j, k, m) * entry(c, i, m, out)
+                for m in range(n)
+            )
+            keep = residual % p == 0
+            sel = {tag: rows[keep] for tag, rows in sel.items()}
+    return sel
+
+
 def associative_indices(p, n):
     """Indices of all associative tensors within all_tensors(p, n)."""
-    g = all_tensors(p, n)
-    lhs = np.einsum("Nijm,Nmkc->Nijkc", g, g)
-    rhs = np.einsum("Njkm,Nimc->Nijkc", g, g)
-    ok = ((lhs - rhs) % p == 0).reshape(len(g), -1).all(axis=1)
-    return np.flatnonzero(ok)
+    flat = all_tensors(p, n).reshape(-1, n**3)
+    return _law_screen(flat, {_LEFT: np.arange(len(flat))}, [_LAWS[LAW_ASSOC_LEFT]], n, p)[_LEFT]
 
 
 @lru_cache(maxsize=None)
@@ -109,33 +133,16 @@ def valid_pairs(p, n=2):
     """All (left, right) tensor index pairs forming a valid dialgebra.
 
     Both products must be associative and the three mixed laws must hold;
-    associativity is filtered per tensor first, then pairs of associative
-    tensors are screened, which is the same predicate factored for speed.
-    Pairs come out in lexicographic order of (left, right).
+    tensors are screened for associativity, then pairs of associative
+    tensors for ax1/ax2/ax3, by _law_screen over the law table that the
+    exact checker reads. Pairs come out in lexicographic order of (left, right).
     """
     tensors = all_tensors(p, n)
     assoc = associative_indices(p, n)
-    cands = tensors[assoc]
-    # ax3 right-hand side x |> (y |> z) depends only on the right tensor.
-    ax3_rhs = np.einsum("Njkm,Nimc->Nijkc", cands, cands)
-    pairs = []
-    for pos, li in enumerate(assoc):
-        left = cands[pos]
-        ax1_lhs = np.einsum("ijm,mkc->ijkc", left, left)
-        ax1 = (np.einsum("Njkm,imc->Nijkc", cands, left) - ax1_lhs[None]) % p
-        ax2 = (
-            np.einsum("Nijm,mkc->Nijkc", cands, left)
-            - np.einsum("jkm,Nimc->Nijkc", left, cands)
-        ) % p
-        ax3 = (np.einsum("ijm,Nmkc->Nijkc", left, cands) - ax3_rhs) % p
-        ok = (
-            (ax1 == 0).reshape(len(cands), -1).all(axis=1)
-            & (ax2 == 0).reshape(len(cands), -1).all(axis=1)
-            & (ax3 == 0).reshape(len(cands), -1).all(axis=1)
-        )
-        for rpos in np.flatnonzero(ok):
-            pairs.append((int(li), int(assoc[rpos])))
-    return tensors, tuple(pairs)
+    sel = {_LEFT: np.repeat(assoc, len(assoc)), _RIGHT: np.tile(assoc, len(assoc))}
+    mixed = [_LAWS[LAW_AX1], _LAWS[LAW_AX2], _LAWS[LAW_AX3]]
+    sel = _law_screen(tensors.reshape(-1, n**3), sel, mixed, n, p)
+    return tensors, tuple(zip(sel[_LEFT].tolist(), sel[_RIGHT].tolist()))
 
 
 def _products_of_images(mats, tensor, p):
@@ -190,35 +197,22 @@ def dialgebra_to_arrays(d):
     n = d.dim
 
     def grab(prod):
-        return np.array(
-            [[[prod.entry(i, j, k).value for k in range(n)] for j in range(n)] for i in range(n)],
-            dtype=np.int64,
-        ).reshape(n, n, n)
+        values = [[[s.value for s in v.coords] for v in row] for row in prod.rows]
+        return np.array(values, dtype=np.int64).reshape(n, n, n)
 
     return grab(d.left), grab(d.right)
 
 
 def arrays_to_dialgebra(field, left, right):
-    return Dialgebra(
-        field,
-        left.shape[0],
-        int_tensor_to_product(field, left),
-        int_tensor_to_product(field, right),
-    )
+    products = (int_tensor_to_product(field, t) for t in (left, right))
+    return Dialgebra(field, left.shape[0], *products)
 
 
 def int_tensor_to_product(field, tensor):
-    n = tensor.shape[0]
-    rows = tuple(
-        tuple(Vec.of(field, [int(tensor[i, j, k]) for k in range(n)]) for j in range(n))
-        for i in range(n)
-    )
-    return BilinearProduct(field, n, rows)
+    rows = tuple(tuple(Vec.of(field, v) for v in row) for row in np.asarray(tensor).tolist())
+    return BilinearProduct(field, len(rows), rows)
 
 
 def int_matrix_to_mat(field, matrix):
     matrix = np.asarray(matrix)
-    nrows, ncols = matrix.shape
-    return Mat.from_rows(
-        field, [[int(matrix[i, j]) for j in range(ncols)] for i in range(nrows)], ncols
-    )
+    return Mat.from_rows(field, matrix.tolist(), matrix.shape[1])

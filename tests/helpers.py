@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from dialg import (
     KIND_I,
     KIND_II,
@@ -12,6 +14,7 @@ from dialg import (
     Dialgebra,
     Field,
     Mat,
+    NotInvertibleError,
     Subspace,
     Vec,
     ZeroCubedTriple,
@@ -113,7 +116,7 @@ def random_invertible(field, n, rng, lo=-3, hi=3):
         try:
             m.inverse()
             return m
-        except Exception:
+        except NotInvertibleError:
             continue
 
 
@@ -274,3 +277,38 @@ def reference_semiprime(a, ideals):
 def reference_prime(a, ideals):
     nonzero = [u for u in ideals if u.dim > 0]
     return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)
+
+
+# The census screen as whole-array einsums (one residual tensor per law and
+# a loop over the left tensor), kept only as a test oracle for the
+# equation-at-a-time screen in gfsearch.
+
+
+def reference_associative_indices(p, n):
+    from dialg.gfsearch import all_tensors
+
+    g = all_tensors(p, n)
+    lhs = np.einsum("Nijm,Nmkc->Nijkc", g, g)
+    rhs = np.einsum("Njkm,Nimc->Nijkc", g, g)
+    return np.flatnonzero(((lhs - rhs) % p == 0).reshape(len(g), -1).all(axis=1))
+
+
+def reference_valid_pairs(p, n):
+    """The (left, right) index pairs of every valid dialgebra, lexicographic."""
+    from dialg.gfsearch import all_tensors
+
+    assoc = reference_associative_indices(p, n)
+    cands = all_tensors(p, n)[assoc]
+
+    def vanishes(residual):
+        return (residual % p == 0).reshape(len(cands), -1).all(axis=1)
+
+    ax3_rhs = np.einsum("Njkm,Nimc->Nijkc", cands, cands)
+    pairs = []
+    for li, left in zip(assoc, cands):
+        ax1 = np.einsum("Njkm,imc->Nijkc", cands, left) - np.einsum("ijm,mkc->ijkc", left, left)
+        ax2 = np.einsum("Nijm,mkc->Nijkc", cands, left) - np.einsum("jkm,Nimc->Nijkc", left, cands)
+        ax3 = np.einsum("ijm,Nmkc->Nijkc", left, cands) - ax3_rhs
+        ok = vanishes(ax1) & vanishes(ax2) & vanishes(ax3)
+        pairs.extend((int(li), int(assoc[r])) for r in np.flatnonzero(ok))
+    return tuple(pairs)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from dialg import (
+    DEFAULT_SEARCH_BOUND,
     KIND_FROM_ASSOCIATIVE,
     KIND_I,
     KIND_II,
@@ -14,14 +15,24 @@ from dialg import (
     KIND_ZERO_CUBED_LEFT,
     KIND_ZERO_CUBED_RIGHT,
     Field,
+    Algebra,
     Mat,
     NotInvertibleError,
+    SearchBoundExceededError,
     are_isomorphic,
     census,
+    check_associative,
     check_dialgebra,
+    is_valid_dialgebra,
 )
-from dialg.gfsearch import all_tensors, arrays_to_dialgebra, valid_pairs
-from helpers import GF2, GF3
+from dialg.gfsearch import (
+    all_tensors,
+    arrays_to_dialgebra,
+    associative_indices,
+    int_tensor_to_product,
+    valid_pairs,
+)
+from helpers import GF2, GF3, reference_associative_indices, reference_valid_pairs
 
 ALLOWED_KINDS = {
     KIND_TRIVIAL,
@@ -182,3 +193,43 @@ def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):
         direct = d.rebase(int_matrix_to_mat(GF3, mats[g]))
         fast = arrays_to_dialgebra(GF3, batch_left[g], batch_right[g])
         assert direct == fast
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_law_screen_matches_the_einsum_reference(p):
+    assert associative_indices(p, 2).tolist() == reference_associative_indices(p, 2).tolist()
+    assert valid_pairs(p, 2)[1] == reference_valid_pairs(p, 2)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])
+def test_associative_indices_agree_with_the_exact_checker(field):
+    assoc = set(associative_indices(field.p, 2).tolist())
+    for index, tensor in enumerate(all_tensors(field.p, 2)):
+        algebra = Algebra(field, 2, int_tensor_to_product(field, tensor))
+        assert (check_associative(algebra) == []) == (index in assoc)
+
+
+def test_valid_pairs_agree_with_the_exact_checker_on_associative_gf2_pairs():
+    tensors, pairs = valid_pairs(2, 2)
+    accepted = set(pairs)
+    assoc = associative_indices(2, 2).tolist()
+    assert len(assoc) ** 2 == 784
+    for li, ri in product(assoc, repeat=2):
+        d = arrays_to_dialgebra(GF2, tensors[li], tensors[ri])
+        assert is_valid_dialgebra(d) == ((li, ri) in accepted)
+
+
+def test_gf5_screen_counts_are_pinned():
+    assert len(associative_indices(5, 2)) == 793
+    _, pairs = valid_pairs(5, 2)
+    assert len(pairs) == 1177
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
+@pytest.mark.parametrize("p, n, needed", [(2, 3, 2**27), (7, 2, 7**8)])
+def test_dense_tensor_enumeration_is_refused_beyond_the_search_bound(p, n, needed):
+    message = f"needs {needed} candidates, over the search bound {DEFAULT_SEARCH_BOUND}$"
+    with pytest.raises(SearchBoundExceededError, match=message):
+        valid_pairs(p, n)
+    with pytest.raises(SearchBoundExceededError, match=message):
+        all_tensors(p, n)
