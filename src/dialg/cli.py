@@ -16,7 +16,7 @@ from dataclasses import fields
 from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
-from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
+from .fileformat import ASCII_INT, parse_dialgebra, serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
 from .structure import DEFAULT_SEARCH_BOUND
@@ -28,10 +28,9 @@ def _search_bound():
     raw = os.environ.get(ENV_SEARCH_BOUND)
     if raw is None:
         return DEFAULT_SEARCH_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise DialgError(f"{ENV_SEARCH_BOUND} must be an integer, got {raw!r}")
+    if not ASCII_INT.fullmatch(raw) or int(raw) < 0:
+        raise DialgError(f"{ENV_SEARCH_BOUND} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _load(path):

@@ -25,10 +25,11 @@ from .fields import Field
 
 MAX_DIM = 16
 
-# ASCII-only: int() and Fraction() would also accept other Unicode digits
-# and underscores, which are not part of the format.
+# ASCII-only: int() and Fraction() would also accept other Unicode digits,
+# underscores and surrounding whitespace, which are not part of the format.
+# ASCII_INT is the integer rule of the format, for use with fullmatch.
 _RATIONAL_COEFF = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
-_INT_COEFF = re.compile(r"^[+-]?\d+$", re.ASCII)
+ASCII_INT = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def _logical_lines(text):
@@ -47,7 +48,7 @@ def _parse_coefficient(field, token, lineno):
 
 
 def _parse_int(token, lineno, message):
-    if not _INT_COEFF.match(token):
+    if not ASCII_INT.fullmatch(token):
         raise ParseError(lineno, message)
     return int(token)
 

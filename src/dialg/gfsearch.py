@@ -15,6 +15,12 @@ pass mod p then inverts them all.
 
 The census screens tensors against identities._LAWS, the law table of the
 exact checker, one basis equation at a time over the surviving candidates.
+
+Isomorphism tests and automorphism groups scan GL(n, p) the same way: each
+homomorphism equation (i, j, k) of the left product, then of the right
+product, cuts the surviving GL indices to those that satisfy it, and the
+scan stops as soon as none is left. The full image tensors of a product
+are never built, and the later equations see only the few survivors.
 """
 
 from __future__ import annotations
@@ -145,19 +151,15 @@ def valid_pairs(p, n=2):
     return tensors, tuple(zip(sel[_LEFT].tolist(), sel[_RIGHT].tolist()))
 
 
-def _products_of_images(mats, tensor, p):
-    """sum_ab mats[g,i,a] mats[g,j,b] tensor[a,b,c] mod p, for every g.
+def transform_tensor_batch(tensor, mats, invs, p):
+    """Rewrite a tensor on every basis in mats; returns a (G, n, n, n) array.
 
     Each einsum multiplies two residues and is reduced before the next, so
     no int64 intermediate holds a product of more than two residues.
     """
     t = np.einsum("gjb,abc->gajc", mats, np.asarray(tensor)) % p
-    return np.einsum("gia,gajc->gijc", mats, t) % p
-
-
-def transform_tensor_batch(tensor, mats, invs, p):
-    """Rewrite a tensor on every basis in mats; returns a (G, n, n, n) array."""
-    return np.einsum("gijc,gck->gijk", _products_of_images(mats, tensor, p), invs) % p
+    t = np.einsum("gia,gajc->gijc", mats, t) % p
+    return np.einsum("gijc,gck->gijk", t, invs) % p
 
 
 def pair_orbit(left, right, p):
@@ -170,24 +172,28 @@ def pair_orbit(left, right, p):
     return set(zip(tl.tolist(), tr.tolist()))
 
 
-def _iso_mask(ga, gb, mats, p):
-    lhs = np.einsum("ijc,gck->gijk", ga, mats) % p
-    rhs = _products_of_images(mats, gb, p)
-    return (lhs == rhs).reshape(len(mats), -1).all(axis=1)
-
-
 def isomorphism_indices(a_pair, b_pair, p):
-    """Indices into gl_matrices of every map sending pair a to pair b.
+    """Indices into gl_matrices, ascending, of every map sending pair a to pair b.
 
     A hit T satisfies T(x * y) = T(x) * T(y) for both products, rows of T
-    being the images of the basis of a in coordinates of b.
+    being the images of the basis of a in coordinates of b. The basis
+    equations sum_c a[i,j,c] T[c,k] = sum_y u[y] T[j,y], with
+    u[y] = sum_x T[i,x] b[x,y,k] reduced mod p first, are checked one at a
+    time on the surviving indices only, so no int64 intermediate exceeds n
+    times a product of two residues.
     """
-    la, ra = a_pair
-    lb, rb = b_pair
-    n = la.shape[0]
+    n = a_pair[0].shape[0]
     mats, _ = gl_matrices(p, n)
-    mask = _iso_mask(la, lb, mats, p) & _iso_mask(ra, rb, mats, p)
-    return np.flatnonzero(mask)
+    hits = np.arange(len(mats))
+    for ga, gb in zip(a_pair, b_pair):
+        for i, j, k in product(range(n), repeat=3):
+            t = mats[hits]
+            u = t[:, i] @ gb[:, :, k] % p
+            residual = t[:, :, k] @ ga[i, j] - (u * t[:, j]).sum(axis=1)
+            hits = hits[residual % p == 0]
+            if not len(hits):
+                return hits
+    return hits
 
 
 def dialgebra_to_arrays(d):

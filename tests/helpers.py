@@ -312,3 +312,36 @@ def reference_valid_pairs(p, n):
         ok = vanishes(ax1) & vanishes(ax2) & vanishes(ax3)
         pairs.extend((int(li), int(assoc[r])) for r in np.flatnonzero(ok))
     return tuple(pairs)
+
+
+# The isomorphism scan as whole-array einsums (the full image tensors of
+# both products for every element of GL(n, p), with no early stop), kept
+# only as a test oracle for the equation-at-a-time scan in gfsearch.
+
+
+def _reference_products_of_images(mats, tensor, p):
+    """sum_ab mats[g,i,a] mats[g,j,b] tensor[a,b,c] mod p, for every g.
+
+    Each einsum multiplies two residues and is reduced before the next, so
+    no int64 intermediate holds a product of more than two residues.
+    """
+    t = np.einsum("gjb,abc->gajc", mats, np.asarray(tensor)) % p
+    return np.einsum("gia,gajc->gijc", mats, t) % p
+
+
+def _reference_iso_mask(ga, gb, mats, p):
+    lhs = np.einsum("ijc,gck->gijk", ga, mats) % p
+    rhs = _reference_products_of_images(mats, gb, p)
+    return (lhs == rhs).reshape(len(mats), -1).all(axis=1)
+
+
+def reference_isomorphism_indices(a_pair, b_pair, p):
+    """Indices into gl_matrices of every map sending pair a to pair b."""
+    from dialg.gfsearch import gl_matrices
+
+    la, ra = a_pair
+    lb, rb = b_pair
+    n = la.shape[0]
+    mats, _ = gl_matrices(p, n)
+    mask = _reference_iso_mask(la, lb, mats, p) & _reference_iso_mask(ra, rb, mats, p)
+    return np.flatnonzero(mask)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dialg
 from dialg import (
     KIND_I,
@@ -124,6 +126,21 @@ def test_iso_honors_the_search_bound_env(tmp_path, monkeypatch, capsys):
     code, _ = run(["iso", pa, pa])
     assert code == 2
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["\u0663\u0660\u0660", "1_000", " 50 ", "-1"])
+def test_iso_rejects_a_search_bound_outside_the_ascii_integer_rule(
+    raw, tmp_path, monkeypatch, capsys
+):
+    # int() would read the Arabic-Indic digits as 300, 1_000 as 1000 and
+    # " 50 " as 50; -1 is an integer but no budget.
+    pa = write(tmp_path, "a.dialg", canonical_dialgebra(KIND_II, GF7, 2))
+    monkeypatch.setenv("DIALG_SEARCH_BOUND", raw)
+    code, out = run(["iso", pa, pa])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: DIALG_SEARCH_BOUND must be a non-negative integer, got {raw!r}\n"
+    )
 
 
 def test_census_streams_json_lines():
