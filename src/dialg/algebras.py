@@ -6,12 +6,12 @@ the left product and the right product, on a shared basis. Construction
 never enforces the dialgebra laws; validity is checked separately so that
 invalid candidates can be represented during censuses.
 
-Arithmetic on the tensor goes through one exact contraction kernel,
+Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over a lazily built raw sparse view: for each pair (i, j) the
 tuple of (k, value) with gamma[i][j][k] != 0, where a value is the bare
 int residue over GF(p) or the Fraction over Q. Sums are accumulated
 unreduced and reduced mod p once per output coordinate (Field.reduce);
-Scalar and Vec objects are built only for results.
+Scalar and Vec objects are built only for results, by Vec.from_raw.
 """
 
 from __future__ import annotations
@@ -19,26 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import FieldMismatchError
-from .linalg import Subspace, Vec
-
-
-def _terms(values):
-    """The nonzero raw values as (index, value) pairs."""
-    return [(k, v) for k, v in enumerate(values) if v]
-
-
-def _vec_terms(v):
-    """The raw terms of a Vec's coordinates."""
-    return [(k, c.value) for k, c in enumerate(v.coords) if c.value]
-
-
-def contract(acc, xs, vectors):
-    """The exact contraction kernel: acc[k] += a * g for (t, a) in xs and
-    (k, g) in vectors[t], on raw values; returns acc, unreduced."""
-    for t, a in xs:
-        for k, g in vectors[t]:
-            acc[k] += a * g
-    return acc
+from .linalg import Subspace, Vec, _terms, _vec_terms, contract, contract_pair
 
 
 class ProductTag(Enum):
@@ -96,21 +77,14 @@ class BilinearProduct:
             self._sparse = tuple(tuple(tuple(_vec_terms(g)) for g in r) for r in self.rows)
         return self._sparse
 
-    def _product_raw(self, xs, ys):
-        """Unreduced raw coordinates of x * y from the raw terms of x and y."""
-        view = self.sparse
-        acc = [0] * self.dim
-        for i, a in xs:
-            contract(acc, [(j, a * b) for j, b in ys], view[i])
-        return acc
-
     def apply(self, x, y):
         """Bilinear extension: the product of two coordinate vectors."""
         if x.field is not self.field or y.field is not self.field:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.dim or len(y) != self.dim:
             raise FieldMismatchError("vector length mismatch")
-        return Vec.from_raw(self.field, self._product_raw(_vec_terms(x), _vec_terms(y)))
+        raw = contract_pair([0] * self.dim, _vec_terms(x), _vec_terms(y), self.sparse)
+        return Vec.from_raw(self.field, raw)
 
     def subspace_product(self, u, v):
         """The span of all u_a * v_b over basis vectors of u and v."""

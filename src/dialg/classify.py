@@ -207,16 +207,12 @@ def is_isomorphism(a, b, t):
     """Does the map with row matrix t send a's products to b's products?"""
     if t.nrows != a.dim or t.ncols != b.dim or a.dim != b.dim:
         return False
+    # e_i -> t_i is a homomorphism iff t_i * t_j = sum_k a[i][j][k] t_k in b,
+    # i.e. iff b written on the basis of t's rows is a.
     try:
-        t.inverse()
+        return b.rebase(t) == a
     except NotInvertibleError:
         return False
-    for pa, pb in ((a.left, b.left), (a.right, b.right)):
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if pa.row(i, j) @ t != pb.apply(t.row(i), t.row(j)):
-                    return False
-    return True
 
 
 def _require(condition, message):
@@ -436,18 +432,21 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
 
 def enumerate_valid_dialgebras(p, dim=2):
     """Every valid dialgebra over GF(p) in tensor-lexicographic order."""
-    from .gfsearch import arrays_to_dialgebra, valid_pairs
+    from .gfsearch import arrays_to_dialgebra
 
-    _census_guard(p, dim)
-    field = Field.prime(p)
-    tensors, pairs = valid_pairs(p, dim)
+    field, tensors, pairs = _valid_pairs(p, dim)
     for li, ri in pairs:
         yield arrays_to_dialgebra(field, tensors[li], tensors[ri])
 
 
-def _census_guard(p, dim):
-    if dim != 2 or p not in (2, 3):
-        raise ValueError("census parameters out of supported range (dim 2, p in {2, 3})")
+def _valid_pairs(p, dim):
+    """GF(p) and valid_pairs(p, dim), for dim 2 only (classify_dim2 labels the
+    classes); Field.prime and the search bound on p^(dim^3) tensors refuse p."""
+    from .gfsearch import valid_pairs
+
+    if dim != 2:
+        raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
+    return (Field.prime(p), *valid_pairs(p, dim))
 
 
 @dataclass(frozen=True)
@@ -466,11 +465,9 @@ def census(p, dim=2):
     GL-orbit, so each class is represented by its least member and the
     output order is canonical.
     """
-    from .gfsearch import arrays_to_dialgebra, pair_orbit, valid_pairs
+    from .gfsearch import arrays_to_dialgebra, pair_orbit
 
-    _census_guard(p, dim)
-    field = Field.prime(p)
-    tensors, pairs = valid_pairs(p, dim)
+    field, tensors, pairs = _valid_pairs(p, dim)
     seen = set()
     classes = []
     for li, ri in pairs:

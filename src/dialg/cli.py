@@ -16,7 +16,8 @@ from dataclasses import fields
 from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
-from .fileformat import ASCII_INT, parse_dialgebra, serialize_algebra, serialize_dialgebra
+from .fileformat import ASCII_INT, parse_coefficient, parse_dialgebra
+from .fileformat import serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
 from .structure import DEFAULT_SEARCH_BOUND
@@ -154,14 +155,14 @@ def _parse_ideal(d, raw):
         chunk = chunk.strip()
         if not chunk:
             continue
-        entries = [e.strip() for e in chunk.split(",")]
+        entries = chunk.split(",")
         if len(entries) != d.dim:
             raise DialgError(
                 f"ideal generator {chunk!r} has {len(entries)} entries, expected {d.dim}"
             )
         try:
-            vectors.append(Vec.of(d.field, entries))
-        except (ValueError, TypeError) as exc:
+            vectors.append(Vec(d.field, [parse_coefficient(d.field, e) for e in entries]))
+        except ValueError as exc:
             raise DialgError(f"bad ideal generator {chunk!r}: {exc}")
     return Subspace.from_vectors(d.field, d.dim, vectors)
 

@@ -20,7 +20,7 @@ from .errors import (
     NotAssociativeError,
 )
 from .identities import associative_violations, dialgebra_violations
-from .linalg import Mat, Subspace, Vec, kernel
+from .linalg import Mat, Subspace, Vec, _vec_terms, contract_pair, kernel
 
 
 def from_associative(a):
@@ -68,14 +68,9 @@ class ZeroCubedTriple:
         )
 
     def apply(self, x, y):
-        out = Vec.zero(self.field, self.z_dim)
-        for a, xa in enumerate(x.coords):
-            if not xa:
-                continue
-            for b, yb in enumerate(y.coords):
-                if yb and self.f[a][b]:
-                    out = out + self.f[a][b].scale(xa * yb)
-        return out
+        view = [[_vec_terms(g) for g in row] for row in self.f]
+        raw = contract_pair([0] * self.z_dim, _vec_terms(x), _vec_terms(y), view)
+        return Vec.from_raw(self.field, raw)
 
     def image(self):
         """The span of all pairing values inside Z."""

@@ -149,6 +149,14 @@ class Field:
             return [v % p for v in values]
         return values
 
+    def reciprocal(self, value):
+        """The inverse of a nonzero raw value (an int residue or a Fraction)."""
+        if not value:
+            raise ZeroDivisionError(f"zero has no inverse in {self}")
+        if self.kind == PRIME:
+            return pow(value, -1, self.p)
+        return 1 / value
+
     def elements(self):
         """All field elements, in residue order. Finite fields only."""
         if self.kind != PRIME:
@@ -217,12 +225,7 @@ class Scalar:
         return self * other.inverse()
 
     def inverse(self):
-        f = self.field
-        if not self.value:
-            raise ZeroDivisionError(f"zero has no inverse in {f}")
-        if f.kind == PRIME:
-            return Scalar(f, pow(self.value, f.p - 2, f.p))
-        return Scalar(f, 1 / self.value)
+        return Scalar(self.field, self.field.reciprocal(self.value))
 
     def __bool__(self):
         return self.value != 0

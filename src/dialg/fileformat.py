@@ -27,8 +27,8 @@ MAX_DIM = 16
 
 # ASCII-only: int() and Fraction() would also accept other Unicode digits,
 # underscores and surrounding whitespace, which are not part of the format.
-# ASCII_INT is the integer rule of the format, for use with fullmatch.
-_RATIONAL_COEFF = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+# ASCII_INT is the integer rule of the format; both are for use with fullmatch.
+_RATIONAL_COEFF = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 ASCII_INT = re.compile(r"[+-]?\d+", re.ASCII)
 
 
@@ -39,12 +39,15 @@ def _logical_lines(text):
             yield lineno, stripped.split()
 
 
-def _parse_coefficient(field, token, lineno):
+def parse_coefficient(field, token):
+    """A coefficient by the format's rule, as a Scalar of field; ValueError otherwise."""
     if field.kind == "rational":
-        if not _RATIONAL_COEFF.match(token):
-            raise ParseError(lineno, f"bad rational coefficient {token!r}")
+        if not _RATIONAL_COEFF.fullmatch(token):
+            raise ValueError(f"bad rational coefficient {token!r}")
         return field.scalar(token)
-    return field.scalar(_parse_int(token, lineno, f"coefficient {token!r} is not in {field}"))
+    if not ASCII_INT.fullmatch(token):
+        raise ValueError(f"coefficient {token!r} is not in {field}")
+    return field.scalar(int(token))
 
 
 def _parse_int(token, lineno, message):
@@ -118,7 +121,10 @@ def _parse_common(text, allow_right):
         key = (i - 1, j - 1, k - 1)
         if key in entries[toks[0]]:
             raise ParseError(lineno, f"duplicate entry {toks[0]} {i} {j} {k}")
-        entries[toks[0]][key] = _parse_coefficient(field, toks[4], lineno)
+        try:
+            entries[toks[0]][key] = parse_coefficient(field, toks[4])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc))
 
     return field, dim, basis_names, entries
 
@@ -152,6 +158,8 @@ def _entry_lines(tag, product):
 
 
 def _header_lines(field, dim, basis_names):
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"cannot write dim {dim}: the format holds dim 1 to {MAX_DIM}")
     lines = ["dialg 1", f"field {field}", f"dim {dim}"]
     if basis_names:
         lines.append("basis " + " ".join(basis_names))

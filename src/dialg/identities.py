@@ -6,7 +6,7 @@ their nonzero residuals.
 
 Basis residuals are read straight off the products' raw sparse views (see
 algebras): a law (x a y) b z = x c (y d z) on (e_i, e_j, e_k) has residual
-sum_t a[i][j][t] b[t][k] - sum_t d[j][k][t] c[i][t], two calls of the
+sum_t a[i][j][t] b[t][k] - sum_t d[j][k][t] c[i][t], two calls of linalg's
 contraction kernel into one accumulator (the second on c's negated view).
 Only a nonzero residual is wrapped into a Vec.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebras import ProductTag, contract
-from .linalg import Mat, Subspace, Vec, solve
+from .algebras import ProductTag
+from .linalg import Mat, Subspace, Vec, contract, solve
 
 LAW_ASSOC = "assoc"
 LAW_ASSOC_LEFT = "assoc-left"

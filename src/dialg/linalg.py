@@ -5,6 +5,12 @@ Conventions used throughout the package:
   * kernels and linear solves use the column convention M @ x = b,
   * a Subspace is canonically represented by the reduced row echelon form
     of any spanning set, so structural equality is set equality.
+
+All arithmetic here runs on raw values (the int residue over GF(p), the
+Fraction over Q), never on Scalars: products go through `contract`, the one
+exact contraction kernel, shared with algebras, identities and constructions,
+and row reduction eliminates over raw rows. Scalars are built only for
+results, by Vec.from_raw, which reduces mod p once per coordinate.
 """
 
 from __future__ import annotations
@@ -13,6 +19,38 @@ from itertools import combinations, product
 
 from .errors import FieldMismatchError, NotInvertibleError
 from .fields import Scalar
+
+
+def _terms(values):
+    """The nonzero raw values as (index, value) pairs."""
+    return [(k, v) for k, v in enumerate(values) if v]
+
+
+def _vec_terms(v):
+    """The raw terms of a Vec's coordinates."""
+    return [(k, c.value) for k, c in enumerate(v.coords) if c.value]
+
+
+def _raw(v):
+    """A Vec's coordinates as a list of raw values."""
+    return [c.value for c in v.coords]
+
+
+def contract(acc, xs, vectors):
+    """The exact contraction kernel: acc[k] += a * g for (t, a) in xs and
+    (k, g) in vectors[t], on raw values; returns acc, unreduced."""
+    for t, a in xs:
+        for k, g in vectors[t]:
+            acc[k] += a * g
+    return acc
+
+
+def contract_pair(acc, xs, ys, view):
+    """acc[k] += a * b * g for (i, a) in xs, (j, b) in ys and (k, g) in
+    view[i][j]: a bilinear product of raw terms, one contract per term of xs."""
+    for i, a in xs:
+        contract(acc, [(j, a * b) for j, b in ys], view[i])
+    return acc
 
 
 class Vec:
@@ -70,12 +108,8 @@ class Vec:
             return NotImplemented
         if m.field is not self.field or m.nrows != len(self.coords):
             raise FieldMismatchError("vector/matrix shape mismatch")
-        out = [self.field.zero] * m.ncols
-        for i, c in enumerate(self.coords):
-            if c:
-                row = m.rows[i].coords
-                out = [acc + c * e for acc, e in zip(out, row)]
-        return Vec(self.field, tuple(out))
+        rows = [_vec_terms(r) for r in m.rows]
+        return Vec.from_raw(self.field, contract([0] * m.ncols, _vec_terms(self), rows))
 
     def __len__(self):
         return len(self.coords)
@@ -122,9 +156,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
-        vecs = []
-        for r in rows:
-            vecs.append(r if isinstance(r, Vec) else Vec.of(field, r))
+        vecs = [r if isinstance(r, Vec) else Vec.of(field, r) for r in rows]
         if ncols is None:
             if not vecs:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -166,34 +198,19 @@ class Mat:
             # Column convention: (M @ x)_i = row_i . x
             if other.field is not self.field or len(other) != self.ncols:
                 raise FieldMismatchError("matrix/vector shape mismatch")
-            z = self.field.zero
-            out = []
-            for r in self.rows:
-                acc = z
-                for a, b in zip(r.coords, other.coords):
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
-            return Vec(self.field, tuple(out))
+            return other @ self.transpose()
         return NotImplemented
 
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
             raise NotInvertibleError("only square matrices are invertible")
-        aug = Mat(
-            self.field,
-            tuple(
-                Vec(self.field, r.coords + Vec.unit(self.field, n, i).coords)
-                for i, r in enumerate(self.rows)
-            ),
-            2 * n,
-        )
-        red, pivots = _rref(aug)
+        one = self.field.one.value
+        rows = [_raw(r) + [one if j == i else 0 for j in range(n)] for i, r in enumerate(self.rows)]
         # [M | I] always has rank n; M is invertible iff its pivots are 0..n-1.
-        if pivots != list(range(n)):
+        if _rref(self.field, rows, 2 * n) != list(range(n)):
             raise NotInvertibleError("matrix is singular")
-        return Mat(self.field, tuple(Vec(self.field, r.coords[n:]) for r in red.rows), n)
+        return Mat(self.field, tuple(Vec.from_raw(self.field, r[n:]) for r in rows), n)
 
     def is_zero(self):
         return not any(self.rows)
@@ -223,50 +240,59 @@ def rref(m):
     The row space is preserved; pivots are normalized to 1 and are the only
     nonzero entries in their columns.
     """
-    red, pivots = _rref(m)
-    return red, len(pivots)
+    rows = [_raw(r) for r in m.rows]
+    rank = len(_rref(m.field, rows, m.ncols))
+    return Mat(m.field, tuple(Vec.from_raw(m.field, r) for r in rows), m.ncols), rank
 
 
-def _rref(m):
-    """Like rref, but returns (rref, pivot columns in increasing order)."""
-    rows = [list(r.coords) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+def _rref(field, rows, ncols):
+    """Bring raw rows (lists of reduced raw values) to reduced row echelon
+    form in place; returns the pivot columns in increasing order."""
     pivots = []
     for col in range(ncols):
         piv = len(pivots)
-        if piv == nrows:
+        if piv == len(rows):
             break
-        hit = None
-        for r in range(piv, nrows):
-            if rows[r][col]:
-                hit = r
-                break
+        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
         if hit is None:
             continue
         rows[piv], rows[hit] = rows[hit], rows[piv]
-        inv = rows[piv][col].inverse()
-        rows[piv] = [inv * e for e in rows[piv]]
-        for r in range(nrows):
-            if r != piv and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
+        inv = field.reciprocal(rows[piv][col])
+        rows[piv] = field.reduce([inv * e for e in rows[piv]])
+        top = [_terms(rows[piv])]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != piv:
+                rows[r] = field.reduce(contract(row, [(0, -c)], top))
         pivots.append(col)
-    out = Mat(m.field, tuple(Vec(m.field, tuple(r)) for r in rows), ncols)
-    return out, pivots
+    return pivots
+
+
+def _span(field, n, rows):
+    """The Subspace of F^n spanned by raw rows, which are reduced in place."""
+    pivots = _rref(field, rows, n)
+    basis = Mat(field, tuple(Vec.from_raw(field, r) for r in rows[: len(pivots)]), n)
+    return Subspace(field, n, basis, tuple(pivots))
+
+
+def _null_space(field, rows, pivots, ncols):
+    """{x : M @ x = 0} from the raw RREF rows and pivots of M (extra columns ignored)."""
+    one = field.one.value
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            coords = [0] * ncols
+            coords[f] = one
+            for r, p in enumerate(pivots):
+                coords[p] = -rows[r][f]
+            basis.append(field.reduce(coords))
+    return _span(field, ncols, basis)
 
 
 def kernel(m):
     """The solution space {x : m @ x = 0}, as a canonical Subspace."""
-    red, pivots = _rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        coords = [m.field.zero] * m.ncols
-        coords[f] = m.field.one
-        for r, p in enumerate(pivots):
-            coords[p] = -red.rows[r].coords[f]
-        basis.append(Vec(m.field, tuple(coords)))
-    return Subspace.from_vectors(m.field, m.ncols, basis)
+    rows = [_raw(r) for r in m.rows]
+    return _null_space(m.field, rows, _rref(m.field, rows, m.ncols), m.ncols)
 
 
 def solve(m, b):
@@ -276,18 +302,15 @@ def solve(m, b):
     """
     if b.field is not m.field or len(b) != m.nrows:
         raise FieldMismatchError("right-hand side shape mismatch")
-    aug = Mat(
-        m.field,
-        tuple(Vec(m.field, r.coords + (c,)) for r, c in zip(m.rows, b.coords)),
-        m.ncols + 1,
-    )
-    red, pivots = _rref(aug)
-    if m.ncols in pivots:
+    n = m.ncols
+    rows = [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)]
+    pivots = _rref(m.field, rows, n + 1)
+    if n in pivots:
         return None
-    coords = [m.field.zero] * m.ncols
+    coords = [0] * n
     for r, p in enumerate(pivots):
-        coords[p] = red.rows[r].coords[m.ncols]
-    return Vec(m.field, tuple(coords)), kernel(m)
+        coords[p] = rows[r][n]
+    return Vec.from_raw(m.field, coords), _null_space(m.field, rows, pivots, n)
 
 
 class Subspace:
@@ -297,7 +320,7 @@ class Subspace:
     structurally equal, which is how __eq__ is implemented.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_sparse")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         # Trusts that basis is already in RREF with no zero rows.
@@ -305,6 +328,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._sparse = None
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -312,10 +336,7 @@ class Subspace:
         for v in vecs:
             if v.field is not field or len(v) != ambient_dim:
                 raise FieldMismatchError("spanning vector shape mismatch")
-        m = Mat(field, tuple(vecs), ambient_dim)
-        red, pivots = _rref(m)
-        rows = red.rows[: len(pivots)]
-        return cls(field, ambient_dim, Mat(field, rows, ambient_dim), tuple(pivots))
+        return _span(field, ambient_dim, [_raw(v) for v in vecs])
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -323,9 +344,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls.from_vectors(
-            field, ambient_dim, [Vec.unit(field, ambient_dim, i) for i in range(ambient_dim)]
-        )
+        return cls(field, ambient_dim, Mat.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self):
@@ -341,11 +360,14 @@ class Subspace:
         """Subtract off this subspace: the residue of v modulo the row space."""
         if v.field is not self.field or len(v) != self.ambient_dim:
             raise FieldMismatchError("vector shape mismatch")
-        for r, p in zip(self.basis.rows, self.pivots):
-            c = v.coords[p]
-            if c:
-                v = v - r.scale(c)
-        return v
+        # The basis is in RREF, so row i alone touches pivot column p_i and
+        # the residue is v - sum_i v[p_i] row_i, one contraction.
+        xs = [(i, -v.coords[p].value) for i, p in enumerate(self.pivots) if v.coords[p]]
+        if not xs:
+            return v
+        if self._sparse is None:
+            self._sparse = [_vec_terms(r) for r in self.basis.rows]
+        return Vec.from_raw(self.field, contract(_raw(v), xs, self._sparse))
 
     def contains(self, v):
         return not self.reduce(v)
@@ -356,15 +378,12 @@ class Subspace:
 
     def sum(self, other):
         self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, self.basis.rows + other.basis.rows
-        )
+        rows = self.basis.rows + other.basis.rows
+        return Subspace.from_vectors(self.field, self.ambient_dim, rows)
 
     def intersect(self, other):
         self._check(other)
-        stacked = Mat(
-            self.field, self.basis.rows + other.basis.rows, self.ambient_dim
-        )
+        stacked = Mat(self.field, self.basis.rows + other.basis.rows, self.ambient_dim)
         left_null = kernel(stacked.transpose())
         vectors = [Vec(self.field, w.coords[: self.dim]) @ self.basis for w in left_null.basis.rows]
         return Subspace.from_vectors(self.field, self.ambient_dim, vectors)

@@ -345,3 +345,131 @@ def reference_isomorphism_indices(a_pair, b_pair, p):
     mats, _ = gl_matrices(p, n)
     mask = _reference_iso_mask(la, lb, mats, p) & _reference_iso_mask(ra, rb, mats, p)
     return np.flatnonzero(mask)
+
+
+# The Scalar-object elimination and products of linalg, kept only as test
+# oracles for the raw-value path (row reduction and contract).
+
+
+def reference_rref(m):
+    """(RREF Mat, pivot columns) by elimination on Scalar entries."""
+    rows = [list(r.coords) for r in m.rows]
+    pivots = []
+    for col in range(m.ncols):
+        piv = len(pivots)
+        if piv == len(rows):
+            break
+        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[piv], rows[hit] = rows[hit], rows[piv]
+        inv = rows[piv][col].inverse()
+        rows[piv] = [inv * e for e in rows[piv]]
+        for r in range(len(rows)):
+            if r != piv and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
+        pivots.append(col)
+    return Mat(m.field, tuple(Vec(m.field, tuple(r)) for r in rows), m.ncols), pivots
+
+
+def reference_span(field, n, vectors):
+    red, pivots = reference_rref(Mat(field, tuple(vectors), n))
+    return Subspace(field, n, Mat(field, red.rows[: len(pivots)], n), tuple(pivots))
+
+
+def reference_kernel(m):
+    red, pivots = reference_rref(m)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        coords = [m.field.zero] * m.ncols
+        coords[f] = m.field.one
+        for r, p in enumerate(pivots):
+            coords[p] = -red.rows[r].coords[f]
+        basis.append(Vec(m.field, tuple(coords)))
+    return reference_span(m.field, m.ncols, basis)
+
+
+def reference_solve(m, b):
+    aug = Mat(
+        m.field,
+        tuple(Vec(m.field, r.coords + (c,)) for r, c in zip(m.rows, b.coords)),
+        m.ncols + 1,
+    )
+    red, pivots = reference_rref(aug)
+    if m.ncols in pivots:
+        return None
+    coords = [m.field.zero] * m.ncols
+    for r, p in enumerate(pivots):
+        coords[p] = red.rows[r].coords[m.ncols]
+    return Vec(m.field, tuple(coords)), reference_kernel(m)
+
+
+def reference_inverse(m):
+    """The inverse by eliminating [M | I], or None when m is singular."""
+    n = m.nrows
+    unit = [Vec.unit(m.field, n, i).coords for i in range(n)]
+    aug = Mat(m.field, tuple(Vec(m.field, r.coords + unit[i]) for i, r in enumerate(m.rows)), 2 * n)
+    red, pivots = reference_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return Mat(m.field, tuple(Vec(m.field, r.coords[n:]) for r in red.rows), n)
+
+
+def reference_reduce(u, v):
+    for r, p in zip(u.basis.rows, u.pivots):
+        c = v.coords[p]
+        if c:
+            v = v - r.scale(c)
+    return v
+
+
+def reference_intersect(u, w):
+    stacked = Mat(u.field, u.basis.rows + w.basis.rows, u.ambient_dim)
+    left_null = reference_kernel(stacked.transpose())
+    vectors = [
+        reference_vec_mat(Vec(u.field, x.coords[: u.dim]), u.basis) for x in left_null.basis.rows
+    ]
+    return reference_span(u.field, u.ambient_dim, vectors)
+
+
+def reference_vec_mat(v, m):
+    out = [v.field.zero] * m.ncols
+    for i, c in enumerate(v.coords):
+        if c:
+            out = [acc + c * e for acc, e in zip(out, m.rows[i].coords)]
+    return Vec(v.field, tuple(out))
+
+
+def reference_mat_vec(m, v):
+    out = []
+    for r in m.rows:
+        acc = m.field.zero
+        for a, b in zip(r.coords, v.coords):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return Vec(m.field, tuple(out))
+
+
+def reference_zero_cubed_apply(t, x, y):
+    out = Vec.zero(t.field, t.z_dim)
+    for a, xa in enumerate(x.coords):
+        for b, yb in enumerate(y.coords):
+            if xa and yb and t.f[a][b]:
+                out = out + t.f[a][b].scale(xa * yb)
+    return out
+
+
+def reference_is_isomorphism(a, b, t):
+    """Does t send a's products to b's, basis pair by basis pair?"""
+    if t.nrows != a.dim or t.ncols != b.dim or a.dim != b.dim:
+        return False
+    if reference_inverse(t) is None:
+        return False
+    for pa, pb in ((a.left, b.left), (a.right, b.right)):
+        for i in range(a.dim):
+            for j in range(a.dim):
+                if reference_vec_mat(pa.row(i, j), t) != reference_apply(pb, t.row(i), t.row(j)):
+                    return False
+    return True

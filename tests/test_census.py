@@ -17,9 +17,11 @@ from dialg import (
     Field,
     Algebra,
     Mat,
+    NonPrimeError,
     NotInvertibleError,
     SearchBoundExceededError,
     are_isomorphic,
+    automorphism_group,
     census,
     check_associative,
     check_dialgebra,
@@ -47,10 +49,25 @@ ALLOWED_KINDS = {
 
 
 def test_census_parameters_out_of_range():
-    with pytest.raises(ValueError):
-        census(5)
+    with pytest.raises(SearchBoundExceededError, match="needs 5764801 candidates"):
+        census(7)
     with pytest.raises(ValueError):
         census(2, dim=3)
+
+
+def test_census_refuses_non_primes():
+    with pytest.raises(NonPrimeError):
+        census(4)
+
+
+def test_gf5_census_has_p_plus_11_classes_that_partition_the_valid_set():
+    classes = census(5)
+    assert len(classes) == 5 + 11
+    assert sum(c.label.kind == KIND_II for c in classes) == 4
+    assert sum(c.orbit_size for c in classes) == 1177
+    # Orbit-stabilizer: every orbit of GL(2, 5), of order 480, times its stabilizer.
+    for c in classes:
+        assert c.orbit_size * len(automorphism_group(c.representative)) == 480
 
 
 def test_gf2_census_shape(census_gf2):

@@ -156,8 +156,17 @@ def test_census_streams_json_lines():
 
 
 def test_census_rejects_unsupported_parameters(capsys):
-    code, _ = run(["census", "--prime", "5"])
+    code, _ = run(["census", "--prime", "7"])
     assert code == 2
+    assert "needs 5764801 candidates" in capsys.readouterr().err
+
+
+def test_census_covers_every_prime_the_search_bound_admits():
+    code, out = run(["census", "--prime", "5"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 16
+    assert sum(r["orbit_size"] for r in records) == 1177
 
 
 def test_census_is_deterministic():
@@ -203,6 +212,29 @@ def test_quotient_rejects_malformed_generators(tmp_path, capsys):
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
     code, _ = run(["quotient", path, "--ideal", "1,0,0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["rational", "prime"])
+@pytest.mark.parametrize("ideal", ["1_0,0", "\u0663,0;1,0", " 3 ,0", "1, 0", "3\n,0", "1/0,0"])
+def test_quotient_parses_generators_by_the_file_format_rule(tmp_path, capsys, field, ideal):
+    # Underscores, non-ASCII digits and whitespace inside a coefficient are
+    # not part of the format, nor is a zero denominator.
+    path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, field))
+    code, out = run(["quotient", path, "--ideal", ideal])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: bad ideal generator ")
+
+
+def test_quotient_generators_may_be_spaced_apart(tmp_path):
+    path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
+    assert run(["quotient", path, "--ideal", " 1,0 ; 2,0 "]) == run(["quotient", path, "--ideal", "1,0"])
+
+
+def test_quotient_by_the_whole_space_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
+    code, out = run(["quotient", path, "--ideal", "1,0;0,1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: cannot write dim 0: the format holds dim 1 to 16\n"
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -8,7 +8,9 @@ from dialg import (
     KIND_I,
     KIND_II,
     KIND_IV,
+    Dialgebra,
     ParseError,
+    ProductTag,
     canonical_dialgebra,
     parse_algebra,
     parse_dialgebra,
@@ -96,6 +98,14 @@ def test_dim_out_of_range():
         parse_dialgebra("dialg 1\nfield rational\ndim 0\n")
     with pytest.raises(ParseError, match="dim"):
         parse_dialgebra("dialg 1\nfield rational\ndim 17\n")
+
+
+def test_serialize_refuses_a_dim_the_format_cannot_hold():
+    for dim in (0, 17):
+        with pytest.raises(ValueError, match=f"cannot write dim {dim}"):
+            serialize_dialgebra(Dialgebra.trivial(QQ, dim))
+        with pytest.raises(ValueError, match=f"cannot write dim {dim}"):
+            serialize_algebra(Dialgebra.trivial(GF5, dim).as_single(ProductTag.LEFT))
 
 
 def test_error_carries_line_number():

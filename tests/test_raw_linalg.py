@@ -1,0 +1,181 @@
+"""Row reduction and products on raw field values against the Scalar references in helpers."""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dialg import (
+    Field,
+    Mat,
+    NotInvertibleError,
+    Subspace,
+    Vec,
+    ZeroCubedTriple,
+    is_isomorphism,
+    kernel,
+    rref,
+    solve,
+)
+from helpers import (
+    GF2,
+    QQ,
+    random_valid_dialgebras,
+    reference_intersect,
+    reference_inverse,
+    reference_is_isomorphism,
+    reference_kernel,
+    reference_mat_vec,
+    reference_reduce,
+    reference_rref,
+    reference_solve,
+    reference_span,
+    reference_vec_mat,
+    reference_zero_cubed_apply,
+)
+
+FIELDS = [QQ, GF2, Field.prime(9973), Field.prime(3000017)]
+SETTINGS = settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+VALID = random_valid_dialgebras(40, seed=13)
+
+
+@st.composite
+def scalars(draw, field):
+    if field.is_finite:
+        # Bias towards 0, 1 and -1 so that rows cancel now and then.
+        value = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, field.p - 1)))
+    else:
+        value = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return field.scalar(value)
+
+
+@st.composite
+def vecs(draw, field, n):
+    return Vec(field, draw(st.tuples(*[scalars(field)] * n)))
+
+
+@st.composite
+def matrices(draw, field, nrows=None, ncols=None, dependent=True):
+    """A matrix of any shape from 0x0 to 5x5; if dependent, often rank
+    deficient, since some rows are drawn as combinations of earlier rows."""
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    rows = []
+    for _ in range(nrows):
+        if rows and dependent and draw(st.booleans()):
+            row = Vec.zero(field, ncols)
+            for r in rows:
+                row = row + r.scale(draw(scalars(field)))
+        else:
+            row = draw(vecs(field, ncols))
+        rows.append(row)
+    return Mat(field, rows, ncols)
+
+
+def same_subspace(u, v):
+    return u == v and u.pivots == v.pivots and u.dim == v.dim
+
+
+@SETTINGS
+@given(st.data())
+def test_rref_kernel_and_span_agree_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = data.draw(matrices(field))
+    red, pivots = reference_rref(m)
+    assert rref(m) == (red, len(pivots))
+    span = Subspace.from_vectors(field, m.ncols, m.rows)
+    assert same_subspace(span, reference_span(field, m.ncols, m.rows))
+    assert span.pivots == tuple(pivots)
+    assert same_subspace(kernel(m), reference_kernel(m))
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_agrees_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = data.draw(matrices(field))
+    if data.draw(st.booleans()):
+        b = data.draw(vecs(field, m.nrows))  # often inconsistent
+    else:
+        b = m @ data.draw(vecs(field, m.ncols))  # always consistent
+    got, want = solve(m, b), reference_solve(m, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got[0] == want[0] and same_subspace(got[1], want[1])
+        assert m @ got[0] == b
+
+
+@SETTINGS
+@given(st.data())
+def test_inverse_agrees_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 5))
+    m = data.draw(matrices(field, n, n, dependent=data.draw(st.booleans())))
+    want = reference_inverse(m)
+    try:
+        got = m.inverse()
+    except NotInvertibleError:
+        assert want is None
+    else:
+        assert got == want
+
+
+@SETTINGS
+@given(st.data())
+def test_subspace_reduce_and_intersect_agree_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 5))
+    u, w = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n)).rows)
+            for _ in range(2))
+    v = data.draw(vecs(field, n))
+    assert u.reduce(v) == reference_reduce(u, v)
+    assert u.contains(v) == (not reference_reduce(u, v))
+    assert same_subspace(u.intersect(w), reference_intersect(u, w))
+
+
+@SETTINGS
+@given(st.data())
+def test_products_agree_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = data.draw(matrices(field))
+    v = data.draw(vecs(field, m.nrows))
+    x = data.draw(vecs(field, m.ncols))
+    assert v @ m == reference_vec_mat(v, m)
+    assert m @ x == reference_mat_vec(m, x)
+    other = data.draw(matrices(field, nrows=m.ncols))
+    assert m @ other == Mat(field, [reference_vec_mat(r, other) for r in m.rows], other.ncols)
+
+
+@SETTINGS
+@given(st.data())
+def test_zero_cubed_apply_agrees_with_the_scalar_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    z_dim, x_dim = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    keys = st.tuples(st.integers(0, x_dim - 1), st.integers(0, x_dim - 1), st.integers(0, z_dim - 1))
+    entries = data.draw(st.dictionaries(keys, scalars(field), max_size=6)) if x_dim and z_dim else {}
+    t = ZeroCubedTriple.from_entries(field, z_dim, x_dim, entries)
+    x, y = data.draw(vecs(field, x_dim)), data.draw(vecs(field, x_dim))
+    assert t.apply(x, y) == reference_zero_cubed_apply(t, x, y)
+
+
+@SETTINGS
+@given(st.data())
+def test_is_isomorphism_agrees_with_the_basis_pair_loop(data):
+    a = data.draw(st.sampled_from(VALID))
+    field, n = a.field, a.dim
+    s = data.draw(matrices(field, n, n, dependent=False))
+    try:
+        s_inv = s.inverse()
+    except NotInvertibleError:
+        s, s_inv = Mat.identity(field, n), Mat.identity(field, n)
+    # b is a moved copy of a, a itself, or another member of the pool.
+    others = [d for d in VALID if d.field is field and d.dim == n]
+    b = data.draw(st.sampled_from([a.rebase(s), a] + others))
+    # t is the inverse move (an isomorphism onto a moved b), the identity,
+    # a drawn matrix (often singular) or a matrix of the wrong shape.
+    t = data.draw(
+        st.sampled_from([s_inv, Mat.identity(field, n), Mat.identity(field, n + 1)])
+        | matrices(field, n, n)
+    )
+    assert is_isomorphism(a, b, t) == reference_is_isomorphism(a, b, t)
