@@ -430,23 +430,23 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
     return list(_gl_isomorphisms(d, d, bound))
 
 
-def enumerate_valid_dialgebras(p, dim=2):
+def enumerate_valid_dialgebras(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     """Every valid dialgebra over GF(p) in tensor-lexicographic order."""
     from .gfsearch import arrays_to_dialgebra
 
-    field, tensors, pairs = _valid_pairs(p, dim)
-    for li, ri in pairs:
-        yield arrays_to_dialgebra(field, tensors[li], tensors[ri])
+    field, tables, _ = _valid_pairs(p, dim, bound)
+    for left, right in tables:
+        yield arrays_to_dialgebra(field, left, right)
 
 
-def _valid_pairs(p, dim):
-    """GF(p) and valid_pairs(p, dim), for dim 2 only (classify_dim2 labels the
-    classes); Field.prime and the search bound on p^(dim^3) tensors refuse p."""
+def _valid_pairs(p, dim, bound):
+    """GF(p) and valid_pairs(p, dim, bound), for dim 2 only (classify_dim2
+    labels the classes); Field.prime and the search bound refuse p."""
     from .gfsearch import valid_pairs
 
     if dim != 2:
         raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
-    return (Field.prime(p), *valid_pairs(p, dim))
+    return (Field.prime(p), *valid_pairs(p, dim, bound))
 
 
 @dataclass(frozen=True)
@@ -458,7 +458,7 @@ class CensusClass:
     orbit_size: int
 
 
-def census(p, dim=2):
+def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     """Partition all valid dialgebras over GF(p) into isomorphism classes.
 
     Candidates are scanned in lexicographic tensor order and grouped by
@@ -467,14 +467,14 @@ def census(p, dim=2):
     """
     from .gfsearch import arrays_to_dialgebra, pair_orbit
 
-    field, tensors, pairs = _valid_pairs(p, dim)
+    field, tables, pairs = _valid_pairs(p, dim, bound)
     seen = set()
     classes = []
-    for li, ri in pairs:
-        if (li, ri) in seen:
+    for (left, right), codes in zip(tables, pairs):
+        if codes in seen:
             continue
-        orbit = pair_orbit(tensors[li], tensors[ri], p)
+        orbit = pair_orbit(left, right, p)
         seen |= orbit
-        rep = arrays_to_dialgebra(field, tensors[li], tensors[ri])
+        rep = arrays_to_dialgebra(field, left, right)
         classes.append(CensusClass(rep, classify_dim2(rep), len(orbit)))
     return classes

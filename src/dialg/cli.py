@@ -123,7 +123,7 @@ def cmd_iso(args, out):
 def cmd_census(args, out):
     from .gfsearch import dialgebra_to_arrays
 
-    classes = census(args.prime, args.dim)
+    classes = census(args.prime, args.dim, bound=_search_bound())
     for cls in classes:
         left, right = dialgebra_to_arrays(cls.representative)
         record = {

@@ -13,8 +13,11 @@ matrices in lexicographic order of their flattened entries, the order in
 which every first-hit search picks its witness. One batched Gauss-Jordan
 pass mod p then inverts them all.
 
-The census screens tensors against identities._LAWS, the law table of the
-exact checker, one basis equation at a time over the surviving candidates.
+The census grows the valid (left, right) pairs the same way, one coordinate
+of the flattened pair at a time, left product first: survivors are extended
+by 0..p-1 in order, and each basis equation of identities._LAWS, the exact
+checker's law table, is checked once its last coordinate is set. So the
+pairs come out sorted, and the search bound caps each step's candidates.
 
 Isomorphism tests and automorphism groups scan GL(n, p) the same way: each
 homomorphism equation (i, j, k) of the left product, then of the right
@@ -33,7 +36,7 @@ import numpy as np
 from .algebras import BilinearProduct, Dialgebra
 from .errors import FieldMismatchError
 from .fields import PRIME
-from .identities import _LAWS, _LEFT, _RIGHT, LAW_ASSOC_LEFT, LAW_AX1, LAW_AX2, LAW_AX3
+from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS, LAW_ASSOC_LEFT
 from .linalg import Mat, Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
@@ -99,56 +102,55 @@ def gl_matrices(p, n):
     return mats, invs
 
 
-@lru_cache(maxsize=None)
-def all_tensors(p, n):
-    """Every n x n x n structure tensor over GF(p), lexicographic order."""
-    guard_search(f"tensor enumeration over GF({p}) in dim {n}", p ** (n**3), DEFAULT_SEARCH_BOUND)
-    arr = _digits(p, n**3).reshape(-1, n, n, n)
-    arr.setflags(write=False)
-    return arr
-
-
-def _law_screen(flat, sel, laws, n, p):
-    """Cut the candidates sel (tag -> row indices into flat, the flattened
-    tensors) to those satisfying every law row (a, b, c, d) of _LAWS, in
-    order. Each basis equation sum_m a[i,j,m] b[m,k,out] - d[j,k,m] c[i,m,out]
-    = 0 mod p is gathered in turn for the survivors only."""
-
-    def entry(tag, i, j, k):
-        return flat[sel[tag], (i * n + j) * n + k]
-
-    for a, b, c, d in laws:
+def _equations(laws, n):
+    """The basis equations of laws over the flattened (left, right) pair, by
+    the last column each reads. Law (a, b, c, d) at (i, j, k), coordinate out,
+    is sum_m a[i,j,m] b[m,k,out] - d[j,k,m] c[i,m,out], kept as the column
+    arrays (x, y, u, v) of sum x*y - sum u*v = 0 mod p."""
+    m = np.arange(n)
+    by_last = {}
+    for law in laws:
+        a, b, c, d = (n**3 if tag == _RIGHT else 0 for tag in _LAWS[law])
         for i, j, k, out in product(range(n), repeat=4):
-            residual = sum(
-                entry(a, i, j, m) * entry(b, m, k, out) - entry(d, j, k, m) * entry(c, i, m, out)
-                for m in range(n)
-            )
-            keep = residual % p == 0
-            sel = {tag: rows[keep] for tag, rows in sel.items()}
-    return sel
+            x, y = a + (i * n + j) * n + m, b + (m * n + k) * n + out
+            u, v = d + (j * n + k) * n + m, c + (i * n + m) * n + out
+            by_last.setdefault(int(np.max([x, y, u, v])), []).append((x, y, u, v))
+    return by_last
+
+
+def _grow(p, n, laws, width, bound):
+    """Every digit row of the given width that satisfies laws, in
+    lexicographic order: each step extends the survivors by one column, under
+    guard_search, then checks the equations that column completes."""
+    equations = _equations(laws, n)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for col in range(width):
+        guard_search(f"coordinate growth over GF({p}) in dim {n}", len(rows) * p, bound)
+        grown = np.empty((len(rows), p, col + 1), dtype=np.int64)
+        grown[:, :, :col] = rows[:, None]
+        grown[:, :, col] = np.arange(p)
+        rows = grown.reshape(-1, col + 1)
+        for x, y, u, v in equations.get(col, ()):
+            residual = (rows[:, x] * rows[:, y]).sum(axis=1) - (rows[:, u] * rows[:, v]).sum(axis=1)
+            rows = rows[residual % p == 0]
+    return rows
 
 
 def associative_indices(p, n):
-    """Indices of all associative tensors within all_tensors(p, n)."""
-    flat = all_tensors(p, n).reshape(-1, n**3)
-    return _law_screen(flat, {_LEFT: np.arange(len(flat))}, [_LAWS[LAW_ASSOC_LEFT]], n, p)[_LEFT]
+    """Base-p codes, ascending, of every associative n x n x n tensor over GF(p)."""
+    return _grow(p, n, [LAW_ASSOC_LEFT], n**3, DEFAULT_SEARCH_BOUND) @ _place_values(p, n**3)
 
 
 @lru_cache(maxsize=None)
-def valid_pairs(p, n=2):
-    """All (left, right) tensor index pairs forming a valid dialgebra.
-
-    Both products must be associative and the three mixed laws must hold;
-    tensors are screened for associativity, then pairs of associative
-    tensors for ax1/ax2/ax3, by _law_screen over the law table that the
-    exact checker reads. Pairs come out in lexicographic order of (left, right).
-    """
-    tensors = all_tensors(p, n)
-    assoc = associative_indices(p, n)
-    sel = {_LEFT: np.repeat(assoc, len(assoc)), _RIGHT: np.tile(assoc, len(assoc))}
-    mixed = [_LAWS[LAW_AX1], _LAWS[LAW_AX2], _LAWS[LAW_AX3]]
-    sel = _law_screen(tensors.reshape(-1, n**3), sel, mixed, n, p)
-    return tensors, tuple(zip(sel[_LEFT].tolist(), sel[_RIGHT].tolist()))
+def valid_pairs(p, n=2, bound=DEFAULT_SEARCH_BOUND):
+    """Every valid dialgebra over GF(p) in dim n as (tables, pairs), in
+    lexicographic order: tables[i] stacks pair i's left and right tensors, and
+    pairs[i] holds their base-p codes, first entry most significant."""
+    rows = _grow(p, n, DIALGEBRA_LAWS, 2 * n**3, bound)
+    tables = rows.reshape(len(rows), 2, n, n, n)
+    tables.setflags(write=False)
+    codes = rows.reshape(len(rows), 2, n**3) @ _place_values(p, n**3)
+    return tables, tuple(zip(codes[:, 0].tolist(), codes[:, 1].tolist()))
 
 
 def transform_tensor_batch(tensor, mats, invs, p):

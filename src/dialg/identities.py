@@ -40,7 +40,7 @@ class ViolationReport:
 
 
 # Every law is (x a y) b z = x c (y d z); each row names (a, b, c, d). The GF(p)
-# census screen in gfsearch reads the same rows.
+# census pair growth in gfsearch reads the same rows.
 _LEFT, _RIGHT = ProductTag.LEFT, ProductTag.RIGHT
 _LAWS = {
     LAW_ASSOC_LEFT: (_LEFT, _LEFT, _LEFT, _LEFT),

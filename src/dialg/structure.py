@@ -255,18 +255,14 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
     guard_search("triple equivalence search", field.p ** (z * z + x * x), bound)
     from .gfsearch import gl_matrices, int_matrix_to_mat
 
-    alphas = [int_matrix_to_mat(field, m) for m in gl_matrices(field.p, z)[0]]
+    # Each pairing image tuple maps to the first alpha, in GL order, giving it.
+    alphas = {}
+    for m in gl_matrices(field.p, z)[0]:
+        alpha = int_matrix_to_mat(field, m)
+        alphas.setdefault(tuple(g @ alpha for row in t1.f for g in row), alpha)
     for m in gl_matrices(field.p, x)[0]:
         beta = int_matrix_to_mat(field, m)
-        images = beta.rows
-        pairings = tuple(
-            tuple(t2.apply(images[a], images[b]) for b in range(x)) for a in range(x)
-        )
-        for alpha in alphas:
-            if all(
-                t1.f[a][b] @ alpha == pairings[a][b]
-                for a in range(x)
-                for b in range(x)
-            ):
-                return alpha, beta
+        alpha = alphas.get(tuple(t2.apply(u, v) for u in beta.rows for v in beta.rows))
+        if alpha is not None:
+            return alpha, beta
     return None

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: known algebras and seeded random data."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -279,14 +280,22 @@ def reference_prime(a, ideals):
     return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)
 
 
-# The census screen as whole-array einsums (one residual tensor per law and
-# a loop over the left tensor), kept only as a test oracle for the
-# equation-at-a-time screen in gfsearch.
+# The census screen as whole-array einsums over the dense table of all
+# p^(n^3) tensors (one residual tensor per law and a loop over the left
+# tensor), kept only as a test oracle for the coordinate growth in gfsearch.
+
+
+@lru_cache(maxsize=None)
+def all_tensors(p, n):
+    """Every n x n x n structure tensor over GF(p), lexicographic order, so a
+    tensor's index is its base-p code."""
+    digits = np.arange(p ** n**3)[:, None] // p ** np.arange(n**3 - 1, -1, -1) % p
+    arr = digits.reshape(p ** n**3, n, n, n)
+    arr.setflags(write=False)
+    return arr
 
 
 def reference_associative_indices(p, n):
-    from dialg.gfsearch import all_tensors
-
     g = all_tensors(p, n)
     lhs = np.einsum("Nijm,Nmkc->Nijkc", g, g)
     rhs = np.einsum("Njkm,Nimc->Nijkc", g, g)
@@ -295,8 +304,6 @@ def reference_associative_indices(p, n):
 
 def reference_valid_pairs(p, n):
     """The (left, right) index pairs of every valid dialgebra, lexicographic."""
-    from dialg.gfsearch import all_tensors
-
     assoc = reference_associative_indices(p, n)
     cands = all_tensors(p, n)[assoc]
 
@@ -473,3 +480,24 @@ def reference_is_isomorphism(a, b, t):
                 if reference_vec_mat(pa.row(i, j), t) != reference_apply(pb, t.row(i), t.row(j)):
                     return False
     return True
+
+
+def reference_triples_equivalent(t1, t2):
+    """triples_equivalent by the double loop over GL(x) x GL(z): the first
+    beta, then the first alpha, with t2.f(x beta, y beta) = t1.f(x, y) alpha."""
+    from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+
+    field, z, x = t1.field, t1.z_dim, t1.x_dim
+    if (t2.z_dim, t2.x_dim) != (z, x):
+        return None
+    alphas = [int_matrix_to_mat(field, m) for m in gl_matrices(field.p, z)[0]]
+    for m in gl_matrices(field.p, x)[0]:
+        beta = int_matrix_to_mat(field, m)
+        images = beta.rows
+        pairings = tuple(
+            tuple(t2.apply(images[a], images[b]) for b in range(x)) for a in range(x)
+        )
+        for alpha in alphas:
+            if all(t1.f[a][b] @ alpha == pairings[a][b] for a in range(x) for b in range(x)):
+                return alpha, beta
+    return None

@@ -169,9 +169,8 @@ def test_criterion_03_classification_stability():
 
 
 def _clear_search_caches():
-    from dialg.gfsearch import all_tensors, gl_matrices, valid_pairs
+    from dialg.gfsearch import gl_matrices, valid_pairs
 
-    all_tensors.cache_clear()
     gl_matrices.cache_clear()
     valid_pairs.cache_clear()
 

@@ -28,13 +28,18 @@ from dialg import (
     is_valid_dialgebra,
 )
 from dialg.gfsearch import (
-    all_tensors,
     arrays_to_dialgebra,
     associative_indices,
     int_tensor_to_product,
     valid_pairs,
 )
-from helpers import GF2, GF3, reference_associative_indices, reference_valid_pairs
+from helpers import (
+    GF2,
+    GF3,
+    all_tensors,
+    reference_associative_indices,
+    reference_valid_pairs,
+)
 
 ALLOWED_KINDS = {
     KIND_TRIVIAL,
@@ -49,10 +54,17 @@ ALLOWED_KINDS = {
 
 
 def test_census_parameters_out_of_range():
-    with pytest.raises(SearchBoundExceededError, match="needs 5764801 candidates"):
-        census(7)
+    with pytest.raises(SearchBoundExceededError, match="needs 1960321 candidates"):
+        census(11)
     with pytest.raises(ValueError):
         census(2, dim=3)
+
+
+def test_census_honours_the_search_bound():
+    with pytest.raises(
+        SearchBoundExceededError, match="needs 243 candidates, over the search bound 100$"
+    ):
+        census(3, bound=100)
 
 
 def test_census_refuses_non_primes():
@@ -68,6 +80,16 @@ def test_gf5_census_has_p_plus_11_classes_that_partition_the_valid_set():
     # Orbit-stabilizer: every orbit of GL(2, 5), of order 480, times its stabilizer.
     for c in classes:
         assert c.orbit_size * len(automorphism_group(c.representative)) == 480
+
+
+def test_gf7_census_has_p_plus_11_classes_that_partition_the_valid_set():
+    classes = census(7)
+    assert len(classes) == 7 + 11
+    assert sum(c.label.kind == KIND_II for c in classes) == 6
+    assert sum(c.orbit_size for c in classes) == 3889
+    # Orbit-stabilizer again, with |GL(2, 7)| = 2016.
+    for c in classes:
+        assert c.orbit_size * len(automorphism_group(c.representative)) == 2016
 
 
 def test_gf2_census_shape(census_gf2):
@@ -133,7 +155,8 @@ def test_every_valid_gf2_pair_passes_the_scalar_checker(valid_gf2):
 
 def test_rejected_pairs_really_fail_the_scalar_checker():
     # Negative half, on a deterministic sample of non-valid pairs.
-    tensors, pairs = valid_pairs(2, 2)
+    tensors = all_tensors(2, 2)
+    _, pairs = valid_pairs(2, 2)
     accepted = set(pairs)
     rng = random.Random(1234)
     checked = 0
@@ -212,10 +235,15 @@ def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):
         assert direct == fast
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_law_screen_matches_the_einsum_reference(p):
-    assert associative_indices(p, 2).tolist() == reference_associative_indices(p, 2).tolist()
-    assert valid_pairs(p, 2)[1] == reference_valid_pairs(p, 2)
+    for n in (1, 2):
+        assert associative_indices(p, n).tolist() == reference_associative_indices(p, n).tolist()
+        tables, pairs = valid_pairs(p, n)
+        assert pairs == reference_valid_pairs(p, n)
+        # Each pair's tables are the dense tensors its codes index.
+        tensors = all_tensors(p, n)
+        assert tables.tolist() == [[tensors[li].tolist(), tensors[ri].tolist()] for li, ri in pairs]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])
@@ -227,7 +255,8 @@ def test_associative_indices_agree_with_the_exact_checker(field):
 
 
 def test_valid_pairs_agree_with_the_exact_checker_on_associative_gf2_pairs():
-    tensors, pairs = valid_pairs(2, 2)
+    tensors = all_tensors(2, 2)
+    _, pairs = valid_pairs(2, 2)
     accepted = set(pairs)
     assoc = associative_indices(2, 2).tolist()
     assert len(assoc) ** 2 == 784
@@ -243,10 +272,8 @@ def test_gf5_screen_counts_are_pinned():
     assert all(a < b for a, b in zip(pairs, pairs[1:]))
 
 
-@pytest.mark.parametrize("p, n, needed", [(2, 3, 2**27), (7, 2, 7**8)])
-def test_dense_tensor_enumeration_is_refused_beyond_the_search_bound(p, n, needed):
+@pytest.mark.parametrize("p, n, needed", [(3, 3, 3**13), (11, 2, 1960321)])
+def test_pair_growth_is_refused_beyond_the_search_bound(p, n, needed):
     message = f"needs {needed} candidates, over the search bound {DEFAULT_SEARCH_BOUND}$"
     with pytest.raises(SearchBoundExceededError, match=message):
         valid_pairs(p, n)
-    with pytest.raises(SearchBoundExceededError, match=message):
-        all_tensors(p, n)

@@ -156,9 +156,22 @@ def test_census_streams_json_lines():
 
 
 def test_census_rejects_unsupported_parameters(capsys):
-    code, _ = run(["census", "--prime", "7"])
+    code, _ = run(["census", "--prime", "11"])
     assert code == 2
-    assert "needs 5764801 candidates" in capsys.readouterr().err
+    assert "needs 1960321 candidates" in capsys.readouterr().err
+
+
+def test_census_honors_the_search_bound_env(monkeypatch, capsys):
+    monkeypatch.setenv("DIALG_SEARCH_BOUND", "100")
+    code, out = run(["census", "--prime", "3"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.endswith("needs 243 candidates, over the search bound 100\n")
+
+
+def test_census_reaches_gf7_under_the_default_bound():
+    code, out = run(["census", "--prime", "7"])
+    assert code == 0
+    assert len(out.splitlines()) == 18
 
 
 def test_census_covers_every_prime_the_search_bound_admits():

@@ -38,6 +38,7 @@ from dialg import (
     zero_cubed_build,
     zero_cubed_decompose,
 )
+from dialg.gfsearch import gl_matrices, int_matrix_to_mat
 from helpers import (
     GF2,
     GF3,
@@ -48,6 +49,7 @@ from helpers import (
     reference_prime,
     reference_semiprime,
     reference_simple,
+    reference_triples_equivalent,
     square_algebra,
     upper_triangular_algebra,
 )
@@ -341,6 +343,48 @@ def test_dimension_mismatch_is_inequivalent():
     t1 = ZeroCubedTriple.from_entries(GF2, 1, 1, {})
     t2 = ZeroCubedTriple.from_entries(GF2, 2, 0, {})
     assert triples_equivalent(t1, t2) is None
+
+
+# Block sizes (z, x) per field that keep the reference double loop small.
+TRIPLE_SHAPES = {
+    2: [(0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)],
+    3: [(1, 1), (1, 2), (2, 1), (2, 2)],
+    5: [(1, 1), (1, 2), (2, 1)],
+}
+
+
+@st.composite
+def triple_pairs(draw):
+    """Two pairings of one shape: independent, or the second a moved copy
+    f2(u, v) = f1(u B, v B) alpha of the first, B the inverse of beta."""
+    field = draw(st.sampled_from([GF2, GF3, GF5]))
+    z, x = draw(st.sampled_from(TRIPLE_SHAPES[field.p]))
+    values = st.integers(0, field.p - 1)
+
+    def pairing():
+        cells = product(range(x), range(x), range(z))
+        return ZeroCubedTriple.from_entries(field, z, x, {cell: draw(values) for cell in cells})
+
+    def invertible(n):
+        mats, invs = gl_matrices(field.p, n)
+        g = draw(st.integers(0, len(mats) - 1))
+        return int_matrix_to_mat(field, mats[g]), int_matrix_to_mat(field, invs[g])
+
+    t1 = pairing()
+    if draw(st.booleans()):
+        return t1, pairing()
+    (alpha, _), (_, back) = invertible(z), invertible(x)
+    f2 = tuple(
+        tuple(t1.apply(back.rows[a], back.rows[b]) @ alpha for b in range(x)) for a in range(x)
+    )
+    return t1, ZeroCubedTriple(field, z, x, f2)
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+@given(triple_pairs())
+def test_triples_equivalent_matches_the_double_loop(pair):
+    t1, t2 = pair
+    assert triples_equivalent(t1, t2) == reference_triples_equivalent(t1, t2)
 
 
 def test_triples_equivalent_unsupported_over_the_rationals():
