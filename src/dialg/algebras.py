@@ -11,7 +11,10 @@ Arithmetic on the tensor goes through linalg's exact contraction kernel,
 tuple of (k, value) with gamma[i][j][k] != 0, where a value is the bare
 int residue over GF(p) or the Fraction over Q. Sums are accumulated
 unreduced and reduced mod p once per output coordinate (Field.reduce);
-Scalar and Vec objects are built only for results, by Vec.from_raw.
+Scalar and Vec objects are built only for results, by Vec.from_raw;
+subspace_product builds none per product but spans its raw contract_pair
+rows with one _span, and structure's ideal closures read the rows and
+columns of the sparse view directly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import FieldMismatchError
-from .linalg import Subspace, Vec, _terms, _vec_terms, contract, contract_pair
+from .linalg import Subspace, Vec, _span, _terms, _vec_terms, contract, contract_pair
 
 
 class ProductTag(Enum):
@@ -92,8 +95,14 @@ class BilinearProduct:
             raise FieldMismatchError("subspace field mismatch")
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise FieldMismatchError("subspace ambient dimension mismatch")
-        spans = [self.apply(a, b) for a in u.basis.rows for b in v.basis.rows]
-        return Subspace.from_vectors(self.field, self.dim, spans)
+        field, n, view = self.field, self.dim, self.sparse
+        ys = [_vec_terms(b) for b in v.basis.rows]
+        rows = [
+            field.reduce(contract_pair([0] * n, _vec_terms(a), y, view))
+            for a in u.basis.rows
+            for y in ys
+        ]
+        return _span(field, n, rows)
 
     def left_multiplication_rows(self):
         """The maps x -> e_i * x, stacked: row (i, k) holds gamma[i][j][k] over j.

@@ -431,12 +431,12 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
 
 
 def enumerate_valid_dialgebras(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
-    """Every valid dialgebra over GF(p) in tensor-lexicographic order."""
+    """Every valid dialgebra over GF(p) in tensor-lexicographic order, as a
+    generator; unsupported parameters are refused at the call."""
     from .gfsearch import arrays_to_dialgebra
 
     field, tables, _ = _valid_pairs(p, dim, bound)
-    for left, right in tables:
-        yield arrays_to_dialgebra(field, left, right)
+    return (arrays_to_dialgebra(field, left, right) for left, right in tables)
 
 
 def _valid_pairs(p, dim, bound):

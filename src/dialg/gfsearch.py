@@ -121,19 +121,22 @@ def _equations(laws, n):
 def _grow(p, n, laws, width, bound):
     """Every digit row of the given width that satisfies laws, in
     lexicographic order: each step extends the survivors by one column, under
-    guard_search, then checks the equations that column completes."""
+    guard_search, then checks the equations that column completes. Survivors
+    are stored in the narrowest dtype holding p - 1 and widened to int64 only
+    inside each equation's residual; the result is int64."""
     equations = _equations(laws, n)
-    rows = np.zeros((1, 0), dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(p - 1))
     for col in range(width):
         guard_search(f"coordinate growth over GF({p}) in dim {n}", len(rows) * p, bound)
-        grown = np.empty((len(rows), p, col + 1), dtype=np.int64)
+        grown = np.empty((len(rows), p, col + 1), dtype=rows.dtype)
         grown[:, :, :col] = rows[:, None]
         grown[:, :, col] = np.arange(p)
         rows = grown.reshape(-1, col + 1)
         for x, y, u, v in equations.get(col, ()):
-            residual = (rows[:, x] * rows[:, y]).sum(axis=1) - (rows[:, u] * rows[:, v]).sum(axis=1)
-            rows = rows[residual % p == 0]
-    return rows
+            lhs = (rows[:, x].astype(np.int64) * rows[:, y]).sum(axis=1)
+            rhs = (rows[:, u].astype(np.int64) * rows[:, v]).sum(axis=1)
+            rows = rows[(lhs - rhs) % p == 0]
+    return rows.astype(np.int64)
 
 
 def associative_indices(p, n):

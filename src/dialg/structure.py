@@ -7,6 +7,13 @@ exactly that count. Over the rationals there are infinitely many lines, so
 those predicates report `None` (unsupported) rather than guess.
 `algebra_ideals` lists every ideal by scanning the whole subspace lattice;
 its bound counts every subspace.
+
+Every ideal question goes through one closure, `_closure`: a Meat-Axe
+spin (Parker 1984; Holt and Rees 1994) of the subspace under the unit
+multiplications, on raw rows. Each product of a new vector is one
+`contract` against a row or column of the product's sparse view, the span
+grows as raw RREF rows, and one `_span` builds the canonical Subspace at
+the end, so no Vec is built per product and no Subspace per new vector.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import (
 )
 from .fields import PRIME
 from .identities import associative_violations
-from .linalg import Mat, Subspace, Vec, all_subspaces, kernel
+from .linalg import Mat, Subspace, Vec, _raw, _span, _terms, all_subspaces, contract, kernel
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -71,36 +78,62 @@ def algebra_annihilator(a):
 
 def _closure(u, products, stop=None):
     """The smallest subspace holding u and closed under multiplication by the
-    units on both sides, for each product (u itself iff u is an ideal). Only
-    new basis vectors are multiplied, each product is reduced against the span
-    so far, and the search stops once the span has stop (at most n) dimensions."""
-    n = u.ambient_dim
+    units on both sides, for each product (u itself iff u is an ideal).
+
+    A Meat-Axe spin on raw rows: the maps b -> b*e_j and b -> e_j*b read
+    column j and row j of each product's sparse view, so each product of a
+    queued vector is one contract. The span is kept as raw RREF rows with
+    their pivots; a product is reduced against it by one contraction on the
+    pivot columns and one Field.reduce, and a nonzero residue is normalized
+    at its first column and cleared from the other rows. Only new vectors are
+    queued, the search stops once the span has stop (at most n) dimensions,
+    and one _span makes the canonical Subspace at the end.
+    """
+    field, n = u.field, u.ambient_dim
+    if any(m.field is not field or m.dim != n for m in products):
+        raise FieldMismatchError("subspace does not live in the algebra's space")
     stop = n if stop is None else min(stop, n)
-    units = tuple(Vec.unit(u.field, n, i) for i in range(n))
-    span, queue = u, list(u.basis.rows)
-    while queue and span.dim < stop:
+    views = [m.sparse for m in products]
+    maps = [
+        side
+        for j in range(n)
+        for view in views
+        for side in ([view[i][j] for i in range(n)], view[j])
+    ]
+    rows, pivots = [_raw(r) for r in u.basis.rows], list(u.pivots)
+    terms = [_terms(r) for r in rows]
+    queue = list(terms)
+    while queue and len(rows) < stop:
         b = queue.pop()
-        for w in (m.apply(x, y) for e in units for m in products for x, y in ((b, e), (e, b))):
-            w = span.reduce(w)
-            if w:
-                span = Subspace.from_vectors(u.field, n, span.basis.rows + (w,))
-                if span.dim == stop:
-                    break
-                queue.append(w)
-    return span
+        for side in maps:
+            w = contract([0] * n, b, side)
+            w = field.reduce(contract(w, [(i, -w[c]) for i, c in enumerate(pivots) if w[c]], terms))
+            col = next((c for c, x in enumerate(w) if x), None)
+            if col is None:
+                continue
+            inv = field.reciprocal(w[col])
+            w = field.reduce([inv * x for x in w])
+            top = [_terms(w)]
+            for i, r in enumerate(rows):
+                if r[col]:
+                    rows[i] = field.reduce(contract(r, [(0, -r[col])], top))
+                    terms[i] = _terms(rows[i])
+            rows.append(w)
+            terms.append(top[0])
+            pivots.append(col)
+            if len(rows) == stop:
+                break
+            queue.append(top[0])
+    return _span(field, n, rows)
 
 
 def is_ideal(d, u):
     """True iff u is closed under multiplication by A on both sides, both products."""
-    if u.field is not d.field or u.ambient_dim != d.dim:
-        raise FieldMismatchError("subspace does not live in the dialgebra's space")
     return _closure(u, (d.left, d.right), u.dim + 1) == u
 
 
 def generated_ideal(d, seed):
     """The smallest two-sided ideal (for both products) containing seed."""
-    if seed.field is not d.field or seed.ambient_dim != d.dim:
-        raise FieldMismatchError("subspace does not live in the dialgebra's space")
     return _closure(seed, (d.left, d.right))
 
 

@@ -268,16 +268,57 @@ def reference_ideals(a):
 
 
 def reference_simple(a, ideals):
-    return a.square_space().dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
+    full = Subspace.full(a.field, a.dim)
+    square = reference_subspace_product(a.product, full, full)
+    return square.dim > 0 and not any(0 < u.dim < a.dim for u in ideals)
 
 
 def reference_semiprime(a, ideals):
-    return not any(u.dim > 0 and a.product.subspace_product(u, u).dim == 0 for u in ideals)
+    return not any(
+        u.dim > 0 and reference_subspace_product(a.product, u, u).dim == 0 for u in ideals
+    )
 
 
 def reference_prime(a, ideals):
     nonzero = [u for u in ideals if u.dim > 0]
-    return not any(a.product.subspace_product(u, v).dim == 0 for u in nonzero for v in nonzero)
+    return not any(
+        reference_subspace_product(a.product, u, v).dim == 0 for u in nonzero for v in nonzero
+    )
+
+
+# The Vec-based ideal closure and subspace product, kept only as test
+# oracles for the spin on raw rows in structure and algebras.
+
+
+def reference_subspace_product(prod, u, v):
+    """The span of all u_a * v_b, one Vec product at a time."""
+    spans = [reference_apply(prod, a, b) for a in u.basis.rows for b in v.basis.rows]
+    return Subspace.from_vectors(prod.field, prod.dim, spans)
+
+
+def reference_closure(u, products, stop=None):
+    """The smallest subspace holding u and closed under both-sided products
+    with the units, rebuilding the span as a Subspace for each new vector;
+    stops once the span has stop (at most n) dimensions."""
+    n = u.ambient_dim
+    stop = n if stop is None else min(stop, n)
+    units = tuple(Vec.unit(u.field, n, i) for i in range(n))
+    span, queue = u, list(u.basis.rows)
+    while queue and span.dim < stop:
+        b = queue.pop()
+        for w in (
+            reference_apply(m, x, y)
+            for e in units
+            for m in products
+            for x, y in ((b, e), (e, b))
+        ):
+            w = span.reduce(w)
+            if w:
+                span = Subspace.from_vectors(u.field, n, span.basis.rows + (w,))
+                if span.dim == stop:
+                    break
+                queue.append(w)
+    return span
 
 
 # The census screen as whole-array einsums over the dense table of all

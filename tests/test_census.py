@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from dialg import (
@@ -25,6 +26,7 @@ from dialg import (
     census,
     check_associative,
     check_dialgebra,
+    enumerate_valid_dialgebras,
     is_valid_dialgebra,
 )
 from dialg.gfsearch import (
@@ -58,6 +60,13 @@ def test_census_parameters_out_of_range():
         census(11)
     with pytest.raises(ValueError):
         census(2, dim=3)
+
+
+def test_enumerate_valid_dialgebras_refuses_at_the_call():
+    with pytest.raises(SearchBoundExceededError, match="needs 1960321 candidates"):
+        enumerate_valid_dialgebras(11)
+    with pytest.raises(ValueError, match="dim must be 2, got 3"):
+        enumerate_valid_dialgebras(3, dim=3)
 
 
 def test_census_honours_the_search_bound():
@@ -244,6 +253,16 @@ def test_law_screen_matches_the_einsum_reference(p):
         # Each pair's tables are the dense tensors its codes index.
         tensors = all_tensors(p, n)
         assert tables.tolist() == [[tensors[li].tolist(), tensors[ri].tolist()] for li, ri in pairs]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (31, 1)])
+def test_narrow_growth_returns_int64_tables_and_codes(p, n):
+    codes = associative_indices(p, n)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == reference_associative_indices(p, n).tolist()
+    tables, pairs = valid_pairs(p, n)
+    assert tables.dtype == np.int64
+    assert pairs == reference_valid_pairs(p, n)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,8 +11,10 @@ from dialg import (
     KIND_I,
     KIND_II,
     Algebra,
+    BilinearProduct,
     Dialgebra,
     Field,
+    FieldMismatchError,
     NotZeroCubedError,
     ProductTag,
     SearchBoundExceededError,
@@ -39,16 +42,19 @@ from dialg import (
     zero_cubed_decompose,
 )
 from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+from dialg.structure import is_algebra_ideal
 from helpers import (
     GF2,
     GF3,
     GF5,
     QQ,
     random_valid_dialgebras,
+    reference_closure,
     reference_ideals,
     reference_prime,
     reference_semiprime,
     reference_simple,
+    reference_subspace_product,
     reference_triples_equivalent,
     square_algebra,
     upper_triangular_algebra,
@@ -115,6 +121,79 @@ def test_generated_ideal_is_an_ideal_containing_the_seed():
         grown = generated_ideal(d, seed)
         assert seed.is_subspace_of(grown)
         assert is_ideal(d, grown)
+
+
+# Each ideal entry point with a subspace of the wrong field, or of a smaller
+# or larger ambient space, than the dim-2 GF(2) algebra it is asked about.
+WRONG_SPACES = [
+    Subspace.from_vectors(GF3, 2, [Vec.of(GF3, [1, 0])]),
+    Subspace.from_vectors(GF2, 1, [Vec.of(GF2, [1])]),
+    Subspace.from_vectors(GF2, 3, [Vec.of(GF2, [1, 0, 0])]),
+]
+IDEAL_ENTRY_POINTS = {
+    "is_ideal": lambda a, u: is_ideal(from_associative(a), u),
+    "generated_ideal": lambda a, u: generated_ideal(from_associative(a), u),
+    "is_algebra_ideal": is_algebra_ideal,
+}
+
+
+@pytest.mark.parametrize("u", WRONG_SPACES, ids=["wrong-field", "smaller-dim", "larger-dim"])
+@pytest.mark.parametrize("entry", IDEAL_ENTRY_POINTS.values(), ids=IDEAL_ENTRY_POINTS.keys())
+def test_ideal_entry_points_refuse_a_subspace_of_another_space(entry, u):
+    with pytest.raises(FieldMismatchError):
+        entry(square_algebra(GF2), u)
+
+
+def _values(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def closure_cases(draw):
+    """(u, products, stop): one or two random tables of dim 0-4 over Q,
+    GF(2), GF(3) or GF(5), not necessarily associative; u is the zero space,
+    the full space or the span of random vectors; stop is None or u.dim + 1."""
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    n = draw(st.integers(0, 4))
+    values = _values(field)
+
+    def table():
+        if n == 0:
+            return BilinearProduct.zero(field, 0)
+        idx = st.integers(0, n - 1)
+        entries = draw(st.dictionaries(st.tuples(idx, idx, idx), values, max_size=2 * n))
+        return BilinearProduct.from_entries(field, n, entries)
+
+    products = tuple(table() for _ in range(draw(st.integers(1, 2))))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        u = Subspace.zero(field, n)
+    elif kind == "full":
+        u = Subspace.full(field, n)
+    else:
+        vectors = draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=n))
+        u = Subspace.from_vectors(field, n, [Vec.of(field, v) for v in vectors])
+    stop = draw(st.sampled_from([None, u.dim + 1]))
+    return u, products, stop
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases())
+def test_raw_closure_matches_the_vec_closure(case):
+    u, products, stop = case
+    assert structure._closure(u, products, stop) == reference_closure(u, products, stop)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases(), st.data())
+def test_raw_subspace_product_matches_the_vec_span(case, data):
+    u, products, _ = case
+    v = data.draw(st.sampled_from([u, Subspace.full(u.field, u.ambient_dim)]))
+    for m in products:
+        assert m.subspace_product(u, v) == reference_subspace_product(m, u, v)
+        assert m.subspace_product(v, u) == reference_subspace_product(m, v, u)
 
 
 def test_field_line_is_simple():
