@@ -13,8 +13,8 @@ int residue over GF(p) or the Fraction over Q. Sums are accumulated
 unreduced and reduced mod p once per output coordinate (Field.reduce);
 Scalar and Vec objects are built only for results, by Vec.from_raw;
 subspace_product builds none per product but spans its raw contract_pair
-rows with one _span, and structure's ideal closures read the rows and
-columns of the sparse view directly.
+rows with one _span (linalg's one pivot step, `_insert`, row by row), and
+structure's ideal closures read the rows and columns of the view directly.
 """
 
 from __future__ import annotations
@@ -95,14 +95,10 @@ class BilinearProduct:
             raise FieldMismatchError("subspace field mismatch")
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise FieldMismatchError("subspace ambient dimension mismatch")
-        field, n, view = self.field, self.dim, self.sparse
+        n, view = self.dim, self.sparse
+        xs = [_vec_terms(a) for a in u.basis.rows]
         ys = [_vec_terms(b) for b in v.basis.rows]
-        rows = [
-            field.reduce(contract_pair([0] * n, _vec_terms(a), y, view))
-            for a in u.basis.rows
-            for y in ys
-        ]
-        return _span(field, n, rows)
+        return _span(self.field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
 
     def left_multiplication_rows(self):
         """The maps x -> e_i * x, stacked: row (i, k) holds gamma[i][j][k] over j.

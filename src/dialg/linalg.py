@@ -9,12 +9,13 @@ Conventions used throughout the package:
 All arithmetic here runs on raw values (the int residue over GF(p), the
 Fraction over Q), never on Scalars: products go through `contract`, the one
 exact contraction kernel, shared with algebras, identities and constructions,
-and row reduction eliminates over raw rows. Scalars are built only for
-results, by Vec.from_raw, which reduces mod p once per coordinate.
+and every echelon form is built by `_insert`, the one pivot step. Scalars are
+built only for results, by Vec.from_raw, which reduces mod p once per coordinate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations, product
 
 from .errors import FieldMismatchError, NotInvertibleError
@@ -208,7 +209,8 @@ class Mat:
         one = self.field.one.value
         rows = [_raw(r) + [one if j == i else 0 for j in range(n)] for i, r in enumerate(self.rows)]
         # [M | I] always has rank n; M is invertible iff its pivots are 0..n-1.
-        if _rref(self.field, rows, 2 * n) != list(range(n)):
+        rows, pivots = _echelon(self.field, rows)
+        if pivots != list(range(n)):
             raise NotInvertibleError("matrix is singular")
         return Mat(self.field, tuple(Vec.from_raw(self.field, r[n:]) for r in rows), n)
 
@@ -240,39 +242,62 @@ def rref(m):
     The row space is preserved; pivots are normalized to 1 and are the only
     nonzero entries in their columns.
     """
-    rows = [_raw(r) for r in m.rows]
-    rank = len(_rref(m.field, rows, m.ncols))
-    return Mat(m.field, tuple(Vec.from_raw(m.field, r) for r in rows), m.ncols), rank
+    rows, pivots = _echelon(m.field, [_raw(r) for r in m.rows])
+    rows += [[0] * m.ncols] * (m.nrows - len(rows))
+    return Mat(m.field, tuple(Vec.from_raw(m.field, r) for r in rows), m.ncols), len(pivots)
 
 
-def _rref(field, rows, ncols):
-    """Bring raw rows (lists of reduced raw values) to reduced row echelon
-    form in place; returns the pivot columns in increasing order."""
-    pivots = []
-    for col in range(ncols):
-        piv = len(pivots)
-        if piv == len(rows):
-            break
-        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[piv], rows[hit] = rows[hit], rows[piv]
-        inv = field.reciprocal(rows[piv][col])
-        rows[piv] = field.reduce([inv * e for e in rows[piv]])
-        top = [_terms(rows[piv])]
-        for r, row in enumerate(rows):
-            c = row[col]
-            if c and r != piv:
-                rows[r] = field.reduce(contract(row, [(0, -c)], top))
-        pivots.append(col)
-    return pivots
+def _residue(w, pivots, terms):
+    """Raw w minus sum_i w[p_i] row_i over RREF rows with raw terms: unreduced."""
+    return contract(w, [(i, -w[c]) for i, c in enumerate(pivots) if w[c]], terms)
+
+
+def _insert(field, rows, terms, pivots, w):
+    """The one pivot step: reduce raw row w (reduced or not) against the raw
+    RREF rows, normalize it at its first nonzero column, clear that column from
+    the other rows and insert it in pivot order, updating rows, terms and
+    pivots in place. Returns the new row's terms, or None if w is in the span.
+    """
+    if not any(w):
+        return None
+    w = field.reduce(_residue(w, pivots, terms))
+    col = next((c for c, x in enumerate(w) if x), None)
+    if col is None:
+        return None
+    if w[col] != 1:
+        inv = field.reciprocal(w[col])
+        w = field.reduce([inv * x for x in w])
+    top = [_terms(w)]
+    for i, r in enumerate(rows):
+        if r[col]:
+            rows[i] = field.reduce(contract(r, [(0, -r[col])], top))
+            terms[i] = _terms(rows[i])
+    at = bisect(pivots, col)
+    rows.insert(at, w)
+    terms.insert(at, top[0])
+    pivots.insert(at, col)
+    return top[0]
+
+
+def _echelon(field, rows):
+    """(nonzero rows, pivots) of the RREF of raw rows, inserted in turn (and consumed)."""
+    ech, terms, pivots = [], [], []
+    for w in rows:
+        if len(pivots) == len(w):
+            break  # full rank: every later row is in the span
+        _insert(field, ech, terms, pivots, w)
+    return ech, pivots
+
+
+def _subspace(field, n, rows, pivots):
+    """The Subspace of F^n with raw RREF rows and pivots."""
+    basis = Mat(field, tuple(Vec.from_raw(field, r) for r in rows), n)
+    return Subspace(field, n, basis, tuple(pivots))
 
 
 def _span(field, n, rows):
-    """The Subspace of F^n spanned by raw rows, which are reduced in place."""
-    pivots = _rref(field, rows, n)
-    basis = Mat(field, tuple(Vec.from_raw(field, r) for r in rows[: len(pivots)]), n)
-    return Subspace(field, n, basis, tuple(pivots))
+    """The Subspace of F^n spanned by raw rows, reduced or not."""
+    return _subspace(field, n, *_echelon(field, rows))
 
 
 def _null_space(field, rows, pivots, ncols):
@@ -285,14 +310,13 @@ def _null_space(field, rows, pivots, ncols):
             coords[f] = one
             for r, p in enumerate(pivots):
                 coords[p] = -rows[r][f]
-            basis.append(field.reduce(coords))
+            basis.append(coords)
     return _span(field, ncols, basis)
 
 
 def kernel(m):
     """The solution space {x : m @ x = 0}, as a canonical Subspace."""
-    rows = [_raw(r) for r in m.rows]
-    return _null_space(m.field, rows, _rref(m.field, rows, m.ncols), m.ncols)
+    return _null_space(m.field, *_echelon(m.field, [_raw(r) for r in m.rows]), m.ncols)
 
 
 def solve(m, b):
@@ -303,8 +327,7 @@ def solve(m, b):
     if b.field is not m.field or len(b) != m.nrows:
         raise FieldMismatchError("right-hand side shape mismatch")
     n = m.ncols
-    rows = [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)]
-    pivots = _rref(m.field, rows, n + 1)
+    rows, pivots = _echelon(m.field, [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)])
     if n in pivots:
         return None
     coords = [0] * n
@@ -360,14 +383,9 @@ class Subspace:
         """Subtract off this subspace: the residue of v modulo the row space."""
         if v.field is not self.field or len(v) != self.ambient_dim:
             raise FieldMismatchError("vector shape mismatch")
-        # The basis is in RREF, so row i alone touches pivot column p_i and
-        # the residue is v - sum_i v[p_i] row_i, one contraction.
-        xs = [(i, -v.coords[p].value) for i, p in enumerate(self.pivots) if v.coords[p]]
-        if not xs:
-            return v
         if self._sparse is None:
             self._sparse = [_vec_terms(r) for r in self.basis.rows]
-        return Vec.from_raw(self.field, contract(_raw(v), xs, self._sparse))
+        return Vec.from_raw(self.field, _residue(_raw(v), self.pivots, self._sparse))
 
     def contains(self, v):
         return not self.reduce(v)

@@ -11,9 +11,9 @@ its bound counts every subspace.
 Every ideal question goes through one closure, `_closure`: a Meat-Axe
 spin (Parker 1984; Holt and Rees 1994) of the subspace under the unit
 multiplications, on raw rows. Each product of a new vector is one
-`contract` against a row or column of the product's sparse view, the span
-grows as raw RREF rows, and one `_span` builds the canonical Subspace at
-the end, so no Vec is built per product and no Subspace per new vector.
+`contract` against a row or column of the product's sparse view, and the
+span grows as raw RREF rows by linalg's one pivot step, `_insert`, so this
+module does no elimination of its own and builds no Vec per product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import PRIME
 from .identities import associative_violations
-from .linalg import Mat, Subspace, Vec, _raw, _span, _terms, all_subspaces, contract, kernel
+from .linalg import Mat, Subspace, Vec, _insert, _raw, _subspace, all_subspaces, contract, kernel
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -83,11 +83,10 @@ def _closure(u, products, stop=None):
     A Meat-Axe spin on raw rows: the maps b -> b*e_j and b -> e_j*b read
     column j and row j of each product's sparse view, so each product of a
     queued vector is one contract. The span is kept as raw RREF rows with
-    their pivots; a product is reduced against it by one contraction on the
-    pivot columns and one Field.reduce, and a nonzero residue is normalized
-    at its first column and cleared from the other rows. Only new vectors are
-    queued, the search stops once the span has stop (at most n) dimensions,
-    and one _span makes the canonical Subspace at the end.
+    their pivots, and each product goes to linalg._insert, which returns the
+    terms of the new row or None when the product is already in the span.
+    Only new vectors are queued, the search stops once the span has stop (at
+    most n) dimensions, and the rows, kept in pivot order, are the Subspace.
     """
     field, n = u.field, u.ambient_dim
     if any(m.field is not field or m.dim != n for m in products):
@@ -100,31 +99,17 @@ def _closure(u, products, stop=None):
         for view in views
         for side in ([view[i][j] for i in range(n)], view[j])
     ]
-    rows, pivots = [_raw(r) for r in u.basis.rows], list(u.pivots)
-    terms = [_terms(r) for r in rows]
-    queue = list(terms)
+    rows, terms, pivots = [], [], []
+    queue = [_insert(field, rows, terms, pivots, _raw(r)) for r in u.basis.rows]
     while queue and len(rows) < stop:
         b = queue.pop()
         for side in maps:
-            w = contract([0] * n, b, side)
-            w = field.reduce(contract(w, [(i, -w[c]) for i, c in enumerate(pivots) if w[c]], terms))
-            col = next((c for c, x in enumerate(w) if x), None)
-            if col is None:
-                continue
-            inv = field.reciprocal(w[col])
-            w = field.reduce([inv * x for x in w])
-            top = [_terms(w)]
-            for i, r in enumerate(rows):
-                if r[col]:
-                    rows[i] = field.reduce(contract(r, [(0, -r[col])], top))
-                    terms[i] = _terms(rows[i])
-            rows.append(w)
-            terms.append(top[0])
-            pivots.append(col)
-            if len(rows) == stop:
-                break
-            queue.append(top[0])
-    return _span(field, n, rows)
+            new = _insert(field, rows, terms, pivots, contract([0] * n, b, side))
+            if new is not None:
+                if len(rows) == stop:
+                    break
+                queue.append(new)
+    return _subspace(field, n, rows, pivots)
 
 
 def is_ideal(d, u):
@@ -184,11 +169,11 @@ def _perfection(a, bound):
     _enumeration_guard(a.field, a.dim, pow, bound)
     p, n = a.field.p, a.dim
     lines = islice(all_subspaces(a.field, n), 1, 1 + (p**n - 1) // (p - 1))
-    principal = {_closure(v, (a.product,)) for v in lines}
+    principal = list(dict.fromkeys(_closure(v, (a.product,)) for v in lines))
     square = a.product.subspace_product
     full = Subspace.full(a.field, n)
     meet = reduce(Subspace.intersect, principal, full)
-    simple = a.square_space().dim > 0 and principal <= {full}
+    simple = a.square_space().dim > 0 and all(u == full for u in principal)
     semiprime = all(square(u, u).dim > 0 for u in principal)
     prime = not principal or square(meet, meet).dim > 0
     return simple, semiprime, prime
@@ -237,7 +222,7 @@ def is_zero_cubed(a):
     if any(associative_violations(a)):
         return False
     full = Subspace.full(a.field, a.dim)
-    square = a.product.subspace_product(full, full)
+    square = a.square_space()
     return (
         a.product.subspace_product(full, square).dim == 0
         and a.product.subspace_product(square, full).dim == 0

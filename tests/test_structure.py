@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import islice, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -339,6 +340,41 @@ def test_structure_flags_draws_only_lines_from_the_subspace_lattice(monkeypatch)
     # At most one closure per vector of GF(2)^6 and product; the lattice has 2825.
     assert len(drawn) <= 2 * 2**6
     assert max(drawn) <= 1
+
+
+def test_semiprime_squares_the_principal_ideals_in_line_order(monkeypatch):
+    # M_2 + T_2 over GF(2): the matrix units E_ab of M_2 at 2a + b, then T_2.
+    t2 = upper_triangular_algebra(GF2).product.sparse
+    entries = {(2 * a + b, 2 * b + c, 2 * a + c): 1 for a, b, c in product(range(2), repeat=3)}
+    entries.update(
+        {(i + 4, j + 4, k + 4): v for i, row in enumerate(t2) for j, g in enumerate(row) for k, v in g}
+    )
+    a = Algebra.from_entries(GF2, 7, entries)
+    principal = []
+    for line in islice(all_subspaces(GF2, 7), 1, 2**7):
+        ideal = reference_closure(line, (a.product,))
+        if ideal not in principal:
+            principal.append(ideal)
+    squared = []
+    for u in principal:
+        squared.append((u, u))
+        if reference_subspace_product(a.product, u, u).dim == 0:
+            break
+    full = Subspace.full(GF2, 7)
+    meet = reduce(Subspace.intersect, principal, full)
+
+    calls = []
+    original = BilinearProduct.subspace_product
+
+    def recorded(self, u, v):
+        calls.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(BilinearProduct, "subspace_product", recorded)
+    assert algebra_semiprime(a) is False
+    # A*A first, then (v)(v) in line order up to the first zero square, then K*K.
+    assert 1 < len(squared) < len(principal)
+    assert calls == [(full, full)] + squared + [(meet, meet)]
 
 
 def test_split_pair_is_semiprime_but_not_prime():
