@@ -25,6 +25,18 @@ from .errors import FieldMismatchError
 from .linalg import Subspace, Vec, _span, _terms, _vec_terms, contract, contract_pair
 
 
+def _entry_key(key, bounds):
+    """key itself if it is a tuple of three ints, each in range of its bound;
+    any other key is a FieldMismatchError naming it."""
+    if not (
+        isinstance(key, tuple)
+        and len(key) == 3
+        and all(isinstance(i, int) and 0 <= i < n for i, n in zip(key, bounds))
+    ):
+        raise FieldMismatchError(f"entry key {key!r} is not three ints below {bounds}")
+    return key
+
+
 class ProductTag(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -59,7 +71,8 @@ class BilinearProduct:
     def from_entries(cls, field, dim, entries):
         """Build from a {(i, j, k): coefficient} mapping, 0-based indices."""
         grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in entries.items():
+        for key, c in entries.items():
+            i, j, k = _entry_key(key, (dim, dim, dim))
             grid[i][j][k] = field.scalar(c)
         return cls(
             field,

@@ -9,10 +9,13 @@ Every valid two-dimensional dialgebra lands in exactly one bucket:
     applies), the dialgebra is an associative algebra in disguise,
   * the canonical forms I, II_k (k != 0), III, IV.
 
-Classification works in a basis (r, s) where r spans the annihilator; in
-such a basis the six free structure constants x1..x6 satisfy a fixed
-system of eleven polynomial constraints, and the case split on
-(x1, x2, x4) plus an explicit rescaling reaches the canonical table.
+Classification takes one route for every nonzero input with a nonzero
+annihilator: it rebases once to a basis (r, s) where r spans the
+annihilator. There the six free structure constants x1..x6 satisfy a
+fixed system of eleven polynomial constraints, the kind is read off which
+of them vanish, and one of two explicit rescalings of (r, s) reaches the
+canonical table. The one-sided zero kinds are the members of this family
+with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0.
 
 The GF(p) searches import gfsearch, and with it numpy, on first use, so
 the exact paths never load numpy.
@@ -33,7 +36,7 @@ from .errors import (
 from .fields import PRIME, Field, Scalar
 from .identities import bar_units, dialgebra_violations
 from .linalg import Mat, Subspace, Vec
-from .structure import DEFAULT_SEARCH_BOUND, annihilators, guard_search, zero_cubed_decompose
+from .structure import DEFAULT_SEARCH_BOUND, annihilators, guard_search
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"
@@ -238,29 +241,17 @@ def _extract_params(d):
     )
 
 
-def _one_sided_zero_label(d):
-    kind = KIND_ZERO_CUBED_LEFT if d.left.is_zero() else KIND_ZERO_CUBED_RIGHT
-    single = d.as_single(ProductTag.RIGHT if kind == KIND_ZERO_CUBED_LEFT else ProductTag.LEFT)
-    # For a valid dialgebra the surviving product is zero-cubed, so in dim 2
-    # the annihilator is a line z0 and the complement square x0 x0 = c z0.
-    triple, base = zero_cubed_decompose(single)
-    _require(triple.z_dim == 1, "one-sided zero dialgebra with non-line annihilator")
-    z0, x0 = base.rows
-    c = triple.f[0][0].coords[0]
-    _require(bool(c), "complement square vanished")
-    witness = Mat(d.field, (z0.scale(c), x0), 2)
-    canonical = canonical_dialgebra(kind, d.field)
-    _require(d.rebase(witness) == canonical, "zero-cubed witness is not a base change to the table")
-    return ClassLabel(kind, None, SUBLABEL_SQUARE, witness, canonical)
-
-
 def classify_dim2(d):
     """Sort a valid two-dimensional dialgebra into its unique bucket.
 
-    The annihilator-based case tree runs before any products-equal shortcut
-    because the II family at k = 1 has equal products yet is a genuine
-    canonical form; equal products fall out of the tree in the two branches
-    where the parameters force the tables to coincide.
+    Apart from the trivial-both exit and the from-associative exit for a
+    zero annihilator, every input is rebased once to (r, s) with r spanning
+    the annihilator, and the kind is read off which of x1..x6 vanish (the
+    constraints force x3 = x6). The parameters, not a products-equal
+    shortcut, decide, because the II family at k = 1 has equal products yet
+    is a genuine canonical form. The witness is one of two rescalings of
+    (r, s): diag(c, 1) with c = x2 or x5 when both squares land on r, and
+    the rows (1, 0), ((x2 + x5)/x6^2, 1/x6) for I, III and IV.
     """
     if d.dim != 2:
         raise ValueError("classification is only defined in dimension 2")
@@ -268,14 +259,10 @@ def classify_dim2(d):
     if violation is not None:
         raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
     identity = Mat.identity(d.field, 2)
-    left_zero, right_zero = d.left.is_zero(), d.right.is_zero()
-    if left_zero and right_zero:
+    if d.left.is_zero() and d.right.is_zero():
         return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, identity, d)
-    if left_zero or right_zero:
-        return _one_sided_zero_label(d)
 
-    prof = annihilators(d)
-    ann = prof.ann
+    ann = annihilators(d).ann
     if ann.dim == 0:
         # The difference of the products always lies in the annihilator,
         # so a trivial annihilator forces the products to agree.
@@ -286,66 +273,44 @@ def classify_dim2(d):
     r = ann.basis.row(0)
     s = Vec.unit(d.field, 2, 1 - ann.pivots[0])
     base = Mat(d.field, (r, s), 2)
-    d_rs = d.rebase(base)
-    t = _extract_params(d_rs)
+    t = _extract_params(d.rebase(base))
     _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
     x1, x2, x3, x4, x5, x6 = t.x1, t.x2, t.x3, t.x4, t.x5, t.x6
     one, zero = d.field.one, d.field.zero
 
-    kind = None
     k = None
-    step = identity
-    if not x1 and not x2:
-        # Left product reduced to s <| s = x3 s; x3 = 0 would make it zero.
-        _require(bool(x3), "left product vanished inside the case tree")
-        _require(x3 == x6 and not x5, "case x1 = x2 = 0 shape broken")
-        if not x4:
-            kind = KIND_FROM_ASSOCIATIVE
-        else:
-            _require(x4 == x3, "case of I reached with x4 != x3")
-            kind = KIND_I
-            step = Mat.from_rows(d.field, [[one, zero], [zero, x3.inverse()]])
-    elif not x1:
-        if not x4:
-            if not x3:
-                # Both squares land on r: scaling r by x2 normalizes the
-                # left square and k = x5/x2 is the surviving invariant.
-                _require(not x6, "case of II reached with x6 != 0")
-                _require(bool(x5), "right product vanished inside the case tree")
-                kind = KIND_II
-                k = x5 / x2
-                step = Mat.from_rows(d.field, [[x2, zero], [zero, one]])
-            else:
-                _require(x2 == x5 and x3 == x6, "coinciding-products case shape broken")
-                kind = KIND_FROM_ASSOCIATIVE
-        else:
-            _require(not x5 and x3 == x4 and x3 == x6 and bool(x3), "second case of I shape broken")
-            kind = KIND_I
-            step = Mat.from_rows(
-                d.field, [[one, zero], [x2 / (x3 * x3), x3.inverse()]]
-            )
-    else:
-        _require(not x2, "x1 and x2 simultaneously nonzero")
-        if not x4:
-            _require(x1 == x3 and x1 == x6, "case of III shape broken")
-            kind = KIND_III
-            step = Mat.from_rows(
-                d.field, [[one, zero], [x5 / (x6 * x6), x6.inverse()]]
-            )
-        else:
-            _require(
-                not x5 and x1 == x3 and x1 == x4 and x1 == x6, "case of IV shape broken"
-            )
-            kind = KIND_IV
-            step = Mat.from_rows(d.field, [[one, zero], [zero, x1.inverse()]])
-
-    if kind == KIND_FROM_ASSOCIATIVE:
+    sublabel = None
+    if x1 or x4:
+        # Each nonzero one of x1, x4 equals x3 = x6, and I keeps x2 while III
+        # keeps x5: scaling s by 1/x6 and shifting it along r clears them.
+        kind = KIND_IV if x1 and x4 else KIND_III if x1 else KIND_I
+        _require(
+            x3 == x6
+            and (not x1 or (x1 == x6 and not x2))
+            and (not x4 or (x4 == x6 and not x5)),
+            f"case of {kind} shape broken",
+        )
+        step = Mat.from_rows(d.field, [[one, zero], [(x2 + x5) / (x6 * x6), x6.inverse()]])
+    elif x3:
+        _require(x2 == x5 and x3 == x6, "coinciding-products case shape broken")
         _require(d.products_equal(), "from-associative label with distinct products")
         return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
+    else:
+        # Both squares land on r: a one-sided zero when x2 or x5 vanishes,
+        # else II with the surviving invariant k = x5/x2. Scaling r by the
+        # first nonzero square constant normalizes the table.
+        if not x2:
+            kind, sublabel = KIND_ZERO_CUBED_LEFT, SUBLABEL_SQUARE
+        elif not x5:
+            kind, sublabel = KIND_ZERO_CUBED_RIGHT, SUBLABEL_SQUARE
+        else:
+            kind, k = KIND_II, x5 / x2
+        _require(not x6 and bool(x2 or x5), f"case of {kind} shape broken")
+        step = Mat.from_rows(d.field, [[x2 or x5, zero], [zero, one]])
     witness = step @ base
     canonical = canonical_dialgebra(kind, d.field, k)
     _require(d.rebase(witness) == canonical, "witness does not reach the canonical table")
-    return ClassLabel(kind, k, None, witness, canonical)
+    return ClassLabel(kind, k, sublabel, witness, canonical)
 
 
 def _rational_dim1_witness(a, b):

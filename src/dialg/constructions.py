@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, BilinearProduct, Dialgebra
+from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_key
 from .errors import (
     DerivationSquareError,
     FieldMismatchError,
@@ -58,7 +58,8 @@ class ZeroCubedTriple:
     @classmethod
     def from_entries(cls, field, z_dim, x_dim, entries):
         grid = [[[field.zero] * z_dim for _ in range(x_dim)] for _ in range(x_dim)]
-        for (a, b, c), val in entries.items():
+        for key, val in entries.items():
+            a, b, c = _entry_key(key, (x_dim, x_dim, z_dim))
             grid[a][b][c] = field.scalar(val)
         return cls(
             field,

@@ -4,7 +4,9 @@ The simple/semiprime/prime predicates are decided exactly over finite
 fields from the principal ideals (v), v != 0: one ideal closure per line of
 GF(p)^dim, so at most p^dim closures, and the search bound (`bound`) caps
 exactly that count. Over the rationals there are infinitely many lines, so
-those predicates report `None` (unsupported) rather than guess.
+rather than guess, `algebra_simple`, `algebra_semiprime` and `algebra_prime`
+raise UnsupportedOverRationalsError (`algebra_simple` first answers False
+when A*A = 0), and `structure_flags` reports `None` for each predicate.
 `algebra_ideals` lists every ideal by scanning the whole subspace lattice;
 its bound counts every subspace.
 

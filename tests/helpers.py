@@ -15,7 +15,9 @@ from dialg import (
     Dialgebra,
     Field,
     Mat,
+    NotADialgebraError,
     NotInvertibleError,
+    ProductTag,
     Subspace,
     Vec,
     ZeroCubedTriple,
@@ -542,3 +544,115 @@ def reference_triples_equivalent(t1, t2):
             if all(t1.f[a][b] @ alpha == pairings[a][b] for a in range(x) for b in range(x)):
                 return alpha, beta
     return None
+
+
+def _reference_one_sided_zero_label(d):
+    from dialg.classify import (
+        KIND_ZERO_CUBED_LEFT,
+        KIND_ZERO_CUBED_RIGHT,
+        SUBLABEL_SQUARE,
+        ClassLabel,
+        _require,
+    )
+    from dialg.structure import zero_cubed_decompose
+
+    kind = KIND_ZERO_CUBED_LEFT if d.left.is_zero() else KIND_ZERO_CUBED_RIGHT
+    single = d.as_single(ProductTag.RIGHT if kind == KIND_ZERO_CUBED_LEFT else ProductTag.LEFT)
+    triple, base = zero_cubed_decompose(single)
+    _require(triple.z_dim == 1, "one-sided zero dialgebra with non-line annihilator")
+    z0, x0 = base.rows
+    c = triple.f[0][0].coords[0]
+    _require(bool(c), "complement square vanished")
+    witness = Mat(d.field, (z0.scale(c), x0), 2)
+    canonical = canonical_dialgebra(kind, d.field)
+    _require(d.rebase(witness) == canonical, "zero-cubed witness is not a base change to the table")
+    return ClassLabel(kind, None, SUBLABEL_SQUARE, witness, canonical)
+
+
+def reference_classify_dim2(d):
+    """classify_dim2 by two routes: one-sided zero tables through the
+    zero-cubed decomposition, everything else through the case tree on
+    (x1, x2, x4) with a rescaling written per leaf."""
+    from dialg.classify import (
+        KIND_FROM_ASSOCIATIVE,
+        KIND_TRIVIAL,
+        SUBLABEL_TRIVIAL,
+        ClassLabel,
+        _extract_params,
+        _require,
+        dim2_constraints,
+    )
+    from dialg.identities import dialgebra_violations
+    from dialg.structure import annihilators
+
+    if d.dim != 2:
+        raise ValueError("classification is only defined in dimension 2")
+    violation = next(dialgebra_violations(d), None)
+    if violation is not None:
+        raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
+    identity = Mat.identity(d.field, 2)
+    left_zero, right_zero = d.left.is_zero(), d.right.is_zero()
+    if left_zero and right_zero:
+        return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, identity, d)
+    if left_zero or right_zero:
+        return _reference_one_sided_zero_label(d)
+
+    ann = annihilators(d).ann
+    if ann.dim == 0:
+        _require(d.products_equal(), "zero annihilator but distinct products")
+        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
+    _require(ann.dim == 1, "nonzero products with a full annihilator")
+
+    r = ann.basis.row(0)
+    s = Vec.unit(d.field, 2, 1 - ann.pivots[0])
+    base = Mat(d.field, (r, s), 2)
+    t = _extract_params(d.rebase(base))
+    _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
+    x1, x2, x3, x4, x5, x6 = t.x1, t.x2, t.x3, t.x4, t.x5, t.x6
+    one, zero = d.field.one, d.field.zero
+
+    kind = None
+    k = None
+    step = identity
+    if not x1 and not x2:
+        _require(bool(x3), "left product vanished inside the case tree")
+        _require(x3 == x6 and not x5, "case x1 = x2 = 0 shape broken")
+        if not x4:
+            kind = KIND_FROM_ASSOCIATIVE
+        else:
+            _require(x4 == x3, "case of I reached with x4 != x3")
+            kind = KIND_I
+            step = Mat.from_rows(d.field, [[one, zero], [zero, x3.inverse()]])
+    elif not x1:
+        if not x4:
+            if not x3:
+                _require(not x6, "case of II reached with x6 != 0")
+                _require(bool(x5), "right product vanished inside the case tree")
+                kind = KIND_II
+                k = x5 / x2
+                step = Mat.from_rows(d.field, [[x2, zero], [zero, one]])
+            else:
+                _require(x2 == x5 and x3 == x6, "coinciding-products case shape broken")
+                kind = KIND_FROM_ASSOCIATIVE
+        else:
+            _require(not x5 and x3 == x4 and x3 == x6 and bool(x3), "second case of I shape broken")
+            kind = KIND_I
+            step = Mat.from_rows(d.field, [[one, zero], [x2 / (x3 * x3), x3.inverse()]])
+    else:
+        _require(not x2, "x1 and x2 simultaneously nonzero")
+        if not x4:
+            _require(x1 == x3 and x1 == x6, "case of III shape broken")
+            kind = KIND_III
+            step = Mat.from_rows(d.field, [[one, zero], [x5 / (x6 * x6), x6.inverse()]])
+        else:
+            _require(not x5 and x1 == x3 and x1 == x4 and x1 == x6, "case of IV shape broken")
+            kind = KIND_IV
+            step = Mat.from_rows(d.field, [[one, zero], [zero, x1.inverse()]])
+
+    if kind == KIND_FROM_ASSOCIATIVE:
+        _require(d.products_equal(), "from-associative label with distinct products")
+        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
+    witness = step @ base
+    canonical = canonical_dialgebra(kind, d.field, k)
+    _require(d.rebase(witness) == canonical, "witness does not reach the canonical table")
+    return ClassLabel(kind, k, None, witness, canonical)

@@ -8,11 +8,13 @@ from dialg import (
     KIND_I,
     KIND_II,
     KIND_III,
+    Algebra,
     Dialgebra,
     FieldMismatchError,
     ProductTag,
     Subspace,
     Vec,
+    ZeroCubedTriple,
     canonical_dialgebra,
 )
 from helpers import GF2, GF5, QQ, random_invertible, random_scalar, random_vec
@@ -104,6 +106,28 @@ def test_dimension_mismatch_rejected():
         d.multiply(L, Vec.zero(QQ, 3), Vec.zero(QQ, 2))
     with pytest.raises(FieldMismatchError):
         d.multiply(L, Vec.zero(GF2, 2), Vec.zero(GF2, 2))
+
+
+@pytest.mark.parametrize(
+    "key", [(-1, 0, 0), (0, 0, -2), (0, 2, 0), (0, 0), (0, 0, 0, 0), (0, 0, 1.0), "abc"]
+)
+def test_from_entries_rejects_keys_outside_the_index_range(key):
+    for build in (
+        lambda: Dialgebra.from_entries(QQ, 2, {key: 1}),
+        lambda: Dialgebra.from_entries(QQ, 2, {}, {key: 1}),
+        lambda: Algebra.from_entries(QQ, 2, {key: 1}),
+    ):
+        with pytest.raises(FieldMismatchError, match="entry key"):
+            build()
+
+
+def test_zero_cubed_from_entries_bounds_each_index_by_its_space():
+    # a and b index X (dim 2), c indexes Z (dim 1).
+    t = ZeroCubedTriple.from_entries(QQ, 1, 2, {(1, 1, 0): 3})
+    assert t.f[1][1] == Vec.of(QQ, [3])
+    for key in ((1, 1, 1), (2, 0, 0), (-1, 0, 0), (0, 0, -1), (0, 0)):
+        with pytest.raises(FieldMismatchError, match="entry key"):
+            ZeroCubedTriple.from_entries(QQ, 1, 2, {key: 1})
 
 
 def test_rebase_composition():

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialg import (
     KIND_FROM_ASSOCIATIVE,
@@ -13,7 +16,9 @@ from dialg import (
     KIND_ZERO_CUBED_RIGHT,
     SUBLABEL_SQUARE,
     Dialgebra,
+    DialgError,
     Field,
+    Mat,
     NotADialgebraError,
     ParamTable,
     SearchBoundExceededError,
@@ -24,6 +29,7 @@ from dialg import (
     canonical_dialgebra,
     classify_dim2,
     dim2_constraints,
+    enumerate_valid_dialgebras,
     fingerprint,
     from_associative,
     is_isomorphism,
@@ -36,11 +42,14 @@ from helpers import (
     GF5,
     GF7,
     QQ,
+    associative_zoo,
     idempotent_line_algebra,
     random_invertible,
     random_valid_dialgebras,
+    reference_classify_dim2,
     split_pair_algebra,
     square_algebra,
+    upper_triangular_algebra,
 )
 
 
@@ -330,3 +339,93 @@ def test_gl2_sizes_used_by_the_searches():
     assert len(gl_matrices(5, 2)[0]) == 480
     assert len(gl_matrices(7, 2)[0]) == 2016
     assert len(gl_matrices(2, 2)[0]) == 6
+
+
+# classify_dim2 against the two-route reference in helpers (one-sided zero
+# tables through zero_cubed_decompose, the rest through the (x1, x2, x4)
+# case tree): labels, witnesses, canonical tables and errors must agree.
+
+REFERENCE_FIELDS = [QQ, Field.prime(11), Field.prime(9973)]
+ALL_KINDS = [
+    KIND_TRIVIAL,
+    KIND_ZERO_CUBED_LEFT,
+    KIND_ZERO_CUBED_RIGHT,
+    KIND_I,
+    KIND_II,
+    KIND_III,
+    KIND_IV,
+]
+
+
+def assert_classify_matches_reference(d):
+    try:
+        want = reference_classify_dim2(d)
+    except (DialgError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            classify_dim2(d)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = classify_dim2(d)
+    assert (got.kind, got.k, got.sublabel) == (want.kind, want.k, want.sublabel)
+    assert got.witness == want.witness
+    assert got.canonical == want.canonical
+    assert got.canonical.basis_names == want.canonical.basis_names
+    assert got.label_string() == want.label_string()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classify_matches_the_reference_on_every_valid_table(p):
+    for d in enumerate_valid_dialgebras(p):
+        assert_classify_matches_reference(d)
+
+
+@st.composite
+def ref_scalars(draw, field, nonzero=False):
+    if field.is_finite:
+        value = draw(st.integers(1 if nonzero else 0, field.p - 1))
+    else:
+        num = draw(st.integers(-4, 4).filter(bool) if nonzero else st.integers(-4, 4))
+        value = Fraction(num, draw(st.integers(1, 4)))
+    return field.scalar(value)
+
+
+@st.composite
+def invertible_2x2(draw, field):
+    rows = [[draw(ref_scalars(field)) for _ in range(2)] for _ in range(2)]
+    if not rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
+        rows[0][0] += field.one
+        rows[1][1] += field.one
+        if not rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
+            rows = [[field.one, field.zero], [field.zero, field.one]]
+    return Mat.from_rows(field, rows)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_classify_matches_the_reference_on_rebased_tables(data):
+    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    sources = [from_associative(a) for a in associative_zoo(field) if a.dim == 2]
+    kind = data.draw(st.sampled_from(ALL_KINDS + [None]))
+    if kind is None:
+        d = data.draw(st.sampled_from(sources))
+    else:
+        k = data.draw(ref_scalars(field, nonzero=True)) if kind == KIND_II else None
+        d = canonical_dialgebra(kind, field, k)
+    assert_classify_matches_reference(d.rebase(data.draw(invertible_2x2(field))))
+
+
+@pytest.mark.parametrize(
+    "d, error",
+    [
+        (
+            Dialgebra.from_entries(QQ, 2, {(1, 1, 1): 1}, {(1, 0, 1): 1, (1, 1, 1): 1}),
+            NotADialgebraError,
+        ),
+        (Dialgebra.trivial(QQ, 3), ValueError),
+        (from_associative(upper_triangular_algebra(GF3)), ValueError),
+    ],
+)
+def test_classify_matches_the_reference_on_errors(d, error):
+    with pytest.raises(error):
+        classify_dim2(d)
+    assert_classify_matches_reference(d)
