@@ -8,13 +8,17 @@ invalid candidates can be represented during censuses.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over a lazily built raw sparse view: for each pair (i, j) the
-tuple of (k, value) with gamma[i][j][k] != 0, where a value is the bare
-int residue over GF(p) or the Fraction over Q. Sums are accumulated
-unreduced and reduced mod p once per output coordinate (Field.reduce);
-Scalar and Vec objects are built only for results, by Vec.from_raw;
+tuple of (k, g) with gamma[i][j][k] = g / den != 0, where g is an int
+numerator over `den`, the table's one common denominator (the lcm of its
+entry denominators, cached with the view). Over GF(p) g is the residue and
+den is 1. apply and rebase scale their vector and matrix arguments to int
+numerators too, accumulate on ints alone (reduced mod p over GF(p) between
+contractions), and make one division per output coordinate, by
+Vec.from_numerators; Scalar and Vec objects are built only for results.
 subspace_product builds none per product but spans its raw contract_pair
 rows with one _span (linalg's one pivot step, `_insert`, row by row), and
-structure's ideal closures read the rows and columns of the view directly.
+structure's ideal closures read the rows and columns of the view directly:
+both use the int view as is, since scaling a row does not change its span.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ class BilinearProduct:
     Rows are stored as gamma[i][j] = the Vec of coordinates of e_i * e_j.
     """
 
-    __slots__ = ("field", "dim", "rows", "_sparse")
+    __slots__ = ("field", "dim", "rows", "_sparse", "_den")
 
     def __init__(self, field, dim, rows):
         self.field = field
         self.dim = dim
         self.rows = tuple(tuple(r) for r in rows)
-        self._sparse = None
+        self._sparse = self._den = None
         if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
         for r in self.rows:
@@ -86,12 +90,26 @@ class BilinearProduct:
     def row(self, i, j):
         return self.rows[i][j]
 
+    def _build_view(self):
+        n = self.dim
+        flat, self._den = self.field.numerators([_vec_terms(g) for r in self.rows for g in r])
+        self._sparse = tuple(tuple(map(tuple, flat[i * n : (i + 1) * n])) for i in range(n))
+
     @property
     def sparse(self):
-        """The raw sparse view: sparse[i][j] holds (k, value) for each nonzero gamma[i][j][k]."""
+        """The raw sparse view: sparse[i][j] holds (k, g) for each nonzero
+        gamma[i][j][k] = g / den, g an int numerator."""
         if self._sparse is None:
-            self._sparse = tuple(tuple(tuple(_vec_terms(g)) for g in r) for r in self.rows)
+            self._build_view()
         return self._sparse
+
+    @property
+    def den(self):
+        """The sparse view's common denominator: the lcm of the entry
+        denominators, 1 over GF(p)."""
+        if self._sparse is None:
+            self._build_view()
+        return self._den
 
     def apply(self, x, y):
         """Bilinear extension: the product of two coordinate vectors."""
@@ -99,8 +117,9 @@ class BilinearProduct:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.dim or len(y) != self.dim:
             raise FieldMismatchError("vector length mismatch")
-        raw = contract_pair([0] * self.dim, _vec_terms(x), _vec_terms(y), self.sparse)
-        return Vec.from_raw(self.field, raw)
+        (xs, ys), d = self.field.numerators([_vec_terms(x), _vec_terms(y)])
+        raw = contract_pair([0] * self.dim, xs, ys, self.sparse)
+        return Vec.from_numerators(self.field, raw, d * d * self.den)
 
     def subspace_product(self, u, v):
         """The span of all u_a * v_b over basis vectors of u and v."""
@@ -140,8 +159,10 @@ class BilinearProduct:
         if any(m.field is not field or m.shape != (n, n) for m in (t, t_inv)):
             raise FieldMismatchError("base change matrix shape mismatch")
         view = self.sparse
-        basis = [_vec_terms(r) for r in t.rows]
-        back = [_vec_terms(r) for r in t_inv.rows]
+        # All int numerators: t = basis / dt, t_inv = back / di, gamma = view / den.
+        basis, dt = field.numerators([_vec_terms(r) for r in t.rows])
+        back, di = field.numerators([_vec_terms(r) for r in t_inv.rows])
+        den = dt * dt * self.den * di
         # by_right[j][a] = e_a * t_j, so t_i * t_j = sum_a t_i[a] by_right[j][a].
         by_right = [
             [_terms(field.reduce(contract([0] * n, ys, view[a]))) for a in range(n)]
@@ -149,9 +170,9 @@ class BilinearProduct:
         ]
 
         def image(xs, by_right_j):
-            # (t_i * t_j) @ t_inv
+            # (t_i * t_j) @ t_inv, over den
             prod = _terms(field.reduce(contract([0] * n, xs, by_right_j)))
-            return Vec.from_raw(field, contract([0] * n, prod, back))
+            return Vec.from_numerators(field, contract([0] * n, prod, back), den)
 
         rows = tuple(tuple(image(xs, b) for b in by_right) for xs in basis)
         return BilinearProduct(field, n, rows)

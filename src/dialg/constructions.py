@@ -55,6 +55,14 @@ class ZeroCubedTriple:
     x_dim: int
     f: tuple
 
+    def __post_init__(self):
+        if len(self.f) != self.x_dim or any(len(row) != self.x_dim for row in self.f):
+            raise FieldMismatchError("pairing grid is not x_dim x x_dim")
+        for row in self.f:
+            for v in row:
+                if not isinstance(v, Vec) or v.field is not self.field or len(v) != self.z_dim:
+                    raise FieldMismatchError("pairing value is not a Vec of length z_dim")
+
     @classmethod
     def from_entries(cls, field, z_dim, x_dim, entries):
         grid = [[[field.zero] * z_dim for _ in range(x_dim)] for _ in range(x_dim)]

@@ -8,6 +8,7 @@ Nothing in this module is ever floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError, NonPrimeError, UnsupportedOverRationalsError
 
@@ -142,20 +143,40 @@ class Field:
         return self._one
 
     def reduce(self, values):
-        """A list of raw accumulated values (ints over GF(p), Fractions over Q)
-        in canonical form: reduced mod p over GF(p), unchanged over Q."""
+        """A list of raw accumulated values (ints over GF(p); Fractions, or int
+        numerators, over Q) in canonical form: reduced mod p over GF(p),
+        unchanged over Q."""
         if self.kind == PRIME:
             p = self.p
             return [v % p for v in values]
         return values
 
+    def numerators(self, rows):
+        """Rows of raw (index, value) terms as int numerators over one common
+        denominator, the lcm of the value denominators: (rows, den). Over
+        GF(p) the residues are their own numerators: (rows, 1), unchanged."""
+        if self.kind == PRIME:
+            return rows, 1
+        den = lcm(*(a.denominator for terms in rows for _, a in terms))
+        scaled = [[(k, a.numerator * (den // a.denominator)) for k, a in terms] for terms in rows]
+        return scaled, den
+
+    def divide(self, numerators, den):
+        """The raw values numerator / den of integer numerators over a common
+        denominator, one division each: Fractions over Q (0 for a zero
+        numerator), residues mod p over GF(p), where den is always 1."""
+        if self.kind == PRIME:
+            return self.reduce(numerators)
+        return [Fraction(v, den) if v else 0 for v in numerators]
+
     def reciprocal(self, value):
-        """The inverse of a nonzero raw value (an int residue or a Fraction)."""
+        """The inverse of a nonzero raw value (an int residue, or an int or
+        Fraction over Q, whose inverse is always a Fraction)."""
         if not value:
             raise ZeroDivisionError(f"zero has no inverse in {self}")
         if self.kind == PRIME:
             return pow(value, -1, self.p)
-        return 1 / value
+        return Fraction(1, value)
 
     def elements(self):
         """All field elements, in residue order. Finite fields only."""

@@ -8,13 +8,21 @@ Basis residuals are read straight off the products' raw sparse views (see
 algebras): a law (x a y) b z = x c (y d z) on (e_i, e_j, e_k) has residual
 sum_t a[i][j][t] b[t][k] - sum_t d[j][k][t] c[i][t], two calls of linalg's
 contraction kernel into one accumulator (the second on c's negated view).
-Only a nonzero residual is wrapped into a Vec.
+The views hold int numerators over their tables' dens. Every law is
+homogeneous of degree 2 in the products, so each of the two terms comes
+over the product of two dens; per law call both are brought over one
+common denominator D, their lcm (1 over GF(p)), by scaling a's view and
+c's negated one. The accumulator then holds the int numerators of the
+residual over D; a residual is zero iff its numerators are, so the test
+runs on ints alone, and only a nonzero residual is divided by D, once per
+coordinate, and wrapped into a Vec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from .algebras import ProductTag
 from .linalg import Mat, Subspace, Vec, contract, solve
@@ -74,43 +82,53 @@ def _columns(view):
     return tuple(zip(*view))
 
 
-def _negated(view):
-    """The raw sparse view of the negated product."""
-    return tuple(tuple(tuple((k, -g) for k, g in terms) for terms in row) for row in view)
+def _scaled(view, f):
+    """The raw sparse view with every numerator times f; the view itself when f is 1."""
+    if f == 1:
+        return view
+    return [[[(k, f * g) for k, g in terms] for terms in row] for row in view]
 
 
 def _law(a, b, c, d):
-    """The basis residual of (x a y) b z - x c (y d z), added into a raw accumulator."""
-    av, dv, b_cols, c_neg = a.sparse, d.sparse, _columns(b.sparse), _negated(c.sparse)
+    """The basis residual of (x a y) b z - x c (y d z), added into a raw
+    accumulator as int numerators over den: (residual, den). The two terms
+    come over a.den * b.den and d.den * c.den; den is their lcm, and each
+    term's factor up to den is folded into one view, a's or c's negated one."""
+    first, second = a.den * b.den, d.den * c.den
+    den = lcm(first, second)
+    av, dv, b_cols = _scaled(a.sparse, den // first), d.sparse, _columns(b.sparse)
+    c_neg = _scaled(c.sparse, -(den // second))
 
     def residual(i, j, k, acc):
         contract(acc, av[i][j], b_cols[k])
         contract(acc, dv[j][k], c_neg[i])
 
-    return residual
+    return residual, den
 
 
 def _violations(field, n, laws):
-    """Yield a report per (law, basis triple) with a nonzero residual, in order."""
-    for law, residual in laws:
+    """Yield a report per (law, basis triple) with a nonzero residual, in order.
+
+    laws holds (law, residual, den): residual adds the int numerators over den."""
+    for law, residual, den in laws:
         for i, j, k in product(range(n), repeat=3):
             acc = [0] * n
             residual(i, j, k, acc)
             raw = field.reduce(acc)
             if any(raw):
-                yield ViolationReport(law, (i, j, k), Vec.from_raw(field, raw))
+                yield ViolationReport(law, (i, j, k), Vec.from_numerators(field, raw, den))
 
 
 def dialgebra_violations(d):
     """Violations of both associativities and the three mixed laws, lazily, in order."""
-    laws = ((law, _law(*_law_products(d, law))) for law in DIALGEBRA_LAWS)
+    laws = ((law, *_law(*_law_products(d, law))) for law in DIALGEBRA_LAWS)
     return _violations(d.field, d.dim, laws)
 
 
 def associative_violations(a):
     """Basis triples where (xy)z differs from x(yz), lazily, in order."""
     p = a.product
-    return _violations(a.field, a.dim, [(LAW_ASSOC, _law(p, p, p, p))])
+    return _violations(a.field, a.dim, [(LAW_ASSOC, *_law(p, p, p, p))])
 
 
 def check_associative(a):
@@ -130,8 +148,8 @@ def is_valid_dialgebra(d):
 
 def check_leibniz(a):
     """Violations of [[x,y],z] = [[x,z],y] + [x,[y,z]] where [,] is a's product."""
-    g = a.product.sparse
-    g_neg = _negated(g)
+    g, den = a.product.sparse, a.product.den
+    g_neg = _scaled(g, -1)
     cols, cols_neg = _columns(g), _columns(g_neg)
 
     def leibniz(i, j, k, acc):
@@ -139,7 +157,7 @@ def check_leibniz(a):
         contract(acc, g[i][k], cols_neg[j])
         contract(acc, g[j][k], g_neg[i])
 
-    return list(_violations(a.field, a.dim, [(LAW_LEIBNIZ, leibniz)]))
+    return list(_violations(a.field, a.dim, [(LAW_LEIBNIZ, leibniz, den * den)]))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ Conventions used throughout the package:
   * a Subspace is canonically represented by the reduced row echelon form
     of any spanning set, so structural equality is set equality.
 
-All arithmetic here runs on raw values (the int residue over GF(p), the
-Fraction over Q), never on Scalars: products go through `contract`, the one
-exact contraction kernel, shared with algebras, identities and constructions,
-and every echelon form is built by `_insert`, the one pivot step. Scalars are
-built only for results, by Vec.from_raw, which reduces mod p once per coordinate.
+All arithmetic here runs on raw values, never on Scalars: products go
+through `contract`, the one exact contraction kernel, shared with algebras,
+identities and constructions, and every echelon form is built by `_insert`,
+the one pivot step. A raw value is the int residue over GF(p). Over Q it is
+a Fraction in the echelon forms here (pivots stay Fractions), while the
+product tables of algebras hold int numerators over one common denominator
+per table (Field.numerators), so their contractions run on ints alone. Scalars
+are built only for results: by Vec.from_raw, which reduces mod p once per
+coordinate, or from int numerators by Vec.from_numerators, which makes the
+one division by the common denominator per coordinate (Field.divide).
 """
 
 from __future__ import annotations
@@ -72,6 +77,13 @@ class Vec:
         """A Vec from raw accumulated values (see Field.reduce), reduced once each."""
         z = field.zero
         return cls(field, [Scalar(field, v) if v else z for v in field.reduce(values)])
+
+    @classmethod
+    def from_numerators(cls, field, values, den):
+        """A Vec from int numerators over the common denominator den (see
+        Field.divide): one division, or one reduction mod p, per coordinate."""
+        z = field.zero
+        return cls(field, [Scalar(field, v) if v else z for v in field.divide(values, den)])
 
     @classmethod
     def zero(cls, field, n):

@@ -84,11 +84,13 @@ def _closure(u, products, stop=None):
 
     A Meat-Axe spin on raw rows: the maps b -> b*e_j and b -> e_j*b read
     column j and row j of each product's sparse view, so each product of a
-    queued vector is one contract. The span is kept as raw RREF rows with
-    their pivots, and each product goes to linalg._insert, which returns the
-    terms of the new row or None when the product is already in the span.
-    Only new vectors are queued, the search stops once the span has stop (at
-    most n) dimensions, and the rows, kept in pivot order, are the Subspace.
+    queued vector is one contract. The view holds int numerators over the
+    table's den, so a product comes out scaled by den, which leaves its span
+    as it is. The span is kept as raw RREF rows with their pivots, and each
+    product goes to linalg._insert, which returns the terms of the new row
+    or None when the product is already in the span. Only new vectors are
+    queued, the search stops once the span has stop (at most n) dimensions,
+    and the rows, kept in pivot order, are the Subspace.
     """
     field, n = u.field, u.ambient_dim
     if any(m.field is not field or m.dim != n for m in products):

@@ -10,6 +10,7 @@ from dialg import (
     Algebra,
     DerivationSquareError,
     Dialgebra,
+    FieldMismatchError,
     Mat,
     NotADerivationError,
     NotADialgebraError,
@@ -102,6 +103,16 @@ def test_zero_cubed_build_square_pairing():
     t = ZeroCubedTriple.from_entries(QQ, 1, 1, {(0, 0, 0): 1})
     a = zero_cubed_build(t)
     assert a == square_algebra(QQ)
+
+
+def test_zero_cubed_triple_checks_its_grid_when_built_directly():
+    # A 2-coordinate value on a 1-dimensional Z; a 1x1 grid for a 2-dimensional X.
+    with pytest.raises(FieldMismatchError):
+        ZeroCubedTriple(QQ, 1, 1, ((Vec.of(QQ, [1, 5]),),))
+    with pytest.raises(FieldMismatchError):
+        ZeroCubedTriple(QQ, 1, 2, ((Vec.of(QQ, [1]),),))
+    with pytest.raises(FieldMismatchError):
+        ZeroCubedTriple(QQ, 1, 1, ((Vec.of(GF3, [1]),),))
 
 
 def test_zero_cubed_build_zero_pairing_is_trivial():

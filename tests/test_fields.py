@@ -71,6 +71,13 @@ def test_zero_has_no_inverse():
         QQ.one / QQ.zero
 
 
+def test_rational_reciprocal_is_a_fraction_of_an_int_or_a_fraction():
+    cases = ((3, Fraction(1, 3)), (-4, Fraction(-1, 4)), (Fraction(2, 7), Fraction(7, 2)))
+    for value, inverse in cases:
+        got = QQ.reciprocal(value)
+        assert got == inverse and type(got) is Fraction
+
+
 def test_mixed_field_arithmetic_raises():
     with pytest.raises(FieldMismatchError):
         GF2.one + GF3.one

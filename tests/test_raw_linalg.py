@@ -187,3 +187,12 @@ def test_is_isomorphism_agrees_with_the_basis_pair_loop(data):
         | matrices(field, n, n)
     )
     assert is_isomorphism(a, b, t) == reference_is_isomorphism(a, b, t)
+
+
+def test_int_rows_over_q_reduce_to_fraction_rows():
+    # Product tables hand int numerator rows to the pivot step; its pivots stay Fractions.
+    from dialg.linalg import _span
+
+    u = _span(QQ, 3, [[3, 1, 0], [0, 2, 5]])
+    assert u == Subspace.from_vectors(QQ, 3, [[1, Fraction(1, 3), 0], [0, 1, Fraction(5, 2)]])
+    assert all(type(c.value) is Fraction for r in u.basis.rows for c in r.coords)
