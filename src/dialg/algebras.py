@@ -19,6 +19,9 @@ subspace_product builds none per product but spans its raw contract_pair
 rows with one _span (linalg's one pivot step, `_insert`, row by row), and
 structure's ideal closures read the rows and columns of the view directly:
 both use the int view as is, since scaling a row does not change its span.
+identities' law checks read the view too, visiting only its nonzero
+entries: they build each law's residuals one slab of rows per first basis
+index, over one common denominator per law.
 """
 
 from __future__ import annotations

@@ -151,6 +151,14 @@ class Field:
             return [v % p for v in values]
         return values
 
+    def canonical(self, values):
+        """Raw values in the form a Scalar holds: residues in [0, p) over
+        GF(p), Fractions over Q, where an int (say a row left as ints by a
+        pivot that was already 1) is wrapped."""
+        if self.kind == PRIME:
+            return self.reduce(values)
+        return [Fraction(v) if type(v) is int else v for v in values]
+
     def numerators(self, rows):
         """Rows of raw (index, value) terms as int numerators over one common
         denominator, the lcm of the value denominators: (rows, den). Over

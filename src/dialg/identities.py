@@ -6,26 +6,33 @@ their nonzero residuals.
 
 Basis residuals are read straight off the products' raw sparse views (see
 algebras): a law (x a y) b z = x c (y d z) on (e_i, e_j, e_k) has residual
-sum_t a[i][j][t] b[t][k] - sum_t d[j][k][t] c[i][t], two calls of linalg's
-contraction kernel into one accumulator (the second on c's negated view).
+sum_t a[i][j][t] b[t][k] - sum_t d[j][k][t] c[i][t]. They are built one
+slab per first index i: residual rows keyed by (j, k), made by visiting only
+nonzero structure constants. The first term adds a[i][j][t] times each
+nonzero b[t][k] into row (j, k); the second adds d[j][k][t] times c's
+negated c[i][t] into row (j, k) for each nonzero d[j][k], listed once per
+law, and each t with c[i][t] nonzero. A triple no term reaches has no row,
+and costs nothing. A slab holds at most n^2 rows of n ints, and is emitted
+in (j, k) order before the next is built, so a caller that stops at the
+first violation stops after one slab.
+
 The views hold int numerators over their tables' dens. Every law is
 homogeneous of degree 2 in the products, so each of the two terms comes
 over the product of two dens; per law call both are brought over one
 common denominator D, their lcm (1 over GF(p)), by scaling a's view and
-c's negated one. The accumulator then holds the int numerators of the
-residual over D; a residual is zero iff its numerators are, so the test
-runs on ints alone, and only a nonzero residual is divided by D, once per
-coordinate, and wrapped into a Vec.
+c's negated one. A row then holds the int numerators of the residual over
+D; a residual is zero iff its numerators are (mod p over GF(p)), so the
+test runs on ints alone, and only a nonzero residual is divided by D, once
+per coordinate, and wrapped into a Vec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .algebras import ProductTag
-from .linalg import Mat, Subspace, Vec, contract, solve
+from .linalg import Mat, Subspace, Vec, solve
 
 LAW_ASSOC = "assoc"
 LAW_ASSOC_LEFT = "assoc-left"
@@ -76,12 +83,6 @@ def law_residual(d, law, x, y, z):
     return b.apply(a.apply(x, y), z) - c.apply(x, dd.apply(y, z))
 
 
-def _columns(view):
-    """The view with its pair index swapped: cols[k][t] = view[t][k], so
-    cols[k] is the raw view of y -> y * e_k."""
-    return tuple(zip(*view))
-
-
 def _scaled(view, f):
     """The raw sparse view with every numerator times f; the view itself when f is 1."""
     if f == 1:
@@ -89,34 +90,76 @@ def _scaled(view, f):
     return [[[(k, f * g) for k, g in terms] for terms in row] for row in view]
 
 
+def _nonzero_rows(view):
+    """For each t, the (k, terms) with view[t][k] nonzero: the nonzero raw
+    views of e_t * e_k."""
+    return [[(k, terms) for k, terms in enumerate(row) if terms] for row in view]
+
+
+def _nonzero_pairs(view):
+    """The (j * n + k, terms) with view[j][k] nonzero, in (j, k) order."""
+    n = len(view)
+    return [(j * n + k, terms) for j, row in enumerate(view) for k, terms in enumerate(row) if terms]
+
+
 def _law(a, b, c, d):
-    """The basis residual of (x a y) b z - x c (y d z), added into a raw
-    accumulator as int numerators over den: (residual, den). The two terms
-    come over a.den * b.den and d.den * c.den; den is their lcm, and each
-    term's factor up to den is folded into one view, a's or c's negated one."""
+    """The slab terms of (x a y) b z - x c (y d z) and their den: (firsts,
+    second, den). The two terms come over a.den * b.den and d.den * c.den;
+    den is their lcm, and each term's factor up to den is folded into one
+    view, a's or c's negated one."""
     first, second = a.den * b.den, d.den * c.den
     den = lcm(first, second)
-    av, dv, b_cols = _scaled(a.sparse, den // first), d.sparse, _columns(b.sparse)
-    c_neg = _scaled(c.sparse, -(den // second))
+    firsts = [(_scaled(a.sparse, den // first), _nonzero_rows(b.sparse), False)]
+    return firsts, (_nonzero_pairs(d.sparse), _scaled(c.sparse, -(den // second))), den
 
-    def residual(i, j, k, acc):
-        contract(acc, av[i][j], b_cols[k])
-        contract(acc, dv[j][k], c_neg[i])
 
-    return residual, den
+def _slab(n, i, firsts, second):
+    """The residual rows of first index i as unreduced int numerators:
+    slab[j * n + k] for the triple (i, j, k), None where no term reaches it.
+
+    Each first term (av, b_rows, swap) adds sum_t av[i][j][t] b[t][k] into
+    row (j, k), or into row (k, j) when swap is set, visiting only the
+    nonzero b[t][k]; the second term (d_pairs, c_neg) adds
+    sum_t d[j][k][t] c_neg[i][t] for each nonzero d[j][k] in d_pairs."""
+    slab = [None] * (n * n)
+    for av, b_rows, swap in firsts:
+        sj, sk = (1, n) if swap else (n, 1)
+        for j, terms in enumerate(av[i]):
+            for t, x in terms:
+                for k, gs in b_rows[t]:
+                    s = j * sj + k * sk
+                    acc = slab[s]
+                    if acc is None:
+                        acc = slab[s] = [0] * n
+                    for m, g in gs:
+                        acc[m] += x * g
+    d_pairs, c_neg = second
+    ci = c_neg[i]
+    for s, terms in d_pairs:
+        acc = slab[s]
+        for t, y in terms:
+            if ci[t]:
+                if acc is None:
+                    acc = slab[s] = [0] * n
+                for m, g in ci[t]:
+                    acc[m] += y * g
+    return slab
 
 
 def _violations(field, n, laws):
     """Yield a report per (law, basis triple) with a nonzero residual, in order.
 
-    laws holds (law, residual, den): residual adds the int numerators over den."""
-    for law, residual, den in laws:
-        for i, j, k in product(range(n), repeat=3):
-            acc = [0] * n
-            residual(i, j, k, acc)
-            raw = field.reduce(acc)
-            if any(raw):
-                yield ViolationReport(law, (i, j, k), Vec.from_numerators(field, raw, den))
+    laws holds (law, firsts, second, den): the slab terms of a law whose
+    residuals are int numerators over den (see _slab). One slab is built per
+    first index and emitted in (j, k) order before the next is built."""
+    for law, firsts, second, den in laws:
+        for i in range(n):
+            for s, acc in enumerate(_slab(n, i, firsts, second)):
+                if acc is not None:
+                    raw = field.reduce(acc)
+                    if any(raw):
+                        residual = Vec.from_numerators(field, raw, den)
+                        yield ViolationReport(law, (i, s // n, s % n), residual)
 
 
 def dialgebra_violations(d):
@@ -149,15 +192,12 @@ def is_valid_dialgebra(d):
 def check_leibniz(a):
     """Violations of [[x,y],z] = [[x,z],y] + [x,[y,z]] where [,] is a's product."""
     g, den = a.product.sparse, a.product.den
-    g_neg = _scaled(g, -1)
-    cols, cols_neg = _columns(g), _columns(g_neg)
-
-    def leibniz(i, j, k, acc):
-        contract(acc, g[i][j], cols[k])
-        contract(acc, g[i][k], cols_neg[j])
-        contract(acc, g[j][k], g_neg[i])
-
-    return list(_violations(a.field, a.dim, [(LAW_LEIBNIZ, leibniz, den * den)]))
+    g_neg, g_rows = _scaled(g, -1), _nonzero_rows(g)
+    # (x g y) g z - (x g z) g y - x g (y g z): the second is the first shape
+    # with j and k swapped.
+    firsts = [(g, g_rows, False), (g_neg, g_rows, True)]
+    laws = [(LAW_LEIBNIZ, firsts, (_nonzero_pairs(g), g_neg), den * den)]
+    return list(_violations(a.field, a.dim, laws))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ Conventions used throughout the package:
 
 All arithmetic here runs on raw values, never on Scalars: products go
 through `contract`, the one exact contraction kernel, shared with algebras,
-identities and constructions, and every echelon form is built by `_insert`,
+structure and constructions, and every echelon form is built by `_insert`,
 the one pivot step. A raw value is the int residue over GF(p). Over Q it is
-a Fraction in the echelon forms here (pivots stay Fractions), while the
-product tables of algebras hold int numerators over one common denominator
-per table (Field.numerators), so their contractions run on ints alone. Scalars
-are built only for results: by Vec.from_raw, which reduces mod p once per
-coordinate, or from int numerators by Vec.from_numerators, which makes the
-one division by the common denominator per coordinate (Field.divide).
+a Fraction or an int: the product tables of algebras hold int numerators
+over one common denominator per table (Field.numerators), so their
+contractions run on ints alone, and a raw int row whose pivot is already 1
+stays ints through the echelon form. Scalars are built only for results: by
+Vec.from_raw, which reduces mod p, or makes a Fraction of an int over Q,
+once per coordinate (Field.canonical), or from int numerators by
+Vec.from_numerators, which makes the one division by the common denominator
+per coordinate (Field.divide).
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ class Vec:
 
     @classmethod
     def from_raw(cls, field, values):
-        """A Vec from raw accumulated values (see Field.reduce), reduced once each."""
+        """A Vec from raw accumulated values, brought once each into the form a
+        Scalar holds (Field.canonical): reduced mod p, or a Fraction over Q."""
         z = field.zero
-        return cls(field, [Scalar(field, v) if v else z for v in field.reduce(values)])
+        return cls(field, [Scalar(field, v) if v else z for v in field.canonical(values)])
 
     @classmethod
     def from_numerators(cls, field, values, den):

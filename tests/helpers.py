@@ -75,6 +75,42 @@ def upper_triangular_algebra(field, k=2):
     )
 
 
+def matrix_algebra(field, k):
+    """All k x k matrices on the basis E_ab, row by row, with E_ab E_bc = E_ac."""
+    return Algebra.from_entries(
+        field,
+        k * k,
+        {(a * k + b, b * k + c, a * k + c): 1 for a in range(k) for b in range(k) for c in range(k)},
+    )
+
+
+def table_entries(prod):
+    """The nonzero structure constants of a product as {(i, j, k): Scalar}."""
+    n = prod.dim
+    return {
+        (i, j, k): c
+        for i in range(n)
+        for j in range(n)
+        for k, c in enumerate(prod.rows[i][j].coords)
+        if c
+    }
+
+
+def direct_sum(field, blocks):
+    """The dialgebra direct sum of dialgebras (or of ints, for zero blocks of
+    that dimension): each block's products on its own run of basis indices."""
+    left, right, offset = {}, {}, 0
+    for block in blocks:
+        if isinstance(block, int):
+            offset += block
+            continue
+        for entries, prod in ((left, block.left), (right, block.right)):
+            for (i, j, k), c in table_entries(prod).items():
+                entries[(i + offset, j + offset, k + offset)] = c
+        offset += block.dim
+    return Dialgebra.from_entries(field, offset, left, right)
+
+
 def inner_derivation_by_e12(field):
     """d(x) = E12 x - x E12 on the upper triangular algebra; squares to zero."""
     return Mat.from_rows(field, [[0, -1, 0], [0, 0, 0], [0, 1, 0]])
