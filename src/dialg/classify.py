@@ -17,8 +17,10 @@ of them vanish, and one of two explicit rescalings of (r, s) reaches the
 canonical table. The one-sided zero kinds are the members of this family
 with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0.
 
-The GF(p) searches import gfsearch, and with it numpy, on first use, so
-the exact paths never load numpy.
+Isomorphism tests and automorphism groups over GF(p) import glsearch, a
+pure-Python search over GL(n, p) row by row, on first use. Only the census
+and the enumeration of valid dialgebras import gfsearch, and with it numpy,
+so neither the exact paths nor an isomorphism search load numpy.
 """
 
 from __future__ import annotations
@@ -50,12 +52,10 @@ KIND_IV = "IV"
 SUBLABEL_TRIVIAL = "trivial"
 SUBLABEL_SQUARE = "square-type"
 
-# gfsearch names that stay readable as attributes of this module (the
-# benchmark's tracer test reads classify.gl_matrices), resolved on first access.
-_GFSEARCH_NAMES = frozenset(
-    "arrays_to_dialgebra dialgebra_to_arrays gl_matrices int_matrix_to_mat"
-    " isomorphism_indices pair_orbit valid_pairs".split()
-)
+# gfsearch names that stay readable as attributes of this module, resolved
+# on first access: the ones the census uses, and gl_matrices, which the
+# benchmark's tracer test reads as classify.gl_matrices.
+_GFSEARCH_NAMES = frozenset("arrays_to_dialgebra gl_matrices pair_orbit valid_pairs".split())
 
 
 def __getattr__(name):
@@ -352,14 +352,13 @@ def _rational_dim2_witness(a, b):
 
 
 def _gl_isomorphisms(a, b, bound):
-    """The maps sending a to b over GF(p), lazily, in GL(dim, p) enumeration order."""
-    from .gfsearch import dialgebra_to_arrays, gl_matrices, int_matrix_to_mat, isomorphism_indices
+    """The maps sending a to b over GF(p), lazily, in GL(dim, p) enumeration
+    order; the search bound refuses the scan at the call."""
+    from .glsearch import isomorphisms
 
     p, n = a.field.p, a.dim
     guard_search(f"GL({n}, {p}) scan", p ** (n * n), bound)
-    hits = isomorphism_indices(dialgebra_to_arrays(a), dialgebra_to_arrays(b), p)
-    mats, _ = gl_matrices(p, n)
-    return (int_matrix_to_mat(a.field, mats[int(g)]) for g in hits)
+    return isomorphisms(a, b)
 
 
 def are_isomorphic(a, b, bound=DEFAULT_SEARCH_BOUND):

@@ -9,6 +9,7 @@ derivation, the Leibniz bracket, and quotients by ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_key
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NotAssociativeError,
 )
 from .identities import associative_violations, dialgebra_violations
-from .linalg import Mat, Subspace, Vec, _vec_terms, contract_pair, kernel
+from .linalg import Mat, Subspace, Vec, _vec_terms, contract, contract_pair, kernel
 
 
 def from_associative(a):
@@ -147,14 +148,19 @@ def leibniz_bracket(d):
     violation = next(dialgebra_violations(d), None)
     if violation is not None:
         raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
-    rows = []
-    for i in range(d.dim):
-        rows.append(
-            tuple(d.left.row(i, j) - d.right.row(j, i) for j in range(d.dim))
+    n, field = d.dim, d.field
+    # [e_i, e_j] = left[i][j] - right[j][i] on the raw views, over their lcm den.
+    den = lcm(d.left.den, d.right.den)
+    signs = [(0, den // d.left.den), (1, -(den // d.right.den))]
+    left, right = d.left.sparse, d.right.sparse
+    rows = tuple(
+        tuple(
+            Vec.from_numerators(field, contract([0] * n, signs, (left[i][j], right[j][i])), den)
+            for j in range(n)
         )
-    return Algebra(
-        d.field, d.dim, BilinearProduct(d.field, d.dim, tuple(rows)), d.basis_names
+        for i in range(n)
     )
+    return Algebra(field, n, BilinearProduct(field, n, rows), d.basis_names)
 
 
 def quotient(d, ideal):

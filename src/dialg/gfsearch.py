@@ -19,11 +19,13 @@ by 0..p-1 in order, and each basis equation of identities._LAWS, the exact
 checker's law table, is checked once its last coordinate is set. So the
 pairs come out sorted, and the search bound caps each step's candidates.
 
-Isomorphism tests and automorphism groups scan GL(n, p) the same way: each
-homomorphism equation (i, j, k) of the left product, then of the right
-product, cuts the surviving GL indices to those that satisfy it, and the
-scan stops as soon as none is left. The full image tensors of a product
-are never built, and the later equations see only the few survivors.
+isomorphism_indices scans GL(n, p) the same way: each homomorphism
+equation (i, j, k) of the left product, then of the right product, cuts
+the surviving GL indices to those that satisfy it, and the scan stops as
+soon as none is left. No library path calls it: are_isomorphic and
+automorphism_group run glsearch's pure-Python row-by-row search, which
+yields the same maps in the same order without numpy, and the tests keep
+this vectorised scan as the reference that search is checked against.
 """
 
 from __future__ import annotations

@@ -152,14 +152,15 @@ def _violations(field, n, laws):
     laws holds (law, firsts, second, den): the slab terms of a law whose
     residuals are int numerators over den (see _slab). One slab is built per
     first index and emitted in (j, k) order before the next is built."""
+    # A row is zero iff its numerators are, mod p over GF(p); testing that
+    # builds no list, so only a violation's row is reduced, by from_numerators.
+    mod = field.p.__rmod__ if field.is_finite else None
     for law, firsts, second, den in laws:
         for i in range(n):
             for s, acc in enumerate(_slab(n, i, firsts, second)):
-                if acc is not None:
-                    raw = field.reduce(acc)
-                    if any(raw):
-                        residual = Vec.from_numerators(field, raw, den)
-                        yield ViolationReport(law, (i, s // n, s % n), residual)
+                if acc is not None and any(map(mod, acc) if mod else acc):
+                    residual = Vec.from_numerators(field, acc, den)
+                    yield ViolationReport(law, (i, s // n, s % n), residual)
 
 
 def dialgebra_violations(d):

@@ -269,6 +269,15 @@ def test_iso_search_respects_the_bound():
         are_isomorphic(d, d, bound=100)
 
 
+def test_automorphisms_of_t2_over_gf7_are_refused_before_any_search():
+    t2 = from_associative(upper_triangular_algebra(GF7))
+    with pytest.raises(SearchBoundExceededError) as refused:
+        automorphism_group(t2)
+    assert str(refused.value) == (
+        "GL(3, 7) scan needs 40353607 candidates, over the search bound 1000000"
+    )
+
+
 def test_gl_scan_over_a_large_prime_does_not_overflow():
     # Residue products near p^3 ~ 2.7e19 would wrap in int64 if not reduced
     # after every factor; e -> -e is the only isomorphism here.

@@ -12,13 +12,15 @@ from dialg import (
     KIND_II,
     KIND_III,
     Dialgebra,
+    Mat,
     canonical_dialgebra,
+    from_associative,
     parse_algebra,
     parse_dialgebra,
     serialize_dialgebra,
 )
 from dialg.cli import main
-from helpers import GF7, QQ
+from helpers import GF3, GF7, QQ, upper_triangular_algebra
 
 
 def run(argv):
@@ -261,13 +263,19 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def _fresh(*args, **env):
+    """Run python with args in a fresh interpreter on this dialg, with env
+    added to the environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dialg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def _modules_after(code):
     """Run code in a fresh interpreter on this dialg; return its stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dialg.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _fresh("-c", code)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -281,3 +289,38 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
     # The census verb does need numpy, so the probe can see it.
     census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
     assert _modules_after(probe.format(census)) == "True\n"
+
+
+def t2_files(tmp_path):
+    """Upper triangular 2 x 2 matrices over GF(3) as a dialgebra, and a
+    rebased copy, as files."""
+    t2 = from_associative(upper_triangular_algebra(GF3))
+    moved = t2.rebase(Mat.from_rows(GF3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]]))
+    return write(tmp_path, "t2.dialg", t2), write(tmp_path, "moved.dialg", moved)
+
+
+# The first isomorphism in GL(3, 3) order, as the numpy GL scan found it.
+T2_WITNESS = "ISOMORPHIC\n0 1 2\n1 2 1\n1 0 1\n"
+
+
+def test_iso_and_automorphisms_over_gf3_do_not_import_numpy(tmp_path):
+    pa, pb = t2_files(tmp_path)
+    probe = "import sys\n{}\nprint('numpy' in sys.modules)"
+    iso = f"from dialg.cli import main\nassert main(['iso', {pa!r}, {pb!r}]) == 0"
+    assert _modules_after(probe.format(iso)) == T2_WITNESS + "False\n"
+    aut = (
+        "from dialg import automorphism_group, parse_dialgebra\n"
+        f"print(len(automorphism_group(parse_dialgebra(open({pa!r}).read()))))"
+    )
+    # |Aut| of T_2's dialgebra is p(p - 1).
+    assert _modules_after(probe.format(aut)) == "6\nFalse\n"
+
+
+def test_iso_over_the_search_bound_env_exits_2_before_any_search(tmp_path):
+    pa, pb = t2_files(tmp_path)
+    done = _fresh("-m", "dialg.cli", "iso", pa, pb, DIALG_SEARCH_BOUND="100")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2,
+        "",
+        "error: GL(3, 3) scan needs 19683 candidates, over the search bound 100\n",
+    )

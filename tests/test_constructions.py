@@ -202,6 +202,14 @@ def test_leibniz_bracket_of_II_k_measures_the_asymmetry():
     assert check_leibniz(br) == []
 
 
+def test_leibniz_bracket_matches_vec_subtraction_on_random_dialgebras():
+    # Over Q the two products' views can sit over different denominators.
+    for d in random_valid_dialgebras(30, seed=83):
+        rows = [[d.left.row(i, j) - d.right.row(j, i) for j in range(d.dim)] for i in range(d.dim)]
+        br = leibniz_bracket(d)
+        assert [list(r) for r in br.product.rows] == rows
+
+
 def test_leibniz_bracket_refuses_invalid_input():
     mutated = Dialgebra.from_entries(QQ, 2, {(1, 1, 1): 1}, {(1, 0, 1): 1, (1, 1, 1): 1})
     with pytest.raises(NotADialgebraError):

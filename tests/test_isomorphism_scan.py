@@ -1,4 +1,8 @@
-"""The equation-at-a-time GL(n, p) isomorphism scan against its einsum oracle."""
+"""The equation-at-a-time GL(n, p) isomorphism scan against its einsum
+oracle, and the row-by-row search behind are_isomorphic and
+automorphism_group against that scan."""
+
+import random
 
 import numpy as np
 import pytest
@@ -7,11 +11,15 @@ from hypothesis import strategies as st
 
 from dialg import (
     DEFAULT_SEARCH_BOUND,
+    Field,
     are_isomorphic,
     automorphism_group,
+    census,
     is_isomorphism,
 )
+from dialg.classify import _gl_isomorphisms
 from dialg.gfsearch import (
+    arrays_to_dialgebra,
     dialgebra_to_arrays,
     gl_matrices,
     int_matrix_to_mat,
@@ -40,9 +48,17 @@ def moved(pair, p, g):
 
 
 def assert_same_scan(a, b, p):
+    """isomorphism_indices against its einsum reference, and the row search
+    behind are_isomorphic and automorphism_group against isomorphism_indices,
+    hit for hit and in order."""
     got = isomorphism_indices(a, b, p)
     want = reference_isomorphism_indices(a, b, p)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    field = Field.prime(p)
+    mats, _ = gl_matrices(p, a[0].shape[0])
+    da, db = (arrays_to_dialgebra(field, *pair) for pair in (a, b))
+    searched = list(_gl_isomorphisms(da, db, DEFAULT_SEARCH_BOUND))
+    assert searched == [int_matrix_to_mat(field, mats[g]) for g in got.tolist()]
     return got
 
 
@@ -103,3 +119,36 @@ def test_isomorphisms_to_a_rebased_copy_are_as_many_as_automorphisms(data):
     witnesses = [int_matrix_to_mat(d.field, mats[g]) for g in hits.tolist()]
     assert all(is_isomorphism(d, b, w) for w in witnesses)
     assert are_isomorphic(d, b) == witnesses[0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_census_pair_against_itself_and_three_partners(p, valid_gf2, valid_gf3):
+    valid = [dialgebra_to_arrays(d) for d in (valid_gf2 if p == 2 else valid_gf3)]
+    rng = random.Random(1000 + p)
+    count = len(gl_matrices(p, 2)[0])
+    for a in valid:
+        for b in [a, moved(a, p, rng.randrange(count)), *rng.sample(valid, 2)]:
+            assert_same_scan(a, b, p)
+
+
+def residues(m):
+    return tuple(tuple(c.value for c in row.coords) for row in m.rows)
+
+
+def times(x, y, p):
+    """The product of two square matrices given as rows of residues."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)) for row in x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_automorphism_groups_are_groups_of_the_stabilizer_order(p, census_gf2, census_gf3):
+    classes = {2: census_gf2, 3: census_gf3}.get(p) or census(p)
+    gl_order = (p * p - 1) * (p * p - p)
+    for c in classes:
+        group = automorphism_group(c.representative)
+        assert len(group) * c.orbit_size == gl_order
+        # Closure on raw residue rows: |Aut| reaches 480 over GF(5).
+        members = {residues(g) for g in group}
+        assert len(members) == len(group)
+        assert all(residues(g.inverse()) in members for g in group)
+        assert all(times(x, y, p) in members for x in members for y in members)
