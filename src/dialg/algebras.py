@@ -4,7 +4,10 @@ A BilinearProduct is a dense tensor gamma[i][j][k] meaning
 e_i * e_j = sum_k gamma[i][j][k] e_k. A Dialgebra carries two of them,
 the left product and the right product, on a shared basis. Construction
 never enforces the dialgebra laws; validity is checked separately so that
-invalid candidates can be represented during censuses.
+invalid candidates can be represented during censuses. Equal products are
+one object: a Dialgebra whose right product equals its left one holds the
+left one twice (right is left), so law checks, rebases, annihilators and
+quotients do their per-product work once.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over a lazily built raw sparse view: for each pair (i, j) the
@@ -253,7 +256,11 @@ class Algebra:
 
 
 class Dialgebra:
-    """Two bilinear products on one basis; the dialgebra laws are not enforced here."""
+    """Two bilinear products on one basis; the dialgebra laws are not enforced here.
+
+    When right == left, right is left: every constructor ends here, so
+    products_equal() is an identity test.
+    """
 
     __slots__ = ("field", "dim", "left", "right", "basis_names")
 
@@ -264,22 +271,20 @@ class Dialgebra:
         self.field = field
         self.dim = dim
         self.left = left
-        self.right = right
+        self.right = left if right == left else right
         self.basis_names = _check_names(basis_names, dim)
 
     @classmethod
     def from_entries(cls, field, dim, left=None, right=None, basis_names=None):
-        return cls(
-            field,
-            dim,
-            BilinearProduct.from_entries(field, dim, left or {}),
-            BilinearProduct.from_entries(field, dim, right or {}),
-            basis_names,
-        )
+        left, right = left or {}, right or {}
+        lp = BilinearProduct.from_entries(field, dim, left)
+        rp = lp if right == left else BilinearProduct.from_entries(field, dim, right)
+        return cls(field, dim, lp, rp, basis_names)
 
     @classmethod
     def trivial(cls, field, dim):
-        return cls(field, dim, BilinearProduct.zero(field, dim), BilinearProduct.zero(field, dim))
+        zero = BilinearProduct.zero(field, dim)
+        return cls(field, dim, zero, zero)
 
     def product(self, tag):
         return self.left if tag is ProductTag.LEFT else self.right
@@ -295,13 +300,13 @@ class Dialgebra:
         return Algebra(self.field, self.dim, self.product(tag), self.basis_names)
 
     def products_equal(self):
-        return self.left == self.right
+        return self.left is self.right
 
     def rebase(self, t):
         t_inv = t.inverse()
-        return Dialgebra(
-            self.field, self.dim, self.left.rebase(t, t_inv), self.right.rebase(t, t_inv)
-        )
+        left = self.left.rebase(t, t_inv)
+        right = left if self.right is self.left else self.right.rebase(t, t_inv)
+        return Dialgebra(self.field, self.dim, left, right)
 
     def __eq__(self, other):
         # Structural identity of the two tensors; basis names are decoration.

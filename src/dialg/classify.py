@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Dialgebra, ProductTag
+from .algebras import Dialgebra
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
@@ -84,9 +84,12 @@ class Fingerprint:
 def fingerprint(d):
     full = Subspace.full(d.field, d.dim)
     prof = annihilators(d)
+    left_square = d.left.subspace_product(full, full).dim
     return Fingerprint(
-        dim_left_square=d.product_subspace(ProductTag.LEFT, full, full).dim,
-        dim_right_square=d.product_subspace(ProductTag.RIGHT, full, full).dim,
+        dim_left_square=left_square,
+        dim_right_square=(
+            left_square if d.right is d.left else d.right.subspace_product(full, full).dim
+        ),
         dim_rann_left=prof.rann_left.dim,
         dim_lann_left=prof.lann_left.dim,
         dim_rann_right=prof.rann_right.dim,

@@ -34,13 +34,9 @@ def from_associative(a):
 
 def opposite(d):
     """The opposite dialgebra: x <|' y = y |> x and x |>' y = y <| x."""
-    return Dialgebra(
-        d.field,
-        d.dim,
-        d.right.transpose_args(),
-        d.left.transpose_args(),
-        d.basis_names,
-    )
+    left = d.right.transpose_args()
+    right = left if d.right is d.left else d.left.transpose_args()
+    return Dialgebra(d.field, d.dim, left, right, d.basis_names)
 
 
 @dataclass(frozen=True)
@@ -185,10 +181,11 @@ def quotient(d, ideal):
         return Vec(d.field, tuple(reduced.coords[c] for c in keep))
 
     proj = Mat(d.field, tuple(project(units[c]) for c in range(d.dim)), new_dim)
-    products = []
-    for prod in (d.left, d.right):
-        rows = []
-        for a in keep:
-            rows.append(tuple(project(prod.row(a, b)) for b in keep))
-        products.append(BilinearProduct(d.field, new_dim, tuple(rows)))
-    return Dialgebra(d.field, new_dim, products[0], products[1]), proj
+
+    def projected(prod):
+        rows = tuple(tuple(project(prod.row(a, b)) for b in keep) for a in keep)
+        return BilinearProduct(d.field, new_dim, rows)
+
+    left = projected(d.left)
+    right = left if d.right is d.left else projected(d.right)
+    return Dialgebra(d.field, new_dim, left, right), proj

@@ -131,13 +131,7 @@ def _parse_common(text, allow_right):
 
 def parse_dialgebra(text):
     field, dim, names, entries = _parse_common(text, allow_right=True)
-    return Dialgebra(
-        field,
-        dim,
-        BilinearProduct.from_entries(field, dim, entries["left"]),
-        BilinearProduct.from_entries(field, dim, entries["right"]),
-        names,
-    )
+    return Dialgebra.from_entries(field, dim, entries["left"], entries["right"], names)
 
 
 def parse_algebra(text):

@@ -70,7 +70,9 @@ def _row_search(a, b, p, n):
     terms = [_terms(v) for v in vectors]
     place = [p ** (n - 1 - k) for k in range(n)]
     levels = [[] for _ in range(n)]
-    for pa, pb in ((a.left, b.left), (a.right, b.right)):
+    # Shared products (d.right is d.left) on both sides file one equation set.
+    pairs = {(id(pa), id(pb)): (pa, pb) for pa, pb in ((a.left, b.left), (a.right, b.right))}
+    for pa, pb in pairs.values():
         images = {}
         for i, j in product(range(n), repeat=2):
             ts = pa.sparse[i][j]

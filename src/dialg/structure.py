@@ -64,8 +64,11 @@ def annihilators(d):
     """All four annihilators of a dialgebra, plus their intersection."""
     rann_left = _right_annihilator(d.left)
     lann_left = _right_annihilator(d.left.transpose_args())
-    rann_right = _right_annihilator(d.right)
-    lann_right = _right_annihilator(d.right.transpose_args())
+    if d.right is d.left:
+        rann_right, lann_right = rann_left, lann_left
+    else:
+        rann_right = _right_annihilator(d.right)
+        lann_right = _right_annihilator(d.right.transpose_args())
     return AnnihilatorProfile(
         rann_left, lann_left, rann_right, lann_right, rann_left.intersect(lann_right)
     )
@@ -96,7 +99,8 @@ def _closure(u, products, stop=None):
     if any(m.field is not field or m.dim != n for m in products):
         raise FieldMismatchError("subspace does not live in the algebra's space")
     stop = n if stop is None else min(stop, n)
-    views = [m.sparse for m in products]
+    # A product object listed twice (d.right is d.left) is spun once.
+    views = [m.sparse for m in {id(m): m for m in products}.values()]
     maps = [
         side
         for j in range(n)

@@ -211,6 +211,15 @@ def random_valid_dialgebras(count, seed=20240811):
     return out
 
 
+def unshared(d):
+    """d with its right product a distinct object equal to its left one: the
+    two-product layout that Dialgebra.__init__ never keeps, set on the slot
+    directly, so that every routine takes its two-product route."""
+    twin = Dialgebra(d.field, d.dim, d.left, d.left, d.basis_names)
+    twin.right = BilinearProduct(d.field, d.dim, d.left.rows)
+    return twin
+
+
 # Scalar-loop reference implementations, kept only as test oracles for the
 # raw contraction kernel in algebras and identities.
 

@@ -15,9 +15,11 @@ from dialg import (
     are_isomorphic,
     automorphism_group,
     census,
+    from_associative,
     is_isomorphism,
 )
 from dialg.classify import _gl_isomorphisms
+from dialg.glsearch import isomorphisms
 from dialg.gfsearch import (
     arrays_to_dialgebra,
     dialgebra_to_arrays,
@@ -26,7 +28,13 @@ from dialg.gfsearch import (
     isomorphism_indices,
     transform_tensor_batch,
 )
-from helpers import random_valid_dialgebras, reference_isomorphism_indices
+from helpers import (
+    matrix_algebra,
+    random_valid_dialgebras,
+    reference_isomorphism_indices,
+    unshared,
+    upper_triangular_algebra,
+)
 
 # Every (p, n) whose GL(n, p) scan the default search bound admits, dims 0-4.
 SCANNABLE = [
@@ -152,3 +160,30 @@ def test_automorphism_groups_are_groups_of_the_stabilizer_order(p, census_gf2, c
         assert len(members) == len(group)
         assert all(residues(g.inverse()) in members for g in group)
         assert all(times(x, y, p) in members for x in members for y in members)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["T2", "M2"])
+def test_shared_products_search_one_equation_set(p, name):
+    # T_2 and M_2 as from-associative dialgebras hold one product object, so
+    # the row search files one equation set; the hits and their order are
+    # those of the scan over both products. The einsum scan runs where
+    # GL(n, p) is small; GL(4, 3) and GL(4, 5) are too large to list, so
+    # there the search on a copy with two equal product objects, which
+    # files both sets, is the oracle.
+    field = Field.prime(p)
+    alg = upper_triangular_algebra(field) if name == "T2" else matrix_algebra(field, 2)
+    d = from_associative(alg)
+    assert d.right is d.left
+    # glsearch itself: the search bound refuses T_2 over GF(5) and M_2 over
+    # GF(3) and GF(5) by their p^(n^2) charge.
+    got = list(isomorphisms(d, d))
+    assert got == list(isomorphisms(unshared(d), unshared(d)))
+    assert all(is_isomorphism(d, d, t) for t in got)
+    # |Aut T_2| = p (p - 1) and Aut M_2 = PGL(2, p).
+    assert len(got) == (p * (p - 1) if name == "T2" else p * (p * p - 1))
+    if p ** (d.dim * d.dim) <= 2**16:
+        pair = dialgebra_to_arrays(d)
+        mats, _ = gl_matrices(p, d.dim)
+        want = reference_isomorphism_indices(pair, pair, p).tolist()
+        assert got == [int_matrix_to_mat(field, mats[g]) for g in want]
