@@ -18,13 +18,17 @@ den is 1. apply and rebase scale their vector and matrix arguments to int
 numerators too, accumulate on ints alone (reduced mod p over GF(p) between
 contractions), and make one division per output coordinate, by
 Vec.from_numerators; Scalar and Vec objects are built only for results.
-subspace_product builds none per product but spans its raw contract_pair
-rows with one _span (linalg's one pivot step, `_insert`, row by row), and
-structure's ideal closures read the rows and columns of the view directly:
-both use the int view as is, since scaling a row does not change its span.
-identities' law checks read the view too, visiting only its nonzero
-entries: they build each law's residuals one slab of rows per first basis
-index, over one common denominator per law.
+rebase moves each nonzero constant by the inverse base change once, before
+the two contractions with the new basis. subspace_product builds none per
+product but spans its int contract_pair rows with one _span (linalg's one
+pivot step, `_insert`, row by row), and structure's ideal closures read the
+rows and columns of the view directly: both use int rows, since scaling a
+row does not change its span. multiplication_rows reads the linear systems
+of the annihilators and bar-units off the view as int rows, which
+structure and identities eliminate as they are. identities' law checks read
+the view too, visiting only its nonzero entries: they build each law's
+residuals one slab of rows per first basis index, over one common
+denominator per law.
 """
 
 from __future__ import annotations
@@ -133,23 +137,28 @@ class BilinearProduct:
             raise FieldMismatchError("subspace field mismatch")
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise FieldMismatchError("subspace ambient dimension mismatch")
-        n, view = self.dim, self.sparse
-        xs = [_vec_terms(a) for a in u.basis.rows]
-        ys = [_vec_terms(b) for b in v.basis.rows]
-        return _span(self.field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
+        field, n, view = self.field, self.dim, self.sparse
+        # Int numerators throughout: scaling a spanning row leaves the span as it is.
+        xs, _ = field.numerators([_vec_terms(a) for a in u.basis.rows])
+        ys, _ = field.numerators([_vec_terms(b) for b in v.basis.rows])
+        return _span(field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
 
-    def left_multiplication_rows(self):
-        """The maps x -> e_i * x, stacked: row (i, k) holds gamma[i][j][k] over j.
-
-        Their common kernel is the right annihilator; for transpose_args()
-        it is the left annihilator.
+    def multiplication_rows(self, right=False):
+        """The nonzero int rows of the maps x -> e_i * x (x -> x * e_i when
+        right), keyed by (i, k): entry j of row (i, k) is the numerator over
+        den of coordinate k of e_i * e_j (of e_j * e_i). The common kernel of
+        the rows is the right (left) annihilator. Fresh lists on every call.
         """
-        n = self.dim
-        return tuple(
-            Vec(self.field, tuple(self.rows[i][j].coords[k] for j in range(n)))
-            for i in range(n)
-            for k in range(n)
-        )
+        n, rows = self.dim, {}
+        for a, row in enumerate(self.sparse):
+            for b, terms in enumerate(row):
+                i, j = (b, a) if right else (a, b)
+                for k, g in terms:
+                    r = rows.get((i, k))
+                    if r is None:
+                        r = rows[i, k] = [0] * n
+                    r[j] = g
+        return rows
 
     def transpose_args(self):
         """The product with swapped arguments: gamma'[i][j] = gamma[j][i]."""
@@ -169,18 +178,21 @@ class BilinearProduct:
         basis, dt = field.numerators([_vec_terms(r) for r in t.rows])
         back, di = field.numerators([_vec_terms(r) for r in t_inv.rows])
         den = dt * dt * self.den * di
-        # by_right[j][a] = e_a * t_j, so t_i * t_j = sum_a t_i[a] by_right[j][a].
+        # moved[a][b] = (e_a * e_b) @ t_inv, once per nonzero constant.
+        moved = [
+            [_terms(field.reduce(contract([0] * n, g, back))) if g else () for g in row]
+            for row in view
+        ]
+        # by_right[j][a] = (e_a * t_j) @ t_inv, so the new (t_i * t_j) @ t_inv
+        # is sum_a t_i[a] by_right[j][a].
         by_right = [
-            [_terms(field.reduce(contract([0] * n, ys, view[a]))) for a in range(n)]
+            [_terms(field.reduce(contract([0] * n, ys, moved[a]))) for a in range(n)]
             for ys in basis
         ]
-
-        def image(xs, by_right_j):
-            # (t_i * t_j) @ t_inv, over den
-            prod = _terms(field.reduce(contract([0] * n, xs, by_right_j)))
-            return Vec.from_numerators(field, contract([0] * n, prod, back), den)
-
-        rows = tuple(tuple(image(xs, b) for b in by_right) for xs in basis)
+        rows = tuple(
+            tuple(Vec.from_numerators(field, contract([0] * n, xs, b), den) for b in by_right)
+            for xs in basis
+        )
         return BilinearProduct(field, n, rows)
 
     def is_zero(self):

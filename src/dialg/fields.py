@@ -8,7 +8,7 @@ Nothing in this module is ever floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, NonPrimeError, UnsupportedOverRationalsError
 
@@ -151,10 +151,32 @@ class Field:
             return [v % p for v in values]
         return values
 
+    def integral(self, values):
+        """Raw values as ints on the same line through 0: over Q a row that
+        holds a Fraction is scaled by the lcm of its denominators; int rows,
+        and every row over GF(p), are returned as they are."""
+        if self.kind == PRIME or all(type(v) is int for v in values):
+            return values
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values]
+
+    def normalize(self, values, head):
+        """A nonzero reduced int row in the one form an echelon row is kept
+        in, given its pivot value head: scaled to pivot 1 over GF(p), and
+        over Q the primitive int row (gcd 1) with a positive pivot. Either is
+        the reduced row times a unique scale, so both fix the RREF."""
+        if self.kind == PRIME:
+            inv, p = self.reciprocal(head), self.p
+            return [inv * v % p for v in values]
+        g = gcd(*values)
+        if head < 0:
+            g = -g
+        return values if g == 1 else [v // g for v in values]
+
     def canonical(self, values):
         """Raw values in the form a Scalar holds: residues in [0, p) over
-        GF(p), Fractions over Q, where an int (say a row left as ints by a
-        pivot that was already 1) is wrapped."""
+        GF(p), Fractions over Q, where an int (say a sum that met no
+        Fraction) is wrapped."""
         if self.kind == PRIME:
             return self.reduce(values)
         return [Fraction(v) if type(v) is int else v for v in values]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebras import ProductTag
-from .linalg import Mat, Subspace, Vec, solve
+from .linalg import Subspace, Vec, _solve
 
 LAW_ASSOC = "assoc"
 LAW_ASSOC_LEFT = "assoc-left"
@@ -245,12 +245,18 @@ class BarUnitSet:
 
 def bar_units(d):
     """Solve the linear system for bar-units; returns the whole solution set."""
-    field, n = d.field, d.dim
-    # x <| e = x on basis x = e_i, coordinate k: sum_j gl[i][j][k] e_j = delta_ik;
-    # e |> x = x likewise, with gr's arguments swapped: sum_j e_j gr[j][i][k].
-    rows = d.left.left_multiplication_rows() + d.right.transpose_args().left_multiplication_rows()
-    delta = tuple(field.one if i == k else field.zero for i in range(n) for k in range(n))
-    result = solve(Mat(field, rows, n), Vec(field, delta + delta))
+    n = d.dim
+    # x <| e = x on basis x = e_i, coordinate k: sum_j gl[i][j][k] e_j = delta_ik,
+    # the rows of e_j -> e_i <| e_j over the left den; e |> x = x likewise,
+    # with the rows of e_j -> e_j |> e_i. A zero row (i, i) keeps its
+    # equation 0 = den, so it stays.
+    rows, zero = [], [0] * n
+    for prod, right in ((d.left, False), (d.right, True)):
+        system = prod.multiplication_rows(right)
+        for i in range(n):
+            rows.append(system.pop((i, i), zero) + [prod.den])
+        rows += [r + [0] for r in system.values()]
+    result = _solve(d.field, rows, n)
     if result is None:
         return BarUnitSet(None, None)
     point, direction = result

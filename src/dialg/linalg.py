@@ -10,20 +10,31 @@ All arithmetic here runs on raw values, never on Scalars: products go
 through `contract`, the one exact contraction kernel, shared with algebras,
 structure and constructions, and every echelon form is built by `_insert`,
 the one pivot step. A raw value is the int residue over GF(p). Over Q it is
-a Fraction or an int: the product tables of algebras hold int numerators
+a Fraction or an int; the product tables of algebras hold int numerators
 over one common denominator per table (Field.numerators), so their
-contractions run on ints alone, and a raw int row whose pivot is already 1
-stays ints through the echelon form. Scalars are built only for results: by
-Vec.from_raw, which reduces mod p, or makes a Fraction of an int over Q,
-once per coordinate (Field.canonical), or from int numerators by
-Vec.from_numerators, which makes the one division by the common denominator
-per coordinate (Field.divide).
+contractions run on ints alone.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 22 (1968)). A row enters
+it as ints, scaled once by the lcm of its denominators (Field.integral),
+and each echelon row is kept as an int row normalized at its pivot
+(Field.normalize): with pivot 1 over GF(p), and over Q as the primitive int
+row (gcd 1) with a positive pivot. Either is the RREF row times one scale,
+so the canonical form is the same. A row is reduced by cross-multiplication,
+w L - sum_i (L / h_i) w[p_i] row_i with L the lcm of the pivots h_i used,
+which is the plain subtraction over GF(p), where L = 1.
+
+Scalars are built only for results. An echelon row leaves divided once by
+its pivot, by Vec.from_numerators (Field.divide): so every Scalar over Q
+holds a Fraction, in `_subspace`, `rref`, `Mat.inverse`, `solve` and the
+kernels. Other results leave by Vec.from_raw, which reduces mod p, or makes
+a Fraction of an int over Q, once per coordinate (Field.canonical).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from itertools import combinations, product
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, NotInvertibleError
 from .fields import Scalar
@@ -227,7 +238,8 @@ class Mat:
         rows, pivots = _echelon(self.field, rows)
         if pivots != list(range(n)):
             raise NotInvertibleError("matrix is singular")
-        return Mat(self.field, tuple(Vec.from_raw(self.field, r[n:]) for r in rows), n)
+        inverse = [Vec.from_numerators(self.field, r[n:], r[i]) for i, r in enumerate(rows)]
+        return Mat(self.field, tuple(inverse), n)
 
     def is_zero(self):
         return not any(self.rows)
@@ -258,35 +270,59 @@ def rref(m):
     nonzero entries in their columns.
     """
     rows, pivots = _echelon(m.field, [_raw(r) for r in m.rows])
-    rows += [[0] * m.ncols] * (m.nrows - len(rows))
-    return Mat(m.field, tuple(Vec.from_raw(m.field, r) for r in rows), m.ncols), len(pivots)
+    zero = Vec.zero(m.field, m.ncols)
+    basis = _normalized(m.field, rows, pivots) + [zero] * (m.nrows - len(rows))
+    return Mat(m.field, tuple(basis), m.ncols), len(pivots)
 
 
 def _residue(w, pivots, terms):
-    """Raw w minus sum_i w[p_i] row_i over RREF rows with raw terms: unreduced."""
-    return contract(w, [(i, -w[c]) for i, c in enumerate(pivots) if w[c]], terms)
+    """Raw w reduced against echelon rows with raw terms, each led by its
+    pivot h_i: w L - sum_i (L / h_i) w[p_i] row_i, with L the lcm of the h_i
+    used. Unreduced; w itself when every h_i is 1 (always over GF(p))."""
+    used = [(i, -w[c]) for i, c in enumerate(pivots) if w[c]]
+    big = 1
+    for i, _ in used:
+        h = terms[i][0][1]
+        if h != 1:
+            big = lcm(big, h)
+    if big == 1:
+        return contract(w, used, terms)
+    scaled = [big * x for x in w]
+    return contract(scaled, [(i, (big // terms[i][0][1]) * x) for i, x in used], terms)
 
 
 def _insert(field, rows, terms, pivots, w):
-    """The one pivot step: reduce raw row w (reduced or not) against the raw
-    RREF rows, normalize it at its first nonzero column, clear that column from
-    the other rows and insert it in pivot order, updating rows, terms and
-    pivots in place. Returns the new row's terms, or None if w is in the span.
+    """The one pivot step, fraction-free: reduce the int row w (reduced or
+    not; see Field.integral) against the echelon rows, normalize it at its
+    first nonzero column (Field.normalize), clear that column from the other
+    rows by cross-multiplication and insert it in pivot order, updating rows,
+    terms and pivots in place. Returns the new row's terms, or None if w is
+    in the span. w may be consumed.
     """
     if not any(w):
         return None
     w = field.reduce(_residue(w, pivots, terms))
-    col = next((c for c, x in enumerate(w) if x), None)
-    if col is None:
+    head = next(filter(None, w), 0)
+    if not head:
         return None
-    if w[col] != 1:
-        inv = field.reciprocal(w[col])
-        w = field.reduce([inv * x for x in w])
+    col = w.index(head)
+    # A row with pivot 1 is normalized already, and always is over GF(p).
+    if head != 1:
+        w = field.normalize(w, head)
+        head = w[col]
     top = [_terms(w)]
     for i, r in enumerate(rows):
-        if r[col]:
-            rows[i] = field.reduce(contract(r, [(0, -r[col])], top))
-            terms[i] = _terms(rows[i])
+        x = r[col]
+        if x:
+            # head r - x w over their gcd.
+            if head != 1:
+                g = gcd(head, x)
+                r, x = [(head // g) * v for v in r], x // g
+            r = field.reduce(contract(r, [(0, -x)], top))
+            if r[pivots[i]] != 1:
+                r = field.normalize(r, r[pivots[i]])
+            rows[i] = r
+            terms[i] = _terms(r)
     at = bisect(pivots, col)
     rows.insert(at, w)
     terms.insert(at, top[0])
@@ -295,18 +331,24 @@ def _insert(field, rows, terms, pivots, w):
 
 
 def _echelon(field, rows):
-    """(nonzero rows, pivots) of the RREF of raw rows, inserted in turn (and consumed)."""
+    """(echelon rows, pivots) of raw rows, made integral and inserted in turn
+    (and consumed): row i is the i-th RREF row times its pivot rows[i][p_i]."""
     ech, terms, pivots = [], [], []
     for w in rows:
         if len(pivots) == len(w):
             break  # full rank: every later row is in the span
-        _insert(field, ech, terms, pivots, w)
+        _insert(field, ech, terms, pivots, field.integral(w))
     return ech, pivots
 
 
+def _normalized(field, rows, pivots):
+    """Echelon rows as RREF Vecs: each row divided by its pivot, once."""
+    return [Vec.from_numerators(field, r, r[p]) for r, p in zip(rows, pivots)]
+
+
 def _subspace(field, n, rows, pivots):
-    """The Subspace of F^n with raw RREF rows and pivots."""
-    basis = Mat(field, tuple(Vec.from_raw(field, r) for r in rows), n)
+    """The Subspace of F^n with raw echelon rows and pivots."""
+    basis = Mat(field, tuple(_normalized(field, rows, pivots)), n)
     return Subspace(field, n, basis, tuple(pivots))
 
 
@@ -316,22 +358,43 @@ def _span(field, n, rows):
 
 
 def _null_space(field, rows, pivots, ncols):
-    """{x : M @ x = 0} from the raw RREF rows and pivots of M (extra columns ignored)."""
-    one = field.one.value
+    """{x : M @ x = 0} from the raw echelon rows and pivots of M (extra
+    columns ignored): for each free column f, the solution with x_f = L and
+    x_p = -(L / h) row[f] at each pivot p, h = row[p], L the lcm of the h."""
+    big = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    scales = [big // r[p] for r, p in zip(rows, pivots)]
     basis = []
     for f in range(ncols):
         if f not in pivots:
             coords = [0] * ncols
-            coords[f] = one
-            for r, p in enumerate(pivots):
-                coords[p] = -rows[r][f]
+            coords[f] = big
+            for r, p, s in zip(rows, pivots, scales):
+                coords[p] = -s * r[f]
             basis.append(coords)
     return _span(field, ncols, basis)
 
 
+def _kernel(field, rows, ncols):
+    """{x : M @ x = 0} for the matrix M with raw rows (consumed)."""
+    return _null_space(field, *_echelon(field, rows), ncols)
+
+
 def kernel(m):
     """The solution space {x : m @ x = 0}, as a canonical Subspace."""
-    return _null_space(m.field, *_echelon(m.field, [_raw(r) for r in m.rows]), m.ncols)
+    return _kernel(m.field, [_raw(r) for r in m.rows], m.ncols)
+
+
+def _solve(field, rows, n):
+    """solve for n unknowns on raw rows, each a coefficient row with its
+    right-hand side appended (consumed)."""
+    rows, pivots = _echelon(field, rows)
+    if n in pivots:
+        return None
+    big = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    coords = [0] * n
+    for r, p in zip(rows, pivots):
+        coords[p] = (big // r[p]) * r[n]
+    return Vec.from_numerators(field, coords, big), _null_space(field, rows, pivots, n)
 
 
 def solve(m, b):
@@ -341,14 +404,7 @@ def solve(m, b):
     """
     if b.field is not m.field or len(b) != m.nrows:
         raise FieldMismatchError("right-hand side shape mismatch")
-    n = m.ncols
-    rows, pivots = _echelon(m.field, [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)])
-    if n in pivots:
-        return None
-    coords = [0] * n
-    for r, p in enumerate(pivots):
-        coords[p] = rows[r][n]
-    return Vec.from_raw(m.field, coords), _null_space(m.field, rows, pivots, n)
+    return _solve(m.field, [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)], m.ncols)
 
 
 class Subspace:

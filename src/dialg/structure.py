@@ -14,8 +14,13 @@ Every ideal question goes through one closure, `_closure`: a Meat-Axe
 spin (Parker 1984; Holt and Rees 1994) of the subspace under the unit
 multiplications, on raw rows. Each product of a new vector is one
 `contract` against a row or column of the product's sparse view, and the
-span grows as raw RREF rows by linalg's one pivot step, `_insert`, so this
-module does no elimination of its own and builds no Vec per product.
+span grows as int echelon rows by linalg's one pivot step, `_insert`, so
+this module does no elimination of its own and builds no Vec per product.
+
+The annihilators are kernels of the int rows that
+BilinearProduct.multiplication_rows reads off each product's sparse view:
+one kernel per one-sided annihilator, and ann = rann_left meet lann_right
+as one kernel of the two systems' echelon rows together.
 """
 
 from __future__ import annotations
@@ -35,7 +40,19 @@ from .errors import (
 )
 from .fields import PRIME
 from .identities import associative_violations
-from .linalg import Mat, Subspace, Vec, _insert, _raw, _subspace, all_subspaces, contract, kernel
+from .linalg import (
+    Mat,
+    Subspace,
+    Vec,
+    _echelon,
+    _insert,
+    _kernel,
+    _null_space,
+    _raw,
+    _subspace,
+    all_subspaces,
+    contract,
+)
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -55,30 +72,37 @@ class AnnihilatorProfile:
     ann: Subspace
 
 
-def _right_annihilator(product):
-    """{x : e_i * x = 0 for all i}; the left one for product.transpose_args()."""
-    return kernel(Mat(product.field, product.left_multiplication_rows(), product.dim))
-
-
 def annihilators(d):
-    """All four annihilators of a dialgebra, plus their intersection."""
-    rann_left = _right_annihilator(d.left)
-    lann_left = _right_annihilator(d.left.transpose_args())
+    """All four annihilators of a dialgebra, plus their intersection.
+
+    Each one-sided annihilator is one kernel of a product's multiplication
+    rows, read off its int view; ann is one kernel of the rows of rann_left
+    and lann_right together.
+    """
+    field, n = d.field, d.dim
+
+    def echelon(rows):
+        return _echelon(field, list(rows.values()))
+
+    rann_left = echelon(d.left.multiplication_rows())
+    lann_left = echelon(d.left.multiplication_rows(right=True))
     if d.right is d.left:
         rann_right, lann_right = rann_left, lann_left
     else:
-        rann_right = _right_annihilator(d.right)
-        lann_right = _right_annihilator(d.right.transpose_args())
+        rann_right = echelon(d.right.multiplication_rows())
+        lann_right = echelon(d.right.multiplication_rows(right=True))
+    # The echelon rows span the same systems as the rows they came from.
+    both = _echelon(field, [list(r) for r in rann_left[0] + lann_right[0]])
     return AnnihilatorProfile(
-        rann_left, lann_left, rann_right, lann_right, rann_left.intersect(lann_right)
+        *(_null_space(field, *e, n) for e in (rann_left, lann_left, rann_right, lann_right, both))
     )
 
 
 def algebra_annihilator(a):
     """{x : x A = A x = 0} for a single-product algebra."""
     prod = a.product
-    rows = prod.left_multiplication_rows() + prod.transpose_args().left_multiplication_rows()
-    return kernel(Mat(a.field, rows, a.dim))
+    rows = [*prod.multiplication_rows().values(), *prod.multiplication_rows(right=True).values()]
+    return _kernel(a.field, rows, a.dim)
 
 
 def _closure(u, products, stop=None):
@@ -89,11 +113,12 @@ def _closure(u, products, stop=None):
     column j and row j of each product's sparse view, so each product of a
     queued vector is one contract. The view holds int numerators over the
     table's den, so a product comes out scaled by den, which leaves its span
-    as it is. The span is kept as raw RREF rows with their pivots, and each
-    product goes to linalg._insert, which returns the terms of the new row
-    or None when the product is already in the span. Only new vectors are
-    queued, the search stops once the span has stop (at most n) dimensions,
-    and the rows, kept in pivot order, are the Subspace.
+    as it is. The span is kept as int echelon rows with their pivots, the
+    seeds made integral once, and each product goes to linalg._insert, which
+    returns the terms of the new row or None when the product is already in
+    the span. Only new vectors are queued, the search stops once the span
+    has stop (at most n) dimensions, and the rows, kept in pivot order, are
+    the Subspace.
     """
     field, n = u.field, u.ambient_dim
     if any(m.field is not field or m.dim != n for m in products):
@@ -108,7 +133,7 @@ def _closure(u, products, stop=None):
         for side in ([view[i][j] for i in range(n)], view[j])
     ]
     rows, terms, pivots = [], [], []
-    queue = [_insert(field, rows, terms, pivots, _raw(r)) for r in u.basis.rows]
+    queue = [_insert(field, rows, terms, pivots, field.integral(_raw(r))) for r in u.basis.rows]
     while queue and len(rows) < stop:
         b = queue.pop()
         for side in maps:

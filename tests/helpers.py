@@ -11,9 +11,12 @@ from dialg import (
     KIND_III,
     KIND_IV,
     Algebra,
+    AnnihilatorProfile,
+    BarUnitSet,
     BilinearProduct,
     Dialgebra,
     Field,
+    Fingerprint,
     Mat,
     NotADialgebraError,
     NotInvertibleError,
@@ -526,6 +529,88 @@ def reference_intersect(u, w):
         reference_vec_mat(Vec(u.field, x.coords[: u.dim]), u.basis) for x in left_null.basis.rows
     ]
     return reference_span(u.field, u.ambient_dim, vectors)
+
+
+def reference_multiplication_rows(prod, right=False):
+    """The maps x -> e_i * x (x -> x * e_i when right) as Scalar rows: row
+    (i, k) holds coordinate k of e_i * e_j (of e_j * e_i) over j, zero rows
+    included, in (i, k) order."""
+    n = prod.dim
+    return [
+        Vec(prod.field, tuple((prod.rows[j][i] if right else prod.rows[i][j]).coords[k]
+                              for j in range(n)))
+        for i in range(n)
+        for k in range(n)
+    ]
+
+
+def reference_annihilators(d):
+    """annihilators by the Scalar route: one reference_kernel of the Scalar
+    multiplication rows per side, and ann as the intersection of rann_left
+    and lann_right."""
+    def side(prod, right):
+        return reference_kernel(Mat(d.field, reference_multiplication_rows(prod, right), d.dim))
+
+    rann_left, lann_left = side(d.left, False), side(d.left, True)
+    rann_right, lann_right = side(d.right, False), side(d.right, True)
+    ann = reference_intersect(rann_left, lann_right)
+    return AnnihilatorProfile(rann_left, lann_left, rann_right, lann_right, ann)
+
+
+def reference_bar_units(d):
+    """bar_units by reference_solve on the Scalar rows of e_j -> e_i <| e_j
+    and e_j -> e_j |> e_i, right-hand side delta_ik."""
+    field, n = d.field, d.dim
+    rows = reference_multiplication_rows(d.left) + reference_multiplication_rows(d.right, True)
+    delta = tuple(field.one if i == k else field.zero for i in range(n) for k in range(n))
+    result = reference_solve(Mat(field, tuple(rows), n), Vec(field, delta + delta))
+    return BarUnitSet(None, None) if result is None else BarUnitSet(*result)
+
+
+def reference_fingerprint(d):
+    """fingerprint from reference_annihilators, reference_bar_units and the
+    reference_span of each product's n^2 basis products."""
+    units = [Vec.unit(d.field, d.dim, i) for i in range(d.dim)]
+    prof = reference_annihilators(d)
+    squares = [
+        reference_span(d.field, d.dim, [reference_apply(m, a, b) for a in units for b in units]).dim
+        for m in (d.left, d.right)
+    ]
+    return Fingerprint(
+        *squares,
+        prof.rann_left.dim,
+        prof.lann_left.dim,
+        prof.rann_right.dim,
+        prof.lann_right.dim,
+        prof.ann.dim,
+        d.left == d.right,
+        reference_bar_units(d).point is not None,
+    )
+
+
+def reference_quotient(d, ideal):
+    """(quotient, projection) as quotient computes them, by reference_reduce
+    and reference_apply on Scalars, or None when ideal is not an ideal."""
+    n, field = d.dim, d.field
+    units = [Vec.unit(field, n, i) for i in range(n)]
+    for m in (d.left, d.right):
+        for b in ideal.basis.rows:
+            for e in units:
+                for x, y in ((b, e), (e, b)):
+                    if reference_reduce(ideal, reference_apply(m, x, y)):
+                        return None
+    keep = [c for c in range(n) if c not in ideal.pivots]
+
+    def project(v):
+        return Vec(field, tuple(reference_reduce(ideal, v).coords[c] for c in keep))
+
+    proj = Mat(field, tuple(project(e) for e in units), len(keep))
+    left, right = (
+        BilinearProduct(field, len(keep), tuple(tuple(project(m.row(a, b)) for b in keep)
+                                                for a in keep))
+        for m in (d.left, d.right)
+    )
+    return Dialgebra(field, len(keep), left, right), proj
 
 
 def reference_vec_mat(v, m):
