@@ -17,10 +17,12 @@ of them vanish, and one of two explicit rescalings of (r, s) reaches the
 canonical table. The one-sided zero kinds are the members of this family
 with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0.
 
-Isomorphism tests and automorphism groups over GF(p) import glsearch, a
-pure-Python search over GL(n, p) row by row, on first use. Only the census
-and the enumeration of valid dialgebras import gfsearch, and with it numpy,
-so neither the exact paths nor an isomorphism search load numpy.
+Isomorphism tests and automorphism groups import glsearch on first use: a
+pure-Python search over GL(n, p) row by row, whose dimension-1 closed form
+also gives the rational dim-1 witness; rational dimension 2 goes through
+the canonical forms. Only the census and the enumeration of valid
+dialgebras import gfsearch, and with it numpy, so neither the exact paths
+nor an isomorphism search load numpy.
 """
 
 from __future__ import annotations
@@ -316,27 +318,6 @@ def classify_dim2(d):
     return ClassLabel(kind, k, sublabel, witness, canonical)
 
 
-def _rational_dim1_witness(a, b):
-    # One basis vector e with e*e = c e per product; e -> t e works iff
-    # scaling both constants by t matches, with t nonzero.
-    al, ar = a.left.entry(0, 0, 0), a.right.entry(0, 0, 0)
-    bl, br = b.left.entry(0, 0, 0), b.right.entry(0, 0, 0)
-    if bl:
-        t = al / bl
-    elif al:
-        return None
-    elif br:
-        t = ar / br
-    elif ar:
-        return None
-    else:
-        t = a.field.one
-    if not t:
-        return None
-    witness = Mat.from_rows(a.field, [[t]])
-    return witness if is_isomorphism(a, b, witness) else None
-
-
 def _rational_dim2_witness(a, b):
     la = classify_dim2(a)
     lb = classify_dim2(b)
@@ -369,7 +350,8 @@ def are_isomorphic(a, b, bound=DEFAULT_SEARCH_BOUND):
 
     Over GF(p) the search is exhaustive over GL(dim, p) subject to the
     candidate budget. Over the rationals only dimensions up to 2 are
-    decided, through the canonical forms.
+    decided: dimension 1 by glsearch's closed form, dimension 2 through the
+    canonical forms.
     """
     if a.field is not b.field:
         raise FieldMismatchError("dialgebras live over different fields")
@@ -382,7 +364,9 @@ def are_isomorphic(a, b, bound=DEFAULT_SEARCH_BOUND):
     if a.field.kind == PRIME:
         return next(_gl_isomorphisms(a, b, bound), None)
     if a.dim == 1:
-        return _rational_dim1_witness(a, b)
+        from .glsearch import isomorphisms
+
+        return next(isomorphisms(a, b), None)
     if a.dim == 2:
         return _rational_dim2_witness(a, b)
     raise UnsupportedOverRationalsError(

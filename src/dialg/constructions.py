@@ -74,6 +74,11 @@ class ZeroCubedTriple:
         )
 
     def apply(self, x, y):
+        """f(x, y) for two coordinate vectors over X."""
+        if x.field is not self.field or y.field is not self.field:
+            raise FieldMismatchError("vector field mismatch")
+        if len(x) != self.x_dim or len(y) != self.x_dim:
+            raise FieldMismatchError("vector length mismatch")
         view = [[_vec_terms(g) for g in row] for row in self.f]
         raw = contract_pair([0] * self.z_dim, _vec_terms(x), _vec_terms(y), view)
         return Vec.from_raw(self.field, raw)

@@ -21,6 +21,11 @@ The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
 one kernel per one-sided annihilator, and ann = rann_left meet lann_right
 as one kernel of the two systems' echelon rows together.
+
+Triple equivalence is an isomorphism search: each pairing f: X x X -> Z
+becomes the algebra on X + Z, X first, and glsearch's row search, imported
+on first use and split into the X and Z blocks, finds the block maps
+(alpha, beta). So this module never imports gfsearch or numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 
-from .algebras import ProductTag
+from .algebras import BilinearProduct, Dialgebra, ProductTag
 from .constructions import ZeroCubedTriple
 from .errors import (
     FieldMismatchError,
@@ -294,6 +299,14 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
 
     Returns invertible matrices with t2.f(x @ beta, y @ beta) = t1.f(x, y) @ alpha
     on all basis pairs, or None. Exhaustive, so finite fields only.
+
+    Each pairing is the algebra on X + Z, X coordinates first, whose two
+    products are the one table (a, b, x + c) -> f[a][b][c]; a block-diagonal
+    diag(beta, alpha) sends the first to the second exactly when (alpha,
+    beta) matches the pairings. The answer is glsearch's first such map, cut
+    to blocks at X: block-diagonal matrices in lexicographic order run
+    beta-major, so it pairs the least beta that has a solution with the
+    least alpha for it, in GL enumeration order.
     """
     if t1.field is not t2.field:
         raise FieldMismatchError("triples live over different fields")
@@ -304,16 +317,20 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
         return None
     z, x = t1.z_dim, t1.x_dim
     guard_search("triple equivalence search", field.p ** (z * z + x * x), bound)
-    from .gfsearch import gl_matrices, int_matrix_to_mat
+    from .glsearch import isomorphisms
 
-    # Each pairing image tuple maps to the first alpha, in GL order, giving it.
-    alphas = {}
-    for m in gl_matrices(field.p, z)[0]:
-        alpha = int_matrix_to_mat(field, m)
-        alphas.setdefault(tuple(g @ alpha for row in t1.f for g in row), alpha)
-    for m in gl_matrices(field.p, x)[0]:
-        beta = int_matrix_to_mat(field, m)
-        alpha = alphas.get(tuple(t2.apply(u, v) for u in beta.rows for v in beta.rows))
-        if alpha is not None:
-            return alpha, beta
-    return None
+    found = next(isomorphisms(_pairing_algebra(t1), _pairing_algebra(t2), split=x), None)
+    if found is None:
+        return None
+    alpha = Mat(field, [Vec(field, r.coords[x:]) for r in found.rows[x:]], z)
+    beta = Mat(field, [Vec(field, r.coords[:x]) for r in found.rows[:x]], x)
+    return alpha, beta
+
+
+def _pairing_algebra(t):
+    """The pairing on X + Z, X first, as a dialgebra with one shared product."""
+    field, n = t.field, t.x_dim + t.z_dim
+    zero, pad = Vec.zero(field, n), (field.zero,) * t.x_dim
+    rows = [[Vec(field, pad + v.coords) for v in row] + [zero] * t.z_dim for row in t.f]
+    product = BilinearProduct(field, n, rows + [[zero] * n] * t.z_dim)
+    return Dialgebra(field, n, product, product)

@@ -241,13 +241,40 @@ def test_rational_isomorphism_through_canonical_forms():
     assert are_isomorphic(a, c) is None
 
 
-def test_rational_isomorphism_dim1():
-    a = Dialgebra.from_entries(QQ, 1, {(0, 0, 0): 2}, {(0, 0, 0): 4})
-    b = Dialgebra.from_entries(QQ, 1, {(0, 0, 0): 1}, {(0, 0, 0): 2})
-    w = are_isomorphic(a, b)
-    assert w is not None and is_isomorphism(a, b, w)
-    c = Dialgebra.from_entries(QQ, 1, {(0, 0, 0): 1}, {(0, 0, 0): 3})
-    assert are_isomorphic(a, c) is None
+@pytest.mark.parametrize(
+    "a, b, t",
+    [
+        ((2, 4), (1, 2), 2),
+        ((2, 4), (1, 3), None),
+        ((0, 0), (0, 0), 1),
+        ((1, 0), (0, 0), None),
+        ((0, 2), (0, 0), None),
+        ((0, 0), (1, 0), None),
+        ((0, 1), (0, 1), 1),
+        ((1, 2), (1, 1), None),
+        ((0, 3), (0, 6), Fraction(1, 2)),
+        ((3, 0), (6, 0), Fraction(1, 2)),
+    ],
+    ids=[
+        "scaled",
+        "different-ratios",
+        "all-zero",
+        "left-x-against-zero",
+        "right-x-against-zero",
+        "left-t-zero",
+        "right-t-one",
+        "different-t",
+        "left-zero-right-fixes",
+        "right-zero-left-fixes",
+    ],
+)
+def test_rational_isomorphism_dim1(a, b, t):
+    da, db = (Dialgebra.from_entries(QQ, 1, {(0, 0, 0): l}, {(0, 0, 0): r}) for l, r in (a, b))
+    w = are_isomorphic(da, db)
+    if t is None:
+        assert w is None
+    else:
+        assert w == Mat.from_rows(QQ, [[t]]) and is_isomorphism(da, db, w)
 
 
 def test_rational_from_associative_pairs_are_unsupported():

@@ -316,6 +316,21 @@ def test_iso_and_automorphisms_over_gf3_do_not_import_numpy(tmp_path):
     assert _modules_after(probe.format(aut)) == "6\nFalse\n"
 
 
+def test_triples_equivalent_over_gf3_does_not_import_numpy():
+    # x^2 - y^2 and 2xy: the witness is the least beta with a solution and
+    # the least alpha for it, as the double loop over GL(2, 3) x GL(1, 3) finds.
+    probe = "import sys\n{}\nprint('numpy' in sys.modules)"
+    triples = (
+        "from dialg import Field, ZeroCubedTriple, triples_equivalent\n"
+        "F = Field.prime(3)\n"
+        "t1 = ZeroCubedTriple.from_entries(F, 1, 2, {(0, 0, 0): 1, (1, 1, 0): 2})\n"
+        "t2 = ZeroCubedTriple.from_entries(F, 1, 2, {(0, 1, 0): 1, (1, 0, 0): 1})\n"
+        "alpha, beta = triples_equivalent(t1, t2)\n"
+        "print(alpha, beta, sep='; ')"
+    )
+    assert _modules_after(probe.format(triples)) == "2; 1 1; 1 2\nFalse\n"
+
+
 def test_iso_over_the_search_bound_env_exits_2_before_any_search(tmp_path):
     pa, pb = t2_files(tmp_path)
     done = _fresh("-m", "dialg.cli", "iso", pa, pb, DIALG_SEARCH_BOUND="100")

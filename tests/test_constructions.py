@@ -115,6 +115,23 @@ def test_zero_cubed_triple_checks_its_grid_when_built_directly():
         ZeroCubedTriple(QQ, 1, 1, ((Vec.of(GF3, [1]),),))
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Vec.of(GF5, [4, 0]), Vec.of(GF5, [1, 0])),
+        (Vec.of(GF3, [1, 0]), Vec.of(GF5, [1, 0])),
+        (Vec.of(GF3, [1]), Vec.of(GF3, [1, 0])),
+        (Vec.of(GF3, [1, 0]), Vec.of(GF3, [1, 0, 0])),
+    ],
+    ids=["wrong-field", "wrong-field-second", "short", "long"],
+)
+def test_zero_cubed_triple_apply_checks_its_arguments(x, y):
+    t = ZeroCubedTriple.from_entries(GF3, 1, 2, {(0, 0, 0): 1, (1, 1, 0): 2})
+    assert t.apply(Vec.of(GF3, [1, 1]), Vec.of(GF3, [1, 1])) == Vec.of(GF3, [0])
+    with pytest.raises(FieldMismatchError):
+        t.apply(x, y)
+
+
 def test_zero_cubed_build_zero_pairing_is_trivial():
     t = ZeroCubedTriple.from_entries(QQ, 1, 2, {})
     a = zero_cubed_build(t)

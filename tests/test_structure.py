@@ -462,8 +462,8 @@ def test_dimension_mismatch_is_inequivalent():
 
 # Block sizes (z, x) per field that keep the reference double loop small.
 TRIPLE_SHAPES = {
-    2: [(0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)],
-    3: [(1, 1), (1, 2), (2, 1), (2, 2)],
+    2: [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)],
+    3: [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)],
     5: [(1, 1), (1, 2), (2, 1)],
 }
 
