@@ -51,6 +51,17 @@ def _entry_key(key, bounds):
     return key
 
 
+def _entry_grid(field, entries, shape):
+    """The nested Vec tuples g[i][j] of shape (rows, columns, length) with
+    coordinate k of g[i][j] = c for each (i, j, k): c in entries, else 0."""
+    n, m, length = shape
+    grid = [[[field.zero] * length for _ in range(m)] for _ in range(n)]
+    for key, c in entries.items():
+        i, j, k = _entry_key(key, shape)
+        grid[i][j][k] = field.scalar(c)
+    return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
+
+
 class ProductTag(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -84,15 +95,7 @@ class BilinearProduct:
     @classmethod
     def from_entries(cls, field, dim, entries):
         """Build from a {(i, j, k): coefficient} mapping, 0-based indices."""
-        grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for key, c in entries.items():
-            i, j, k = _entry_key(key, (dim, dim, dim))
-            grid[i][j][k] = field.scalar(c)
-        return cls(
-            field,
-            dim,
-            tuple(tuple(Vec(field, tuple(grid[i][j])) for j in range(dim)) for i in range(dim)),
-        )
+        return cls(field, dim, _entry_grid(field, entries, (dim, dim, dim)))
 
     def entry(self, i, j, k):
         return self.rows[i][j].coords[k]

@@ -54,17 +54,16 @@ KIND_IV = "IV"
 SUBLABEL_TRIVIAL = "trivial"
 SUBLABEL_SQUARE = "square-type"
 
-# gfsearch names that stay readable as attributes of this module, resolved
-# on first access: the ones the census uses, and gl_matrices, which the
-# benchmark's tracer test reads as classify.gl_matrices.
-_GFSEARCH_NAMES = frozenset("arrays_to_dialgebra gl_matrices pair_orbit valid_pairs".split())
 
-
+# census, enumerate_valid_dialgebras and _valid_pairs import from gfsearch
+# inside the function. gfsearch's gl_matrices alone stays readable here, as
+# classify.gl_matrices resolved on first access, since the benchmark's
+# tracer test reads it.
 def __getattr__(name):
-    if name in _GFSEARCH_NAMES:
-        from . import gfsearch
+    if name == "gl_matrices":
+        from .gfsearch import gl_matrices
 
-        return getattr(gfsearch, name)
+        return gl_matrices
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

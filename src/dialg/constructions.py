@@ -1,9 +1,13 @@
 """Standard ways of building dialgebras and their derived algebras.
 
 Covers: the dialgebra with both products equal to an associative product,
-opposites, algebras with vanishing triple products built from a bilinear
-pairing into an annihilating block, dialgebras from a square-zero
-derivation, the Leibniz bracket, and quotients by ideals.
+opposites, zero-cubed algebras (A(AA) = (AA)A = 0) built from a bilinear
+pairing f: X x X -> Z into an annihilating block Z, dialgebras from a
+square-zero derivation, the Leibniz bracket, and quotients by ideals.
+
+One method writes the table of a pairing, ZeroCubedTriple._product, in
+either block order: Z coordinates first for zero_cubed_build, X first for
+structure's triple equivalence.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_key
+from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_grid
 from .errors import (
     DerivationSquareError,
     FieldMismatchError,
@@ -21,7 +25,7 @@ from .errors import (
     NotAssociativeError,
 )
 from .identities import associative_violations, dialgebra_violations
-from .linalg import Mat, Subspace, Vec, _vec_terms, contract, contract_pair, kernel
+from .linalg import Mat, Subspace, Vec, _kernel, _vec_terms, contract, contract_pair
 
 
 def from_associative(a):
@@ -62,16 +66,7 @@ class ZeroCubedTriple:
 
     @classmethod
     def from_entries(cls, field, z_dim, x_dim, entries):
-        grid = [[[field.zero] * z_dim for _ in range(x_dim)] for _ in range(x_dim)]
-        for key, val in entries.items():
-            a, b, c = _entry_key(key, (x_dim, x_dim, z_dim))
-            grid[a][b][c] = field.scalar(val)
-        return cls(
-            field,
-            z_dim,
-            x_dim,
-            tuple(tuple(Vec(field, tuple(grid[a][b])) for b in range(x_dim)) for a in range(x_dim)),
-        )
+        return cls(field, z_dim, x_dim, _entry_grid(field, entries, (x_dim, x_dim, z_dim)))
 
     def apply(self, x, y):
         """f(x, y) for two coordinate vectors over X."""
@@ -89,25 +84,36 @@ class ZeroCubedTriple:
         return Subspace.from_vectors(self.field, self.z_dim, vals)
 
     def radical(self):
-        """{v in X : f(v, .) = 0 = f(., v)}; zero iff Z is exactly the annihilator."""
-        rows = []
-        for b in range(self.x_dim):
-            for c in range(self.z_dim):
-                rows.append(Vec(self.field, tuple(self.f[a][b].coords[c] for a in range(self.x_dim))))
-                rows.append(Vec(self.field, tuple(self.f[b][a].coords[c] for a in range(self.x_dim))))
-        return kernel(Mat(self.field, tuple(rows), self.x_dim))
+        """{v in X : f(v, .) = 0 = f(., v)}; zero iff Z is exactly the annihilator.
+
+        One kernel of the raw rows a -> f[a][b][c] and a -> f[b][a][c].
+        """
+        f, xs = self.f, range(self.x_dim)
+        rows = [
+            [(f[a][b] if left else f[b][a]).coords[c].value for a in xs]
+            for b in xs
+            for c in range(self.z_dim)
+            for left in (True, False)
+        ]
+        return _kernel(self.field, rows, self.x_dim)
+
+    def _product(self, x_first):
+        """The product (z + x)(z' + x') = f(x, x') on Z + X, Z coordinates
+        first, or X coordinates first when x_first: the X block starts at xo
+        and the Z coordinates at zo."""
+        field, n = self.field, self.z_dim + self.x_dim
+        xo, zo = (0, self.x_dim) if x_first else (self.z_dim, 0)
+        zero, pad = Vec.zero(field, n), (field.zero,) * self.x_dim
+        rows = [[zero] * n for _ in range(n)]
+        for a, row in enumerate(self.f):
+            for b, v in enumerate(row):
+                rows[xo + a][xo + b] = Vec(field, pad[:zo] + v.coords + pad[zo:])
+        return BilinearProduct(field, n, rows)
 
 
 def zero_cubed_build(t):
-    """The algebra on Z + X (Z coordinates first) with (z+x)(z'+x') = f(x, x')."""
-    dim = t.z_dim + t.x_dim
-    entries = {}
-    for a in range(t.x_dim):
-        for b in range(t.x_dim):
-            for c, val in enumerate(t.f[a][b].coords):
-                if val:
-                    entries[(t.z_dim + a, t.z_dim + b, c)] = val
-    return Algebra.from_entries(t.field, dim, entries)
+    """The algebra on Z + X, Z coordinates first, with (z + x)(z' + x') = f(x, x')."""
+    return Algebra(t.field, t.z_dim + t.x_dim, t._product(x_first=False))
 
 
 def from_differential(a, d):

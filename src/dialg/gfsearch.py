@@ -39,7 +39,7 @@ from .algebras import BilinearProduct, Dialgebra
 from .errors import FieldMismatchError
 from .fields import PRIME
 from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS, LAW_ASSOC_LEFT
-from .linalg import Mat, Vec
+from .linalg import Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
 
@@ -224,8 +224,3 @@ def arrays_to_dialgebra(field, left, right):
 def int_tensor_to_product(field, tensor):
     rows = tuple(tuple(Vec.of(field, v) for v in row) for row in np.asarray(tensor).tolist())
     return BilinearProduct(field, len(rows), rows)
-
-
-def int_matrix_to_mat(field, matrix):
-    matrix = np.asarray(matrix)
-    return Mat.from_rows(field, matrix.tolist(), matrix.shape[1])

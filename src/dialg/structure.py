@@ -22,10 +22,14 @@ BilinearProduct.multiplication_rows reads off each product's sparse view:
 one kernel per one-sided annihilator, and ann = rann_left meet lann_right
 as one kernel of the two systems' echelon rows together.
 
-Triple equivalence is an isomorphism search: each pairing f: X x X -> Z
-becomes the algebra on X + Z, X first, and glsearch's row search, imported
-on first use and split into the X and Z blocks, finds the block maps
-(alpha, beta). So this module never imports gfsearch or numpy.
+A zero-cubed algebra, A(AA) = (AA)A = 0, is associative, since then
+(xy)z = 0 = x(yz), so is_zero_cubed tests the two subspace products alone.
+It splits as its annihilator Z plus a pairing f: X x X -> Z on the
+non-pivot units X: zero_cubed_decompose rebases onto that basis and reads
+f off the rebased table. Triple equivalence is an isomorphism search: each
+pairing becomes the algebra on X + Z, X first, and glsearch's row search,
+imported on first use and split into the X and Z blocks, finds the block
+maps (alpha, beta). So this module never imports gfsearch or numpy.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 
-from .algebras import BilinearProduct, Dialgebra, ProductTag
-from .constructions import ZeroCubedTriple
+from .algebras import Dialgebra, ProductTag
+from .constructions import ZeroCubedTriple, zero_cubed_build
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
@@ -44,7 +48,6 @@ from .errors import (
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME
-from .identities import associative_violations
 from .linalg import (
     Mat,
     Subspace,
@@ -256,9 +259,7 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
 
 
 def is_zero_cubed(a):
-    """Associative with A(AA) = (AA)A = 0."""
-    if any(associative_violations(a)):
-        return False
+    """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz)."""
     full = Subspace.full(a.field, a.dim)
     square = a.square_space()
     return (
@@ -271,26 +272,25 @@ def zero_cubed_decompose(a):
     """Split a zero-cubed algebra as annihilator block plus complement pairing.
 
     Returns (triple, witness) where the witness rows are the new basis in old
-    coordinates (annihilator basis first); rewriting a on that basis gives
-    exactly zero_cubed_build(triple).
+    coordinates (annihilator basis first, then the units at its non-pivot
+    columns); rewriting a on that basis gives exactly
+    zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
+    Z block of the rebased product of the complement units i and j.
     """
     if not is_zero_cubed(a):
         raise NotZeroCubedError("input is not an associative zero-cubed algebra")
+    field, n = a.field, a.dim
     z = algebra_annihilator(a)
-    keep = [c for c in range(a.dim) if c not in z.pivots]
-    units = tuple(Vec.unit(a.field, a.dim, i) for i in range(a.dim))
-    f_rows = []
-    for pa in keep:
-        row = []
-        for pb in keep:
-            v = a.multiply(units[pa], units[pb])
-            if not z.contains(v):
-                raise InternalCheckError("complement product left the annihilator")
-            row.append(Vec(a.field, tuple(v.coords[p] for p in z.pivots)))
-        f_rows.append(tuple(row))
-    triple = ZeroCubedTriple(a.field, z.dim, len(keep), tuple(f_rows))
-    witness_rows = list(z.basis.rows) + [units[c] for c in keep]
-    witness = Mat(a.field, tuple(witness_rows), a.dim)
+    units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
+    witness = Mat(field, (*z.basis.rows, *units), n)
+    rebased = a.rebase(witness)
+    f = tuple(
+        tuple(Vec(field, v.coords[: z.dim]) for v in row[z.dim :])
+        for row in rebased.product.rows[z.dim :]
+    )
+    triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
+    if rebased != zero_cubed_build(triple):
+        raise InternalCheckError("complement product left the annihilator")
     return triple, witness
 
 
@@ -329,8 +329,5 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
 
 def _pairing_algebra(t):
     """The pairing on X + Z, X first, as a dialgebra with one shared product."""
-    field, n = t.field, t.x_dim + t.z_dim
-    zero, pad = Vec.zero(field, n), (field.zero,) * t.x_dim
-    rows = [[Vec(field, pad + v.coords) for v in row] + [zero] * t.z_dim for row in t.f]
-    product = BilinearProduct(field, n, rows + [[zero] * n] * t.z_dim)
-    return Dialgebra(field, n, product, product)
+    product = t._product(x_first=True)
+    return Dialgebra(t.field, product.dim, product, product)

@@ -148,6 +148,12 @@ def random_vec(field, n, rng, lo=-4, hi=4):
     return Vec(field, tuple(random_scalar(field, rng, lo, hi) for _ in range(n)))
 
 
+def int_matrix_to_mat(field, matrix):
+    """The Mat of an int matrix (a numpy array or nested lists)."""
+    matrix = np.asarray(matrix)
+    return Mat.from_rows(field, matrix.tolist(), matrix.shape[1])
+
+
 def random_invertible(field, n, rng, lo=-3, hi=3):
     while True:
         m = Mat.from_rows(
@@ -658,7 +664,7 @@ def reference_is_isomorphism(a, b, t):
 def reference_triples_equivalent(t1, t2):
     """triples_equivalent by the double loop over GL(x) x GL(z): the first
     beta, then the first alpha, with t2.f(x beta, y beta) = t1.f(x, y) alpha."""
-    from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+    from dialg.gfsearch import gl_matrices
 
     field, z, x = t1.field, t1.z_dim, t1.x_dim
     if (t2.z_dim, t2.x_dim) != (z, x):

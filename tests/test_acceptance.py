@@ -48,7 +48,7 @@ from dialg import (
     zero_cubed_decompose,
 )
 from dialg.cli import main as cli_main
-from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+from dialg.gfsearch import gl_matrices
 from helpers import (
     GF2,
     GF3,
@@ -56,6 +56,7 @@ from helpers import (
     GF7,
     QQ,
     associative_zoo,
+    int_matrix_to_mat,
     random_invertible,
     random_valid_dialgebras,
     square_algebra,

@@ -39,6 +39,7 @@ from helpers import (
     GF2,
     GF3,
     all_tensors,
+    int_matrix_to_mat,
     reference_associative_indices,
     reference_valid_pairs,
 )
@@ -181,7 +182,7 @@ def test_rejected_pairs_really_fail_the_scalar_checker():
 
 def test_orbit_members_classify_like_their_representative(census_gf2):
     from dialg import classify_dim2
-    from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+    from dialg.gfsearch import gl_matrices
 
     mats, _ = gl_matrices(2, 2)
     for c in census_gf2:
@@ -229,7 +230,6 @@ def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):
     from dialg.gfsearch import (
         dialgebra_to_arrays,
         gl_matrices,
-        int_matrix_to_mat,
         transform_tensor_batch,
     )
 

@@ -44,6 +44,7 @@ from helpers import (
     QQ,
     associative_zoo,
     idempotent_line_algebra,
+    int_matrix_to_mat,
     random_invertible,
     random_valid_dialgebras,
     reference_classify_dim2,
@@ -172,7 +173,7 @@ def test_classification_is_basis_independent_over_the_rationals():
 
 
 def test_classification_is_basis_independent_over_gf2():
-    from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+    from dialg.gfsearch import gl_matrices
 
     mats, _ = gl_matrices(2, 2)
     for kind, k in ((KIND_I, None), (KIND_II, 1), (KIND_III, None), (KIND_IV, None)):

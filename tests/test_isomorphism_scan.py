@@ -24,11 +24,11 @@ from dialg.gfsearch import (
     arrays_to_dialgebra,
     dialgebra_to_arrays,
     gl_matrices,
-    int_matrix_to_mat,
     isomorphism_indices,
     transform_tensor_batch,
 )
 from helpers import (
+    int_matrix_to_mat,
     matrix_algebra,
     random_valid_dialgebras,
     reference_isomorphism_indices,

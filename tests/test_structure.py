@@ -36,19 +36,25 @@ from dialg import (
     from_associative,
     generated_ideal,
     is_ideal,
+    is_valid_dialgebra,
     is_zero_cubed,
     structure_flags,
     triples_equivalent,
     zero_cubed_build,
     zero_cubed_decompose,
 )
-from dialg.gfsearch import gl_matrices, int_matrix_to_mat
+from dialg.gfsearch import gl_matrices
 from dialg.structure import is_algebra_ideal
 from helpers import (
     GF2,
     GF3,
     GF5,
     QQ,
+    int_matrix_to_mat,
+    matrix_algebra,
+    random_invertible,
+    random_nonzero_scalar,
+    random_scalar,
     random_valid_dialgebras,
     reference_closure,
     reference_ideals,
@@ -390,6 +396,47 @@ def test_is_zero_cubed():
     assert is_zero_cubed(square_algebra(QQ))
     assert is_zero_cubed(Algebra.from_entries(QQ, 2, {}))
     assert not is_zero_cubed(upper_triangular_algebra(QQ))
+
+
+def _one_zero_product_inputs(field, rng):
+    """Sparse random tables, zero_cubed_build of random pairings under random
+    base changes (dims 1 to 4), and T_2 and M_2, associative but not zero-cubed."""
+    for n in range(1, 5):
+        for _ in range(6):
+            cells = rng.sample(list(product(range(n), repeat=3)), rng.randint(1, n))
+            yield Algebra.from_entries(field, n, {c: random_nonzero_scalar(field, rng) for c in cells})
+        for z in range(n + 1):
+            x = n - z
+            entries = {
+                (a, b, c): random_scalar(field, rng)
+                for a in range(x)
+                for b in range(x)
+                for c in range(z)
+            }
+            t = ZeroCubedTriple.from_entries(field, z, x, entries)
+            yield zero_cubed_build(t).rebase(random_invertible(field, n, rng))
+    yield upper_triangular_algebra(field)
+    yield matrix_algebra(field, 2)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["GF2", "GF3", "QQ"])
+def test_one_zero_product_is_a_dialgebra_iff_zero_cubed(field):
+    # x <| y = 0 with x |> y = xy, or the other way round, satisfies the
+    # dialgebra laws exactly when A(AA) = (AA)A = 0 (Loday, Dialgebras).
+    # The law checker is a second route to the associativity that
+    # is_zero_cubed reads off the two subspace products.
+    rng = random.Random(19)
+    answers = set()
+    for a in _one_zero_product_inputs(field, rng):
+        zero = BilinearProduct.zero(field, a.dim)
+        zero_cubed = is_zero_cubed(a)
+        assert is_valid_dialgebra(Dialgebra(field, a.dim, zero, a.product)) == zero_cubed
+        assert is_valid_dialgebra(Dialgebra(field, a.dim, a.product, zero)) == zero_cubed
+        if zero_cubed:
+            triple, witness = zero_cubed_decompose(a)
+            assert a.rebase(witness) == zero_cubed_build(triple)
+        answers.add(zero_cubed)
+    assert answers == {False, True}
 
 
 def test_decompose_the_square_type_algebra():
