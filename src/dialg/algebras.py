@@ -36,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import FieldMismatchError
-from .linalg import Subspace, Vec, _span, _terms, _vec_terms, contract, contract_pair
+from .linalg import Vec, _raw, _span, _terms, _vec_terms, contract, contract_pair
 
 
 def _entry_key(key, bounds):
@@ -250,8 +250,8 @@ class Algebra:
         return self.product.apply(x, y)
 
     def square_space(self):
-        full = Subspace.full(self.field, self.dim)
-        return self.product.subspace_product(full, full)
+        """A*A: the span of the products e_i e_j, the rows of the table."""
+        return _span(self.field, self.dim, [_raw(v) for row in self.product.rows for v in row])
 
     def rebase(self, t):
         """The same algebra written on the basis whose rows are t (invertible)."""

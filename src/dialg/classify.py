@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Dialgebra
+from .algebras import Dialgebra, ProductTag
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fields import PRIME, Field, Scalar
 from .identities import bar_units, dialgebra_violations
-from .linalg import Mat, Subspace, Vec
+from .linalg import Mat, Vec
 from .structure import DEFAULT_SEARCH_BOUND, annihilators, guard_search
 
 KIND_TRIVIAL = "trivial-both"
@@ -83,13 +83,12 @@ class Fingerprint:
 
 
 def fingerprint(d):
-    full = Subspace.full(d.field, d.dim)
     prof = annihilators(d)
-    left_square = d.left.subspace_product(full, full).dim
+    left_square = d.as_single(ProductTag.LEFT).square_space().dim
     return Fingerprint(
         dim_left_square=left_square,
         dim_right_square=(
-            left_square if d.right is d.left else d.right.subspace_product(full, full).dim
+            left_square if d.right is d.left else d.as_single(ProductTag.RIGHT).square_space().dim
         ),
         dim_rann_left=prof.rann_left.dim,
         dim_lann_left=prof.lann_left.dim,

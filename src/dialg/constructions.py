@@ -121,31 +121,29 @@ def from_differential(a, d):
 
     The matrix d acts on row coordinates (d(x) = x @ d). It must satisfy the
     product rule and square to zero; the mixed laws need every x d(d(y)) z
-    term to vanish, so anything weaker is rejected.
+    term to vanish, so anything weaker is rejected. The two tables are built
+    once, and the product rule d(e_i e_j) = e_i <| e_j + e_i |> e_j is
+    checked on them, pair by pair in row-major order.
     """
     if any(associative_violations(a)):
         raise NotAssociativeError("the underlying algebra must be associative")
     if d.field is not a.field or d.shape != (a.dim, a.dim):
         raise FieldMismatchError("derivation matrix shape mismatch")
-    units = tuple(Vec.unit(a.field, a.dim, i) for i in range(a.dim))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = a.multiply(units[i], units[j]) @ d
-            rhs = a.multiply(d.row(i), units[j]) + a.multiply(units[i], d.row(j))
-            if lhs != rhs:
+    n = a.dim
+    units = tuple(Vec.unit(a.field, n, i) for i in range(n))
+    left = tuple(tuple(a.multiply(units[i], d.row(j)) for j in range(n)) for i in range(n))
+    right = tuple(tuple(a.multiply(d.row(i), units[j]) for j in range(n)) for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            if a.product.row(i, j) @ d != left[i][j] + right[i][j]:
                 raise NotADerivationError(f"product rule fails on basis pair ({i}, {j})")
     if not (d @ d).is_zero():
         raise DerivationSquareError("derivation does not square to zero")
-    left = []
-    right = []
-    for i in range(a.dim):
-        left.append(tuple(a.multiply(units[i], d.row(j)) for j in range(a.dim)))
-        right.append(tuple(a.multiply(d.row(i), units[j]) for j in range(a.dim)))
     return Dialgebra(
         a.field,
-        a.dim,
-        BilinearProduct(a.field, a.dim, tuple(left)),
-        BilinearProduct(a.field, a.dim, tuple(right)),
+        n,
+        BilinearProduct(a.field, n, left),
+        BilinearProduct(a.field, n, right),
         a.basis_names,
     )
 

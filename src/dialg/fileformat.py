@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .algebras import Algebra, BilinearProduct, Dialgebra
+from .algebras import Algebra, Dialgebra
 from .errors import NonPrimeError, ParseError
 from .fields import Field
 
@@ -136,9 +136,7 @@ def parse_dialgebra(text):
 
 def parse_algebra(text):
     field, dim, names, entries = _parse_common(text, allow_right=False)
-    return Algebra(
-        field, dim, BilinearProduct.from_entries(field, dim, entries["left"]), names
-    )
+    return Algebra.from_entries(field, dim, entries["left"], names)
 
 
 def _entry_lines(tag, product):

@@ -38,7 +38,7 @@ import numpy as np
 from .algebras import BilinearProduct, Dialgebra
 from .errors import FieldMismatchError
 from .fields import PRIME
-from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS, LAW_ASSOC_LEFT
+from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS
 from .linalg import Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
@@ -139,11 +139,6 @@ def _grow(p, n, laws, width, bound):
             rhs = (rows[:, u].astype(np.int64) * rows[:, v]).sum(axis=1)
             rows = rows[(lhs - rhs) % p == 0]
     return rows.astype(np.int64)
-
-
-def associative_indices(p, n):
-    """Base-p codes, ascending, of every associative n x n x n tensor over GF(p)."""
-    return _grow(p, n, [LAW_ASSOC_LEFT], n**3, DEFAULT_SEARCH_BOUND) @ _place_values(p, n**3)
 
 
 @lru_cache(maxsize=None)

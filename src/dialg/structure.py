@@ -23,7 +23,8 @@ one kernel per one-sided annihilator, and ann = rann_left meet lann_right
 as one kernel of the two systems' echelon rows together.
 
 A zero-cubed algebra, A(AA) = (AA)A = 0, is associative, since then
-(xy)z = 0 = x(yz), so is_zero_cubed tests the two subspace products alone.
+(xy)z = 0 = x(yz), so is_zero_cubed tests that every product lies in the
+annihilator, and nothing else.
 It splits as its annihilator Z plus a pairing f: X x X -> Z on the
 non-pivot units X: zero_cubed_decompose rebases onto that basis and reads
 f off the rebased table. Triple equivalence is an isomorphism search: each
@@ -259,13 +260,10 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
 
 
 def is_zero_cubed(a):
-    """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz)."""
-    full = Subspace.full(a.field, a.dim)
-    square = a.square_space()
-    return (
-        a.product.subspace_product(full, square).dim == 0
-        and a.product.subspace_product(square, full).dim == 0
-    )
+    """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz). It
+    holds exactly when AA, the span of the products e_i e_j, lies in the
+    annihilator."""
+    return a.square_space().is_subspace_of(algebra_annihilator(a))
 
 
 def zero_cubed_decompose(a):

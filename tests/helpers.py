@@ -392,6 +392,16 @@ def all_tensors(p, n):
     return arr
 
 
+def associative_indices(p, n):
+    """Base-p codes, ascending, of every associative n x n x n tensor over
+    GF(p), by gfsearch's coordinate growth under assoc-left alone."""
+    from dialg.gfsearch import _grow, _place_values
+    from dialg.identities import LAW_ASSOC_LEFT
+    from dialg.structure import DEFAULT_SEARCH_BOUND
+
+    return _grow(p, n, [LAW_ASSOC_LEFT], n**3, DEFAULT_SEARCH_BOUND) @ _place_values(p, n**3)
+
+
 def reference_associative_indices(p, n):
     g = all_tensors(p, n)
     lhs = np.einsum("Nijm,Nmkc->Nijkc", g, g)

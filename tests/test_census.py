@@ -31,7 +31,6 @@ from dialg import (
 )
 from dialg.gfsearch import (
     arrays_to_dialgebra,
-    associative_indices,
     int_tensor_to_product,
     valid_pairs,
 )
@@ -39,6 +38,7 @@ from helpers import (
     GF2,
     GF3,
     all_tensors,
+    associative_indices,
     int_matrix_to_mat,
     reference_associative_indices,
     reference_valid_pairs,

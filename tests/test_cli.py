@@ -339,3 +339,229 @@ def test_iso_over_the_search_bound_env_exits_2_before_any_search(tmp_path):
         "",
         "error: GL(3, 3) scan needs 19683 candidates, over the search bound 100\n",
     )
+
+
+# CLI goldens: each case runs main on files holding the texts below and must
+# print exactly this stdout with this exit code.
+GOLDEN_FILES = {
+    "zc.dialg": "dialg 1\nfield rational\ndim 2\nright 1 1 2 3\n",
+    # Fractional constants: residuals are exact fractions.
+    "frac.dialg": (
+        "dialg 1\nfield rational\ndim 2\nleft 1 1 1 1/3\nleft 1 2 2 2/7\n"
+        "right 1 1 1 1/3\nright 2 1 2 5/11\n"
+    ),
+    # Violations at first indices 1, 2 and 4; assoc-left (2,2,2) is reached
+    # only through the right-hand term x (y z), since (e2 e2) e2 = e1 e2 = 0.
+    "sparse.dialg": (
+        "dialg 1\nfield rational\ndim 4\nleft 2 2 1 1\nleft 2 1 2 1\nleft 3 3 3 1/2\n"
+        "right 3 3 3 1/2\nright 4 3 4 2/3\nright 1 4 4 5/7\n"
+    ),
+    # Upper triangular 2 x 2 matrices over GF(3) and a rebased copy.
+    "t2.dialg": (
+        "dialg 1\nfield prime 3\ndim 3\nleft 1 1 1 1\nleft 1 2 2 1\nleft 2 3 2 1\n"
+        "left 3 3 3 1\nright 1 1 1 1\nright 1 2 2 1\nright 2 3 2 1\nright 3 3 3 1\n"
+    ),
+    "t2b.dialg": "dialg 1\nfield prime 3\ndim 3\n"
+    + "".join(
+        f"{tag} {entry}\n"
+        for tag in ("left", "right")
+        for entry in (
+            "1 1 1 1", "1 3 2 2", "1 3 3 1", "2 2 2 1", "2 3 2 1",
+            "3 1 1 2", "3 2 1 1", "3 2 3 1", "3 3 1 1", "3 3 2 1",
+        )
+    ),
+    # Dim 1 over Q: one closed form fixes t = x / y for each product; a1 and
+    # b1 both give t = 1/2, while a1 and c1 give 1/2 and 1, so no map.
+    "a1.dialg": "dialg 1\nfield rational\ndim 1\nleft 1 1 1 3\nright 1 1 1 6\n",
+    "b1.dialg": "dialg 1\nfield rational\ndim 1\nleft 1 1 1 6\nright 1 1 1 12\n",
+    "c1.dialg": "dialg 1\nfield rational\ndim 1\nleft 1 1 1 6\nright 1 1 1 6\n",
+    # Left and right are the same non-associative table, held as one product
+    # object: the one associativity failure is reported under all five laws.
+    "same.dialg": (
+        "dialg 1\nfield rational\ndim 2\nleft 1 1 2 1\nleft 2 1 1 1/2\n"
+        "right 1 1 2 1\nright 2 1 1 1/2\n"
+    ),
+    # The Q-algebra IV + F (a canonical dim-2 form plus a unital line),
+    # rebased by a fractional matrix: a line of annihilators and a bar-unit.
+    "dense.dialg": """dialg 1
+field rational
+dim 3
+left 1 1 1 -8659/24205
+left 1 1 2 -1176/24205
+left 1 1 3 9504/24205
+left 1 2 1 -733/4841
+left 1 2 2 147/4841
+left 1 2 3 -1188/4841
+left 1 3 1 38932/43569
+left 1 3 2 2548/43569
+left 1 3 3 -2288/4841
+left 2 1 1 675/4841
+left 2 1 2 1027/4841
+left 2 1 3 -2376/24205
+left 2 2 1 -3375/38728
+left 2 2 2 -9829/19364
+left 2 2 3 297/4841
+left 2 3 1 -1625/9682
+left 2 3 2 1005/4841
+left 2 3 3 572/4841
+left 3 1 1 4500/4841
+left 3 1 2 392/4841
+left 3 1 3 -10999/24205
+left 3 2 1 -5625/9682
+left 3 2 2 -245/4841
+left 3 2 3 -881/9682
+left 3 3 1 -16250/14523
+left 3 3 2 -12740/130707
+left 3 3 3 44002/43569
+right 1 1 1 -8659/24205
+right 1 1 2 -1176/24205
+right 1 1 3 9504/24205
+right 1 2 1 675/4841
+right 1 2 2 1027/4841
+right 1 2 3 -2376/24205
+right 1 3 1 4500/4841
+right 1 3 2 392/4841
+right 1 3 3 -10999/24205
+right 2 1 1 -733/4841
+right 2 1 2 147/4841
+right 2 1 3 -1188/4841
+right 2 2 1 -3375/38728
+right 2 2 2 -9829/19364
+right 2 2 3 297/4841
+right 2 3 1 -5625/9682
+right 2 3 2 -245/4841
+right 2 3 3 -881/9682
+right 3 1 1 38932/43569
+right 3 1 2 2548/43569
+right 3 1 3 -2288/4841
+right 3 2 1 -1625/9682
+right 3 2 2 1005/4841
+right 3 2 3 572/4841
+right 3 3 1 -16250/14523
+right 3 3 2 -12740/130707
+right 3 3 3 44002/43569
+""",
+}
+
+
+def _lines(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+GOLDEN = [
+    pytest.param(
+        ["classify2", "zc.dialg"],
+        0,
+        _lines("zero-cubed-left-zero:square-type", "witness:", "0 3", "1 0"),
+        id="classify2-zero-cubed",
+    ),
+    pytest.param(
+        ["check", "frac.dialg"],
+        1,
+        _lines(
+            "FAIL assoc-left (1,1,2) residual (0, 2/147)",
+            "FAIL assoc-right (2,1,1) residual (0, 20/363)",
+            "FAIL ax1 (1,1,2) residual (0, 2/21)",
+            "FAIL ax1 (1,2,1) residual (0, -10/77)",
+            "FAIL ax2 (1,1,2) residual (0, 2/21)",
+            "FAIL ax2 (2,1,1) residual (0, -5/33)",
+            "FAIL ax3 (1,2,1) residual (0, 10/77)",
+            "FAIL ax3 (2,1,1) residual (0, -5/33)",
+        ),
+        id="check-fractions",
+    ),
+    pytest.param(
+        ["check", "sparse.dialg"],
+        1,
+        _lines(
+            "FAIL assoc-left (2,1,1) residual (0, 1, 0, 0)",
+            "FAIL assoc-left (2,1,2) residual (1, 0, 0, 0)",
+            "FAIL assoc-left (2,2,1) residual (-1, 0, 0, 0)",
+            "FAIL assoc-left (2,2,2) residual (0, -1, 0, 0)",
+            "FAIL assoc-right (1,1,4) residual (0, 0, 0, -25/49)",
+            "FAIL assoc-right (4,3,3) residual (0, 0, 0, 1/9)",
+            "FAIL ax1 (2,1,1) residual (0, 1, 0, 0)",
+            "FAIL ax1 (2,1,2) residual (1, 0, 0, 0)",
+            "FAIL ax2 (4,3,3) residual (0, 0, 0, -1/3)",
+            "FAIL ax3 (1,1,4) residual (0, 0, 0, -25/49)",
+            "FAIL ax3 (1,4,3) residual (0, 0, 0, -10/21)",
+            "FAIL ax3 (2,2,4) residual (0, 0, 0, 5/7)",
+            "FAIL ax3 (4,3,3) residual (0, 0, 0, -1/3)",
+        ),
+        id="check-sparse",
+    ),
+    # The first isomorphism in GL(3, 3) order, as the numpy GL scan printed it.
+    pytest.param(["iso", "t2.dialg", "t2b.dialg"], 0, T2_WITNESS, id="iso-gf3"),
+    pytest.param(["iso", "a1.dialg", "b1.dialg"], 0, _lines("ISOMORPHIC", "1/2"), id="iso-dim1"),
+    pytest.param(["iso", "a1.dialg", "c1.dialg"], 1, _lines("NOT ISOMORPHIC"), id="iso-dim1-not"),
+    pytest.param(
+        ["check", "same.dialg"],
+        1,
+        _lines(
+            *(
+                f"FAIL {law} {where}"
+                for law in ("assoc-left", "assoc-right", "ax1", "ax2", "ax3")
+                for where in (
+                    "(1,1,1) residual (1/2, 0)",
+                    "(1,2,1) residual (0, -1/2)",
+                    "(2,1,1) residual (0, 1/2)",
+                    "(2,2,1) residual (-1/4, 0)",
+                )
+            )
+        ),
+        id="check-equal-products",
+    ),
+    pytest.param(
+        ["info", "same.dialg"],
+        0,
+        _lines(
+            "field: rational", "dim: 2", "dim_left_square: 2", "dim_right_square: 2",
+            "dim_rann_left: 1", "dim_lann_left: 0", "dim_rann_right: 1", "dim_lann_right: 0",
+            "dim_ann: 0", "products_equal: true", "has_bar_unit: false",
+        ),
+        id="info-equal-products",
+    ),
+    pytest.param(
+        ["op", "same.dialg"],
+        0,
+        _lines(
+            "dialg 1", "field rational", "dim 2", "left 1 1 2 1", "left 1 2 1 1/2",
+            "right 1 1 2 1", "right 1 2 1 1/2",
+        ),
+        id="op-equal-products",
+    ),
+    pytest.param(
+        ["info", "dense.dialg"],
+        0,
+        _lines(
+            "field: rational", "dim: 3", "dim_left_square: 3", "dim_right_square: 3",
+            "dim_rann_left: 1", "dim_lann_left: 0", "dim_rann_right: 0", "dim_lann_right: 1",
+            "dim_ann: 1", "products_equal: false", "has_bar_unit: true",
+        ),
+        id="info-dense",
+    ),
+    pytest.param(
+        ["quotient", "dense.dialg", "--ideal", "160,100,81"],
+        0,
+        _lines(
+            "dialg 1", "field rational", "dim 2",
+            *(
+                f"{tag} {entry}"
+                for tag in ("left", "right")
+                for entry in (
+                    "1 1 1 -29/64", "1 1 2 27/256", "1 2 1 5/16", "1 2 2 13/64",
+                    "2 1 1 5/16", "2 1 2 13/64", "2 2 1 65/108", "2 2 2 227/144",
+                )
+            ),
+        ),
+        id="quotient-dense",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN)
+def test_golden_outputs(tmp_path, argv, code, stdout):
+    for name in set(argv) & GOLDEN_FILES.keys():
+        (tmp_path / name).write_text(GOLDEN_FILES[name])
+    argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
+    assert run(argv) == (code, stdout)

@@ -185,8 +185,13 @@ def test_from_differential_rejects_non_square_zero():
 def test_from_differential_rejects_non_derivations():
     alg = upper_triangular_algebra(QQ)
     not_deriv = Mat.from_rows(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(NotADerivationError):
+    with pytest.raises(NotADerivationError, match=r"basis pair \(0, 0\)"):
         from_differential(alg, not_deriv)
+    # E33 keeps E22 and kills E12 and E11: d(E12 E22) = 0 but E12 d(E22) = E12,
+    # the first failing pair in row-major order ((2, 2) fails too).
+    e33 = Mat.from_rows(QQ, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotADerivationError, match=r"basis pair \(1, 2\)"):
+        from_differential(alg, e33)
 
 
 def test_from_differential_rejects_non_associative_base():

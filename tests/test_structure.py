@@ -198,9 +198,11 @@ def test_raw_closure_matches_the_vec_closure(case):
 def test_raw_subspace_product_matches_the_vec_span(case, data):
     u, products, _ = case
     v = data.draw(st.sampled_from([u, Subspace.full(u.field, u.ambient_dim)]))
+    full = Subspace.full(u.field, u.ambient_dim)
     for m in products:
         assert m.subspace_product(u, v) == reference_subspace_product(m, u, v)
         assert m.subspace_product(v, u) == reference_subspace_product(m, v, u)
+        assert Algebra(m.field, m.dim, m).square_space() == reference_subspace_product(m, full, full)
 
 
 def test_field_line_is_simple():
@@ -378,9 +380,10 @@ def test_semiprime_squares_the_principal_ideals_in_line_order(monkeypatch):
 
     monkeypatch.setattr(BilinearProduct, "subspace_product", recorded)
     assert algebra_semiprime(a) is False
-    # A*A first, then (v)(v) in line order up to the first zero square, then K*K.
+    # A*A is read off the table; then (v)(v) in line order up to the first
+    # zero square, then K*K.
     assert 1 < len(squared) < len(principal)
-    assert calls == [(full, full)] + squared + [(meet, meet)]
+    assert calls == squared + [(meet, meet)]
 
 
 def test_split_pair_is_semiprime_but_not_prime():
