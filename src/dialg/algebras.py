@@ -6,8 +6,12 @@ the left product and the right product, on a shared basis. Construction
 never enforces the dialgebra laws; validity is checked separately so that
 invalid candidates can be represented during censuses. Equal products are
 one object: a Dialgebra whose right product equals its left one holds the
-left one twice (right is left), so law checks, rebases, annihilators and
-quotients do their per-product work once.
+left one twice (right is left), and per-product work runs once.
+Dialgebra._per_product is the one place that decides this: it calls a
+per-product function once for a shared product, and rebases, opposites,
+quotients, annihilators, square dimensions and perfection flags all go
+through it. Law checks share by the same identity: identities replays a
+law whose products are the objects of an earlier law's.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over a lazily built raw sparse view: for each pair (i, j) the
@@ -317,10 +321,14 @@ class Dialgebra:
     def products_equal(self):
         return self.left is self.right
 
+    def _per_product(self, f):
+        """(f(left), f(right)), calling f once when the products are one object."""
+        left = f(self.left)
+        return left, left if self.right is self.left else f(self.right)
+
     def rebase(self, t):
         t_inv = t.inverse()
-        left = self.left.rebase(t, t_inv)
-        right = left if self.right is self.left else self.right.rebase(t, t_inv)
+        left, right = self._per_product(lambda prod: prod.rebase(t, t_inv))
         return Dialgebra(self.field, self.dim, left, right)
 
     def __eq__(self, other):

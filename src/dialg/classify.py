@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Dialgebra, ProductTag
+from .algebras import Algebra, Dialgebra
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
@@ -40,7 +40,7 @@ from .errors import (
 from .fields import PRIME, Field, Scalar
 from .identities import bar_units, dialgebra_violations
 from .linalg import Mat, Vec
-from .structure import DEFAULT_SEARCH_BOUND, annihilators, guard_search
+from .structure import DEFAULT_SEARCH_BOUND, _ann, annihilators, guard_search
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"
@@ -84,12 +84,12 @@ class Fingerprint:
 
 def fingerprint(d):
     prof = annihilators(d)
-    left_square = d.as_single(ProductTag.LEFT).square_space().dim
+    left_square, right_square = d._per_product(
+        lambda prod: Algebra(d.field, d.dim, prod).square_space().dim
+    )
     return Fingerprint(
         dim_left_square=left_square,
-        dim_right_square=(
-            left_square if d.right is d.left else d.as_single(ProductTag.RIGHT).square_space().dim
-        ),
+        dim_right_square=right_square,
         dim_rann_left=prof.rann_left.dim,
         dim_lann_left=prof.lann_left.dim,
         dim_rann_right=prof.rann_right.dim,
@@ -265,7 +265,7 @@ def classify_dim2(d):
     if d.left.is_zero() and d.right.is_zero():
         return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, identity, d)
 
-    ann = annihilators(d).ann
+    ann = _ann(d.left, d.right)
     if ann.dim == 0:
         # The difference of the products always lies in the annihilator,
         # so a trivial annihilator forces the products to agree.

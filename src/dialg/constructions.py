@@ -38,8 +38,7 @@ def from_associative(a):
 
 def opposite(d):
     """The opposite dialgebra: x <|' y = y |> x and x |>' y = y <| x."""
-    left = d.right.transpose_args()
-    right = left if d.right is d.left else d.left.transpose_args()
+    right, left = d._per_product(BilinearProduct.transpose_args)
     return Dialgebra(d.field, d.dim, left, right, d.basis_names)
 
 
@@ -195,6 +194,4 @@ def quotient(d, ideal):
         rows = tuple(tuple(project(prod.row(a, b)) for b in keep) for a in keep)
         return BilinearProduct(d.field, new_dim, rows)
 
-    left = projected(d.left)
-    right = left if d.right is d.left else projected(d.right)
-    return Dialgebra(d.field, new_dim, left, right), proj
+    return Dialgebra(d.field, new_dim, *d._per_product(projected)), proj

@@ -53,30 +53,18 @@ def _digits(p, length):
     return np.arange(p**length, dtype=np.int64)[:, None] // _place_values(p, length) % p
 
 
-def _reciprocals_mod(values, p):
-    """Elementwise inverses of nonzero residues, as values^(p-2) mod p."""
-    result = np.ones_like(values)
-    base = values % p
-    exponent = p - 2
-    while exponent:
-        if exponent & 1:
-            result = result * base % p
-        base = base * base % p
-        exponent >>= 1
-    return result
-
-
 def _matrix_inverses_mod(mats, p):
     """Inverses mod p of a batch of invertible matrices, by Gauss-Jordan."""
     count, n, _ = mats.shape
     batch = np.arange(count)
+    reciprocals = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
     aug = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)], axis=2)
     for col in range(n):
         # Invertibility guarantees a nonzero entry at or below the diagonal.
         hit = col + np.argmax(aug[:, col:, col] != 0, axis=1)
         pivot = aug[batch, hit]
         aug[batch, hit] = aug[:, col]
-        pivot = pivot * _reciprocals_mod(pivot[:, col], p)[:, None] % p
+        pivot = pivot * reciprocals[pivot[:, col]][:, None] % p
         aug = (aug - aug[:, :, col : col + 1] * pivot[:, None, :]) % p
         aug[:, col] = pivot
     return aug[:, :, n:].copy()

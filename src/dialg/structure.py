@@ -20,7 +20,9 @@ this module does no elimination of its own and builds no Vec per product.
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
 one kernel per one-sided annihilator, and ann = rann_left meet lann_right
-as one kernel of the two systems' echelon rows together.
+as one kernel of the two systems' echelon rows together. `_ann` takes that
+meet as one kernel of the raw rows, with no one-sided kernel: it serves
+`algebra_annihilator` and `classify_dim2`, which need ann alone.
 
 A zero-cubed algebra, A(AA) = (AA)A = 0, is associative, since then
 (xy)z = 0 = x(yz), so is_zero_cubed tests that every product lies in the
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 
-from .algebras import Dialgebra, ProductTag
+from .algebras import Algebra, Dialgebra
 from .constructions import ZeroCubedTriple, zero_cubed_build
 from .errors import (
     FieldMismatchError,
@@ -93,13 +95,10 @@ def annihilators(d):
     def echelon(rows):
         return _echelon(field, list(rows.values()))
 
-    rann_left = echelon(d.left.multiplication_rows())
-    lann_left = echelon(d.left.multiplication_rows(right=True))
-    if d.right is d.left:
-        rann_right, lann_right = rann_left, lann_left
-    else:
-        rann_right = echelon(d.right.multiplication_rows())
-        lann_right = echelon(d.right.multiplication_rows(right=True))
+    def one_sided(prod):
+        return echelon(prod.multiplication_rows()), echelon(prod.multiplication_rows(right=True))
+
+    (rann_left, lann_left), (rann_right, lann_right) = d._per_product(one_sided)
     # The echelon rows span the same systems as the rows they came from.
     both = _echelon(field, [list(r) for r in rann_left[0] + lann_right[0]])
     return AnnihilatorProfile(
@@ -107,11 +106,16 @@ def annihilators(d):
     )
 
 
+def _ann(left, right):
+    """{x : e_i <| x = x |> e_i = 0 for every i}, the rann of left meet the
+    lann of right: one kernel of the rows of x -> e_i <| x and x -> x |> e_i."""
+    rows = [*left.multiplication_rows().values(), *right.multiplication_rows(right=True).values()]
+    return _kernel(left.field, rows, left.dim)
+
+
 def algebra_annihilator(a):
     """{x : x A = A x = 0} for a single-product algebra."""
-    prod = a.product
-    rows = [*prod.multiplication_rows().values(), *prod.multiplication_rows(right=True).values()]
-    return _kernel(a.field, rows, a.dim)
+    return _ann(a.product, a.product)
 
 
 def _closure(u, products, stop=None):
@@ -254,8 +258,9 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
     equal = d.products_equal()
     if d.field.kind != PRIME:
         return StructureFlags(equal, None, None, None, None, None, None)
-    ls, lsp, lp = _perfection(d.as_single(ProductTag.LEFT), bound)
-    rs, rsp, rp = (ls, lsp, lp) if equal else _perfection(d.as_single(ProductTag.RIGHT), bound)
+    (ls, lsp, lp), (rs, rsp, rp) = d._per_product(
+        lambda prod: _perfection(Algebra(d.field, d.dim, prod), bound)
+    )
     return StructureFlags(equal, ls, rs, lsp, rsp, lp, rp)
 
 
@@ -275,10 +280,10 @@ def zero_cubed_decompose(a):
     zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
     Z block of the rebased product of the complement units i and j.
     """
-    if not is_zero_cubed(a):
+    z = algebra_annihilator(a)
+    if not a.square_space().is_subspace_of(z):
         raise NotZeroCubedError("input is not an associative zero-cubed algebra")
     field, n = a.field, a.dim
-    z = algebra_annihilator(a)
     units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
     witness = Mat(field, (*z.basis.rows, *units), n)
     rebased = a.rebase(witness)

@@ -207,7 +207,7 @@ def test_all_tensors_enumeration_is_lexicographic():
         assert all_tensors(p, 2).reshape(len(expected), 8).tolist() == [list(t) for t in expected]
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (7, 2)])
 def test_gl_matrices_are_the_invertible_matrices_in_lexicographic_order(p, n):
     from dialg.gfsearch import gl_matrices
 

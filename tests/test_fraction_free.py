@@ -34,6 +34,7 @@ from dialg import (
     solve,
 )
 from dialg.linalg import _span
+from dialg.structure import _ann
 from helpers import (
     GF2,
     QQ,
@@ -114,6 +115,7 @@ def test_annihilator_systems_agree_with_the_scalar_route(d):
     prof, want = annihilators(d), reference_annihilators(d)
     for name in PROFILE:
         assert exact(getattr(prof, name)) == exact(getattr(want, name)), name
+    assert exact(_ann(d.left, d.right)) == exact(want.ann)
     bu, ref = bar_units(d), reference_bar_units(d)
     assert bu.is_empty == ref.is_empty
     if not ref.is_empty:

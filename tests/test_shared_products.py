@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dialg.identities as identities
+import dialg.structure as structure
 from dialg import (
     Algebra,
     BilinearProduct,
@@ -208,3 +209,37 @@ def test_every_constructor_shares_equal_products():
         Dialgebra.trivial(QQ, 2),
     ):
         assert built.right is built.left
+
+
+def counted_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the list returned."""
+    calls, f = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(3)])
+def test_a_shared_product_is_worked_on_once(field, monkeypatch):
+    d = from_associative(upper_triangular_algebra(field))
+    t = random_invertible(field, d.dim, random.Random(3))
+    # (owner, method, routine, calls on a shared product); the twin doubles them.
+    cases = [
+        (BilinearProduct, "rebase", lambda e: e.rebase(t), 1),
+        (BilinearProduct, "transpose_args", opposite, 1),
+        (BilinearProduct, "multiplication_rows", annihilators, 2),
+        (Algebra, "square_space", fingerprint, 1),
+    ]
+    if field is not QQ:
+        # Over Q structure_flags answers None without deciding perfection.
+        cases.append((structure, "_perfection", structure_flags, 1))
+    for owner, name, routine, once in cases:
+        calls = counted_calls(monkeypatch, owner, name)
+        for e, want in ((d, once), (unshared(d), 2 * once)):
+            calls.clear()
+            routine(e)
+            assert len(calls) == want, (name, e.products_equal())
