@@ -15,7 +15,9 @@ annihilator. There the six free structure constants x1..x6 satisfy a
 fixed system of eleven polynomial constraints, the kind is read off which
 of them vanish, and one of two explicit rescalings of (r, s) reaches the
 canonical table. The one-sided zero kinds are the members of this family
-with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0.
+with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0. The canonical tables are
+points of the same ParamTable family: canonical_dialgebra builds each one
+with param_dialgebra from its point (x1, ..., x6).
 
 Isomorphism tests and automorphism groups import glsearch on first use: a
 pure-Python search over GL(n, p) row by row, whose dimension-1 closed form
@@ -124,33 +126,30 @@ class ClassLabel:
         return parts
 
 
+# Each canonical table but II_k's as its point (x1, ..., x6) of the ParamTable family.
+_CANONICAL_POINTS = {
+    KIND_TRIVIAL: (0, 0, 0, 0, 0, 0),
+    KIND_ZERO_CUBED_LEFT: (0, 0, 0, 0, 1, 0),
+    KIND_ZERO_CUBED_RIGHT: (0, 1, 0, 0, 0, 0),
+    KIND_I: (0, 0, 1, 1, 0, 1),
+    KIND_III: (1, 0, 1, 0, 0, 1),
+    KIND_IV: (1, 0, 1, 1, 0, 1),
+}
+
+
 def canonical_dialgebra(kind, field, k=None):
     """The canonical table of a classification bucket, on basis (r, s)."""
-    names = ("r", "s")
-    if kind == KIND_TRIVIAL:
-        return Dialgebra.from_entries(field, 2, {}, {}, names)
-    if kind == KIND_ZERO_CUBED_LEFT:
-        return Dialgebra.from_entries(field, 2, {}, {(1, 1, 0): 1}, names)
-    if kind == KIND_ZERO_CUBED_RIGHT:
-        return Dialgebra.from_entries(field, 2, {(1, 1, 0): 1}, {}, names)
-    if kind == KIND_I:
-        return Dialgebra.from_entries(
-            field, 2, {(1, 1, 1): 1}, {(1, 0, 0): 1, (1, 1, 1): 1}, names
-        )
     if kind == KIND_II:
         k = field.scalar(k)
         if not k:
             raise ValueError("the II family needs a nonzero parameter")
-        return Dialgebra.from_entries(field, 2, {(1, 1, 0): 1}, {(1, 1, 0): k}, names)
-    if kind == KIND_III:
-        return Dialgebra.from_entries(
-            field, 2, {(0, 1, 0): 1, (1, 1, 1): 1}, {(1, 1, 1): 1}, names
-        )
-    if kind == KIND_IV:
-        return Dialgebra.from_entries(
-            field, 2, {(0, 1, 0): 1, (1, 1, 1): 1}, {(1, 0, 0): 1, (1, 1, 1): 1}, names
-        )
-    raise ValueError(f"no canonical table for kind {kind!r}")
+        point = (0, 1, 0, 0, k, 0)
+    elif kind in _CANONICAL_POINTS:
+        point = _CANONICAL_POINTS[kind]
+    else:
+        raise ValueError(f"no canonical table for kind {kind!r}")
+    d = param_dialgebra(ParamTable.of(field, point))
+    return Dialgebra(field, 2, d.left, d.right, ("r", "s"))
 
 
 @dataclass(frozen=True)

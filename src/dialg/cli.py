@@ -120,16 +120,17 @@ def cmd_iso(args, out):
     return 0
 
 
-def cmd_census(args, out):
-    from .gfsearch import dialgebra_to_arrays
+def _residues(prod):
+    """The structure constants gamma[i][j][k] of a GF(p) product, as nested ints."""
+    return [[[c.value for c in v.coords] for v in row] for row in prod.rows]
 
-    classes = census(args.prime, args.dim, bound=_search_bound())
-    for cls in classes:
-        left, right = dialgebra_to_arrays(cls.representative)
+
+def cmd_census(args, out):
+    for cls in census(args.prime, args.dim, bound=_search_bound()):
         record = {
             **_label_record(cls.label),
-            "left": left.tolist(),
-            "right": right.tolist(),
+            "left": _residues(cls.representative.left),
+            "right": _residues(cls.representative.right),
             "orbit_size": cls.orbit_size,
         }
         print(json.dumps(record), file=out)

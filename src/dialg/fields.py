@@ -240,36 +240,23 @@ class Scalar:
             raise FieldMismatchError(f"mixing {self.field} and {other.field} scalars")
         return other
 
-    def __add__(self, other):
-        other = self._coerced(other)
+    def _reduced(self, value):
+        """A Scalar of this field holding a raw sum, difference or product of
+        values, reduced mod p over GF(p)."""
         f = self.field
-        v = self.value + other.value
-        if f.kind == PRIME:
-            v %= f.p
-        return Scalar(f, v)
+        return Scalar(f, value % f.p if f.kind == PRIME else value)
+
+    def __add__(self, other):
+        return self._reduced(self.value + self._coerced(other).value)
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        f = self.field
-        v = self.value - other.value
-        if f.kind == PRIME:
-            v %= f.p
-        return Scalar(f, v)
+        return self._reduced(self.value - self._coerced(other).value)
 
     def __mul__(self, other):
-        other = self._coerced(other)
-        f = self.field
-        v = self.value * other.value
-        if f.kind == PRIME:
-            v %= f.p
-        return Scalar(f, v)
+        return self._reduced(self.value * self._coerced(other).value)
 
     def __neg__(self):
-        f = self.field
-        v = -self.value
-        if f.kind == PRIME:
-            v %= f.p
-        return Scalar(f, v)
+        return self._reduced(-self.value)
 
     def __truediv__(self, other):
         other = self._coerced(other)

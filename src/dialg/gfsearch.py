@@ -36,8 +36,6 @@ from itertools import product
 import numpy as np
 
 from .algebras import BilinearProduct, Dialgebra
-from .errors import FieldMismatchError
-from .fields import PRIME
 from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS
 from .linalg import Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
@@ -184,19 +182,6 @@ def isomorphism_indices(a_pair, b_pair, p):
             if not len(hits):
                 return hits
     return hits
-
-
-def dialgebra_to_arrays(d):
-    """Residue arrays (left, right) of a prime-field dialgebra."""
-    if d.field.kind != PRIME:
-        raise FieldMismatchError("residue arrays need a prime field")
-    n = d.dim
-
-    def grab(prod):
-        values = [[[s.value for s in v.coords] for v in row] for row in prod.rows]
-        return np.array(values, dtype=np.int64).reshape(n, n, n)
-
-    return grab(d.left), grab(d.right)
 
 
 def arrays_to_dialgebra(field, left, right):

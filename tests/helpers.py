@@ -10,12 +10,16 @@ from dialg import (
     KIND_II,
     KIND_III,
     KIND_IV,
+    KIND_TRIVIAL,
+    KIND_ZERO_CUBED_LEFT,
+    KIND_ZERO_CUBED_RIGHT,
     Algebra,
     AnnihilatorProfile,
     BarUnitSet,
     BilinearProduct,
     Dialgebra,
     Field,
+    FieldMismatchError,
     Fingerprint,
     Mat,
     NotADialgebraError,
@@ -428,6 +432,19 @@ def reference_valid_pairs(p, n):
     return tuple(pairs)
 
 
+def dialgebra_to_arrays(d):
+    """Residue arrays (left, right) of a prime-field dialgebra."""
+    if not d.field.is_finite:
+        raise FieldMismatchError("residue arrays need a prime field")
+    n = d.dim
+
+    def grab(prod):
+        values = [[[s.value for s in v.coords] for v in row] for row in prod.rows]
+        return np.array(values, dtype=np.int64).reshape(n, n, n)
+
+    return grab(d.left), grab(d.right)
+
+
 # The isomorphism scan as whole-array einsums (the full image tensors of
 # both products for every element of GL(n, p), with no early stop), kept
 # only as a test oracle for the equation-at-a-time scan in gfsearch.
@@ -692,6 +709,37 @@ def reference_triples_equivalent(t1, t2):
     return None
 
 
+def reference_canonical_dialgebra(kind, field, k=None):
+    """The canonical table of a classification bucket on basis (r, s), each
+    written out as its own entry dicts: an oracle for canonical_dialgebra,
+    which reads them off points of the ParamTable family."""
+    names = ("r", "s")
+    if kind == KIND_TRIVIAL:
+        return Dialgebra.from_entries(field, 2, {}, {}, names)
+    if kind == KIND_ZERO_CUBED_LEFT:
+        return Dialgebra.from_entries(field, 2, {}, {(1, 1, 0): 1}, names)
+    if kind == KIND_ZERO_CUBED_RIGHT:
+        return Dialgebra.from_entries(field, 2, {(1, 1, 0): 1}, {}, names)
+    if kind == KIND_I:
+        return Dialgebra.from_entries(
+            field, 2, {(1, 1, 1): 1}, {(1, 0, 0): 1, (1, 1, 1): 1}, names
+        )
+    if kind == KIND_II:
+        k = field.scalar(k)
+        if not k:
+            raise ValueError("the II family needs a nonzero parameter")
+        return Dialgebra.from_entries(field, 2, {(1, 1, 0): 1}, {(1, 1, 0): k}, names)
+    if kind == KIND_III:
+        return Dialgebra.from_entries(
+            field, 2, {(0, 1, 0): 1, (1, 1, 1): 1}, {(1, 1, 1): 1}, names
+        )
+    if kind == KIND_IV:
+        return Dialgebra.from_entries(
+            field, 2, {(0, 1, 0): 1, (1, 1, 1): 1}, {(1, 0, 0): 1, (1, 1, 1): 1}, names
+        )
+    raise ValueError(f"no canonical table for kind {kind!r}")
+
+
 def _reference_one_sided_zero_label(d):
     from dialg.classify import (
         KIND_ZERO_CUBED_LEFT,
@@ -710,7 +758,7 @@ def _reference_one_sided_zero_label(d):
     c = triple.f[0][0].coords[0]
     _require(bool(c), "complement square vanished")
     witness = Mat(d.field, (z0.scale(c), x0), 2)
-    canonical = canonical_dialgebra(kind, d.field)
+    canonical = reference_canonical_dialgebra(kind, d.field)
     _require(d.rebase(witness) == canonical, "zero-cubed witness is not a base change to the table")
     return ClassLabel(kind, None, SUBLABEL_SQUARE, witness, canonical)
 
@@ -799,6 +847,6 @@ def reference_classify_dim2(d):
         _require(d.products_equal(), "from-associative label with distinct products")
         return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
     witness = step @ base
-    canonical = canonical_dialgebra(kind, d.field, k)
+    canonical = reference_canonical_dialgebra(kind, d.field, k)
     _require(d.rebase(witness) == canonical, "witness does not reach the canonical table")
     return ClassLabel(kind, k, None, witness, canonical)

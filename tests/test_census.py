@@ -39,6 +39,7 @@ from helpers import (
     GF3,
     all_tensors,
     associative_indices,
+    dialgebra_to_arrays,
     int_matrix_to_mat,
     reference_associative_indices,
     reference_valid_pairs,
@@ -228,7 +229,6 @@ def test_gl_matrices_are_the_invertible_matrices_in_lexicographic_order(p, n):
 
 def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):
     from dialg.gfsearch import (
-        dialgebra_to_arrays,
         gl_matrices,
         transform_tensor_batch,
     )

@@ -47,6 +47,7 @@ from helpers import (
     int_matrix_to_mat,
     random_invertible,
     random_valid_dialgebras,
+    reference_canonical_dialgebra,
     reference_classify_dim2,
     split_pair_algebra,
     square_algebra,
@@ -113,6 +114,29 @@ def test_canonical_tables_classify_to_themselves(field):
         assert label.kind == kind
     label = classify_dim2(canonical_dialgebra(KIND_II, field, 2))
     assert label.kind == KIND_II and label.k == field.scalar(2)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF2, GF3, GF5, GF7], ids=["QQ", "GF2", "GF3", "GF5", "GF7"]
+)
+def test_canonical_tables_match_the_written_out_tables(field):
+    ks = [Fraction(1, 2), -3, 1, 2] if field is QQ else range(1, field.p)
+    kinds = (KIND_TRIVIAL, KIND_ZERO_CUBED_LEFT, KIND_ZERO_CUBED_RIGHT, KIND_I, KIND_III, KIND_IV)
+    cases = [(kind, None) for kind in kinds] + [(KIND_II, k) for k in ks]
+    for kind, k in cases:
+        got = canonical_dialgebra(kind, field, k)
+        want = reference_canonical_dialgebra(kind, field, k)
+        assert got == want
+        assert got.basis_names == want.basis_names == ("r", "s")
+        assert got.products_equal() == want.products_equal()
+    # k = p is zero over GF(p), as "0/3" is over Q.
+    refused = [(KIND_II, 0), (KIND_II, field.p or "0/3"), (KIND_FROM_ASSOCIATIVE, 1)]
+    for kind, k in refused:
+        with pytest.raises(ValueError) as want:
+            reference_canonical_dialgebra(kind, field, k)
+        with pytest.raises(ValueError) as got:
+            canonical_dialgebra(kind, field, k)
+        assert str(got.value) == str(want.value)
 
 
 def test_square_tables_with_ratio_3_classify_as_II_3():

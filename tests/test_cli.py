@@ -448,6 +448,50 @@ def _lines(*lines):
     return "".join(f"{line}\n" for line in lines)
 
 
+# dialg census --prime 2: one JSON line per class, least representative first.
+CENSUS_GF2 = (
+    '{"label": "trivial-both", "kind": "trivial-both", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "orbit_size": 1}\n'
+    '{"label": "zero-cubed-left-zero:square-type", "kind": "zero-cubed-left-zero", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]], "orbit_size": 3}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 6}\n'
+    '{"label": "I", "kind": "I", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 6}\n'
+    '{"label": "zero-cubed-right-zero:square-type", "kind": "zero-cubed-right-zero", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "orbit_size": 3}\n'
+    '{"label": "II_1", "kind": "II", "k": "1"'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]], "orbit_size": 3}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 3}\n'
+    '{"label": "III", "kind": "III", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 6}\n'
+    '{"label": "IV", "kind": "IV", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 3}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]], "orbit_size": 3}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], "orbit_size": 6}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 1], [1, 1]], [[1, 1], [1, 0]]]'
+    ', "right": [[[0, 1], [1, 1]], [[1, 1], [1, 0]]], "orbit_size": 3}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 3}\n'
+)
+
+
 GOLDEN = [
     pytest.param(
         ["classify2", "zc.dialg"],
@@ -556,6 +600,7 @@ GOLDEN = [
         ),
         id="quotient-dense",
     ),
+    pytest.param(["census", "--prime", "2"], 0, CENSUS_GF2, id="census-gf2"),
 ]
 
 

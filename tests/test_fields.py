@@ -55,6 +55,16 @@ def test_prime_field_reduces_mod_p():
     assert GF5.scalar(12).value == 2
     assert GF5.scalar(-1).value == 4
     assert str(GF3.scalar(5)) == "2"
+    big = Field.prime(3000017)
+    pairs = [(GF5, a, b) for a in range(5) for b in range(5)]
+    pairs += [(big, a, b) for a in (0, 1, 2, 1234567, big.p - 1) for b in (1, 2999999, big.p - 1)]
+    for field, a, b in pairs:
+        x, y = field.scalar(a), field.scalar(b)
+        results = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a)]
+        if b:
+            results.append((x / y, a * pow(b, -1, field.p)))
+        for got, want in results:
+            assert got.value in range(field.p) and got.value == want % field.p
 
 
 def test_prime_field_rejects_fractions():

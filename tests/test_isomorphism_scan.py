@@ -22,12 +22,12 @@ from dialg.classify import _gl_isomorphisms
 from dialg.glsearch import isomorphisms
 from dialg.gfsearch import (
     arrays_to_dialgebra,
-    dialgebra_to_arrays,
     gl_matrices,
     isomorphism_indices,
     transform_tensor_batch,
 )
 from helpers import (
+    dialgebra_to_arrays,
     int_matrix_to_mat,
     matrix_algebra,
     random_valid_dialgebras,
