@@ -29,10 +29,10 @@ pivot step, `_insert`, row by row), and structure's ideal closures read the
 rows and columns of the view directly: both use int rows, since scaling a
 row does not change its span. multiplication_rows reads the linear systems
 of the annihilators and bar-units off the view as int rows, which
-structure and identities eliminate as they are. identities' law checks read
-the view too, visiting only its nonzero entries: they build each law's
-residuals one slab of rows per first basis index, over one common
-denominator per law.
+structure, identities and classify's fingerprint eliminate as they are.
+identities' law checks read the view too, visiting only its nonzero
+entries: they build each law's residuals one slab of rows per first basis
+index, over one common denominator per law.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Dialgebra
+from .algebras import Dialgebra
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
@@ -40,9 +40,9 @@ from .errors import (
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME, Field, Scalar
-from .identities import bar_units, dialgebra_violations
-from .linalg import Mat, Vec
-from .structure import DEFAULT_SEARCH_BOUND, _ann, annihilators, guard_search
+from .identities import _bar_unit_rows, dialgebra_violations
+from .linalg import Mat, Vec, _echelon, _raw
+from .structure import DEFAULT_SEARCH_BOUND, _ann, guard_search
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"
@@ -84,22 +84,26 @@ class Fingerprint:
     has_bar_unit: bool
 
 
+def _ranks(prod):
+    """The ranks of one product's table rows and of its multiplication rows
+    x -> e_i * x and x -> x * e_i: dim A*A, n - dim rann and n - dim lann."""
+    systems = (prod.multiplication_rows(), prod.multiplication_rows(right=True))
+    rows = [[_raw(v) for r in prod.rows for v in r], *(list(m.values()) for m in systems)]
+    return [len(_echelon(prod.field, r)[1]) for r in rows]
+
+
 def fingerprint(d):
-    prof = annihilators(d)
-    left_square, right_square = d._per_product(
-        lambda prod: Algebra(d.field, d.dim, prod).square_space().dim
-    )
-    return Fingerprint(
-        dim_left_square=left_square,
-        dim_right_square=right_square,
-        dim_rann_left=prof.rann_left.dim,
-        dim_lann_left=prof.lann_left.dim,
-        dim_rann_right=prof.rann_right.dim,
-        dim_lann_right=prof.lann_right.dim,
-        dim_ann=prof.ann.dim,
-        products_equal=d.products_equal(),
-        has_bar_unit=not bar_units(d).is_empty,
-    )
+    """Each invariant is the rank of a raw system, by one `_echelon`: a
+    product's table rows and its two multiplication systems, and the
+    bar-unit system, whose coefficient rows are the ann system: a pivot in
+    its last column rules out a bar-unit, the others give dim ann."""
+    n = d.dim
+    (ls, lr, ll), (rs, rr, rl) = d._per_product(_ranks)
+    pivots = _echelon(d.field, _bar_unit_rows(d))[1]
+    has_bar_unit = n not in pivots
+    dim_ann = n - len(pivots) + (not has_bar_unit)
+    ranks = (n - lr, n - ll, n - rr, n - rl)
+    return Fingerprint(ls, rs, *ranks, dim_ann, d.products_equal(), has_bar_unit)
 
 
 @dataclass(frozen=True)

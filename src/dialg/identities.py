@@ -243,8 +243,8 @@ class BarUnitSet:
             yield self.point + v
 
 
-def bar_units(d):
-    """Solve the linear system for bar-units; returns the whole solution set."""
+def _bar_unit_rows(d):
+    """The bar-unit system: the ann system's rows, right-hand sides appended."""
     n = d.dim
     # x <| e = x on basis x = e_i, coordinate k: sum_j gl[i][j][k] e_j = delta_ik,
     # the rows of e_j -> e_i <| e_j over the left den; e |> x = x likewise,
@@ -256,7 +256,12 @@ def bar_units(d):
         for i in range(n):
             rows.append(system.pop((i, i), zero) + [prod.den])
         rows += [r + [0] for r in system.values()]
-    result = _solve(d.field, rows, n)
+    return rows
+
+
+def bar_units(d):
+    """Solve the linear system for bar-units; returns the whole solution set."""
+    result = _solve(d.field, _bar_unit_rows(d), d.dim)
     if result is None:
         return BarUnitSet(None, None)
     point, direction = result

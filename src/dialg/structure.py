@@ -1,21 +1,21 @@
 """Annihilators, ideals, zero-cubed decomposition and perfection predicates.
 
 The simple/semiprime/prime predicates are decided exactly over finite
-fields from the principal ideals (v), v != 0: one ideal closure per line of
-GF(p)^dim, so at most p^dim closures, and the search bound (`bound`) caps
-exactly that count. Over the rationals there are infinitely many lines, so
-rather than guess, `algebra_simple`, `algebra_semiprime` and `algebra_prime`
-raise UnsupportedOverRationalsError (`algebra_simple` first answers False
-when A*A = 0), and `structure_flags` reports `None` for each predicate.
-`algebra_ideals` lists every ideal by scanning the whole subspace lattice;
-its bound counts every subspace.
+fields from the principal ideals (v), v != 0: one spin per line of GF(p)^dim,
+stopped once its span is a (v) found before, so at most p^dim spins, the
+count the search bound (`bound`) caps. Over the rationals there are
+infinitely many lines, so rather than guess, `algebra_simple`,
+`algebra_semiprime` and `algebra_prime` raise UnsupportedOverRationalsError
+(`algebra_simple` first answers False when A*A = 0), and `structure_flags`
+reports `None` for each predicate. `algebra_ideals` lists every ideal by
+scanning the whole subspace lattice; its bound counts every subspace.
 
-Every ideal question goes through one closure, `_closure`: a Meat-Axe
-spin (Parker 1984; Holt and Rees 1994) of the subspace under the unit
-multiplications, on raw rows. Each product of a new vector is one
-`contract` against a row or column of the product's sparse view, and the
-span grows as int echelon rows by linalg's one pivot step, `_insert`, so
-this module does no elimination of its own and builds no Vec per product.
+Every ideal question goes through one spin, `_spin`: a Meat-Axe spin
+(Parker 1984; Holt and Rees 1994) of raw rows under the unit
+multiplications. Each product of a new vector is one `contract` against a
+row or column of the product's sparse view, and the span grows as int
+echelon rows by linalg's one pivot step, `_insert`, so this module does no
+elimination of its own and builds no Vec per product.
 
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
@@ -120,42 +120,41 @@ def algebra_annihilator(a):
 
 def _closure(u, products, stop=None):
     """The smallest subspace holding u and closed under multiplication by the
-    units on both sides, for each product (u itself iff u is an ideal).
-
-    A Meat-Axe spin on raw rows: the maps b -> b*e_j and b -> e_j*b read
-    column j and row j of each product's sparse view, so each product of a
-    queued vector is one contract. The view holds int numerators over the
-    table's den, so a product comes out scaled by den, which leaves its span
-    as it is. The span is kept as int echelon rows with their pivots, the
-    seeds made integral once, and each product goes to linalg._insert, which
-    returns the terms of the new row or None when the product is already in
-    the span. Only new vectors are queued, the search stops once the span
-    has stop (at most n) dimensions, and the rows, kept in pivot order, are
-    the Subspace.
-    """
+    units on both sides, for each product (u itself iff u is an ideal); the
+    spin stops once the span has stop (at most n) dimensions."""
     field, n = u.field, u.ambient_dim
     if any(m.field is not field or m.dim != n for m in products):
         raise FieldMismatchError("subspace does not live in the algebra's space")
+    seeds = [field.integral(_raw(r)) for r in u.basis.rows]
     stop = n if stop is None else min(stop, n)
-    # A product object listed twice (d.right is d.left) is spun once.
+    return _subspace(field, n, *_spin(field, n, seeds, _unit_maps(products, n), stop))
+
+
+def _unit_maps(products, n):
+    """b -> b*e_j and b -> e_j*b as column j and row j of each sparse view,
+    once per product object (d.right may be d.left)."""
     views = [m.sparse for m in {id(m): m for m in products}.values()]
-    maps = [
-        side
-        for j in range(n)
-        for view in views
-        for side in ([view[i][j] for i in range(n)], view[j])
-    ]
+    return [side for j in range(n) for v in views for side in ([row[j] for row in v], v[j])]
+
+
+def _spin(field, n, seeds, maps, stop, known=()):
+    """(rows, pivots) of the span of the int seeds closed under the maps:
+    each product of a queued vector is one contract, over the view's den,
+    which keeps its span, and is queued if linalg._insert finds it new. The
+    spin stops at stop dimensions, or once its rows (over GF(p) the RREF
+    rows) are a tuple in known: an ideal holding the seeds that the span
+    fills is the closure."""
     rows, terms, pivots = [], [], []
-    queue = [_insert(field, rows, terms, pivots, field.integral(_raw(r))) for r in u.basis.rows]
+    queue = [_insert(field, rows, terms, pivots, w) for w in seeds]
     while queue and len(rows) < stop:
         b = queue.pop()
         for side in maps:
             new = _insert(field, rows, terms, pivots, contract([0] * n, b, side))
             if new is not None:
-                if len(rows) == stop:
-                    break
+                if len(rows) == stop or known and tuple(map(tuple, rows)) in known:
+                    return rows, pivots
                 queue.append(new)
-    return _subspace(field, n, rows, pivots)
+    return rows, pivots
 
 
 def is_ideal(d, u):
@@ -210,12 +209,19 @@ def _perfection(a, bound):
     ideals annihilate each other. So A is simple iff A*A != 0 and every (v)
     is A; semiprime iff no (v) has (v)(v) = 0; prime iff the intersection K
     of all (v) has K*K != 0, or there is no (v) at all (dim 0). The (v) run
-    over the lines, the rank-1 stretch of all_subspaces: under p^dim closures.
+    over the lines, the rank-1 stretch of all_subspaces: under p^dim spins,
+    each stopped at a (v) found before, keyed by its RREF rows.
     """
     _enumeration_guard(a.field, a.dim, pow, bound)
-    p, n = a.field.p, a.dim
-    lines = islice(all_subspaces(a.field, n), 1, 1 + (p**n - 1) // (p - 1))
-    principal = list(dict.fromkeys(_closure(v, (a.product,)) for v in lines))
+    field, p, n = a.field, a.field.p, a.dim
+    maps = _unit_maps((a.product,), n)
+    found = {}
+    for line in islice(all_subspaces(field, n), 1, 1 + (p**n - 1) // (p - 1)):
+        rows, pivots = _spin(field, n, [_raw(line.basis.rows[0])], maps, n, found)
+        key = tuple(map(tuple, rows))
+        if key not in found:
+            found[key] = _subspace(field, n, rows, pivots)
+    principal = list(found.values())
     square = a.product.subspace_product
     full = Subspace.full(a.field, n)
     meet = reduce(Subspace.intersect, principal, full)

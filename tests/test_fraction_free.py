@@ -28,6 +28,7 @@ from dialg import (
     bar_units,
     canonical_dialgebra,
     fingerprint,
+    from_associative,
     kernel,
     quotient,
     rref,
@@ -47,6 +48,7 @@ from helpers import (
     reference_rref,
     reference_solve,
     reference_span,
+    upper_triangular_algebra,
 )
 
 GF9973 = Field.prime(9973)
@@ -130,6 +132,15 @@ def test_annihilator_systems_agree_with_the_scalar_route(d):
         quot, proj = quotient(d, prof.ann)
         assert quot == expected[0] and quot.products_equal() == expected[0].products_equal()
         assert exact(proj) == exact(expected[1])
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Dialgebra.trivial(QQ, 0), *(from_associative(upper_triangular_algebra(f)) for f in FIELDS)],
+    ids=["trivial-0", "T2/Q", "T2/GF2", "T2/GF9973"],
+)
+def test_fingerprint_ranks_agree_with_the_reference(d):
+    assert fingerprint(d) == reference_fingerprint(d)
 
 
 def test_a_zero_diagonal_row_keeps_its_equation():

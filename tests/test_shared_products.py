@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dialg.classify as classify
 import dialg.identities as identities
 import dialg.structure as structure
 from dialg import (
@@ -232,7 +233,7 @@ def test_a_shared_product_is_worked_on_once(field, monkeypatch):
         (BilinearProduct, "rebase", lambda e: e.rebase(t), 1),
         (BilinearProduct, "transpose_args", opposite, 1),
         (BilinearProduct, "multiplication_rows", annihilators, 2),
-        (Algebra, "square_space", fingerprint, 1),
+        (classify, "_ranks", fingerprint, 1),
     ]
     if field is not QQ:
         # Over Q structure_flags answers None without deciding perfection.

@@ -44,6 +44,7 @@ from dialg import (
     zero_cubed_decompose,
 )
 from dialg.gfsearch import gl_matrices
+from dialg.linalg import _subspace
 from dialg.structure import is_algebra_ideal
 from helpers import (
     GF2,
@@ -384,6 +385,55 @@ def test_semiprime_squares_the_principal_ideals_in_line_order(monkeypatch):
     # zero square, then K*K.
     assert 1 < len(squared) < len(principal)
     assert calls == squared + [(meet, meet)]
+
+
+def _m2_plus(field, tail):
+    """M_2 (the matrix units E_ab at 2a + b) plus the algebra whose sparse view is tail."""
+    entries = {(2 * a + b, 2 * b + c, 2 * a + c): 1 for a, b, c in product(range(2), repeat=3)}
+    entries.update(
+        {(i + 4, j + 4, k + 4): v for i, row in enumerate(tail) for j, g in enumerate(row) for k, v in g}
+    )
+    return Algebra.from_entries(field, 4 + len(tail), entries)
+
+
+M2_T2_GF2 = _m2_plus(GF2, upper_triangular_algebra(GF2).product.sparse)
+M2_F_GF3 = _m2_plus(GF3, Algebra.from_entries(GF3, 1, {(0, 0, 0): 1}).product.sparse)
+
+
+@pytest.mark.parametrize("a", [M2_T2_GF2, M2_F_GF3], ids=["M2+T2/GF2", "M2+F/GF3"])
+def test_a_spin_that_stops_at_a_known_ideal_returns_the_principal_ideal(a):
+    field, n = a.field, a.dim
+    maps = structure._unit_maps((a.product,), n)
+    known, repeats = set(), 0
+    for line in islice(all_subspaces(field, n), 1, 1 + (field.p**n - 1) // (field.p - 1)):
+        seed = [c.value for c in line.basis.rows[0]]
+        rows, pivots = structure._spin(field, n, [seed], maps, n, known)
+        assert _subspace(field, n, rows, pivots) == reference_closure(line, (a.product,))
+        key = tuple(map(tuple, rows))
+        repeats += key in known
+        known.add(key)
+    # Most lines generate an ideal that an earlier line generated.
+    assert repeats > len(known)
+
+
+# _insert calls of structure_flags before spins stopped at known ideals.
+@pytest.mark.parametrize(
+    "a, before, flags",
+    [(M2_T2_GF2, 8277, (False, False, False)), (M2_F_GF3, 2473, (False, True, False))],
+    ids=["M2+T2/GF2", "M2+F/GF3"],
+)
+def test_structure_flags_spins_stop_at_known_ideals(a, before, flags, monkeypatch):
+    calls = []
+    insert = structure._insert
+
+    def counted(*args):
+        calls.append(None)
+        return insert(*args)
+
+    monkeypatch.setattr(structure, "_insert", counted)
+    got = structure_flags(from_associative(a))
+    assert (got.simple_left, got.semiprime_left, got.prime_left) == flags
+    assert len(calls) <= before // 2
 
 
 def test_split_pair_is_semiprime_but_not_prime():
