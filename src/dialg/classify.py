@@ -425,7 +425,7 @@ def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     for (left, right), codes in zip(tables, pairs):
         if codes in seen:
             continue
-        orbit = pair_orbit(left, right, p)
+        orbit = pair_orbit(left, right, p, bound)
         seen |= orbit
         rep = arrays_to_dialgebra(field, left, right)
         classes.append(CensusClass(rep, classify_dim2(rep), len(orbit)))

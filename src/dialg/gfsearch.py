@@ -11,7 +11,15 @@ lexicographic order and each is extended by its admissible rows in
 lexicographic order, so the finished list is exactly the invertible
 matrices in lexicographic order of their flattened entries, the order in
 which every first-hit search picks its witness. One batched Gauss-Jordan
-pass mod p then inverts them all.
+pass mod p then inverts them all. Both run at residue width: the prefixes
+and the augmented batch are held in the narrowest unsigned dtype that holds
+(p - 1) * p, the largest value a step forms before it reduces mod p (uint8
+up to p = 13, uint16 up to p = 251), and the batch lies on the last axis,
+so each elementwise step of the elimination reads contiguous memory. The
+two returned arrays are widened to int64 once, at the end: residues of a
+narrow dtype would wrap silently under a caller's @. The list is charged
+|GL(n, p)| = prod_k (p^n - p^k) against the search bound before anything is
+allocated.
 
 The census grows the valid (left, right) pairs the same way, one coordinate
 of the flattened pair at a time, left product first: survivors are extended
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -51,33 +60,66 @@ def _digits(p, length):
     return np.arange(p**length, dtype=np.int64)[:, None] // _place_values(p, length) % p
 
 
+def _work_dtype(p):
+    """The narrowest unsigned dtype holding (p - 1) * p: a residue plus the
+    product of two residues, the largest value GL's elimination forms."""
+    return np.min_scalar_type((p - 1) * p)
+
+
 def _matrix_inverses_mod(mats, p):
-    """Inverses mod p of a batch of invertible matrices, by Gauss-Jordan."""
+    """Inverses mod p of a (count, n, n) batch of invertible matrices held in
+    _work_dtype(p), by Gauss-Jordan; returns them as C-ordered int64.
+
+    The augmented batch [M | I] is (n, 2n, count), batch last, in the work
+    dtype. Row r minus c times the normalised pivot row, c being r's entry
+    in the pivot column, is formed as r + c * ((p - pivot) mod p), at most
+    (p - 1) + (p - 1)^2 = (p - 1) * p, so nothing is signed and nothing
+    wraps. Columns left of the pivot column are already unit columns, so
+    each step updates only the columns from the pivot on. Every scalar
+    operand is cast to the work dtype, so numpy 1 and numpy 2 promote alike.
+    """
     count, n, _ = mats.shape
-    batch = np.arange(count)
-    reciprocals = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    aug = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)], axis=2)
+    dtype = mats.dtype
+    zero, modulus = dtype.type(0), dtype.type(p)
+    reciprocals = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dtype)
+    aug = np.zeros((n, 2 * n, count), dtype=dtype)
+    aug[:, :n] = np.moveaxis(mats, 0, -1)
+    aug[np.arange(n), n + np.arange(n)] = 1
     for col in range(n):
         # Invertibility guarantees a nonzero entry at or below the diagonal.
-        hit = col + np.argmax(aug[:, col:, col] != 0, axis=1)
-        pivot = aug[batch, hit]
-        aug[batch, hit] = aug[:, col]
-        pivot = pivot * reciprocals[pivot[:, col]][:, None] % p
-        aug = (aug - aug[:, :, col : col + 1] * pivot[:, None, :]) % p
-        aug[:, col] = pivot
-    return aug[:, :, n:].copy()
+        hit = (col + np.argmax(aug[col:, col] != zero, axis=0))[None, None]
+        pivot = np.take_along_axis(aug, hit, axis=0)[0]
+        np.put_along_axis(aug, hit, aug[col][None], axis=0)
+        pivot *= reciprocals[pivot[col]]
+        pivot %= modulus
+        rest = aug[:, col:]
+        rest += aug[:, col, None] * ((modulus - pivot[col:]) % modulus)
+        rest %= modulus
+        aug[col] = pivot
+    return np.ascontiguousarray(np.moveaxis(aug[:, n:], -1, 0), dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def gl_matrices(p, n):
-    """All invertible n x n matrices over GF(p) with their inverses.
+def gl_matrices(p, n, bound=DEFAULT_SEARCH_BOUND):
+    """All invertible n x n matrices over GF(p) with their inverses, as two
+    read-only int64 arrays.
 
     Matrices are enumerated in lexicographic order of their flattened
     entries, which makes every search that picks the first hit deterministic.
+    The list is charged |GL(n, p)| candidates under guard_search on every
+    call, cached or not, and is built once per (p, n).
     """
-    vectors = _digits(p, n)
+    guard_search(f"GL({n}, {p}) list", prod(p**n - p**k for k in range(n)), bound)
+    return _gl_matrices(p, n)
+
+
+@lru_cache(maxsize=None)
+def _gl_matrices(p, n):
+    """gl_matrices' cached build; its cache_clear and cache_info are
+    gl_matrices'."""
+    dtype = _work_dtype(p)
+    vectors = _digits(p, n).astype(dtype)
     place = _place_values(p, n)
-    mats = np.zeros((1, 0, n), dtype=np.int64)
+    mats = np.zeros((1, 0, n), dtype=dtype)
     for k in range(n):
         span = (np.einsum("ck,gkj->gcj", _digits(p, k), mats) % p) @ place
         outside = np.ones((len(mats), len(vectors)), dtype=bool)
@@ -85,9 +127,14 @@ def gl_matrices(p, n):
         prefix, row = np.nonzero(outside)
         mats = np.concatenate([mats[prefix], vectors[row][:, None, :]], axis=1)
     invs = _matrix_inverses_mod(mats, p)
+    mats = mats.astype(np.int64)
     mats.setflags(write=False)
     invs.setflags(write=False)
     return mats, invs
+
+
+gl_matrices.cache_clear = _gl_matrices.cache_clear
+gl_matrices.cache_info = _gl_matrices.cache_info
 
 
 def _equations(laws, n):
@@ -150,10 +197,11 @@ def transform_tensor_batch(tensor, mats, invs, p):
     return np.einsum("gijc,gck->gijk", t, invs) % p
 
 
-def pair_orbit(left, right, p):
-    """The GL-orbit of a tensor pair as a set of index pairs."""
+def pair_orbit(left, right, p, bound=DEFAULT_SEARCH_BOUND):
+    """The GL-orbit of a tensor pair as a set of index pairs; the GL(n, p)
+    list it scans is charged against bound."""
     n = left.shape[0]
-    mats, invs = gl_matrices(p, n)
+    mats, invs = gl_matrices(p, n, bound)
     flat_powers = _place_values(p, n**3)
     tl = transform_tensor_batch(left, mats, invs, p).reshape(len(mats), -1) @ flat_powers
     tr = transform_tensor_batch(right, mats, invs, p).reshape(len(mats), -1) @ flat_powers

@@ -227,6 +227,81 @@ def test_gl_matrices_are_the_invertible_matrices_in_lexicographic_order(p, n):
         assert invs[g].tolist() == [[c.value for c in row] for row in inv.rows]
 
 
+@pytest.mark.parametrize(
+    "p, n, width",
+    [(2, 4, "uint8"), (3, 3, "uint8"), (13, 2, "uint8"), (17, 2, "uint16"),
+     (251, 1, "uint16"), (257, 1, "uint32"), (2, 0, "uint8")],
+)
+def test_gl_inverses_hold_at_the_width_edges(p, n, width):
+    # Inverses are unique, so M @ M^-1 = I mod p for every g pins them all.
+    from dialg.gfsearch import _work_dtype, gl_matrices
+
+    assert _work_dtype(p) == np.dtype(width)
+    mats, invs = gl_matrices(p, n)
+    count = 1
+    for k in range(n):
+        count *= p**n - p**k
+    assert len(mats) == len(invs) == count
+    assert mats.dtype == invs.dtype == np.int64
+    assert not mats.flags.writeable and not invs.flags.writeable
+    products = np.einsum("gij,gjk->gik", mats, invs) % p
+    assert (products == np.eye(n, dtype=np.int64)).all()
+
+
+def test_gl_list_is_charged_its_order_against_the_search_bound():
+    from dialg.gfsearch import gl_matrices
+
+    assert len(gl_matrices(3, 3, bound=11232)[0]) == 11232
+    with pytest.raises(
+        SearchBoundExceededError,
+        match=r"^GL\(3, 3\) list needs 11232 candidates, over the search bound 11231$",
+    ):
+        gl_matrices(3, 3, bound=11231)
+    # Refused before anything is allocated: unguarded, this list alone
+    # outgrows a few GB of memory.
+    with pytest.raises(
+        SearchBoundExceededError,
+        match=rf"^GL\(5, 2\) list needs 9999360 candidates, over the search bound {DEFAULT_SEARCH_BOUND}$",
+    ):
+        gl_matrices(2, 5)
+
+
+def test_census_charges_the_gl_list_against_its_own_bound(monkeypatch):
+    import dialg.gfsearch as gfsearch
+
+    bounds = []
+    real = gfsearch.gl_matrices
+
+    def spy(p, n, bound=DEFAULT_SEARCH_BOUND):
+        bounds.append(bound)
+        return real(p, n, bound)
+
+    monkeypatch.setattr(gfsearch, "gl_matrices", spy)
+    assert len(census(2, bound=5000)) == 13
+    assert bounds and set(bounds) == {5000}
+    zero = np.zeros((2, 2, 2), dtype=np.int64)
+    with pytest.raises(SearchBoundExceededError, match=r"^GL\(2, 3\) list needs 48 candidates"):
+        gfsearch.pair_orbit(zero, zero, 3, 47)
+
+
+def test_cold_gl_list_stays_at_residue_width_in_memory():
+    # numpy reports its buffers to tracemalloc, so the peak repeats exactly.
+    # The two returned int64 arrays of GL(4, 2) take 5.2 MB: the bound leaves
+    # room for residue-width work arrays, not for int64 ones.
+    import tracemalloc
+
+    from dialg.gfsearch import gl_matrices
+
+    gl_matrices.cache_clear()
+    tracemalloc.start()
+    try:
+        gl_matrices(2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 10**6
+
+
 def test_vectorized_rebase_agrees_with_the_scalar_route(valid_gf3):
     from dialg.gfsearch import (
         gl_matrices,
