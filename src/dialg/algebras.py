@@ -23,13 +23,14 @@ numerators too, accumulate on ints alone (reduced mod p over GF(p) between
 contractions), and make one division per output coordinate, by
 Vec.from_numerators; Scalar and Vec objects are built only for results.
 rebase moves each nonzero constant by the inverse base change once, before
-the two contractions with the new basis. subspace_product builds none per
-product but spans its int contract_pair rows with one _span (linalg's one
-pivot step, `_insert`, row by row), and structure's ideal closures read the
-rows and columns of the view directly: both use int rows, since scaling a
-row does not change its span. multiplication_rows reads the linear systems
-of the annihilators and bar-units off the view as int rows, which
-structure, identities and classify's fingerprint eliminate as they are.
+the two contractions with the new basis. subspace_product builds none: it
+contracts the int echelon rows of its two Subspaces pairwise and spans the
+results with one _span (linalg's one pivot step, `_insert`, row by row),
+and structure's ideal closures read the rows and columns of the view
+directly: both use int rows, since scaling a row does not change its span.
+multiplication_rows reads the linear systems of the annihilators and
+bar-units off the view as int rows, which structure, identities and
+classify's fingerprint eliminate as they are.
 identities' law checks read the view too, visiting only its nonzero
 entries: they build each law's residuals one slab of rows per first basis
 index, over one common denominator per law.
@@ -144,11 +145,10 @@ class BilinearProduct:
             raise FieldMismatchError("subspace field mismatch")
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise FieldMismatchError("subspace ambient dimension mismatch")
-        field, n, view = self.field, self.dim, self.sparse
-        # Int numerators throughout: scaling a spanning row leaves the span as it is.
-        xs, _ = field.numerators([_vec_terms(a) for a in u.basis.rows])
-        ys, _ = field.numerators([_vec_terms(b) for b in v.basis.rows])
-        return _span(field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
+        n, view = self.dim, self.sparse
+        # Int rows throughout: scaling a spanning row leaves the span as it is.
+        xs, ys = [_terms(a) for a in u.rows], [_terms(b) for b in v.rows]
+        return _span(self.field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
 
     def multiplication_rows(self, right=False):
         """The nonzero int rows of the maps x -> e_i * x (x -> x * e_i when

@@ -3,8 +3,9 @@
 Conventions used throughout the package:
   * vectors are rows; a linear map with matrix M acts as v @ M,
   * kernels and linear solves use the column convention M @ x = b,
-  * a Subspace is canonically represented by the reduced row echelon form
-    of any spanning set, so structural equality is set equality.
+  * a Subspace is held as the echelon rows `_insert` makes of any spanning
+    set, one canonical form (below), so equal rows mean equal sets; its
+    RREF basis is built only when read.
 
 All arithmetic here runs on raw values, never on Scalars: products go
 through `contract`, the one exact contraction kernel, shared with algebras,
@@ -25,9 +26,12 @@ which is the plain subtraction over GF(p), where L = 1.
 
 Scalars are built only for results. An echelon row leaves divided once by
 its pivot, by Vec.from_numerators (Field.divide): so every Scalar over Q
-holds a Fraction, in `_subspace`, `rref`, `Mat.inverse`, `solve` and the
-kernels. Other results leave by Vec.from_raw, which reduces mod p, or makes
-a Fraction of an int over Q, once per coordinate (Field.canonical).
+holds a Fraction, in `Subspace.basis`, `rref`, `Mat.inverse` and `solve`.
+A Subspace itself stays in int rows: the sums, meets, kernels and spans of
+this module and the products and ideal spins of algebras and structure all
+read and make those rows, and no Vec. Other results leave by Vec.from_raw,
+which reduces mod p, or makes a Fraction of an int over Q, once per
+coordinate (Field.canonical).
 """
 
 from __future__ import annotations
@@ -346,15 +350,9 @@ def _normalized(field, rows, pivots):
     return [Vec.from_numerators(field, r, r[p]) for r, p in zip(rows, pivots)]
 
 
-def _subspace(field, n, rows, pivots):
-    """The Subspace of F^n with raw echelon rows and pivots."""
-    basis = Mat(field, tuple(_normalized(field, rows, pivots)), n)
-    return Subspace(field, n, basis, tuple(pivots))
-
-
 def _span(field, n, rows):
     """The Subspace of F^n spanned by raw rows, reduced or not."""
-    return _subspace(field, n, *_echelon(field, rows))
+    return Subspace(field, n, *_echelon(field, rows))
 
 
 def _null_space(field, rows, pivots, ncols):
@@ -408,21 +406,25 @@ def solve(m, b):
 
 
 class Subspace:
-    """A linear subspace of F^n in canonical (RREF basis) form.
+    """A linear subspace of F^n, held as its echelon rows and pivots.
 
-    Two Subspaces are equal as sets exactly when their canonical bases are
-    structurally equal, which is how __eq__ is implemented.
+    The rows are int tuples in the one form `_insert` keeps them in
+    (Field.normalize): the RREF rows over GF(p), and over Q the primitive
+    rows with a positive pivot. Either is the RREF with each row times one
+    scale, so two Subspaces are equal as sets exactly when their rows are
+    equal, which is how __eq__ and __hash__ are implemented. `basis`, the
+    RREF as a Mat, is built when first read.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_sparse")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis", "_sparse")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
-        # Trusts that basis is already in RREF with no zero rows.
+    def __init__(self, field, ambient_dim, rows, pivots):
+        # Trusts that rows are echelon rows with these pivots, kept as _insert keeps them.
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-        self._sparse = None
+        self.rows = tuple(map(tuple, rows))
+        self.pivots = tuple(pivots)
+        self._basis = self._sparse = None
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -434,15 +436,24 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls.from_vectors(field, ambient_dim, [])
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Mat.identity(field, ambient_dim), tuple(range(ambient_dim)))
+        units = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
+        return cls(field, ambient_dim, units, range(ambient_dim))
 
     @property
     def dim(self):
-        return self.basis.nrows
+        return len(self.pivots)
+
+    @property
+    def basis(self):
+        """The RREF basis as a Mat: each echelon row divided once by its pivot."""
+        if self._basis is None:
+            rows = _normalized(self.field, self.rows, self.pivots)
+            self._basis = Mat(self.field, rows, self.ambient_dim)
+        return self._basis
 
     def _check(self, other):
         if not isinstance(other, Subspace):
@@ -463,19 +474,22 @@ class Subspace:
 
     def is_subspace_of(self, other):
         self._check(other)
-        return all(other.contains(r) for r in self.basis.rows)
+        return other.sum(self).dim == other.dim
 
     def sum(self, other):
         self._check(other)
-        rows = self.basis.rows + other.basis.rows
-        return Subspace.from_vectors(self.field, self.ambient_dim, rows)
+        return _span(self.field, self.ambient_dim, [list(r) for r in self.rows + other.rows])
 
     def intersect(self, other):
+        """Zassenhaus: the echelon rows of [u | u] over each row u of self and
+        [w | 0] over each row w of other that pivot in the right half are
+        (0 | x), and those x are the echelon rows of the intersection."""
         self._check(other)
-        stacked = Mat(self.field, self.basis.rows + other.basis.rows, self.ambient_dim)
-        left_null = kernel(stacked.transpose())
-        vectors = [Vec(self.field, w.coords[: self.dim]) @ self.basis for w in left_null.basis.rows]
-        return Subspace.from_vectors(self.field, self.ambient_dim, vectors)
+        n, zero = self.ambient_dim, (0,) * self.ambient_dim
+        stacked = [list(u + u) for u in self.rows] + [list(w + zero) for w in other.rows]
+        rows, pivots = _echelon(self.field, stacked)
+        k = bisect(pivots, n - 1)  # the first row that pivots in the right half
+        return Subspace(self.field, n, [r[n:] for r in rows[k:]], [p - n for p in pivots[k:]])
 
     def elements(self):
         """All vectors of the subspace; finite fields only."""
@@ -489,11 +503,11 @@ class Subspace:
         return (
             self.field is other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.ambient_dim, self.basis))
+        return hash((id(self.field), self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim}: {self.basis})"
@@ -505,7 +519,7 @@ def all_subspaces(field, n):
     Enumerates RREF patterns directly: rank, then pivot columns, then the
     free entries, each in lexicographic order.
     """
-    scalars = field.elements()
+    residues = [s.value for s in field.elements()]
     for rank in range(n + 1):
         for pivots in combinations(range(n), rank):
             free_slots = []
@@ -513,13 +527,8 @@ def all_subspaces(field, n):
                 for c in range(p + 1, n):
                     if c not in pivots:
                         free_slots.append((i, c))
-            for values in product(scalars, repeat=len(free_slots)):
-                rows = []
-                for i, p in enumerate(pivots):
-                    coords = [field.zero] * n
-                    coords[p] = field.one
-                    rows.append(coords)
+            for values in product(residues, repeat=len(free_slots)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
                 for (i, c), v in zip(free_slots, values):
                     rows[i][c] = v
-                vecs = tuple(Vec(field, tuple(r)) for r in rows)
-                yield Subspace(field, n, Mat(field, vecs, n), pivots)
+                yield Subspace(field, n, rows, pivots)

@@ -15,7 +15,9 @@ Every ideal question goes through one spin, `_spin`: a Meat-Axe spin
 multiplications. Each product of a new vector is one `contract` against a
 row or column of the product's sparse view, and the span grows as int
 echelon rows by linalg's one pivot step, `_insert`, so this module does no
-elimination of its own and builds no Vec per product.
+elimination of its own and builds no Vec per product. A spin starts from the
+echelon rows of a Subspace and its rows are the Subspace it returns, so the
+ideal scans and perfection predicates build no Vec for a subspace either.
 
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
@@ -59,8 +61,6 @@ from .linalg import (
     _insert,
     _kernel,
     _null_space,
-    _raw,
-    _subspace,
     all_subspaces,
     contract,
 )
@@ -125,9 +125,9 @@ def _closure(u, products, stop=None):
     field, n = u.field, u.ambient_dim
     if any(m.field is not field or m.dim != n for m in products):
         raise FieldMismatchError("subspace does not live in the algebra's space")
-    seeds = [field.integral(_raw(r)) for r in u.basis.rows]
+    seeds = [list(r) for r in u.rows]
     stop = n if stop is None else min(stop, n)
-    return _subspace(field, n, *_spin(field, n, seeds, _unit_maps(products, n), stop))
+    return Subspace(field, n, *_spin(field, n, seeds, _unit_maps(products, n), stop))
 
 
 def _unit_maps(products, n):
@@ -210,17 +210,15 @@ def _perfection(a, bound):
     is A; semiprime iff no (v) has (v)(v) = 0; prime iff the intersection K
     of all (v) has K*K != 0, or there is no (v) at all (dim 0). The (v) run
     over the lines, the rank-1 stretch of all_subspaces: under p^dim spins,
-    each stopped at a (v) found before, keyed by its RREF rows.
+    each stopped at a (v) found before, keyed by its echelon rows.
     """
     _enumeration_guard(a.field, a.dim, pow, bound)
     field, p, n = a.field, a.field.p, a.dim
     maps = _unit_maps((a.product,), n)
     found = {}
     for line in islice(all_subspaces(field, n), 1, 1 + (p**n - 1) // (p - 1)):
-        rows, pivots = _spin(field, n, [_raw(line.basis.rows[0])], maps, n, found)
-        key = tuple(map(tuple, rows))
-        if key not in found:
-            found[key] = _subspace(field, n, rows, pivots)
+        u = Subspace(field, n, *_spin(field, n, [list(line.rows[0])], maps, n, found))
+        found.setdefault(u.rows, u)
     principal = list(found.values())
     square = a.product.subspace_product
     full = Subspace.full(a.field, n)

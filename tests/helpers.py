@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
@@ -504,9 +505,22 @@ def reference_rref(m):
     return Mat(m.field, tuple(Vec(m.field, tuple(r)) for r in rows), m.ncols), pivots
 
 
+def _primitive(values):
+    """Fractions as the primitive int row on their line: scaled by the lcm of
+    their denominators, then divided by the gcd."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
 def reference_span(field, n, vectors):
+    """The Subspace whose rows are the Scalar RREF's, made primitive over Q."""
     red, pivots = reference_rref(Mat(field, tuple(vectors), n))
-    return Subspace(field, n, Mat(field, red.rows[: len(pivots)], n), tuple(pivots))
+    rows = [[c.value for c in r.coords] for r in red.rows[: len(pivots)]]
+    if not field.is_finite:
+        rows = [_primitive(r) for r in rows]
+    return Subspace(field, n, rows, pivots)
 
 
 def reference_kernel(m):

@@ -281,14 +281,22 @@ def _modules_after(code):
 
 
 def test_exact_verbs_do_not_import_numpy(tmp_path):
+    # Each module that a verb never needs stays unloaded, and so uncompiled
+    # when Python writes no bytecode: the GL searches load on first use.
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
-    probe = "import sys\n{}\nprint('numpy' in sys.modules)"
-    assert _modules_after(probe.format("import dialg")) == "False\n"
+    probe = (
+        "import sys\n{}\n"
+        "print(*(m in sys.modules for m in ('numpy', 'dialg.glsearch', 'dialg.gfsearch')))"
+    )
+    assert _modules_after(probe.format("import dialg")) == "False False False\n"
     check = f"from dialg.cli import main\nassert main(['check', {path!r}]) == 0"
-    assert _modules_after(probe.format(check)) == "PASS\nFalse\n"
-    # The census verb does need numpy, so the probe can see it.
+    assert _modules_after(probe.format(check)) == "PASS\nFalse False False\n"
+    pa, pb = t2_files(tmp_path)
+    iso = f"from dialg.cli import main\nassert main(['iso', {pa!r}, {pb!r}]) == 0"
+    assert _modules_after(probe.format(iso)) == T2_WITNESS + "False True False\n"
+    # The census verb does need numpy and gfsearch, so the probe can see them.
     census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
-    assert _modules_after(probe.format(census)) == "True\n"
+    assert _modules_after(probe.format(census)) == "True False True\n"
 
 
 def t2_files(tmp_path):
@@ -491,6 +499,53 @@ CENSUS_GF2 = (
     ', "right": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 3}\n'
 )
 
+# dialg census --prime 3: every label but trivial-both is read off the
+# annihilator, so this pins the Subspace that classify_dim2 takes from it.
+CENSUS_GF3 = (
+    '{"label": "trivial-both", "kind": "trivial-both", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "orbit_size": 1}\n'
+    '{"label": "zero-cubed-left-zero:square-type", "kind": "zero-cubed-left-zero", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]], "orbit_size": 8}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 24}\n'
+    '{"label": "I", "kind": "I", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 24}\n'
+    '{"label": "zero-cubed-right-zero:square-type", "kind": "zero-cubed-right-zero", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "orbit_size": 8}\n'
+    '{"label": "II_1", "kind": "II", "k": "1"'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]], "orbit_size": 8}\n'
+    '{"label": "II_2", "kind": "II", "k": "2"'
+    ', "left": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [2, 0]]], "orbit_size": 8}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 8}\n'
+    '{"label": "III", "kind": "III", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], "orbit_size": 24}\n'
+    '{"label": "IV", "kind": "IV", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]], "orbit_size": 8}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]], "orbit_size": 8}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]]'
+    ', "right": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], "orbit_size": 24}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]'
+    ', "right": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], "orbit_size": 24}\n'
+    '{"label": "from-associative", "kind": "from-associative", "k": null'
+    ', "left": [[[0, 1], [1, 1]], [[1, 1], [1, 2]]]'
+    ', "right": [[[0, 1], [1, 1]], [[1, 1], [1, 2]]], "orbit_size": 24}\n'
+)
+
 
 GOLDEN = [
     pytest.param(
@@ -601,6 +656,7 @@ GOLDEN = [
         id="quotient-dense",
     ),
     pytest.param(["census", "--prime", "2"], 0, CENSUS_GF2, id="census-gf2"),
+    pytest.param(["census", "--prime", "3"], 0, CENSUS_GF3, id="census-gf3"),
 ]
 
 

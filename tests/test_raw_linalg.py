@@ -6,19 +6,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dialg import (
+    Algebra,
+    Dialgebra,
     Field,
     Mat,
     NotInvertibleError,
     Subspace,
     Vec,
     ZeroCubedTriple,
+    all_subspaces,
+    annihilators,
+    generated_ideal,
     is_isomorphism,
     kernel,
     rref,
     solve,
 )
+from dialg.structure import _subspace_count
 from helpers import (
     GF2,
+    GF3,
     QQ,
     random_valid_dialgebras,
     reference_intersect,
@@ -40,24 +47,27 @@ VALID = random_valid_dialgebras(40, seed=13)
 
 
 @st.composite
-def scalars(draw, field):
+def scalars(draw, field, big=3):
+    """A scalar of GF(p), or over Q a fraction with numerator and denominator
+    up to big in size."""
     if field.is_finite:
         # Bias towards 0, 1 and -1 so that rows cancel now and then.
         value = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, field.p - 1)))
     else:
-        value = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        value = Fraction(draw(st.integers(-big, big)), draw(st.integers(1, big)))
     return field.scalar(value)
 
 
 @st.composite
-def vecs(draw, field, n):
-    return Vec(field, draw(st.tuples(*[scalars(field)] * n)))
+def vecs(draw, field, n, big=3):
+    return Vec(field, draw(st.tuples(*[scalars(field, big)] * n)))
 
 
 @st.composite
-def matrices(draw, field, nrows=None, ncols=None, dependent=True):
-    """A matrix of any shape from 0x0 to 5x5; if dependent, often rank
-    deficient, since some rows are drawn as combinations of earlier rows."""
+def matrices(draw, field, nrows=None, ncols=None, dependent=True, big=3):
+    """A matrix of any shape from 0x0 to 5x5, its scalars drawn with big; if
+    dependent, often rank deficient, since some rows are drawn as
+    combinations of earlier rows."""
     nrows = draw(st.integers(0, 5)) if nrows is None else nrows
     ncols = draw(st.integers(0, 5)) if ncols is None else ncols
     rows = []
@@ -65,9 +75,9 @@ def matrices(draw, field, nrows=None, ncols=None, dependent=True):
         if rows and dependent and draw(st.booleans()):
             row = Vec.zero(field, ncols)
             for r in rows:
-                row = row + r.scale(draw(scalars(field)))
+                row = row + r.scale(draw(scalars(field, big)))
         else:
-            row = draw(vecs(field, ncols))
+            row = draw(vecs(field, ncols, big))
         rows.append(row)
     return Mat(field, rows, ncols)
 
@@ -81,7 +91,7 @@ def systems(field):
 
 
 def same_subspace(u, v):
-    return u == v and u.pivots == v.pivots and u.dim == v.dim
+    return u == v and u.pivots == v.pivots and u.dim == v.dim and u.basis == v.basis
 
 
 @SETTINGS
@@ -134,12 +144,61 @@ def test_inverse_agrees_with_the_scalar_reference(data):
 def test_subspace_reduce_and_intersect_agree_with_the_scalar_reference(data):
     field = data.draw(st.sampled_from(FIELDS))
     n = data.draw(st.integers(0, 5))
-    u, w = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n)).rows)
-            for _ in range(2))
+    u, other = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n)).rows)
+                for _ in range(2))
+    # Besides two drawn spans: the zero and full spaces, u itself from its
+    # rows reversed, and spans nested in u and around it.
+    rows = u.basis.rows
+    w = data.draw(st.sampled_from([
+        other,
+        Subspace.zero(field, n),
+        Subspace.full(field, n),
+        Subspace.from_vectors(field, n, rows[::-1]),
+        Subspace.from_vectors(field, n, rows[: data.draw(st.integers(0, len(rows)))]),
+        Subspace.from_vectors(field, n, rows + other.basis.rows),
+    ]))
+    if data.draw(st.booleans()):
+        u, w = w, u
     v = data.draw(vecs(field, n))
     assert u.reduce(v) == reference_reduce(u, v)
     assert u.contains(v) == (not reference_reduce(u, v))
     assert same_subspace(u.intersect(w), reference_intersect(u, w))
+
+
+def assert_canonical(u):
+    """u equals the span of its own RREF basis, with the same pivots and hash."""
+    again = Subspace.from_vectors(u.field, u.ambient_dim, u.basis.rows)
+    assert u == again and u.pivots == again.pivots and hash(u) == hash(again)
+
+
+@SETTINGS
+@given(st.data())
+def test_subspace_equality_is_set_equality_whatever_built_it(data):
+    field = data.draw(st.sampled_from([QQ, GF2, Field.prime(9973)]))
+    n, big = data.draw(st.integers(0, 4)), 10**6
+    m = data.draw(matrices(field, ncols=n, big=big))
+    u, w = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n, big=big)).rows)
+            for _ in range(2))
+    direction = solve(m, m @ data.draw(vecs(field, n, big)))[1]
+    keys = st.tuples(*[st.integers(0, n - 1)] * 3)
+    left, right = (data.draw(st.dictionaries(keys, scalars(field, big), max_size=6)) if n else {}
+                   for _ in range(2))
+    d = Dialgebra.from_entries(field, n, left, right)
+    ann = annihilators(d)
+    for x in [
+        u, w, kernel(m), direction, u.sum(w), u.intersect(w),
+        ann.rann_left, ann.lann_left, ann.rann_right, ann.lann_right, ann.ann,
+        generated_ideal(d, u), Algebra(field, n, d.left).square_space(),
+        d.right.subspace_product(u, w),
+    ]:
+        assert_canonical(x)
+
+
+def test_every_enumerated_subspace_of_gf3_cubed_is_canonical_and_distinct():
+    subspaces = list(all_subspaces(GF3, 3))
+    for u in subspaces:
+        assert_canonical(u)
+    assert len(set(subspaces)) == len(subspaces) == _subspace_count(3, 3)
 
 
 @SETTINGS

@@ -44,7 +44,6 @@ from dialg import (
     zero_cubed_decompose,
 )
 from dialg.gfsearch import gl_matrices
-from dialg.linalg import _subspace
 from dialg.structure import is_algebra_ideal
 from helpers import (
     GF2,
@@ -408,7 +407,7 @@ def test_a_spin_that_stops_at_a_known_ideal_returns_the_principal_ideal(a):
     for line in islice(all_subspaces(field, n), 1, 1 + (field.p**n - 1) // (field.p - 1)):
         seed = [c.value for c in line.basis.rows[0]]
         rows, pivots = structure._spin(field, n, [seed], maps, n, known)
-        assert _subspace(field, n, rows, pivots) == reference_closure(line, (a.product,))
+        assert Subspace(field, n, rows, pivots) == reference_closure(line, (a.product,))
         key = tuple(map(tuple, rows))
         repeats += key in known
         known.add(key)
