@@ -147,7 +147,7 @@ class BilinearProduct:
             raise FieldMismatchError("subspace ambient dimension mismatch")
         n, view = self.dim, self.sparse
         # Int rows throughout: scaling a spanning row leaves the span as it is.
-        xs, ys = [_terms(a) for a in u.rows], [_terms(b) for b in v.rows]
+        xs, ys = u._row_terms(), v._row_terms()
         return _span(self.field, n, [contract_pair([0] * n, x, y, view) for x in xs for y in ys])
 
     def multiplication_rows(self, right=False):

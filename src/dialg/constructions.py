@@ -73,9 +73,11 @@ class ZeroCubedTriple:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.x_dim or len(y) != self.x_dim:
             raise FieldMismatchError("vector length mismatch")
-        view = [[_vec_terms(g) for g in row] for row in self.f]
-        raw = contract_pair([0] * self.z_dim, _vec_terms(x), _vec_terms(y), view)
-        return Vec.from_raw(self.field, raw)
+        (xs, ys), d = self.field.numerators([_vec_terms(x), _vec_terms(y)])
+        flat, den = self.field.numerators([_vec_terms(g) for row in self.f for g in row])
+        view = [flat[a * self.x_dim : (a + 1) * self.x_dim] for a in range(self.x_dim)]
+        raw = contract_pair([0] * self.z_dim, xs, ys, view)
+        return Vec.from_numerators(self.field, raw, d * d * den)
 
     def image(self):
         """The span of all pairing values inside Z."""

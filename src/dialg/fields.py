@@ -152,13 +152,13 @@ class Field:
         return values
 
     def integral(self, values):
-        """Raw values as ints on the same line through 0: over Q a row that
-        holds a Fraction is scaled by the lcm of its denominators; int rows,
-        and every row over GF(p), are returned as they are."""
+        """(values times den, den), ints: over Q a row that holds a Fraction is
+        scaled by den, the lcm of its denominators; int rows, and every row
+        over GF(p), are returned as they are, with den = 1."""
         if self.kind == PRIME or all(type(v) is int for v in values):
-            return values
+            return values, 1
         den = lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values]
+        return [v.numerator * (den // v.denominator) for v in values], den
 
     def normalize(self, values, head):
         """A nonzero reduced int row in the one form an echelon row is kept
@@ -172,14 +172,6 @@ class Field:
         if head < 0:
             g = -g
         return values if g == 1 else [v // g for v in values]
-
-    def canonical(self, values):
-        """Raw values in the form a Scalar holds: residues in [0, p) over
-        GF(p), Fractions over Q, where an int (say a sum that met no
-        Fraction) is wrapped."""
-        if self.kind == PRIME:
-            return self.reduce(values)
-        return [Fraction(v) if type(v) is int else v for v in values]
 
     def numerators(self, rows):
         """Rows of raw (index, value) terms as int numerators over one common

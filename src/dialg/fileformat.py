@@ -154,6 +154,9 @@ def _header_lines(field, dim, basis_names):
         raise ValueError(f"cannot write dim {dim}: the format holds dim 1 to {MAX_DIM}")
     lines = ["dialg 1", f"field {field}", f"dim {dim}"]
     if basis_names:
+        bad = [name for name in basis_names if "#" in name or name.split() != [name]]
+        if bad:
+            raise ValueError(f"cannot write basis name {bad[0]!r}: it must be one word without '#'")
         lines.append("basis " + " ".join(basis_names))
     return lines
 

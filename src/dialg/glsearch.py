@@ -148,7 +148,7 @@ def _row_search(a, b, p, n, split):
 
     def vec(g):
         if g not in vecs:
-            vecs[g] = Vec.from_raw(field, vectors[g])
+            vecs[g] = Vec.from_numerators(field, vectors[g], 1)
         return vecs[g]
 
     def search(r, span):

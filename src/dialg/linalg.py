@@ -24,14 +24,14 @@ so the canonical form is the same. A row is reduced by cross-multiplication,
 w L - sum_i (L / h_i) w[p_i] row_i with L the lcm of the pivots h_i used,
 which is the plain subtraction over GF(p), where L = 1.
 
-Scalars are built only for results. An echelon row leaves divided once by
-its pivot, by Vec.from_numerators (Field.divide): so every Scalar over Q
-holds a Fraction, in `Subspace.basis`, `rref`, `Mat.inverse` and `solve`.
-A Subspace itself stays in int rows: the sums, meets, kernels and spans of
-this module and the products and ideal spins of algebras and structure all
-read and make those rows, and no Vec. Other results leave by Vec.from_raw,
-which reduces mod p, or makes a Fraction of an int over Q, once per
-coordinate (Field.canonical).
+Scalars are built only for results, by one exit, Vec.from_numerators
+(Field.divide): int numerators over one denominator, divided once each, or
+reduced mod p. An echelon row leaves over its pivot, a product or residue
+over the common denominator of its inputs (Field.numerators, integral) times
+its own scale, so every Scalar over Q holds a Fraction. A Subspace stays in
+int rows: every sum, meet, kernel, span, residue and element here, and every
+product and ideal spin in algebras and structure, reads and makes those rows
+and their terms, and only output reads `Subspace.basis`.
 """
 
 from __future__ import annotations
@@ -90,13 +90,6 @@ class Vec:
         return cls(field, tuple(field.scalar(v) for v in values))
 
     @classmethod
-    def from_raw(cls, field, values):
-        """A Vec from raw accumulated values, brought once each into the form a
-        Scalar holds (Field.canonical): reduced mod p, or a Fraction over Q."""
-        z = field.zero
-        return cls(field, [Scalar(field, v) if v else z for v in field.canonical(values)])
-
-    @classmethod
     def from_numerators(cls, field, values, den):
         """A Vec from int numerators over the common denominator den (see
         Field.divide): one division, or one reduction mod p, per coordinate."""
@@ -139,8 +132,8 @@ class Vec:
             return NotImplemented
         if m.field is not self.field or m.nrows != len(self.coords):
             raise FieldMismatchError("vector/matrix shape mismatch")
-        rows = [_vec_terms(r) for r in m.rows]
-        return Vec.from_raw(self.field, contract([0] * m.ncols, _vec_terms(self), rows))
+        (xs, *rows), den = self.field.numerators([_vec_terms(r) for r in (self, *m.rows)])
+        return Vec.from_numerators(self.field, contract([0] * m.ncols, xs, rows), den * den)
 
     def __len__(self):
         return len(self.coords)
@@ -280,9 +273,9 @@ def rref(m):
 
 
 def _residue(w, pivots, terms):
-    """Raw w reduced against echelon rows with raw terms, each led by its
-    pivot h_i: w L - sum_i (L / h_i) w[p_i] row_i, with L the lcm of the h_i
-    used. Unreduced; w itself when every h_i is 1 (always over GF(p))."""
+    """(w L - sum_i (L / h_i) w[p_i] row_i, L) for raw w and echelon rows with
+    raw terms, each led by its pivot h_i, L the lcm of the h_i used. Unreduced;
+    (w itself, 1) when every h_i is 1 (always over GF(p))."""
     used = [(i, -w[c]) for i, c in enumerate(pivots) if w[c]]
     big = 1
     for i, _ in used:
@@ -290,9 +283,9 @@ def _residue(w, pivots, terms):
         if h != 1:
             big = lcm(big, h)
     if big == 1:
-        return contract(w, used, terms)
+        return contract(w, used, terms), 1
     scaled = [big * x for x in w]
-    return contract(scaled, [(i, (big // terms[i][0][1]) * x) for i, x in used], terms)
+    return contract(scaled, [(i, (big // terms[i][0][1]) * x) for i, x in used], terms), big
 
 
 def _insert(field, rows, terms, pivots, w):
@@ -305,7 +298,7 @@ def _insert(field, rows, terms, pivots, w):
     """
     if not any(w):
         return None
-    w = field.reduce(_residue(w, pivots, terms))
+    w = field.reduce(_residue(w, pivots, terms)[0])
     head = next(filter(None, w), 0)
     if not head:
         return None
@@ -341,7 +334,7 @@ def _echelon(field, rows):
     for w in rows:
         if len(pivots) == len(w):
             break  # full rank: every later row is in the span
-        _insert(field, ech, terms, pivots, field.integral(w))
+        _insert(field, ech, terms, pivots, field.integral(w)[0])
     return ech, pivots
 
 
@@ -412,8 +405,8 @@ class Subspace:
     (Field.normalize): the RREF rows over GF(p), and over Q the primitive
     rows with a positive pivot. Either is the RREF with each row times one
     scale, so two Subspaces are equal as sets exactly when their rows are
-    equal, which is how __eq__ and __hash__ are implemented. `basis`, the
-    RREF as a Mat, is built when first read.
+    equal, which is how __eq__ and __hash__ are implemented. The methods read
+    the rows and their terms; only output reads `basis`, the RREF as a Mat.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis", "_sparse")
@@ -461,13 +454,21 @@ class Subspace:
         if other.field is not self.field or other.ambient_dim != self.ambient_dim:
             raise FieldMismatchError("subspace field or ambient dimension mismatch")
 
+    def _row_terms(self):
+        """The raw terms of each echelon row, built on first use."""
+        if self._sparse is None:
+            self._sparse = [_terms(r) for r in self.rows]
+        return self._sparse
+
     def reduce(self, v):
         """Subtract off this subspace: the residue of v modulo the row space."""
         if v.field is not self.field or len(v) != self.ambient_dim:
             raise FieldMismatchError("vector shape mismatch")
-        if self._sparse is None:
-            self._sparse = [_vec_terms(r) for r in self.basis.rows]
-        return Vec.from_raw(self.field, _residue(_raw(v), self.pivots, self._sparse))
+        if not any(v.coords[c] for c in self.pivots):
+            return v  # nothing to subtract
+        w, den = self.field.integral(_raw(v))
+        residue, big = _residue(w, self.pivots, self._row_terms())
+        return Vec.from_numerators(self.field, residue, den * big)
 
     def contains(self, v):
         return not self.reduce(v)
@@ -493,9 +494,10 @@ class Subspace:
 
     def elements(self):
         """All vectors of the subspace; finite fields only."""
-        scalars = self.field.elements()
-        for coeffs in product(scalars, repeat=self.dim):
-            yield Vec(self.field, coeffs) @ self.basis
+        residues = [s.value for s in self.field.elements()]
+        n, rows = self.ambient_dim, self._row_terms()
+        for coeffs in product(residues, repeat=self.dim):
+            yield Vec.from_numerators(self.field, contract([0] * n, _terms(coeffs), rows), 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

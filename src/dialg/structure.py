@@ -15,9 +15,10 @@ Every ideal question goes through one spin, `_spin`: a Meat-Axe spin
 multiplications. Each product of a new vector is one `contract` against a
 row or column of the product's sparse view, and the span grows as int
 echelon rows by linalg's one pivot step, `_insert`, so this module does no
-elimination of its own and builds no Vec per product. A spin starts from the
-echelon rows of a Subspace and its rows are the Subspace it returns, so the
-ideal scans and perfection predicates build no Vec for a subspace either.
+elimination of its own and builds no Vec per product. A spin takes a
+Subspace and grows its echelon rows, pivots and terms as they are, with no
+row inserted again, and returns the Subspace its rows make, so the ideal
+scans and perfection predicates build no Vec and no basis for a subspace.
 
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
@@ -122,12 +123,11 @@ def _closure(u, products, stop=None):
     """The smallest subspace holding u and closed under multiplication by the
     units on both sides, for each product (u itself iff u is an ideal); the
     spin stops once the span has stop (at most n) dimensions."""
-    field, n = u.field, u.ambient_dim
-    if any(m.field is not field or m.dim != n for m in products):
+    n = u.ambient_dim
+    if any(m.field is not u.field or m.dim != n for m in products):
         raise FieldMismatchError("subspace does not live in the algebra's space")
-    seeds = [list(r) for r in u.rows]
     stop = n if stop is None else min(stop, n)
-    return Subspace(field, n, *_spin(field, n, seeds, _unit_maps(products, n), stop))
+    return _spin(u, _unit_maps(products, n), stop)
 
 
 def _unit_maps(products, n):
@@ -137,24 +137,24 @@ def _unit_maps(products, n):
     return [side for j in range(n) for v in views for side in ([row[j] for row in v], v[j])]
 
 
-def _spin(field, n, seeds, maps, stop, known=()):
-    """(rows, pivots) of the span of the int seeds closed under the maps:
-    each product of a queued vector is one contract, over the view's den,
-    which keeps its span, and is queued if linalg._insert finds it new. The
-    spin stops at stop dimensions, or once its rows (over GF(p) the RREF
-    rows) are a tuple in known: an ideal holding the seeds that the span
-    fills is the closure."""
-    rows, terms, pivots = [], [], []
-    queue = [_insert(field, rows, terms, pivots, w) for w in seeds]
+def _spin(u, maps, stop, known=()):
+    """The Subspace u closed under the maps, grown from u's echelon rows, each
+    queued: each product of a queued vector is one contract, over the view's
+    den, which keeps its span, and is queued if linalg._insert finds it new.
+    The spin stops at stop dimensions, or once its rows are in known: an
+    ideal holding u that the span fills is the closure."""
+    field, n = u.field, u.ambient_dim
+    rows, terms, pivots = [list(r) for r in u.rows], list(u._row_terms()), list(u.pivots)
+    queue = list(terms)
     while queue and len(rows) < stop:
         b = queue.pop()
         for side in maps:
             new = _insert(field, rows, terms, pivots, contract([0] * n, b, side))
             if new is not None:
                 if len(rows) == stop or known and tuple(map(tuple, rows)) in known:
-                    return rows, pivots
+                    return Subspace(field, n, rows, pivots)
                 queue.append(new)
-    return rows, pivots
+    return Subspace(field, n, rows, pivots)
 
 
 def is_ideal(d, u):
@@ -217,7 +217,7 @@ def _perfection(a, bound):
     maps = _unit_maps((a.product,), n)
     found = {}
     for line in islice(all_subspaces(field, n), 1, 1 + (p**n - 1) // (p - 1)):
-        u = Subspace(field, n, *_spin(field, n, [list(line.rows[0])], maps, n, found))
+        u = _spin(line, maps, n, found)
         found.setdefault(u.rows, u)
     principal = list(found.values())
     square = a.product.subspace_product

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialg import (
@@ -106,6 +107,32 @@ def test_serialize_refuses_a_dim_the_format_cannot_hold():
             serialize_dialgebra(Dialgebra.trivial(QQ, dim))
         with pytest.raises(ValueError, match=f"cannot write dim {dim}"):
             serialize_algebra(Dialgebra.trivial(GF5, dim).as_single(ProductTag.LEFT))
+
+
+# Names the format cannot hold: empty, cut at "#", split at any whitespace.
+_NAME_CHARS = st.sampled_from(
+    ["r", "s", "_", "#", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.text(_NAME_CHARS | st.characters(), max_size=3), min_size=2, max_size=2))
+@example(["r", "s#t"])
+@example(["a b", "c"])
+@example(["", ""])
+def test_serialize_writes_only_basis_names_that_read_back(names):
+    bad = [n for n in names if not n or "#" in n or any(c.isspace() for c in n)]
+    d = Dialgebra.from_entries(GF5, 2, {(0, 1, 1): 1}, basis_names=names)
+    for serialize, parse, x in (
+        (serialize_dialgebra, parse_dialgebra, d),
+        (serialize_algebra, parse_algebra, d.as_single(ProductTag.LEFT)),
+    ):
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(f"cannot write basis name {bad[0]!r}")):
+                serialize(x)
+        else:
+            again = parse(serialize(x))
+            assert again == x and again.basis_names == tuple(names)
 
 
 def test_error_carries_line_number():

@@ -43,6 +43,8 @@ from helpers import (
 
 FIELDS = [QQ, GF2, Field.prime(9973), Field.prime(3000017)]
 SETTINGS = settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+# Fraction sizes over Q: small, or large enough that denominators rarely share a factor.
+BIGS = st.sampled_from([3, 10**6])
 VALID = random_valid_dialgebras(40, seed=13)
 
 
@@ -142,9 +144,9 @@ def test_inverse_agrees_with_the_scalar_reference(data):
 @SETTINGS
 @given(st.data())
 def test_subspace_reduce_and_intersect_agree_with_the_scalar_reference(data):
-    field = data.draw(st.sampled_from(FIELDS))
+    field, big = data.draw(st.sampled_from(FIELDS)), data.draw(BIGS)
     n = data.draw(st.integers(0, 5))
-    u, other = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n)).rows)
+    u, other = (Subspace.from_vectors(field, n, data.draw(matrices(field, ncols=n, big=big)).rows)
                 for _ in range(2))
     # Besides two drawn spans: the zero and full spaces, u itself from its
     # rows reversed, and spans nested in u and around it.
@@ -159,7 +161,7 @@ def test_subspace_reduce_and_intersect_agree_with_the_scalar_reference(data):
     ]))
     if data.draw(st.booleans()):
         u, w = w, u
-    v = data.draw(vecs(field, n))
+    v = data.draw(vecs(field, n, big))
     assert u.reduce(v) == reference_reduce(u, v)
     assert u.contains(v) == (not reference_reduce(u, v))
     assert same_subspace(u.intersect(w), reference_intersect(u, w))
@@ -204,25 +206,27 @@ def test_every_enumerated_subspace_of_gf3_cubed_is_canonical_and_distinct():
 @SETTINGS
 @given(st.data())
 def test_products_agree_with_the_scalar_reference(data):
-    field = data.draw(st.sampled_from(FIELDS))
-    m = data.draw(matrices(field))
-    v = data.draw(vecs(field, m.nrows))
-    x = data.draw(vecs(field, m.ncols))
+    field, big = data.draw(st.sampled_from(FIELDS)), data.draw(BIGS)
+    m = data.draw(matrices(field, big=big))
+    v = data.draw(vecs(field, m.nrows, big))
+    x = data.draw(vecs(field, m.ncols, big))
     assert v @ m == reference_vec_mat(v, m)
     assert m @ x == reference_mat_vec(m, x)
-    other = data.draw(matrices(field, nrows=m.ncols))
+    other = data.draw(matrices(field, nrows=m.ncols, big=big))
     assert m @ other == Mat(field, [reference_vec_mat(r, other) for r in m.rows], other.ncols)
 
 
 @SETTINGS
 @given(st.data())
 def test_zero_cubed_apply_agrees_with_the_scalar_reference(data):
-    field = data.draw(st.sampled_from(FIELDS))
+    field, big = data.draw(st.sampled_from(FIELDS)), data.draw(BIGS)
     z_dim, x_dim = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     keys = st.tuples(st.integers(0, x_dim - 1), st.integers(0, x_dim - 1), st.integers(0, z_dim - 1))
-    entries = data.draw(st.dictionaries(keys, scalars(field), max_size=6)) if x_dim and z_dim else {}
+    entries = {}
+    if x_dim and z_dim:
+        entries = data.draw(st.dictionaries(keys, scalars(field, big), max_size=6))
     t = ZeroCubedTriple.from_entries(field, z_dim, x_dim, entries)
-    x, y = data.draw(vecs(field, x_dim)), data.draw(vecs(field, x_dim))
+    x, y = data.draw(vecs(field, x_dim, big)), data.draw(vecs(field, x_dim, big))
     assert t.apply(x, y) == reference_zero_cubed_apply(t, x, y)
 
 

@@ -130,6 +130,31 @@ def test_generated_ideal_is_an_ideal_containing_the_seed():
         assert is_ideal(d, grown)
 
 
+def test_subspace_methods_and_ideal_tests_never_build_the_basis():
+    # reduce, contains, elements, is_ideal and quotient read the echelon rows.
+    from dialg import quotient
+
+    rng = random.Random(43)
+    kinds = set()
+    for d in random_valid_dialgebras(20, seed=6):
+        field, n = d.field, d.dim
+        kinds.add(field.kind)
+
+        def draw():
+            return Vec.of(field, [rng.randint(-2, 2) for _ in range(n)])
+
+        seeds = [Subspace.from_vectors(field, n, [draw()]) for _ in range(2)]
+        for u in (seeds[0], generated_ideal(d, seeds[1])):
+            u.reduce(draw())
+            u.contains(draw())
+            if field.is_finite:
+                list(u.elements())
+            if is_ideal(d, u):
+                quotient(d, u)
+            assert u._basis is None
+    assert kinds == {"rational", "prime"}
+
+
 # Each ideal entry point with a subspace of the wrong field, or of a smaller
 # or larger ambient space, than the dim-2 GF(2) algebra it is asked about.
 WRONG_SPACES = [
@@ -405,12 +430,10 @@ def test_a_spin_that_stops_at_a_known_ideal_returns_the_principal_ideal(a):
     maps = structure._unit_maps((a.product,), n)
     known, repeats = set(), 0
     for line in islice(all_subspaces(field, n), 1, 1 + (field.p**n - 1) // (field.p - 1)):
-        seed = [c.value for c in line.basis.rows[0]]
-        rows, pivots = structure._spin(field, n, [seed], maps, n, known)
-        assert Subspace(field, n, rows, pivots) == reference_closure(line, (a.product,))
-        key = tuple(map(tuple, rows))
-        repeats += key in known
-        known.add(key)
+        u = structure._spin(line, maps, n, known)
+        assert u == reference_closure(line, (a.product,))
+        repeats += u.rows in known
+        known.add(u.rows)
     # Most lines generate an ideal that an earlier line generated.
     assert repeats > len(known)
 
@@ -433,6 +456,23 @@ def test_structure_flags_spins_stop_at_known_ideals(a, before, flags, monkeypatc
     got = structure_flags(from_associative(a))
     assert (got.simple_left, got.semiprime_left, got.prime_left) == flags
     assert len(calls) <= before // 2
+
+
+def test_ideal_scan_spins_from_each_subspace_without_inserting_its_rows_again(monkeypatch):
+    # Inserting each subspace's own rows again would take 22,170 calls.
+    a = upper_triangular_algebra(GF2, 3)
+    calls = []
+    insert = structure._insert
+
+    def counted(*args):
+        calls.append(None)
+        return insert(*args)
+
+    monkeypatch.setattr(structure, "_insert", counted)
+    ideals = algebra_ideals(a)
+    assert len(calls) <= 13695
+    monkeypatch.undo()
+    assert ideals == reference_ideals(a)
 
 
 def test_split_pair_is_semiprime_but_not_prime():
