@@ -29,7 +29,7 @@ nor an isomorphism search load numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebras import Dialgebra
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     NotInvertibleError,
     UnsupportedOverRationalsError,
 )
-from .fields import PRIME, Field, Scalar
+from .fields import PRIME, Field
 from .identities import _bar_unit_rows, dialgebra_violations
 from .linalg import Mat, Vec, _echelon, _raw
 from .structure import DEFAULT_SEARCH_BOUND, _ann, guard_search
@@ -69,19 +69,16 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(
+    namedtuple(
+        "Fingerprint",
+        "dim_left_square dim_right_square dim_rann_left dim_lann_left dim_rann_right"
+        " dim_lann_right dim_ann products_equal has_bar_unit",
+    )
+):
     """Base-change invariants used as a necessary condition for isomorphism."""
 
-    dim_left_square: int
-    dim_right_square: int
-    dim_rann_left: int
-    dim_lann_left: int
-    dim_rann_right: int
-    dim_lann_right: int
-    dim_ann: int
-    products_equal: bool
-    has_bar_unit: bool
+    __slots__ = ()
 
 
 def _ranks(prod):
@@ -106,20 +103,15 @@ def fingerprint(d):
     return Fingerprint(ls, rs, *ranks, dim_ann, d.products_equal(), has_bar_unit)
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(namedtuple("ClassLabel", "kind k sublabel witness canonical")):
     """Classification outcome with an explicit change-of-basis witness.
 
-    Rewriting the input on the basis whose rows are `witness` reproduces
-    `canonical` exactly. For II the scalar k is the complete invariant of
-    the family.
+    Rewriting the input on the basis whose rows are `witness` (a Mat)
+    reproduces `canonical` exactly. For II the Scalar k is the complete
+    invariant of the family; other kinds have k None.
     """
 
-    kind: str
-    k: Scalar | None
-    sublabel: str | None
-    witness: Mat
-    canonical: Dialgebra
+    __slots__ = ()
 
     def label_string(self):
         parts = self.kind
@@ -156,20 +148,14 @@ def canonical_dialgebra(kind, field, k=None):
     return Dialgebra(field, 2, d.left, d.right, ("r", "s"))
 
 
-@dataclass(frozen=True)
-class ParamTable:
+class ParamTable(namedtuple("ParamTable", "x1 x2 x3 x4 x5 x6")):
     """The generic tables on a basis (r, s) with annihilator spanned by r:
 
     r <| s = x1 r,  s <| s = x2 r + x3 s,  s |> r = x4 r,  s |> s = x5 r + x6 s,
     every other structure constant zero.
     """
 
-    x1: Scalar
-    x2: Scalar
-    x3: Scalar
-    x4: Scalar
-    x5: Scalar
-    x6: Scalar
+    __slots__ = ()
 
     @classmethod
     def of(cls, field, values):
@@ -401,13 +387,10 @@ def _valid_pairs(p, dim, bound):
     return (Field.prime(p), *valid_pairs(p, dim, bound))
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
     """One isomorphism class: its least representative, label and orbit size."""
 
-    representative: Dialgebra
-    label: ClassLabel
-    orbit_size: int
+    __slots__ = ()
 
 
 def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):

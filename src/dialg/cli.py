@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
 from .constructions import leibniz_bracket, opposite, quotient
@@ -67,7 +66,7 @@ def cmd_info(args, out):
     d = _load(args.path)
     fp = fingerprint(d)
     pairs = [("field", str(d.field)), ("dim", d.dim)]
-    pairs += [(f.name, getattr(fp, f.name)) for f in fields(Fingerprint)]
+    pairs += zip(Fingerprint._fields, fp)
     if args.json:
         print(json.dumps(dict(pairs)), file=out)
         return 0

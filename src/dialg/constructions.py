@@ -12,7 +12,7 @@ structure's triple equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_grid
@@ -42,26 +42,31 @@ def opposite(d):
     return Dialgebra(d.field, d.dim, left, right, d.basis_names)
 
 
-@dataclass(frozen=True)
-class ZeroCubedTriple:
+class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     """A bilinear pairing f: X x X -> Z, stored as f[a][b] = Vec over Z coords.
 
     Building on Z + X with product (z + x)(z' + x') = f(x, x') yields an
     associative algebra whose triple products vanish.
+
+    Every way to build one checks the grid: the constructor, `_make` and
+    so `_replace`, which namedtuple would build by tuple.__new__, and
+    unpickling, which calls __new__.
     """
 
-    field: object
-    z_dim: int
-    x_dim: int
-    f: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.f) != self.x_dim or any(len(row) != self.x_dim for row in self.f):
+    def __new__(cls, field, z_dim, x_dim, f):
+        if len(f) != x_dim or any(len(row) != x_dim for row in f):
             raise FieldMismatchError("pairing grid is not x_dim x x_dim")
-        for row in self.f:
+        for row in f:
             for v in row:
-                if not isinstance(v, Vec) or v.field is not self.field or len(v) != self.z_dim:
+                if not isinstance(v, Vec) or v.field is not field or len(v) != z_dim:
                     raise FieldMismatchError("pairing value is not a Vec of length z_dim")
+        return super().__new__(cls, field, z_dim, x_dim, f)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_entries(cls, field, z_dim, x_dim, entries):

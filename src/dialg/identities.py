@@ -33,11 +33,11 @@ are associativity, so one law's slabs serve all five.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .algebras import ProductTag
-from .linalg import Subspace, Vec, _solve
+from .linalg import Vec, _solve
 
 LAW_ASSOC = "assoc"
 LAW_ASSOC_LEFT = "assoc-left"
@@ -50,13 +50,10 @@ LAW_LEIBNIZ = "leibniz"
 DIALGEBRA_LAWS = (LAW_ASSOC_LEFT, LAW_ASSOC_RIGHT, LAW_AX1, LAW_AX2, LAW_AX3)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(namedtuple("ViolationReport", "law triple residual")):
     """One failed law instance: the basis triple and the LHS - RHS residual."""
 
-    law: str
-    triple: tuple
-    residual: Vec
+    __slots__ = ()
 
 
 # Every law is (x a y) b z = x c (y d z); each row names (a, b, c, d). The GF(p)
@@ -215,16 +212,40 @@ def check_leibniz(a):
     return list(_violations(a.field, a.dim, laws))
 
 
-@dataclass(frozen=True)
 class BarUnitSet:
     """The affine set of bar-units {e : x <| e = x = e |> x for all x}.
 
     Empty when point is None; otherwise every element is point + v with v in
-    direction.
+    direction. An immutable record like the others, but not a tuple: it
+    models a set, so `in`, `iter` and `len` raise TypeError rather than
+    answer about its two fields.
     """
 
-    point: Vec | None
-    direction: Subspace | None
+    __slots__ = ("point", "direction")
+
+    def __init__(self, point, direction):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "direction", direction)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.point, self.direction)
+
+    def __repr__(self):
+        return f"BarUnitSet(point={self.point!r}, direction={self.direction!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.point, self.direction) == (other.point, other.direction)
+
+    def __hash__(self):
+        return hash((self.point, self.direction))
 
     @property
     def is_empty(self):

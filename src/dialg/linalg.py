@@ -132,8 +132,7 @@ class Vec:
             return NotImplemented
         if m.field is not self.field or m.nrows != len(self.coords):
             raise FieldMismatchError("vector/matrix shape mismatch")
-        (xs, *rows), den = self.field.numerators([_vec_terms(r) for r in (self, *m.rows)])
-        return Vec.from_numerators(self.field, contract([0] * m.ncols, xs, rows), den * den)
+        return m._premultiply((self,))[0]
 
     def __len__(self):
         return len(self.coords)
@@ -217,13 +216,24 @@ class Mat:
         if isinstance(other, Mat):
             if other.field is not self.field or other.nrows != self.ncols:
                 raise FieldMismatchError("matrix product shape mismatch")
-            return Mat(self.field, tuple(r @ other for r in self.rows), other.ncols)
+            return Mat(self.field, other._premultiply(self.rows), other.ncols)
         if isinstance(other, Vec):
             # Column convention: (M @ x)_i = row_i . x
             if other.field is not self.field or len(other) != self.ncols:
                 raise FieldMismatchError("matrix/vector shape mismatch")
             return other @ self.transpose()
         return NotImplemented
+
+    def _premultiply(self, vecs):
+        """v @ self for each row Vec v of vecs, taking self's numerators once."""
+        field = self.field
+        rows, den = field.numerators([_vec_terms(r) for r in self.rows])
+        products = []
+        for v in vecs:
+            (xs,), d = field.numerators([_vec_terms(v)])
+            raw = contract([0] * self.ncols, xs, rows)
+            products.append(Vec.from_numerators(field, raw, d * den))
+        return products
 
     def inverse(self):
         n = self.nrows

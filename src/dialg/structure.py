@@ -40,7 +40,7 @@ maps (alpha, beta). So this module never imports gfsearch or numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import islice
 
@@ -69,19 +69,16 @@ from .linalg import (
 DEFAULT_SEARCH_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class AnnihilatorProfile:
+class AnnihilatorProfile(
+    namedtuple("AnnihilatorProfile", "rann_left lann_left rann_right lann_right ann")
+):
     """The four one-sided annihilators and their distinguished intersection.
 
     ann is rann_left intersected with lann_right; for a valid dialgebra it
     is a two-sided ideal for both products.
     """
 
-    rann_left: Subspace
-    lann_left: Subspace
-    rann_right: Subspace
-    lann_right: Subspace
-    ann: Subspace
+    __slots__ = ()
 
 
 def annihilators(d):
@@ -245,17 +242,16 @@ def algebra_prime(a, bound=DEFAULT_SEARCH_BOUND):
     return _perfection(a, bound)[2]
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(
+    namedtuple(
+        "StructureFlags",
+        "products_equal simple_left simple_right semiprime_left semiprime_right"
+        " prime_left prime_right",
+    )
+):
     """Perfection predicates per product; None means unsupported over the rationals."""
 
-    products_equal: bool
-    simple_left: bool | None
-    simple_right: bool | None
-    semiprime_left: bool | None
-    semiprime_right: bool | None
-    prime_left: bool | None
-    prime_right: bool | None
+    __slots__ = ()
 
 
 def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):

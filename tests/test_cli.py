@@ -291,6 +291,14 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
     assert _modules_after(probe.format("import dialg")) == "False False False\n"
     check = f"from dialg.cli import main\nassert main(['check', {path!r}]) == 0"
     assert _modules_after(probe.format(check)) == "PASS\nFalse False False\n"
+    # The result records are named tuples, so neither loads dataclasses or
+    # inspect. site may preload modules: compare with those loaded before.
+    added = (
+        "import sys\nbefore = set(sys.modules)\n{}\n"
+        "print(sorted({{'dataclasses', 'inspect'}} & (set(sys.modules) - before)))"
+    )
+    assert _modules_after(added.format("import dialg")) == "[]\n"
+    assert _modules_after(added.format(check)) == "PASS\n[]\n"
     pa, pb = t2_files(tmp_path)
     iso = f"from dialg.cli import main\nassert main(['iso', {pa!r}, {pb!r}]) == 0"
     assert _modules_after(probe.format(iso)) == T2_WITNESS + "False True False\n"
