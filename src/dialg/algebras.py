@@ -205,6 +205,10 @@ class BilinearProduct:
     def is_zero(self):
         return not any(any(v for v in r) for r in self.rows)
 
+    def __reduce__(self):
+        # The table alone: the lazy sparse view and denominator are rebuilt on read.
+        return (BilinearProduct, (self.field, self.dim, self.rows))
+
     def __eq__(self, other):
         if not isinstance(other, BilinearProduct):
             return NotImplemented
@@ -261,6 +265,9 @@ class Algebra:
         """The same algebra written on the basis whose rows are t (invertible)."""
         t_inv = t.inverse()
         return Algebra(self.field, self.dim, self.product.rebase(t, t_inv))
+
+    def __reduce__(self):
+        return (Algebra, (self.field, self.dim, self.product, self.basis_names))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -330,6 +337,10 @@ class Dialgebra:
         t_inv = t.inverse()
         left, right = self._per_product(lambda prod: prod.rebase(t, t_inv))
         return Dialgebra(self.field, self.dim, left, right)
+
+    def __reduce__(self):
+        # A shared product is one pickled object, so right is left on loading.
+        return (Dialgebra, (self.field, self.dim, self.left, self.right, self.basis_names))
 
     def __eq__(self, other):
         # Structural identity of the two tensors; basis names are decoration.

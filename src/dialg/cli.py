@@ -15,8 +15,8 @@ import sys
 from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
 from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
-from .fileformat import ASCII_INT, parse_coefficient, parse_dialgebra
-from .fileformat import serialize_algebra, serialize_dialgebra
+from .fields import ASCII_INT
+from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
 from .structure import DEFAULT_SEARCH_BOUND
@@ -30,6 +30,13 @@ def _search_bound():
         return DEFAULT_SEARCH_BOUND
     if not ASCII_INT.fullmatch(raw) or int(raw) < 0:
         raise DialgError(f"{ENV_SEARCH_BOUND} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _ascii_int(raw):
+    """The argparse type of an integer option: an int by the rule in `fields`."""
+    if not ASCII_INT.fullmatch(raw):
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
     return int(raw)
 
 
@@ -161,7 +168,7 @@ def _parse_ideal(d, raw):
                 f"ideal generator {chunk!r} has {len(entries)} entries, expected {d.dim}"
             )
         try:
-            vectors.append(Vec(d.field, [parse_coefficient(d.field, e) for e in entries]))
+            vectors.append(Vec.of(d.field, entries))
         except ValueError as exc:
             raise DialgError(f"bad ideal generator {chunk!r}: {exc}")
     return Subspace.from_vectors(d.field, d.dim, vectors)
@@ -202,8 +209,8 @@ def build_parser():
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("census", help="classify all dialgebras over a small prime field")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--prime", type=_ascii_int, required=True)
+    p.add_argument("--dim", type=_ascii_int, default=2)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("leibniz", help="print the Leibniz bracket algebra of a file")

@@ -64,6 +64,11 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
                     raise FieldMismatchError("pairing value is not a Vec of length z_dim")
         return super().__new__(cls, field, z_dim, x_dim, f)
 
+    def __reduce__(self):
+        # Protocols 0 and 1 would otherwise load through copyreg._reconstructor,
+        # which builds the tuple without __new__ and so skips the check.
+        return (ZeroCubedTriple, tuple(self))
+
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)

@@ -7,6 +7,7 @@ Nothing in this module is ever floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -14,6 +15,16 @@ from .errors import FieldMismatchError, NonPrimeError, UnsupportedOverRationalsE
 
 RATIONAL = "rational"
 PRIME = "prime"
+
+# The one rule for a number read from text, for use with fullmatch: ASCII
+# digits with an optional sign, and in a rational coefficient an optional
+# /<den> with a positive denominator and no leading zero. int() and
+# Fraction() would also read other Unicode digits, underscores, surrounding
+# whitespace, decimals and exponents. Every number in a file, `--ideal`,
+# `--prime`, `--dim` and DIALG_SEARCH_BOUND is read by Field.scalar or
+# ASCII_INT, so by these two patterns alone.
+ASCII_INT = re.compile(r"[+-]?\d+", re.ASCII)
+_RATIONAL_COEFF = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 # Miller-Rabin with these bases is exact below MILLER_RABIN_BOUND
@@ -103,9 +114,11 @@ class Field:
     def scalar(self, value):
         """Coerce an int, Fraction, string or Scalar into this field.
 
-        Over GF(p) only integer values are accepted (reduced mod p); a
-        fraction like 1/2 is rejected because the file format and the
-        classification tables treat prime-field coefficients as residues.
+        A string is read by the one rule for numbers (ASCII_INT and
+        _RATIONAL_COEFF): over Q an integer or <num>/<den>, over GF(p) an
+        integer, reduced mod p; any other string raises ValueError. Over GF(p) only integer values are accepted; a fraction
+        like 1/2 is rejected because the file format and the classification
+        tables treat prime-field coefficients as residues.
         """
         if isinstance(value, Scalar):
             if value.field is not self:
@@ -115,13 +128,15 @@ class Field:
             if isinstance(value, (int, Fraction)):
                 return Scalar(self, Fraction(value))
             if isinstance(value, str):
-                return Scalar(self, Fraction(value))
+                match = _RATIONAL_COEFF.fullmatch(value)
+                if not match:
+                    raise ValueError(f"bad rational coefficient {value!r}")
+                return Scalar(self, Fraction(int(match[1]), int(match[2] or 1)))
             raise TypeError(f"cannot make a rational scalar from {value!r}")
         if isinstance(value, str):
-            try:
-                value = int(value, 10)
-            except ValueError:
-                raise ValueError(f"{value!r} is not an integer residue for {self}")
+            if not ASCII_INT.fullmatch(value):
+                raise ValueError(f"coefficient {value!r} is not in {self}")
+            value = int(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"{value} is not an integer residue for {self}")
@@ -259,6 +274,9 @@ class Scalar:
 
     def __bool__(self):
         return self.value != 0
+
+    def __reduce__(self):
+        return (Scalar, (self.field, self.value))
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

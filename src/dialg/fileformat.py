@@ -10,26 +10,19 @@ Line-oriented UTF-8; `#` starts a comment; blank lines are ignored.
     right 2 1 1 1
 
 Coefficients are integers or <num>/<den> fractions in rational mode and
-integers (reduced mod p) in prime mode. Omitted entries are zero and a
-repeated (tag, i, j, k) is an error. Single-product algebra files use the
-same grammar restricted to `left` lines.
+integers (reduced mod p) in prime mode, read by Field.scalar; every number
+in a file follows the one rule for numbers in `fields`. Omitted entries are
+zero and a repeated (tag, i, j, k) is an error. Single-product algebra
+files use the same grammar restricted to `left` lines.
 """
 
 from __future__ import annotations
 
-import re
-
 from .algebras import Algebra, Dialgebra
 from .errors import NonPrimeError, ParseError
-from .fields import Field
+from .fields import ASCII_INT, Field
 
 MAX_DIM = 16
-
-# ASCII-only: int() and Fraction() would also accept other Unicode digits,
-# underscores and surrounding whitespace, which are not part of the format.
-# ASCII_INT is the integer rule of the format; both are for use with fullmatch.
-_RATIONAL_COEFF = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
-ASCII_INT = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def _logical_lines(text):
@@ -37,17 +30,6 @@ def _logical_lines(text):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield lineno, stripped.split()
-
-
-def parse_coefficient(field, token):
-    """A coefficient by the format's rule, as a Scalar of field; ValueError otherwise."""
-    if field.kind == "rational":
-        if not _RATIONAL_COEFF.fullmatch(token):
-            raise ValueError(f"bad rational coefficient {token!r}")
-        return field.scalar(token)
-    if not ASCII_INT.fullmatch(token):
-        raise ValueError(f"coefficient {token!r} is not in {field}")
-    return field.scalar(int(token))
 
 
 def _parse_int(token, lineno, message):
@@ -122,7 +104,7 @@ def _parse_common(text, allow_right):
         if key in entries[toks[0]]:
             raise ParseError(lineno, f"duplicate entry {toks[0]} {i} {j} {k}")
         try:
-            entries[toks[0]][key] = parse_coefficient(field, toks[4])
+            entries[toks[0]][key] = field.scalar(toks[4])
         except ValueError as exc:
             raise ParseError(lineno, str(exc))
 

@@ -146,6 +146,9 @@ class Vec:
     def __bool__(self):
         return any(self.coords)
 
+    def __reduce__(self):
+        return (Vec, (self.field, self.coords))
+
     def __eq__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
@@ -250,6 +253,9 @@ class Mat:
 
     def is_zero(self):
         return not any(self.rows)
+
+    def __reduce__(self):
+        return (Mat, (self.field, self.rows, self.ncols))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -508,6 +514,10 @@ class Subspace:
         n, rows = self.ambient_dim, self._row_terms()
         for coeffs in product(residues, repeat=self.dim):
             yield Vec.from_numerators(self.field, contract([0] * n, _terms(coeffs), rows), 1)
+
+    def __reduce__(self):
+        # The echelon rows alone: the lazy basis and terms are rebuilt on read.
+        return (Subspace, (self.field, self.ambient_dim, self.rows, self.pivots))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -2,9 +2,11 @@
 
 Each keeps the repr, hash, equality and immutability it had as a frozen
 dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
-on every way to build one.
+on every way to build one. The slotted value classes the records hold
+pickle at every protocol as well, without their lazy caches.
 """
 
+import copy
 import io
 import json
 import pickle
@@ -14,11 +16,15 @@ import pytest
 from dialg import (
     KIND_I,
     KIND_TRIVIAL,
+    Algebra,
     BarUnitSet,
+    BilinearProduct,
     Dialgebra,
     FieldMismatchError,
     Fingerprint,
+    Mat,
     ParamTable,
+    Subspace,
     Vec,
     ZeroCubedTriple,
     annihilators,
@@ -132,8 +138,7 @@ def test_fields_cannot_be_assigned(record):
         delattr(r, name)
 
 
-# Protocols 0 and 1 cannot pickle the slotted Vec, Mat and Subspace at all.
-PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+PROTOCOLS = range(0, pickle.HIGHEST_PROTOCOL + 1)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -141,6 +146,53 @@ def test_a_pickle_round_trip_gives_an_equal_record(record, protocol):
     r, text = record
     back = pickle.loads(pickle.dumps(r, protocol))
     assert type(back) is type(r) and back == r and repr(back) == text
+
+
+# The slotted classes the records hold, each built afresh on every call.
+VALUES = {
+    "Scalar": lambda: QQ.scalar("-3/4"),
+    "Vec": lambda: Vec.of(GF3, [1, 2, 0]),
+    "Mat": lambda: Mat.from_rows(QQ, [[1, "1/2"], [0, 3]]),
+    "Subspace": lambda: Subspace.from_vectors(QQ, 3, [[2, 4, 1], [0, 3, 3]]),
+    "BilinearProduct": lambda: canonical_dialgebra(KIND_I, QQ).right,
+    "Algebra": lambda: upper_triangular_algebra(GF3),
+    "Dialgebra": lambda: canonical_dialgebra(KIND_I, QQ),
+    "Dialgebra-shared": lambda: from_associative(upper_triangular_algebra(GF3)),
+}
+
+
+def _read_lazy_views(value):
+    """Fill the caches that a Subspace or a product builds on first read."""
+    if isinstance(value, Subspace):
+        value.basis, value._row_terms()
+    products = {
+        BilinearProduct: lambda: [value],
+        Algebra: lambda: [value.product],
+        Dialgebra: lambda: [value.left, value.right],
+    }.get(type(value), list)()
+    for prod in products:
+        prod.sparse, prod.den
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", list(VALUES))
+def test_a_pickle_round_trip_gives_an_equal_value_without_its_caches(name, protocol):
+    value = VALUES[name]()
+    _read_lazy_views(value)
+    data = pickle.dumps(value, protocol)
+    assert data == pickle.dumps(VALUES[name](), protocol)
+    back = pickle.loads(data)
+    assert type(back) is type(value) and back == value and repr(back) == repr(value)
+    assert back.field is value.field
+    if isinstance(value, Dialgebra):
+        assert (back.right is back.left) == (value.right is value.left)
+
+
+def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():
+    d = VALUES["Dialgebra-shared"]()
+    assert d.right is d.left
+    clone = copy.deepcopy(d)
+    assert clone == d and clone.right is clone.left and clone.left is not d.left
 
 
 def test_fingerprint_fields_are_in_info_key_order(tmp_path):
