@@ -26,6 +26,15 @@ of the flattened pair at a time, left product first: survivors are extended
 by 0..p-1 in order, and each basis equation of identities._LAWS, the exact
 checker's law table, is checked once its last coordinate is set. So the
 pairs come out sorted, and the search bound caps each step's candidates.
+The equations come from identities._law_equations, which expands the table
+once per (laws, n) into plain int column pairs. Survivors are held column
+by column in the narrowest dtype holding p - 1, and each residual
+sum x*y - sum u*v is formed as n * p^2 + sum x*y - sum u*v in the narrowest
+unsigned dtype holding 2 * n * p^2, so it never goes below zero or wraps,
+then reduced mod p; the survivors are widened to int64 once, on return.
+Equations are checked one at a time, each on the survivors of the last.
+Checking a column's equations in one batch is faster at p = 2 and 3 but
+slower from p = 5 on, where the growth spends its time.
 
 isomorphism_indices scans GL(n, p) the same way: each homomorphism
 equation (i, j, k) of the left product, then of the right product, cuts
@@ -45,7 +54,7 @@ from math import prod
 import numpy as np
 
 from .algebras import BilinearProduct, Dialgebra
-from .identities import _LAWS, _RIGHT, DIALGEBRA_LAWS
+from .identities import DIALGEBRA_LAWS, _law_equations
 from .linalg import Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
@@ -137,41 +146,41 @@ gl_matrices.cache_clear = _gl_matrices.cache_clear
 gl_matrices.cache_info = _gl_matrices.cache_info
 
 
-def _equations(laws, n):
-    """The basis equations of laws over the flattened (left, right) pair, by
-    the last column each reads. Law (a, b, c, d) at (i, j, k), coordinate out,
-    is sum_m a[i,j,m] b[m,k,out] - d[j,k,m] c[i,m,out], kept as the column
-    arrays (x, y, u, v) of sum x*y - sum u*v = 0 mod p."""
-    m = np.arange(n)
-    by_last = {}
-    for law in laws:
-        a, b, c, d = (n**3 if tag == _RIGHT else 0 for tag in _LAWS[law])
-        for i, j, k, out in product(range(n), repeat=4):
-            x, y = a + (i * n + j) * n + m, b + (m * n + k) * n + out
-            u, v = d + (j * n + k) * n + m, c + (i * n + m) * n + out
-            by_last.setdefault(int(np.max([x, y, u, v])), []).append((x, y, u, v))
-    return by_last
+def _growth_dtype(p, n):
+    """The narrowest unsigned dtype holding 2 * n * p^2: a growth residual
+    n * p^2 + sum x*y - sum u*v of n products of residues stays below it."""
+    return np.min_scalar_type(2 * n * p * p)
 
 
 def _grow(p, n, laws, width, bound):
     """Every digit row of the given width that satisfies laws, in
     lexicographic order: each step extends the survivors by one column, under
     guard_search, then checks the equations that column completes. Survivors
-    are stored in the narrowest dtype holding p - 1 and widened to int64 only
-    inside each equation's residual; the result is int64."""
-    equations = _equations(laws, n)
-    rows = np.zeros((1, 0), dtype=np.min_scalar_type(p - 1))
+    are held as columns of the narrowest dtype holding p - 1 and residuals
+    in _growth_dtype(p, n); the result is int64."""
+    equations = _law_equations(tuple(laws), n)
+    work = _growth_dtype(p, n)
+    # Scalar operands in the work dtype, so numpy 1 and numpy 2 promote alike.
+    modulus, shift = work.type(p), work.type(n * p * p)
+    digits = np.arange(p, dtype=np.min_scalar_type(p - 1))
+    cols = np.zeros((0, 1), dtype=digits.dtype)
     for col in range(width):
-        guard_search(f"coordinate growth over GF({p}) in dim {n}", len(rows) * p, bound)
-        grown = np.empty((len(rows), p, col + 1), dtype=rows.dtype)
-        grown[:, :, :col] = rows[:, None]
-        grown[:, :, col] = np.arange(p)
-        rows = grown.reshape(-1, col + 1)
-        for x, y, u, v in equations.get(col, ()):
-            lhs = (rows[:, x].astype(np.int64) * rows[:, y]).sum(axis=1)
-            rhs = (rows[:, u].astype(np.int64) * rows[:, v]).sum(axis=1)
-            rows = rows[(lhs - rhs) % p == 0]
-    return rows.astype(np.int64)
+        count = cols.shape[1]
+        guard_search(f"coordinate growth over GF({p}) in dim {n}", count * p, bound)
+        grown = np.empty((col + 1, count, p), dtype=digits.dtype)
+        grown[:col] = cols[:, :, None]
+        grown[col] = digits
+        cols = grown.reshape(col + 1, -1)
+        for *_, lhs, rhs in equations[col]:
+            residual = np.full(cols.shape[1], shift)
+            term = np.empty_like(residual)
+            for x, y in lhs:
+                residual += np.multiply(cols[x], cols[y], out=term, dtype=work)
+            for u, v in rhs:
+                residual -= np.multiply(cols[u], cols[v], out=term, dtype=work)
+            residual %= modulus
+            cols = cols.compress(residual == 0, axis=1)
+    return np.ascontiguousarray(cols.T, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +242,21 @@ def isomorphism_indices(a_pair, b_pair, p):
 
 
 def arrays_to_dialgebra(field, left, right):
-    products = (int_tensor_to_product(field, t) for t in (left, right))
-    return Dialgebra(field, left.shape[0], *products)
+    """The Dialgebra of two residue tensors. Each distinct residue vector
+    becomes one Vec, shared by both tables, so equal products compare on
+    identical objects."""
+    vecs = {}
+
+    def vec(coords):
+        v = vecs.get(coords)
+        if v is None:
+            v = vecs[coords] = Vec.of(field, coords)
+        return v
+
+    tables = ([[vec(tuple(v)) for v in row] for row in np.asarray(t).tolist()] for t in (left, right))
+    return Dialgebra(field, len(left), *(BilinearProduct(field, len(left), t) for t in tables))
 
 
 def int_tensor_to_product(field, tensor):
-    rows = tuple(tuple(Vec.of(field, v) for v in row) for row in np.asarray(tensor).tolist())
-    return BilinearProduct(field, len(rows), rows)
+    """The BilinearProduct of one residue tensor."""
+    return arrays_to_dialgebra(field, tensor, tensor).left

@@ -29,11 +29,18 @@ A law whose (a, b, c, d) are the same product objects as an earlier law's
 builds no slabs: it replays that law's reports under its own name. When
 the two products are one object (see algebras), all five dialgebra laws
 are associativity, so one law's slabs serve all five.
+
+The law table _LAWS is also expanded here, once per (laws, n): the
+basis equations over a flattened (left, right) pair of tables, as plain
+int column pairs (_law_equations). The GF(p) census growth in gfsearch
+evaluates them on residue arrays; nothing else expands the table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from .algebras import ProductTag
@@ -57,7 +64,7 @@ class ViolationReport(namedtuple("ViolationReport", "law triple residual")):
 
 
 # Every law is (x a y) b z = x c (y d z); each row names (a, b, c, d). The GF(p)
-# census pair growth in gfsearch reads the same rows.
+# census pair growth in gfsearch reads the same rows, as _law_equations.
 _LEFT, _RIGHT = ProductTag.LEFT, ProductTag.RIGHT
 _LAWS = {
     LAW_ASSOC_LEFT: (_LEFT, _LEFT, _LEFT, _LEFT),
@@ -66,6 +73,29 @@ _LAWS = {
     LAW_AX2: (_RIGHT, _LEFT, _RIGHT, _LEFT),
     LAW_AX3: (_LEFT, _RIGHT, _RIGHT, _RIGHT),
 }
+
+
+@lru_cache(maxsize=None)
+def _law_equations(laws, n):
+    """The basis equations of laws (a tuple of law names) in dim n over the
+    flattened (left, right) pair: entry (i, j, m) of the left table is
+    column (i * n + j) * n + m, the right table's comes n^3 columns later.
+
+    Law (a, b, c, d) at (i, j, k), coordinate out, is
+    sum_m a[i,j,m] b[m,k,out] - sum_m d[j,k,m] c[i,m,out] = 0. It is kept as
+    (law, (i, j, k), out, lhs, rhs), lhs and rhs the n column pairs of the
+    two sums, and filed under the last column it reads: equations[col],
+    col in range(2 * n^3), lists those in law order, then (i, j, k, out)
+    order. Plain ints, built once per (laws, n).
+    """
+    by_last = [[] for _ in range(2 * n**3)]
+    for law in laws:
+        a, b, c, d = (n**3 if tag is _RIGHT else 0 for tag in _LAWS[law])
+        for i, j, k, out in product(range(n), repeat=4):
+            lhs = tuple((a + (i * n + j) * n + m, b + (m * n + k) * n + out) for m in range(n))
+            rhs = tuple((d + (j * n + k) * n + m, c + (i * n + m) * n + out) for m in range(n))
+            by_last[max(map(max, lhs + rhs))].append((law, (i, j, k), out, lhs, rhs))
+    return tuple(map(tuple, by_last))
 
 
 def _law_products(d, law):

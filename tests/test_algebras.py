@@ -156,7 +156,9 @@ def test_products_equal_flag():
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])
 def test_vectors_and_dialgebras_survive_pickle_and_deepcopy(field):
     d = canonical_dialgebra(KIND_II, field, 1).rebase(random_invertible(field, 2, random.Random(3)))
-    d.left.sparse  # a built raw view travels along and stays equal
+    # Build the raw view here: a pickle carries the table alone, and the clone
+    # rebuilds an equal view on read.
+    d.left.sparse
     v = Vec.of(field, [1, 2])
     for obj in (v, d):
         for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):

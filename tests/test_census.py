@@ -330,7 +330,13 @@ def test_law_screen_matches_the_einsum_reference(p):
         assert tables.tolist() == [[tensors[li].tolist(), tensors[ri].tolist()] for li, ri in pairs]
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (31, 1)])
+# The growth's residual dtype holds 2 n p^2: in dim 1 it switches from uint8
+# to uint16 between p = 11 and 13 and to uint32 between p = 181 and 191, and
+# p = 257 also widens the digits to uint16. In dim 2 it switches between
+# p = 7 and 11, where the default bound refuses the growth.
+@pytest.mark.parametrize(
+    "p, n", [(2, 2), (31, 1), (11, 1), (13, 1), (181, 1), (191, 1), (257, 1)]
+)
 def test_narrow_growth_returns_int64_tables_and_codes(p, n):
     codes = associative_indices(p, n)
     assert codes.dtype == np.int64
@@ -338,6 +344,39 @@ def test_narrow_growth_returns_int64_tables_and_codes(p, n):
     tables, pairs = valid_pairs(p, n)
     assert tables.dtype == np.int64
     assert pairs == reference_valid_pairs(p, n)
+
+
+@pytest.mark.parametrize(
+    "p, n, width",
+    [(11, 1, "uint8"), (13, 1, "uint16"), (181, 1, "uint16"), (191, 1, "uint32"),
+     (7, 2, "uint8"), (11, 2, "uint16")],
+)
+def test_growth_residuals_widen_at_2_n_p_squared(p, n, width):
+    from dialg.gfsearch import _growth_dtype
+
+    assert _growth_dtype(p, n) == np.dtype(width)
+
+
+def test_law_table_is_expanded_once_per_laws_and_dim():
+    from dialg.identities import DIALGEBRA_LAWS, _law_equations
+
+    _law_equations.cache_clear()
+    valid_pairs.cache_clear()
+    # helpers.associative_indices hands _grow its laws as a list.
+    assert associative_indices(3, 2).tolist() == reference_associative_indices(3, 2).tolist()
+    associative_indices(5, 2)
+    valid_pairs(2, 2)
+    valid_pairs(3, 2)
+    info = _law_equations.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # Plain ints, one list entry per column of the flattened pair.
+    equations = _law_equations(DIALGEBRA_LAWS, 2)
+    assert len(equations) == 16 and sum(map(len, equations)) == 5 * 2**4
+    for col, filed in enumerate(equations):
+        for law, triple, out, lhs, rhs in filed:
+            columns = [c for pair in lhs + rhs for c in pair]
+            assert all(type(c) is int for c in (*triple, out, *columns))
+            assert max(columns) == col
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])

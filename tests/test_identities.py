@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialg import (
     KIND_I,
@@ -9,6 +11,7 @@ from dialg import (
     KIND_IV,
     Algebra,
     Dialgebra,
+    Field,
     ProductTag,
     Vec,
     bar_units,
@@ -17,10 +20,22 @@ from dialg import (
     check_dialgebra,
     check_leibniz,
     from_associative,
+    is_valid_dialgebra,
     law_residual,
 )
-from dialg.identities import DIALGEBRA_LAWS
-from helpers import GF2, QQ, random_valid_dialgebras, random_vec, split_pair_algebra
+from dialg.identities import DIALGEBRA_LAWS, _law_equations, dialgebra_violations
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    QQ,
+    associative_zoo,
+    random_invertible,
+    random_valid_dialgebras,
+    random_vec,
+    split_pair_algebra,
+    table_entries,
+)
 
 L, R = ProductTag.LEFT, ProductTag.RIGHT
 
@@ -166,3 +181,61 @@ def test_laws_hold_on_random_triples_of_valid_dialgebras():
         z = random_vec(d.field, d.dim, rng)
         for law in DIALGEBRA_LAWS:
             assert not law_residual(d, law, x, y, z)
+
+
+GF_FIELDS = (GF2, GF3, GF5, Field.prime(9973))
+VALID_STARTS = {
+    field: [canonical_dialgebra(kind, field) for kind in (KIND_I, KIND_III, KIND_IV)]
+    + [canonical_dialgebra(KIND_II, field, 1)]
+    + [from_associative(a) for a in associative_zoo(field)]
+    for field in GF_FIELDS
+}
+
+
+@st.composite
+def gf_dialgebras(draw):
+    """A dialgebra over a prime field in dim 1 to 3: a valid one, rebased or
+    not, with one structure constant moved or not, or two random sparse
+    tables, which are mostly not valid."""
+    field = draw(st.sampled_from(GF_FIELDS))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        keys = st.tuples(*[st.integers(0, n - 1)] * 3)
+        left, right = (draw(st.dictionaries(keys, st.integers(1, field.p - 1), max_size=4)) for _ in "lr")
+        return Dialgebra.from_entries(field, n, left, right)
+    d = draw(st.sampled_from(VALID_STARTS[field]))
+    if draw(st.booleans()):
+        d = d.rebase(random_invertible(field, d.dim, random.Random(draw(st.integers(0, 2**32)))))
+    if draw(st.booleans()):
+        left, right = table_entries(d.left), table_entries(d.right)
+        moved = draw(st.sampled_from([left, right]))
+        key = draw(st.tuples(*[st.integers(0, d.dim - 1)] * 3))
+        moved[key] = moved.get(key, field.zero) + field.scalar(draw(st.integers(1, field.p - 1)))
+        d = Dialgebra.from_entries(field, d.dim, left, right)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_dialgebras())
+def test_law_equations_vanish_exactly_where_no_violation_is_reported(d):
+    # The census's expansion of the law table, evaluated in pure Python on the
+    # flattened (left, right) pair, against the exact checker's slabs: each
+    # (law, triple, out) with a nonzero residual, and its value, agree.
+    n, p = d.dim, d.field.p
+    flat = [c.value for prod in (d.left, d.right) for row in prod.rows for v in row for c in v.coords]
+    labels, violated = [], {}
+    for filed in _law_equations(DIALGEBRA_LAWS, n):
+        for law, triple, out, lhs, rhs in filed:
+            labels.append((law, triple, out))
+            residual = sum(flat[x] * flat[y] for x, y in lhs) - sum(flat[u] * flat[v] for u, v in rhs)
+            if residual % p:
+                violated[law, triple, out] = residual % p
+    assert len(set(labels)) == len(labels) == len(DIALGEBRA_LAWS) * n**4
+    reported = {
+        (r.law, r.triple, out): c.value
+        for r in dialgebra_violations(d)
+        for out, c in enumerate(r.residual.coords)
+        if c
+    }
+    assert violated == reported
+    assert (not violated) == is_valid_dialgebra(d)
