@@ -10,14 +10,14 @@ Every valid two-dimensional dialgebra lands in exactly one bucket:
   * the canonical forms I, II_k (k != 0), III, IV.
 
 Classification takes one route for every nonzero input with a nonzero
-annihilator: it rebases once to a basis (r, s) where r spans the
-annihilator. There the six free structure constants x1..x6 satisfy a
-fixed system of eleven polynomial constraints, the kind is read off which
-of them vanish, and one of two explicit rescalings of (r, s) reaches the
-canonical table. The one-sided zero kinds are the members of this family
+annihilator: it reads the six free structure constants x1..x6 of a basis
+(r, s), r spanning the annihilator, off raw products of r and s, with no
+rebase. They satisfy a fixed system of eleven polynomial constraints, the
+kind is read off which of them vanish, and one of two explicit rescalings
+of (r, s) reaches the canonical table, as is_isomorphism's homomorphism
+equations confirm. The one-sided zero kinds are the members of this family
 with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0. The canonical tables are
-points of the same ParamTable family: canonical_dialgebra builds each one
-with param_dialgebra from its point (x1, ..., x6).
+points of the same ParamTable family, each built once per (kind, field, k).
 
 Isomorphism tests and automorphism groups import glsearch on first use: a
 pure-Python search over GL(n, p) row by row, whose dimension-1 closed form
@@ -30,18 +30,18 @@ nor an isomorphism search load numpy.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 
 from .algebras import Dialgebra
 from .errors import (
     FieldMismatchError,
     InternalCheckError,
     NotADialgebraError,
-    NotInvertibleError,
     UnsupportedOverRationalsError,
 )
 from .fields import PRIME, Field
 from .identities import _bar_unit_rows, dialgebra_violations
-from .linalg import Mat, Vec, _echelon, _raw
+from .linalg import Mat, Vec, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
 from .structure import DEFAULT_SEARCH_BOUND, _ann, guard_search
 
 KIND_TRIVIAL = "trivial-both"
@@ -131,21 +131,26 @@ _CANONICAL_POINTS = {
     KIND_III: (1, 0, 1, 0, 0, 1),
     KIND_IV: (1, 0, 1, 1, 0, 1),
 }
+_CANONICAL = {}  # canonical_dialgebra's tables, by (kind, field, k)
 
 
 def canonical_dialgebra(kind, field, k=None):
-    """The canonical table of a classification bucket, on basis (r, s)."""
+    """The canonical table of a classification bucket, on basis (r, s): built
+    once per (kind, field, k) and shared by every caller and ClassLabel."""
     if kind == KIND_II:
         k = field.scalar(k)
         if not k:
             raise ValueError("the II family needs a nonzero parameter")
         point = (0, 1, 0, 0, k, 0)
     elif kind in _CANONICAL_POINTS:
-        point = _CANONICAL_POINTS[kind]
+        k, point = None, _CANONICAL_POINTS[kind]
     else:
         raise ValueError(f"no canonical table for kind {kind!r}")
-    d = param_dialgebra(ParamTable.of(field, point))
-    return Dialgebra(field, 2, d.left, d.right, ("r", "s"))
+    d = _CANONICAL.get((kind, field, k))
+    if d is None:
+        t = param_dialgebra(ParamTable.of(field, point))
+        d = _CANONICAL[kind, field, k] = Dialgebra(field, 2, t.left, t.right, ("r", "s"))
+    return d
 
 
 class ParamTable(namedtuple("ParamTable", "x1 x2 x3 x4 x5 x6")):
@@ -189,25 +194,32 @@ def dim2_constraints(t):
 
 def param_dialgebra(t):
     """The dialgebra encoded by a ParamTable, on the standard basis (r, s)."""
-    field = t.x1.field
-    return Dialgebra.from_entries(
-        field,
-        2,
-        {(0, 1, 0): t.x1, (1, 1, 0): t.x2, (1, 1, 1): t.x3},
-        {(1, 0, 0): t.x4, (1, 1, 0): t.x5, (1, 1, 1): t.x6},
-    )
+    left = {(0, 1, 0): t.x1, (1, 1, 0): t.x2, (1, 1, 1): t.x3}
+    right = {(1, 0, 0): t.x4, (1, 1, 0): t.x5, (1, 1, 1): t.x6}
+    return Dialgebra.from_entries(t.x1.field, 2, left, right)
 
 
 def is_isomorphism(a, b, t):
-    """Does the map with row matrix t send a's products to b's products?"""
-    if t.nrows != a.dim or t.ncols != b.dim or a.dim != b.dim:
+    """Does the map with row matrix t send a's products to b's products? Iff
+    t is invertible (one `_echelon`) and t_i * t_j = sum_k a[i][j][k] t_k in
+    b for all i, j and both products, on int numerators cross-multiplied by
+    the other side's denominator. a, b and t must share one field."""
+    field, n = a.field, a.dim
+    if not (field is b.field is t.field):
+        raise FieldMismatchError(f"a over {field}, b over {b.field}, t over {t.field}")
+    if t.shape != (n, b.dim) or n != b.dim:
         return False
-    # e_i -> t_i is a homomorphism iff t_i * t_j = sum_k a[i][j][k] t_k in b,
-    # i.e. iff b written on the basis of t's rows is a.
-    try:
-        return b.rebase(t) == a
-    except NotInvertibleError:
+    if len(_echelon(field, [_raw(r) for r in t.rows])[1]) < n:
         return False
+    rows, dt = field.numerators([_vec_terms(r) for r in t.rows])
+    for pa, pb in ((a.left, b.left), (a.right, b.right)):
+        sa, sb = pa.den, dt * pb.den
+        for i, j in product(range(n), repeat=2):
+            image = contract_pair([0] * n, rows[i], rows[j], pb.sparse)
+            target = contract([0] * n, pa.sparse[i][j], rows)
+            if field.reduce([sa * x for x in image]) != field.reduce([sb * y for y in target]):
+                return False
+    return True
 
 
 def _require(condition, message):
@@ -215,34 +227,15 @@ def _require(condition, message):
         raise InternalCheckError(message)
 
 
-def _extract_params(d):
-    """Read x1..x6 off a dialgebra already written on an (r, s) basis."""
-    left, right = d.left, d.right
-    zero = d.field.zero
-    _require(not left.row(0, 0) and not left.row(1, 0), "left table shape broken")
-    _require(left.entry(0, 1, 1) == zero, "r <| s has an s component")
-    _require(not right.row(0, 0) and not right.row(0, 1), "right table shape broken")
-    _require(right.entry(1, 0, 1) == zero, "s |> r has an s component")
-    return ParamTable(
-        left.entry(0, 1, 0),
-        left.entry(1, 1, 0),
-        left.entry(1, 1, 1),
-        right.entry(1, 0, 0),
-        right.entry(1, 1, 0),
-        right.entry(1, 1, 1),
-    )
-
-
 def classify_dim2(d):
     """Sort a valid two-dimensional dialgebra into its unique bucket.
 
     Apart from the trivial-both exit and the from-associative exit for a
-    zero annihilator, every input is rebased once to (r, s) with r spanning
-    the annihilator, and the kind is read off which of x1..x6 vanish (the
+    zero annihilator, x1..x6 are read off the eight products of (r, s) with
+    r spanning the annihilator, and the kind off which of them vanish (the
     constraints force x3 = x6). The parameters, not a products-equal
-    shortcut, decide, because the II family at k = 1 has equal products yet
-    is a genuine canonical form. The witness is one of two rescalings of
-    (r, s): diag(c, 1) with c = x2 or x5 when both squares land on r, and
+    shortcut, decide: II_1 has equal products yet is a canonical form. The
+    witness is diag(x2 or x5, 1) on (r, s) when both squares land on r, and
     the rows (1, 0), ((x2 + x5)/x6^2, 1/x6) for I, III and IV.
     """
     if d.dim != 2:
@@ -250,43 +243,51 @@ def classify_dim2(d):
     violation = next(dialgebra_violations(d), None)
     if violation is not None:
         raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
-    identity = Mat.identity(d.field, 2)
+    field = d.field
     if d.left.is_zero() and d.right.is_zero():
-        return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, identity, d)
+        return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, Mat.identity(field, 2), d)
 
     ann = _ann(d.left, d.right)
     if ann.dim == 0:
         # The difference of the products always lies in the annihilator,
         # so a trivial annihilator forces the products to agree.
         _require(d.products_equal(), "zero annihilator but distinct products")
-        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
+        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, Mat.identity(field, 2), d)
     _require(ann.dim == 1, "nonzero products with a full annihilator")
 
-    r = ann.basis.row(0)
-    s = Vec.unit(d.field, 2, 1 - ann.pivots[0])
-    base = Mat(d.field, (r, s), 2)
-    t = _extract_params(d.rebase(base))
-    _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
-    x1, x2, x3, x4, x5, x6 = t.x1, t.x2, t.x3, t.x4, t.x5, t.x6
-    one, zero = d.field.one, d.field.zero
+    # r is the echelon row over its pivot h = row[q], so r[q] = 1, and s =
+    # e_{1-q}: a product w has (r, s) coordinates w[q] and w[1-q] - w[q] r[1-q],
+    # taken here on numerators over the product's denominator times h.
+    row, q = ann.rows[0], ann.pivots[0]
+    h, c = row[q], row[1 - q]
+    basis = ((_terms(row), h), ([(1 - q, 1)], 1))
 
-    k = None
-    sublabel = None
+    def coords(g, x, y):
+        (xs, dx), (ys, dy) = x, y
+        w = contract_pair([0, 0], xs, ys, g.sparse)
+        return Vec.from_numerators(field, [h * w[q], h * w[1 - q] - c * w[q]], dx * dy * g.den * h)
+
+    left, right = d._per_product(lambda g: [[coords(g, x, y) for y in basis] for x in basis])
+    _require(not left[0][0] and not left[1][0], "left table shape broken")
+    _require(not left[0][1][1], "r <| s has an s component")
+    _require(not right[0][0] and not right[0][1], "right table shape broken")
+    _require(not right[1][0][1], "s |> r has an s component")
+    t = ParamTable(left[0][1][0], *left[1][1], right[1][0][0], *right[1][1])
+    _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
+    x1, x2, x3, x4, x5, x6 = t
+
+    k = sublabel = None
     if x1 or x4:
         # Each nonzero one of x1, x4 equals x3 = x6, and I keeps x2 while III
         # keeps x5: scaling s by 1/x6 and shifting it along r clears them.
         kind = KIND_IV if x1 and x4 else KIND_III if x1 else KIND_I
-        _require(
-            x3 == x6
-            and (not x1 or (x1 == x6 and not x2))
-            and (not x4 or (x4 == x6 and not x5)),
-            f"case of {kind} shape broken",
-        )
-        step = Mat.from_rows(d.field, [[one, zero], [(x2 + x5) / (x6 * x6), x6.inverse()]])
+        shape = x3 == x6 and (not x1 or x1 == x6 and not x2) and (not x4 or x4 == x6 and not x5)
+        _require(shape, f"case of {kind} shape broken")
+        a, b, e = field.one, (x2 + x5) / (x6 * x6), x6.inverse()
     elif x3:
         _require(x2 == x5 and x3 == x6, "coinciding-products case shape broken")
         _require(d.products_equal(), "from-associative label with distinct products")
-        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, identity, d)
+        return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, Mat.identity(field, 2), d)
     else:
         # Both squares land on r: a one-sided zero when x2 or x5 vanishes,
         # else II with the surviving invariant k = x5/x2. Scaling r by the
@@ -298,19 +299,18 @@ def classify_dim2(d):
         else:
             kind, k = KIND_II, x5 / x2
         _require(not x6 and bool(x2 or x5), f"case of {kind} shape broken")
-        step = Mat.from_rows(d.field, [[x2 or x5, zero], [zero, one]])
-    witness = step @ base
-    canonical = canonical_dialgebra(kind, d.field, k)
-    _require(d.rebase(witness) == canonical, "witness does not reach the canonical table")
+        a, b, e = x2 or x5, field.zero, field.one
+    # The witness rows are a r and b r + e s.
+    r, s = Vec.from_numerators(field, row, h), Vec.unit(field, 2, 1 - q)
+    witness = Mat(field, (r.scale(a), r.scale(b) + s.scale(e)), 2)
+    canonical = canonical_dialgebra(kind, field, k)
+    _require(is_isomorphism(canonical, d, witness), "witness does not reach the canonical table")
     return ClassLabel(kind, k, sublabel, witness, canonical)
 
 
 def _rational_dim2_witness(a, b):
-    la = classify_dim2(a)
-    lb = classify_dim2(b)
-    if la.kind != lb.kind or la.sublabel != lb.sublabel:
-        return None
-    if la.kind == KIND_II and la.k != lb.k:
+    la, lb = classify_dim2(a), classify_dim2(b)
+    if (la.kind, la.k, la.sublabel) != (lb.kind, lb.k, lb.sublabel):
         return None
     if la.kind == KIND_FROM_ASSOCIATIVE:
         raise UnsupportedOverRationalsError(

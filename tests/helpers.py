@@ -777,16 +777,37 @@ def _reference_one_sided_zero_label(d):
     return ClassLabel(kind, None, SUBLABEL_SQUARE, witness, canonical)
 
 
+def reference_extract_params(d):
+    """Read x1..x6 off a dialgebra already written on an (r, s) basis, with
+    classify_dim2's shape checks."""
+    from dialg.classify import ParamTable, _require
+
+    left, right = d.left, d.right
+    zero = d.field.zero
+    _require(not left.row(0, 0) and not left.row(1, 0), "left table shape broken")
+    _require(left.entry(0, 1, 1) == zero, "r <| s has an s component")
+    _require(not right.row(0, 0) and not right.row(0, 1), "right table shape broken")
+    _require(right.entry(1, 0, 1) == zero, "s |> r has an s component")
+    return ParamTable(
+        left.entry(0, 1, 0),
+        left.entry(1, 1, 0),
+        left.entry(1, 1, 1),
+        right.entry(1, 0, 0),
+        right.entry(1, 1, 0),
+        right.entry(1, 1, 1),
+    )
+
+
 def reference_classify_dim2(d):
     """classify_dim2 by two routes: one-sided zero tables through the
-    zero-cubed decomposition, everything else through the case tree on
-    (x1, x2, x4) with a rescaling written per leaf."""
+    zero-cubed decomposition, everything else rebased to (r, s) and sorted by
+    the case tree on (x1, x2, x4) with a rescaling written per leaf; each
+    witness is checked by rebasing the input on it."""
     from dialg.classify import (
         KIND_FROM_ASSOCIATIVE,
         KIND_TRIVIAL,
         SUBLABEL_TRIVIAL,
         ClassLabel,
-        _extract_params,
         _require,
         dim2_constraints,
     )
@@ -814,7 +835,7 @@ def reference_classify_dim2(d):
     r = ann.basis.row(0)
     s = Vec.unit(d.field, 2, 1 - ann.pivots[0])
     base = Mat(d.field, (r, s), 2)
-    t = _extract_params(d.rebase(base))
+    t = reference_extract_params(d.rebase(base))
     _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
     x1, x2, x3, x4, x5, x6 = t.x1, t.x2, t.x3, t.x4, t.x5, t.x6
     one, zero = d.field.one, d.field.zero

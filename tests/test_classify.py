@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dialg.classify
 from dialg import (
     KIND_FROM_ASSOCIATIVE,
     KIND_I,
@@ -18,6 +20,8 @@ from dialg import (
     Dialgebra,
     DialgError,
     Field,
+    FieldMismatchError,
+    InternalCheckError,
     Mat,
     NotADialgebraError,
     ParamTable,
@@ -49,6 +53,7 @@ from helpers import (
     random_valid_dialgebras,
     reference_canonical_dialgebra,
     reference_classify_dim2,
+    reference_is_isomorphism,
     split_pair_algebra,
     square_algebra,
     upper_triangular_algebra,
@@ -404,9 +409,11 @@ def test_gl2_sizes_used_by_the_searches():
 
 # classify_dim2 against the two-route reference in helpers (one-sided zero
 # tables through zero_cubed_decompose, the rest through the (x1, x2, x4)
-# case tree): labels, witnesses, canonical tables and errors must agree.
+# case tree): labels, witnesses, canonical tables and errors must agree, and
+# each witness must pass the rebase the classifier no longer makes and the
+# basis-pair loop of the homomorphism equations.
 
-REFERENCE_FIELDS = [QQ, Field.prime(11), Field.prime(9973)]
+REFERENCE_FIELDS = [QQ, GF2, GF3, Field.prime(11), Field.prime(9973)]
 ALL_KINDS = [
     KIND_TRIVIAL,
     KIND_ZERO_CUBED_LEFT,
@@ -432,6 +439,8 @@ def assert_classify_matches_reference(d):
     assert got.canonical == want.canonical
     assert got.canonical.basis_names == want.canonical.basis_names
     assert got.label_string() == want.label_string()
+    assert d.rebase(got.witness) == got.canonical
+    assert reference_is_isomorphism(got.canonical, d, got.witness)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -490,3 +499,80 @@ def test_classify_matches_the_reference_on_errors(d, error):
     with pytest.raises(error):
         classify_dim2(d)
     assert_classify_matches_reference(d)
+
+
+# Digests of (label_string, witness rows, canonical tables) of classify_dim2
+# over every valid table, in enumeration order, as the rebasing classifier
+# wrote them: a changed witness, canonical table or order changes a digest.
+LABEL_DIGESTS = {
+    2: (49, "1a91078f68a46e80230c73898567920002470bff862c7980b7873732268b20df"),
+    3: (201, "03d3b745c5093c06bea23c77f194a2e63db5acd7ef3b8afad74d5135ccc0ab24"),
+    5: (1177, "06e5434fafaaadc29fbabde22ed23cd38bc12e6a891148a1a6b11d190cf2caa2"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(LABEL_DIGESTS))
+def test_labels_match_the_pinned_digests(p):
+    digest, count = hashlib.sha256(), 0
+    for d in enumerate_valid_dialgebras(p):
+        label = classify_dim2(d)
+        c = label.canonical
+        digest.update(f"{label.label_string()}|{label.witness}|{c.left!r}|{c.right!r}\n".encode())
+        count += 1
+    assert (count, digest.hexdigest()) == LABEL_DIGESTS[p]
+
+
+def test_canonical_tables_are_built_once_per_kind_field_and_k():
+    half = canonical_dialgebra(KIND_II, QQ, "1/2")
+    assert half is canonical_dialgebra(KIND_II, QQ, Fraction(1, 2))
+    assert canonical_dialgebra(KIND_II, GF7, 9) is canonical_dialgebra(KIND_II, GF7, 2)
+    assert canonical_dialgebra(KIND_I, GF3) is canonical_dialgebra(KIND_I, GF3, 5)
+    assert canonical_dialgebra(KIND_I, GF3) is not canonical_dialgebra(KIND_I, GF5)
+    moved = canonical_dialgebra(KIND_IV, GF5).rebase(Mat.from_rows(GF5, [[1, 2], [3, 4]]))
+    assert classify_dim2(moved).canonical is canonical_dialgebra(KIND_IV, GF5)
+
+
+@pytest.fixture
+def fresh_canonical_tables():
+    dialg.classify._CANONICAL.clear()
+    yield dialg.classify._CANONICAL
+    dialg.classify._CANONICAL.clear()
+
+
+def test_the_witness_guard_bites_on_a_wrong_cached_table(fresh_canonical_tables):
+    d = canonical_dialgebra(KIND_I, QQ).rebase(Mat.from_rows(QQ, [[1, 2], [3, 4]]))
+    assert classify_dim2(d).kind == KIND_I
+    fresh_canonical_tables[KIND_I, QQ, None] = canonical_dialgebra(KIND_IV, QQ)
+    with pytest.raises(InternalCheckError, match="witness does not reach the canonical table"):
+        classify_dim2(d)
+
+
+def test_the_witness_guard_bites_on_a_singular_witness(fresh_canonical_tables, monkeypatch):
+    class NoUnit(Vec):
+        # s = 0, so the witness rows (c r, 0) span a line.
+        __slots__ = ()
+
+        @classmethod
+        def unit(cls, field, n, i):
+            return Vec.zero(field, n)
+
+    d = canonical_dialgebra(KIND_II, GF5, 3).rebase(Mat.from_rows(GF5, [[1, 2], [3, 4]]))
+    monkeypatch.setattr(dialg.classify, "Vec", NoUnit)
+    with pytest.raises(InternalCheckError, match="witness does not reach the canonical table"):
+        classify_dim2(d)
+
+
+def test_is_isomorphism_refuses_mixed_fields_and_rejects_wrong_shapes():
+    a, b = canonical_dialgebra(KIND_I, QQ), canonical_dialgebra(KIND_I, GF3)
+    cases = [
+        (a, b, Mat.identity(GF3, 2), "a over rational, b over prime 3, t over prime 3"),
+        (a, a, Mat.identity(GF3, 2), "a over rational, b over rational, t over prime 3"),
+        (a, b, Mat.identity(QQ, 3), "a over rational, b over prime 3, t over rational"),
+    ]
+    for x, y, t, fields in cases:
+        with pytest.raises(FieldMismatchError, match=fields):
+            is_isomorphism(x, y, t)
+    assert is_isomorphism(a, a, Mat.identity(QQ, 2))
+    assert not is_isomorphism(a, a, Mat.identity(QQ, 3))
+    assert not is_isomorphism(a, Dialgebra.trivial(QQ, 3), Mat.identity(QQ, 2))
+    assert not is_isomorphism(a, a, Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]))

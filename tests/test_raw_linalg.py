@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -243,13 +244,25 @@ def test_is_isomorphism_agrees_with_the_basis_pair_loop(data):
     # b is a moved copy of a, a itself, or another member of the pool.
     others = [d for d in VALID if d.field is field and d.dim == n]
     b = data.draw(st.sampled_from([a.rebase(s), a] + others))
-    # t is the inverse move (an isomorphism onto a moved b), the identity,
-    # a drawn matrix (often singular) or a matrix of the wrong shape.
-    t = data.draw(
-        st.sampled_from([s_inv, Mat.identity(field, n), Mat.identity(field, n + 1)])
-        | matrices(field, n, n)
-    )
+    # t is the inverse move (an isomorphism onto a moved b), the identity, a
+    # singular matrix (zero, or the inverse move with its first row replaced
+    # by its last), a drawn matrix (often singular) or one of the wrong shape.
+    singular = [Mat.zero(field, n, n), Mat(field, s_inv.rows[-1:] + s_inv.rows[1:], n)]
+    fixed = [s_inv, Mat.identity(field, n), Mat.identity(field, n + 1), *singular]
+    t = data.draw(st.sampled_from(fixed) | matrices(field, n, n))
     assert is_isomorphism(a, b, t) == reference_is_isomorphism(a, b, t)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, Field.prime(9973)], ids=["QQ", "GF2", "GF9973"])
+def test_a_singular_map_is_no_isomorphism_even_where_the_equations_hold(field):
+    # On zero products every homomorphism equation reads 0 = 0, so only the
+    # rank of t decides.
+    zero = Dialgebra.trivial(field, 2)
+    rank_one = Mat.from_rows(field, [[1, 2], [2, 4]])
+    for t in (Mat.zero(field, 2, 2), rank_one):
+        assert not is_isomorphism(zero, zero, t)
+        assert not reference_is_isomorphism(zero, zero, t)
+    assert is_isomorphism(zero, zero, Mat.from_rows(field, [[1, 2], [0, 1]]))
 
 
 def test_int_rows_over_q_reduce_to_fraction_rows():
