@@ -11,13 +11,13 @@ Every valid two-dimensional dialgebra lands in exactly one bucket:
 
 Classification takes one route for every nonzero input with a nonzero
 annihilator: it reads the six free structure constants x1..x6 of a basis
-(r, s), r spanning the annihilator, off raw products of r and s, with no
-rebase. They satisfy a fixed system of eleven polynomial constraints, the
-kind is read off which of them vanish, and one of two explicit rescalings
-of (r, s) reaches the canonical table, as is_isomorphism's homomorphism
-equations confirm. The one-sided zero kinds are the members of this family
-with x1 = x3 = x4 = x6 = 0 and x2 = 0 or x5 = 0. The canonical tables are
-points of the same ParamTable family, each built once per (kind, field, k).
+(r, s), r spanning the annihilator, off raw products of r and s. They
+satisfy eleven polynomial constraints, the kind is read off which vanish,
+and one of two rescalings of (r, s) is the witness. Its check certifies the
+input valid: it maps the kind's canonical table, a ParamTable point
+law-checked once per (kind, field, k), onto the input. The laws are checked
+only at the two from-associative exits, which have no witness, and after a
+failed internal check, to refuse an invalid input by its first violation.
 
 Isomorphism tests and automorphism groups import glsearch on first use: a
 pure-Python search over GL(n, p) row by row, whose dimension-1 closed form
@@ -33,12 +33,8 @@ from collections import namedtuple
 from itertools import product
 
 from .algebras import Dialgebra
-from .errors import (
-    FieldMismatchError,
-    InternalCheckError,
-    NotADialgebraError,
-    UnsupportedOverRationalsError,
-)
+from .errors import FieldMismatchError, InternalCheckError, NotADialgebraError
+from .errors import UnsupportedOverRationalsError
 from .fields import PRIME, Field
 from .identities import _bar_unit_rows, dialgebra_violations
 from .linalg import Mat, Vec, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
@@ -57,10 +53,8 @@ SUBLABEL_TRIVIAL = "trivial"
 SUBLABEL_SQUARE = "square-type"
 
 
-# census, enumerate_valid_dialgebras and _valid_pairs import from gfsearch
-# inside the function. gfsearch's gl_matrices alone stays readable here, as
-# classify.gl_matrices resolved on first access, since the benchmark's
-# tracer test reads it.
+# gfsearch is imported inside the functions that use it; its gl_matrices
+# stays readable as classify.gl_matrices, which the benchmark's tracer reads.
 def __getattr__(name):
     if name == "gl_matrices":
         from .gfsearch import gl_matrices
@@ -136,7 +130,8 @@ _CANONICAL = {}  # canonical_dialgebra's tables, by (kind, field, k)
 
 def canonical_dialgebra(kind, field, k=None):
     """The canonical table of a classification bucket, on basis (r, s): built
-    once per (kind, field, k) and shared by every caller and ClassLabel."""
+    and law-checked once per (kind, field, k) and shared by every caller and
+    ClassLabel, so a witness reaching it proves its input valid."""
     if kind == KIND_II:
         k = field.scalar(k)
         if not k:
@@ -149,7 +144,9 @@ def canonical_dialgebra(kind, field, k=None):
     d = _CANONICAL.get((kind, field, k))
     if d is None:
         t = param_dialgebra(ParamTable.of(field, point))
-        d = _CANONICAL[kind, field, k] = Dialgebra(field, 2, t.left, t.right, ("r", "s"))
+        d = Dialgebra(field, 2, t.left, t.right, ("r", "s"))
+        _require(next(dialgebra_violations(d), None) is None, f"canonical {kind} table is invalid")
+        _CANONICAL[kind, field, k] = d
     return d
 
 
@@ -174,9 +171,10 @@ def dim2_constraints(t):
 
     A ParamTable is a valid dialgebra exactly when all residuals vanish;
     the acceptance suite checks this equivalence exhaustively against
-    direct law evaluation over small prime fields.
+    direct law evaluation over small prime fields. t may also hold six raw
+    values, whose residuals are then raw and unreduced (see Field.reduce).
     """
-    x1, x2, x3, x4, x5, x6 = t.x1, t.x2, t.x3, t.x4, t.x5, t.x6
+    x1, x2, x3, x4, x5, x6 = t
     return [
         x1 * x2,
         x4 * x5,
@@ -228,29 +226,41 @@ def _require(condition, message):
 
 
 def classify_dim2(d):
-    """Sort a valid two-dimensional dialgebra into its unique bucket.
+    """Sort a two-dimensional dialgebra into its unique bucket; an invalid
+    one raises NotADialgebraError naming its first law violation.
 
-    Apart from the trivial-both exit and the from-associative exit for a
-    zero annihilator, x1..x6 are read off the eight products of (r, s) with
-    r spanning the annihilator, and the kind off which of them vanish (the
-    constraints force x3 = x6). The parameters, not a products-equal
-    shortcut, decide: II_1 has equal products yet is a canonical form. The
+    x1..x6 are read off the eight products of (r, s), r spanning the
+    annihilator, and the kind off which of them vanish (the constraints
+    force x3 = x6); II_1 has equal products yet is a canonical form. The
     witness is diag(x2 or x5, 1) on (r, s) when both squares land on r, and
-    the rows (1, 0), ((x2 + x5)/x6^2, 1/x6) for I, III and IV.
+    the rows (1, 0), ((x2 + x5)/x6^2, 1/x6) for I, III and IV. Trivial-both
+    and the witnessed kinds are certified (zero tables are valid); the laws
+    are checked for the from-associative exits and after an InternalCheckError.
     """
     if d.dim != 2:
         raise ValueError("classification is only defined in dimension 2")
-    violation = next(dialgebra_violations(d), None)
-    if violation is not None:
-        raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
+    try:
+        label = _label_dim2(d)
+    except InternalCheckError as exc:
+        label, failure = None, exc
+    if label is None or label.kind == KIND_FROM_ASSOCIATIVE:
+        violation = next(dialgebra_violations(d), None)
+        if violation is not None:
+            raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
+        if label is None:
+            raise failure
+    return label
+
+
+def _label_dim2(d):
+    """classify_dim2's route, on raw values up to the label."""
     field = d.field
     if d.left.is_zero() and d.right.is_zero():
         return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, Mat.identity(field, 2), d)
 
     ann = _ann(d.left, d.right)
     if ann.dim == 0:
-        # The difference of the products always lies in the annihilator,
-        # so a trivial annihilator forces the products to agree.
+        # The products' difference lies in ann, so ann = 0 forces them equal.
         _require(d.products_equal(), "zero annihilator but distinct products")
         return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, Mat.identity(field, 2), d)
     _require(ann.dim == 1, "nonzero products with a full annihilator")
@@ -262,19 +272,18 @@ def classify_dim2(d):
     h, c = row[q], row[1 - q]
     basis = ((_terms(row), h), ([(1 - q, 1)], 1))
 
-    def coords(g, x, y):
-        (xs, dx), (ys, dy) = x, y
+    def coords(g, xs, dx, ys, dy):
         w = contract_pair([0, 0], xs, ys, g.sparse)
-        return Vec.from_numerators(field, [h * w[q], h * w[1 - q] - c * w[q]], dx * dy * g.den * h)
+        return field.divide([h * w[q], h * w[1 - q] - c * w[q]], dx * dy * g.den * h)
 
-    left, right = d._per_product(lambda g: [[coords(g, x, y) for y in basis] for x in basis])
-    _require(not left[0][0] and not left[1][0], "left table shape broken")
+    left, right = d._per_product(lambda g: [[coords(g, *x, *y) for y in basis] for x in basis])
+    _require(not any(left[0][0] + left[1][0]), "left table shape broken")
     _require(not left[0][1][1], "r <| s has an s component")
-    _require(not right[0][0] and not right[0][1], "right table shape broken")
+    _require(not any(right[0][0] + right[0][1]), "right table shape broken")
     _require(not right[1][0][1], "s |> r has an s component")
-    t = ParamTable(left[0][1][0], *left[1][1], right[1][0][0], *right[1][1])
-    _require(not any(dim2_constraints(t)), "valid dialgebra violates the parameter constraints")
-    x1, x2, x3, x4, x5, x6 = t
+    x1, x2, x3, x4, x5, x6 = t = (left[0][1][0], *left[1][1], right[1][0][0], *right[1][1])
+    residuals = field.reduce(dim2_constraints(t))
+    _require(not any(residuals), "valid dialgebra violates the parameter constraints")
 
     k = sublabel = None
     if x1 or x4:
@@ -283,7 +292,8 @@ def classify_dim2(d):
         kind = KIND_IV if x1 and x4 else KIND_III if x1 else KIND_I
         shape = x3 == x6 and (not x1 or x1 == x6 and not x2) and (not x4 or x4 == x6 and not x5)
         _require(shape, f"case of {kind} shape broken")
-        a, b, e = field.one, (x2 + x5) / (x6 * x6), x6.inverse()
+        e = field.reciprocal(x6)
+        a, b = 1, (x2 + x5) * e * e
     elif x3:
         _require(x2 == x5 and x3 == x6, "coinciding-products case shape broken")
         _require(d.products_equal(), "from-associative label with distinct products")
@@ -297,12 +307,13 @@ def classify_dim2(d):
         elif not x5:
             kind, sublabel = KIND_ZERO_CUBED_RIGHT, SUBLABEL_SQUARE
         else:
-            kind, k = KIND_II, x5 / x2
+            kind, k = KIND_II, field.scalar(x5 * field.reciprocal(x2))
         _require(not x6 and bool(x2 or x5), f"case of {kind} shape broken")
-        a, b, e = x2 or x5, field.zero, field.one
-    # The witness rows are a r and b r + e s.
-    r, s = Vec.from_numerators(field, row, h), Vec.unit(field, 2, 1 - q)
-    witness = Mat(field, (r.scale(a), r.scale(b) + s.scale(e)), 2)
+        a, b, e = x2 or x5, 0, 1
+    # The witness rows a r and b r + e s, on numerators over h.
+    rows = [[a * v for v in row], [b * v for v in row]]
+    rows[1][1 - q] += e * h
+    witness = Mat(field, [Vec.from_numerators(field, w, h) for w in rows], 2)
     canonical = canonical_dialgebra(kind, field, k)
     _require(is_isomorphism(canonical, d, witness), "witness does not reach the canonical table")
     return ClassLabel(kind, k, sublabel, witness, canonical)
@@ -403,8 +414,7 @@ def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     from .gfsearch import arrays_to_dialgebra, pair_orbit
 
     field, tables, pairs = _valid_pairs(p, dim, bound)
-    seen = set()
-    classes = []
+    seen, classes = set(), []
     for (left, right), codes in zip(tables, pairs):
         if codes in seen:
             continue

@@ -11,11 +11,13 @@ lexicographic order and each is extended by its admissible rows in
 lexicographic order, so the finished list is exactly the invertible
 matrices in lexicographic order of their flattened entries, the order in
 which every first-hit search picks its witness. One batched Gauss-Jordan
-pass mod p then inverts them all. Both run at residue width: the prefixes
-and the augmented batch are held in the narrowest unsigned dtype that holds
-(p - 1) * p, the largest value a step forms before it reduces mod p (uint8
-up to p = 13, uint16 up to p = 251), and the batch lies on the last axis,
-so each elementwise step of the elimination reads contiguous memory. The
+pass mod p then inverts them all with no row swaps: a matrix whose pivot
+entry is 0 has the first row below with a nonzero entry there added to its
+pivot row. Both run at residue width: the prefixes and the augmented batch
+are held in the narrowest unsigned dtype that holds (p - 1) * p, the
+largest value a step forms before it reduces mod p (uint8 up to p = 13,
+uint16 up to p = 251), and the batch lies on the last axis, so each
+elementwise step of the elimination reads contiguous memory. The
 two returned arrays are widened to int64 once, at the end: residues of a
 narrow dtype would wrap silently under a caller's @. The list is charged
 |GL(n, p)| = prod_k (p^n - p^k) against the search bound before anything is
@@ -80,9 +82,11 @@ def _matrix_inverses_mod(mats, p):
     _work_dtype(p), by Gauss-Jordan; returns them as C-ordered int64.
 
     The augmented batch [M | I] is (n, 2n, count), batch last, in the work
-    dtype. Row r minus c times the normalised pivot row, c being r's entry
-    in the pivot column, is formed as r + c * ((p - pivot) mod p), at most
-    (p - 1) + (p - 1)^2 = (p - 1) * p, so nothing is signed and nothing
+    dtype. A zero pivot entry is mended by adding one row from below, so
+    the pivot row holds at most 2p - 2 <= (p - 1) * p until its one
+    reduction. Row r minus c times the normalised pivot row, c being r's
+    entry in the pivot column, is formed as r + c * ((p - pivot) mod p), at
+    most (p - 1) + (p - 1)^2 = (p - 1) * p, so nothing is signed and nothing
     wraps. Columns left of the pivot column are already unit columns, so
     each step updates only the columns from the pivot on. Every scalar
     operand is cast to the work dtype, so numpy 1 and numpy 2 promote alike.
@@ -95,16 +99,19 @@ def _matrix_inverses_mod(mats, p):
     aug[:, :n] = np.moveaxis(mats, 0, -1)
     aug[np.arange(n), n + np.arange(n)] = 1
     for col in range(n):
-        # Invertibility guarantees a nonzero entry at or below the diagonal.
-        hit = (col + np.argmax(aug[col:, col] != zero, axis=0))[None, None]
-        pivot = np.take_along_axis(aug, hit, axis=0)[0]
-        np.put_along_axis(aug, hit, aug[col][None], axis=0)
-        pivot *= reciprocals[pivot[col]]
+        # Invertibility guarantees a nonzero entry at or below the diagonal:
+        # where the pivot is 0, the first row below with a nonzero entry is
+        # added to the pivot row, at most one row per matrix.
+        head = aug[col, col:]
+        for row in aug[col + 1 :, col:]:
+            np.add(head, row, out=head, where=(head[0] == zero) & (row[0] != zero))
+        head %= modulus
+        pivot = head * reciprocals[head[0]]
         pivot %= modulus
         rest = aug[:, col:]
-        rest += aug[:, col, None] * ((modulus - pivot[col:]) % modulus)
+        rest += aug[:, col, None] * ((modulus - pivot) % modulus)
         rest %= modulus
-        aug[col] = pivot
+        aug[col, col:] = pivot
     return np.ascontiguousarray(np.moveaxis(aug[:, n:], -1, 0), dtype=np.int64)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +41,7 @@ from dialg import (
     opposite,
     param_dialgebra,
 )
+from dialg.identities import dialgebra_violations
 from helpers import (
     GF2,
     GF3,
@@ -52,10 +54,12 @@ from helpers import (
     random_invertible,
     random_valid_dialgebras,
     reference_canonical_dialgebra,
+    reference_check_dialgebra,
     reference_classify_dim2,
     reference_is_isomorphism,
     split_pair_algebra,
     square_algebra,
+    table_entries,
     upper_triangular_algebra,
 )
 
@@ -548,16 +552,16 @@ def test_the_witness_guard_bites_on_a_wrong_cached_table(fresh_canonical_tables)
 
 
 def test_the_witness_guard_bites_on_a_singular_witness(fresh_canonical_tables, monkeypatch):
-    class NoUnit(Vec):
-        # s = 0, so the witness rows (c r, 0) span a line.
+    class ZeroRows(Vec):
+        # Every witness row is built as 0, so the witness is singular.
         __slots__ = ()
 
         @classmethod
-        def unit(cls, field, n, i):
-            return Vec.zero(field, n)
+        def from_numerators(cls, field, values, den):
+            return Vec.zero(field, len(values))
 
     d = canonical_dialgebra(KIND_II, GF5, 3).rebase(Mat.from_rows(GF5, [[1, 2], [3, 4]]))
-    monkeypatch.setattr(dialg.classify, "Vec", NoUnit)
+    monkeypatch.setattr(dialg.classify, "Vec", ZeroRows)
     with pytest.raises(InternalCheckError, match="witness does not reach the canonical table"):
         classify_dim2(d)
 
@@ -576,3 +580,101 @@ def test_is_isomorphism_refuses_mixed_fields_and_rejects_wrong_shapes():
     assert not is_isomorphism(a, a, Mat.identity(QQ, 3))
     assert not is_isomorphism(a, Dialgebra.trivial(QQ, 3), Mat.identity(QQ, 2))
     assert not is_isomorphism(a, a, Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]))
+
+
+# The certificate: a labelled input is proven valid by its witness against a
+# law-checked canonical table, so the laws are checked only where no witness
+# exists. The tests below pin that refusals did not change with it.
+
+
+def assert_refused_or_labelled_as_reference(d):
+    """classify_dim2 refuses d by its first law violation, or labels it as
+    the reference does; returns whether d was refused."""
+    violation = next(dialgebra_violations(d), None)
+    if violation is None:
+        assert_classify_matches_reference(d)
+        return False
+    with pytest.raises(NotADialgebraError) as got:
+        classify_dim2(d)
+    assert str(got.value) == f"input fails {violation.law} at {violation.triple}"
+    return True
+
+
+def test_every_single_entry_perturbation_over_gf3_is_refused_or_labelled_as_before():
+    from dialg.gfsearch import arrays_to_dialgebra, valid_pairs
+
+    tables, _ = valid_pairs(3, 2)
+    inputs = refused = 0
+    for pair in tables:
+        for index in product(range(2), range(2), range(2), range(2)):
+            for delta in (1, 2):
+                moved = pair.copy()
+                moved[index] = (moved[index] + delta) % 3
+                refused += assert_refused_or_labelled_as_reference(
+                    arrays_to_dialgebra(GF3, *moved)
+                )
+                inputs += 1
+    assert inputs == 6432 and 0 < refused < inputs
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_perturbed_moved_canonical_forms_over_q_are_refused_or_labelled_as_before(data):
+    kind = data.draw(st.sampled_from(ALL_KINDS))
+    k = data.draw(ref_scalars(QQ, nonzero=True)) if kind == KIND_II else None
+    d = canonical_dialgebra(kind, QQ, k).rebase(data.draw(invertible_2x2(QQ)))
+    side = data.draw(st.sampled_from(["left", "right"]))
+    entries = {"left": table_entries(d.left), "right": table_entries(d.right)}
+    index = data.draw(st.tuples(*[st.integers(0, 1)] * 3))
+    delta = data.draw(ref_scalars(QQ, nonzero=True))
+    entries[side][index] = entries[side].get(index, QQ.zero) + delta
+    assert_refused_or_labelled_as_reference(
+        Dialgebra.from_entries(QQ, 2, entries["left"], entries["right"])
+    )
+
+
+def test_equal_product_tables_over_gf2_are_refused_or_labelled_as_before():
+    # A nonassociative algebra with zero annihilator reaches the
+    # from-associative exit, which no witness certifies: its laws decide.
+    refused = 0
+    for values in product(range(2), repeat=8):
+        entries = {index: v for index, v in zip(product(range(2), repeat=3), values) if v}
+        refused += assert_refused_or_labelled_as_reference(
+            Dialgebra.from_entries(GF2, 2, entries, entries)
+        )
+    assert 0 < refused < 256
+    swap = {(0, 0, 1): 1, (1, 1, 0): 1}
+    with pytest.raises(NotADialgebraError, match=r"assoc-left at \(0, 0, 1\)"):
+        classify_dim2(Dialgebra.from_entries(QQ, 2, swap, swap))
+
+
+def test_every_canonical_table_satisfies_the_laws(fresh_canonical_tables):
+    # II_k for every k in GF(p)*, and for k in {2, -1, 1/2} over Q.
+    for field in (QQ, GF2, GF3, GF5, GF7):
+        ks = [2, -1, Fraction(1, 2)] if field is QQ else range(1, field.p)
+        for kind in ALL_KINDS:
+            for k in ks if kind == KIND_II else [None]:
+                assert reference_check_dialgebra(canonical_dialgebra(kind, field, k)) == []
+
+
+def test_an_invalid_canonical_point_is_refused_when_built(fresh_canonical_tables, monkeypatch):
+    points = dict(dialg.classify._CANONICAL_POINTS, **{KIND_I: (1, 1, 0, 0, 0, 0)})
+    monkeypatch.setattr(dialg.classify, "_CANONICAL_POINTS", points)
+    with pytest.raises(InternalCheckError, match="canonical I table is invalid"):
+        canonical_dialgebra(KIND_I, GF3)
+    assert not fresh_canonical_tables
+
+
+def test_the_laws_are_checked_only_where_no_witness_certifies(fresh_canonical_tables, monkeypatch):
+    checked = []
+
+    def counted(d):
+        checked.append(d)
+        return dialgebra_violations(d)
+
+    monkeypatch.setattr(dialg.classify, "dialgebra_violations", counted)
+    labels = [classify_dim2(d) for d in enumerate_valid_dialgebras(3)]
+    unwitnessed = [lab.canonical for lab in labels if lab.kind == KIND_FROM_ASSOCIATIVE]
+    assert len(unwitnessed) < len(labels)
+    expected = unwitnessed + list(fresh_canonical_tables.values())
+    assert sorted(map(id, checked)) == sorted(map(id, expected))
