@@ -116,9 +116,10 @@ class Field:
 
         A string is read by the one rule for numbers (ASCII_INT and
         _RATIONAL_COEFF): over Q an integer or <num>/<den>, over GF(p) an
-        integer, reduced mod p; any other string raises ValueError. Over GF(p) only integer values are accepted; a fraction
-        like 1/2 is rejected because the file format and the classification
-        tables treat prime-field coefficients as residues.
+        integer, reduced mod p; any other string raises ValueError. Over
+        GF(p) only integer values are accepted; a fraction like 1/2 is
+        rejected because the file format and the classification tables
+        treat prime-field coefficients as residues.
         """
         if isinstance(value, Scalar):
             if value.field is not self:

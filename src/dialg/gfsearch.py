@@ -263,7 +263,3 @@ def arrays_to_dialgebra(field, left, right):
     tables = ([[vec(tuple(v)) for v in row] for row in np.asarray(t).tolist()] for t in (left, right))
     return Dialgebra(field, len(left), *(BilinearProduct(field, len(left), t) for t in tables))
 
-
-def int_tensor_to_product(field, tensor):
-    """The BilinearProduct of one residue tensor."""
-    return arrays_to_dialgebra(field, tensor, tensor).left

@@ -446,6 +446,13 @@ def dialgebra_to_arrays(d):
     return grab(d.left), grab(d.right)
 
 
+def int_tensor_to_product(field, tensor):
+    """The BilinearProduct of one residue tensor."""
+    from dialg.gfsearch import arrays_to_dialgebra
+
+    return arrays_to_dialgebra(field, tensor, tensor).left
+
+
 # The isomorphism scan as whole-array einsums (the full image tensors of
 # both products for every element of GL(n, p), with no early stop), kept
 # only as a test oracle for the equation-at-a-time scan in gfsearch.

@@ -29,11 +29,7 @@ from dialg import (
     enumerate_valid_dialgebras,
     is_valid_dialgebra,
 )
-from dialg.gfsearch import (
-    arrays_to_dialgebra,
-    int_tensor_to_product,
-    valid_pairs,
-)
+from dialg.gfsearch import arrays_to_dialgebra, valid_pairs
 from helpers import (
     GF2,
     GF3,
@@ -41,6 +37,7 @@ from helpers import (
     associative_indices,
     dialgebra_to_arrays,
     int_matrix_to_mat,
+    int_tensor_to_product,
     reference_associative_indices,
     reference_valid_pairs,
 )

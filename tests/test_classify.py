@@ -1,7 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,7 +42,7 @@ from dialg import (
     opposite,
     param_dialgebra,
 )
-from dialg.identities import dialgebra_violations
+from dialg.identities import DIALGEBRA_LAWS, _law_equations, dialgebra_violations
 from helpers import (
     GF2,
     GF3,
@@ -114,6 +115,61 @@ def test_param_dialgebra_matches_the_generic_tables():
     assert d.multiply(ProductTag.RIGHT, s, s) == Vec.of(QQ, [5, 6])
     assert not d.multiply(ProductTag.LEFT, s, r)
     assert not d.multiply(ProductTag.RIGHT, r, s)
+
+
+class Poly:
+    """A polynomial in x1..x6 with int coefficients, as {exponents: coefficient}."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms)
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        terms = {}
+        for (e, c), (f, g) in product(self.terms.items(), other.terms.items()):
+            m = tuple(map(add, e, f))
+            terms[m] = terms.get(m, 0) + c * g
+        return Poly(terms)
+
+
+def test_the_laws_of_the_generic_table_are_exactly_the_constraints():
+    # The ParamTable with x1..x6 as indeterminates, laid out by param_dialgebra
+    # at each unit point; every law residual at every basis triple and
+    # coordinate is 0 or +-1 times a constraint, and each constraint occurs.
+    # So the constraints decide validity over Q and every GF(p).
+    units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    xs = [Poly({e: 1}) for e in units]
+    columns = [Poly({})] * 16
+    for x, e in zip(xs, units):
+        d = param_dialgebra(ParamTable.of(QQ, e))
+        for side, prod in enumerate((d.left, d.right)):
+            for (i, j, m), c in table_entries(prod).items():
+                assert c == QQ.one
+                col = side * 8 + (i * 2 + j) * 2 + m
+                columns[col] = columns[col] + x
+    constraints = [c.terms for c in dim2_constraints(xs)]
+    seen = set()
+    for law, triple, out, lhs, rhs in chain(*_law_equations(DIALGEBRA_LAWS, 2)):
+        residual = Poly({})
+        for (a, b), (u, v) in zip(lhs, rhs):
+            residual = residual + columns[a] * columns[b] - columns[u] * columns[v]
+        if residual.terms:
+            signed = (residual.terms, (-residual).terms)
+            hits = [k for k, terms in enumerate(constraints) if terms in signed]
+            assert len(hits) == 1, (law, triple, out, residual.terms)
+            seen.update(hits)
+    assert seen == set(range(11))
 
 
 @pytest.mark.parametrize("field", [QQ, GF3, GF5])
@@ -582,9 +638,10 @@ def test_is_isomorphism_refuses_mixed_fields_and_rejects_wrong_shapes():
     assert not is_isomorphism(a, a, Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]))
 
 
-# The certificate: a labelled input is proven valid by its witness against a
-# law-checked canonical table, so the laws are checked only where no witness
-# exists. The tests below pin that refusals did not change with it.
+# Validity is decided by x1..x6 wherever the annihilator is nonzero (the laws
+# on (r, s) are exactly the constraints), and by the laws themselves only for
+# a zero annihilator; a refused input is named by its first law violation.
+# The tests below pin that refusals and labels did not change with it.
 
 
 def assert_refused_or_labelled_as_reference(d):
@@ -665,7 +722,10 @@ def test_an_invalid_canonical_point_is_refused_when_built(fresh_canonical_tables
     assert not fresh_canonical_tables
 
 
-def test_the_laws_are_checked_only_where_no_witness_certifies(fresh_canonical_tables, monkeypatch):
+def test_the_laws_are_checked_only_for_a_zero_annihilator(fresh_canonical_tables, monkeypatch):
+    # Elsewhere x1..x6 decide validity; canonical_dialgebra checks each table it builds.
+    inputs = list(enumerate_valid_dialgebras(3))
+    unparametrized = [d for d in inputs if fingerprint(d).dim_ann == 0]
     checked = []
 
     def counted(d):
@@ -673,8 +733,25 @@ def test_the_laws_are_checked_only_where_no_witness_certifies(fresh_canonical_ta
         return dialgebra_violations(d)
 
     monkeypatch.setattr(dialg.classify, "dialgebra_violations", counted)
-    labels = [classify_dim2(d) for d in enumerate_valid_dialgebras(3)]
-    unwitnessed = [lab.canonical for lab in labels if lab.kind == KIND_FROM_ASSOCIATIVE]
-    assert len(unwitnessed) < len(labels)
-    expected = unwitnessed + list(fresh_canonical_tables.values())
+    for d in inputs:
+        classify_dim2(d)
+    assert 0 < len(unparametrized) < len(inputs)
+    expected = unparametrized + list(fresh_canonical_tables.values())
     assert sorted(map(id, checked)) == sorted(map(id, expected))
+
+
+def test_a_valid_input_refused_by_its_parameters_is_an_internal_error(monkeypatch):
+    # A constraint that fails everywhere stands for a bug on the parameter
+    # route: a valid input refused there has no violation to name.
+    inputs = [*enumerate_valid_dialgebras(3), canonical_dialgebra(KIND_IV, QQ)]
+    before = [classify_dim2(d) for d in inputs]
+    monkeypatch.setattr(dialg.classify, "dim2_constraints", lambda t: [1])
+    refused = 0
+    for d, label in zip(inputs, before):
+        if fingerprint(d).dim_ann != 1:
+            assert classify_dim2(d) == label
+            continue
+        with pytest.raises(InternalCheckError, match="a valid dialgebra was refused"):
+            classify_dim2(d)
+        refused += 1
+    assert 0 < refused < len(inputs)
