@@ -239,27 +239,30 @@ def classify_dim2(d):
     if d.dim != 2:
         raise ValueError("classification is only defined in dimension 2")
     label = _label_dim2(d)
-    if label is None:
-        violation = next(dialgebra_violations(d), None)
-        _require(violation is not None, "a valid dialgebra was refused")
-        raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
-    return label
+    if isinstance(label, ClassLabel):
+        return label
+    violation = label or next(dialgebra_violations(d), None)
+    _require(violation is not None, "a valid dialgebra was refused")
+    raise NotADialgebraError(f"input fails {violation.law} at {violation.triple}")
 
 
 def _label_dim2(d):
-    """classify_dim2's label, on raw values up to the label, or None when d
-    breaks a law: by the laws themselves for a zero annihilator, else by an
-    s component of r <| s or s |> r or a nonzero constraint residual."""
+    """classify_dim2's label, on raw values up to the label, or what refuses
+    d: its first law violation for a zero annihilator, where the laws decide,
+    else None for an s component of r <| s or s |> r or a nonzero constraint
+    residual."""
     field = d.field
     if d.left.is_zero() and d.right.is_zero():
         return ClassLabel(KIND_TRIVIAL, None, SUBLABEL_TRIVIAL, Mat.identity(field, 2), d)
 
     ann = _ann(d.left, d.right)
     if ann.dim == 0:
-        # A valid table's products differ by values in ann, so ann = 0 forces
-        # them equal; the laws decide the rest.
-        if not d.products_equal() or next(dialgebra_violations(d), None) is not None:
-            return None
+        # The laws decide; a valid table's products differ by values in ann,
+        # so ann = 0 forces them equal.
+        violation = next(dialgebra_violations(d), None)
+        if violation is not None:
+            return violation
+        _require(d.products_equal(), "a valid dialgebra was refused")
         return ClassLabel(KIND_FROM_ASSOCIATIVE, None, None, Mat.identity(field, 2), d)
     _require(ann.dim == 1, "nonzero products with a full annihilator")
 

@@ -3,28 +3,32 @@
 Verbs: check, info, classify2, iso, census, leibniz, op, quotient.
 Exit codes: 0 success / property holds, 1 property fails or no isomorphism,
 2 usage or input errors. All output is deterministic for a fixed input.
+
+The module imports at the top only from the modules `check` runs on: the
+exact core, which `import dialg` loads anyway. Each other verb imports the
+layer it runs in its handler: info, classify2, iso and census from classify
+(census then loads numpy), leibniz, op and quotient from constructions; json
+loads only where a handler prints it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .classify import Fingerprint, are_isomorphic, census, classify_dim2, fingerprint
-from .constructions import leibniz_bracket, opposite, quotient
 from .errors import DialgError, ParseError, UnsupportedOverRationalsError
 from .fields import ASCII_INT
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
 from .linalg import Subspace, Vec
-from .structure import DEFAULT_SEARCH_BOUND
 
 ENV_SEARCH_BOUND = "DIALG_SEARCH_BOUND"
 
 
 def _search_bound():
+    from .structure import DEFAULT_SEARCH_BOUND
+
     raw = os.environ.get(ENV_SEARCH_BOUND)
     if raw is None:
         return DEFAULT_SEARCH_BOUND
@@ -44,7 +48,7 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DialgError(f"cannot read {path}: {exc}")
     try:
         return parse_dialgebra(text)
@@ -70,11 +74,15 @@ def cmd_check(args, out):
 
 
 def cmd_info(args, out):
+    from .classify import Fingerprint, fingerprint
+
     d = _load(args.path)
     fp = fingerprint(d)
     pairs = [("field", str(d.field)), ("dim", d.dim)]
     pairs += zip(Fingerprint._fields, fp)
     if args.json:
+        import json
+
         print(json.dumps(dict(pairs)), file=out)
         return 0
     for key, value in pairs:
@@ -94,9 +102,13 @@ def _label_record(label):
 
 
 def cmd_classify2(args, out):
+    from .classify import classify_dim2
+
     d = _load(args.path)
     label = classify_dim2(d)
     if args.json:
+        import json
+
         record = {
             **_label_record(label),
             "sublabel": label.sublabel,
@@ -111,6 +123,8 @@ def cmd_classify2(args, out):
 
 
 def cmd_iso(args, out):
+    from .classify import are_isomorphic
+
     a = _load(args.path_a)
     b = _load(args.path_b)
     try:
@@ -132,6 +146,10 @@ def _residues(prod):
 
 
 def cmd_census(args, out):
+    import json
+
+    from .classify import census
+
     for cls in census(args.prime, args.dim, bound=_search_bound()):
         record = {
             **_label_record(cls.label),
@@ -144,6 +162,8 @@ def cmd_census(args, out):
 
 
 def cmd_leibniz(args, out):
+    from .constructions import leibniz_bracket
+
     d = _load(args.path)
     bracket = leibniz_bracket(d)
     out.write(serialize_algebra(bracket))
@@ -151,6 +171,8 @@ def cmd_leibniz(args, out):
 
 
 def cmd_op(args, out):
+    from .constructions import opposite
+
     d = _load(args.path)
     out.write(serialize_dialgebra(opposite(d)))
     return 0
@@ -175,6 +197,8 @@ def _parse_ideal(d, raw):
 
 
 def cmd_quotient(args, out):
+    from .constructions import quotient
+
     d = _load(args.path)
     ideal = _parse_ideal(d, args.ideal)
     quot, _projection = quotient(d, ideal)

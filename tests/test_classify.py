@@ -705,6 +705,22 @@ def test_equal_product_tables_over_gf2_are_refused_or_labelled_as_before():
         classify_dim2(Dialgebra.from_entries(QQ, 2, swap, swap))
 
 
+def test_an_invalid_input_is_law_checked_once(monkeypatch):
+    # The swap table (equal products, zero annihilator) is refused by the
+    # laws, and its first violation names it: one pass finds both.
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return dialgebra_violations(d)
+
+    monkeypatch.setattr(dialg.classify, "dialgebra_violations", counted)
+    swap = {(0, 0, 1): 1, (1, 1, 0): 1}
+    with pytest.raises(NotADialgebraError, match=r"^input fails assoc-left at \(0, 0, 1\)$"):
+        classify_dim2(Dialgebra.from_entries(QQ, 2, swap, swap))
+    assert len(calls) == 1
+
+
 def test_every_canonical_table_satisfies_the_laws(fresh_canonical_tables):
     # II_k for every k in GF(p)*, and for k in {2, -1, 1/2} over Q.
     for field in (QQ, GF2, GF3, GF5, GF7):

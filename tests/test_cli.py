@@ -263,6 +263,17 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
+    # With two inputs, iso's error says which of them is unreadable.
+    bad = tmp_path / "bad.dialg"
+    bad.write_bytes(b"\xffdialg 1\n")
+    good = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for argv in (["check", str(bad)], ["iso", good, str(bad)]):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot read {bad}: {reason}\n"
+
+
 def _fresh(*args, **env):
     """Run python with args in a fresh interpreter on this dialg, with env
     added to the environment."""
@@ -280,17 +291,51 @@ def _modules_after(code):
     return done.stdout
 
 
+# The modules a path may leave unloaded, and so uncompiled when Python writes
+# no bytecode: the layers above the exact core, the GL searches and numpy.
+WATCHED = (
+    "dialg.classify",
+    "dialg.structure",
+    "dialg.constructions",
+    "dialg.glsearch",
+    "dialg.gfsearch",
+    "numpy",
+)
+
+
+def _loads(code):
+    """Run code in a fresh interpreter on this dialg; return its stdout and
+    the set of WATCHED modules loaded after it."""
+    probe = f"import sys\n{code}\nprint(*(m for m in {WATCHED!r} if m in sys.modules))"
+    *lines, loaded = _modules_after(probe).split("\n")[:-1]
+    return "".join(line + "\n" for line in lines), set(loaded.split())
+
+
+def _main(*argv):
+    return f"from dialg.cli import main\nassert main({list(argv)!r}) == 0"
+
+
 def test_exact_verbs_do_not_import_numpy(tmp_path):
-    # Each module that a verb never needs stays unloaded, and so uncompiled
-    # when Python writes no bytecode: the GL searches load on first use.
+    # Each verb loads only the layers it runs, importing them from their
+    # modules: `import dialg` and check stay on the exact core, op and
+    # leibniz add constructions, quotient adds structure (for its ideal
+    # test), and only the census loads numpy.
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
-    probe = (
-        "import sys\n{}\n"
-        "print(*(m in sys.modules for m in ('numpy', 'dialg.glsearch', 'dialg.gfsearch')))"
-    )
-    assert _modules_after(probe.format("import dialg")) == "False False False\n"
-    check = f"from dialg.cli import main\nassert main(['check', {path!r}]) == 0"
-    assert _modules_after(probe.format(check)) == "PASS\nFalse False False\n"
+    assert _loads("import dialg") == ("", set())
+    assert _loads(_main("check", path)) == ("PASS\n", set())
+    assert _loads(_main("op", path))[1] == {"dialg.constructions"}
+    assert _loads(_main("leibniz", path))[1] == {"dialg.constructions"}
+    layers = {"dialg.classify", "dialg.structure", "dialg.constructions"}
+    # Through the package, the first access to a layer's name loads all three.
+    assert _loads("import dialg\ndialg.opposite") == ("", layers)
+    assert _loads(_main("quotient", path, "--ideal", "1,0"))[1] == layers - {"dialg.classify"}
+    assert _loads(_main("info", path))[1] == layers
+    assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", layers)
+    pa, pb = t2_files(tmp_path)
+    assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, layers | {"dialg.glsearch"})
+    # The census verb does need numpy and gfsearch, so the probe can see them.
+    census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
+    assert _loads(census) == ("", layers | {"dialg.gfsearch", "numpy"})
     # The result records are named tuples, so neither loads dataclasses or
     # inspect. site may preload modules: compare with those loaded before.
     added = (
@@ -298,13 +343,74 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
         "print(sorted({{'dataclasses', 'inspect'}} & (set(sys.modules) - before)))"
     )
     assert _modules_after(added.format("import dialg")) == "[]\n"
-    assert _modules_after(added.format(check)) == "PASS\n[]\n"
-    pa, pb = t2_files(tmp_path)
-    iso = f"from dialg.cli import main\nassert main(['iso', {pa!r}, {pb!r}]) == 0"
-    assert _modules_after(probe.format(iso)) == T2_WITNESS + "False True False\n"
-    # The census verb does need numpy and gfsearch, so the probe can see them.
-    census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
-    assert _modules_after(probe.format(census)) == "True False True\n"
+    assert _modules_after(added.format(_main("check", path))) == "PASS\n[]\n"
+
+
+# The public names of dialg: 86 API names and its nine submodules. The core
+# ones are bound by `import dialg`; each of the others is read from its home
+# module, below, on first access.
+CORE_NAMES = """
+    Algebra BarUnitSet BilinearProduct DerivationSquareError DialgError Dialgebra Field
+    FieldMismatchError InternalCheckError Mat NonPrimeError NotADerivationError
+    NotADialgebraError NotAnIdealError NotAssociativeError NotInvertibleError
+    NotZeroCubedError ParseError ProductTag Scalar SearchBoundExceededError Subspace
+    UnsupportedOverRationalsError Vec ViolationReport algebras all_subspaces bar_units
+    check_associative check_dialgebra check_leibniz errors fields fileformat identities
+    is_prime is_valid_dialgebra kernel law_residual linalg parse_algebra parse_dialgebra
+    rref serialize_algebra serialize_dialgebra solve
+""".split()
+LAZY_HOMES = {
+    "classify": """
+        KIND_FROM_ASSOCIATIVE KIND_I KIND_II KIND_III KIND_IV KIND_TRIVIAL
+        KIND_ZERO_CUBED_LEFT KIND_ZERO_CUBED_RIGHT SUBLABEL_SQUARE SUBLABEL_TRIVIAL
+        CensusClass ClassLabel Fingerprint ParamTable are_isomorphic automorphism_group
+        canonical_dialgebra census classify_dim2 dim2_constraints enumerate_valid_dialgebras
+        fingerprint is_isomorphism param_dialgebra
+    """.split(),
+    "structure": """
+        DEFAULT_SEARCH_BOUND AnnihilatorProfile StructureFlags algebra_annihilator
+        algebra_ideals algebra_prime algebra_semiprime algebra_simple annihilators
+        generated_ideal is_ideal is_zero_cubed structure_flags triples_equivalent
+        zero_cubed_decompose
+    """.split(),
+    "constructions": """
+        ZeroCubedTriple from_associative from_differential leibniz_bracket opposite
+        quotient zero_cubed_build
+    """.split(),
+}
+
+
+def test_the_package_binds_its_pinned_names_and_loads_the_layers_on_first_use():
+    homes = {name: m for m, names in LAZY_HOMES.items() for name in names}
+    probe = f"""
+import sys
+import dialg
+layers = ["dialg." + m for m in {list(LAZY_HOMES)!r}]
+print(*(m for m in layers if m in sys.modules))
+print(all(getattr(dialg, m[6:]) is sys.modules[m] for m in layers))
+names = {{}}
+exec("from dialg import *", names)
+del names["__builtins__"]
+print(*sorted(names))
+homes = {homes!r}
+print(all(v is getattr(sys.modules["dialg." + homes[k]], k) for k, v in names.items() if k in homes))
+print(set(names) <= set(dir(dialg)))
+try:
+    dialg.nope
+except AttributeError as exc:
+    print(repr(exc))
+"""
+    names = sorted([*CORE_NAMES, *LAZY_HOMES, *homes])
+    assert len(names) == len(set(names)) == 95
+    assert _modules_after(probe).split("\n") == [
+        "",
+        "True",
+        " ".join(names),
+        "True",
+        "True",
+        "AttributeError(\"module 'dialg' has no attribute 'nope'\")",
+        "",
+    ]
 
 
 def t2_files(tmp_path):
