@@ -11,8 +11,7 @@ trip needs: errors, fields, linalg, algebras, identities and fileformat.
 The layers above it, classify, structure and constructions, load together
 on the first access to one of their names (or to one of those submodules)
 through this package: then the name is read from its module and kept in
-this namespace. Only the census and the enumeration of valid dialgebras
-load numpy.
+this namespace. Only the enumeration of valid dialgebras loads numpy.
 """
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, ProductTag

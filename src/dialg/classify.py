@@ -22,9 +22,14 @@ the first violation of an input found invalid.
 Isomorphism tests and automorphism groups import glsearch on first use: a
 pure-Python search over GL(n, p) row by row, whose dimension-1 closed form
 also gives the rational dim-1 witness; rational dimension 2 goes through
-the canonical forms. Only the census and the enumeration of valid
-dialgebras import gfsearch, and with it numpy, so neither the exact paths
-nor an isomorphism search load numpy.
+the canonical forms.
+
+The census moves each of the p + 11 normal forms of the valid dim-2
+dialgebras over GF(p) (the canonical tables and the six associative
+algebras of the from-associative bucket) by every element of GL(2, p), on
+raw residues in pure Python, and keeps each orbit's least member and size.
+Only the enumeration of valid dialgebras grows every valid pair, by
+gfsearch, and so imports numpy.
 """
 
 from __future__ import annotations
@@ -381,21 +386,19 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
 
 def enumerate_valid_dialgebras(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     """Every valid dialgebra over GF(p) in tensor-lexicographic order, as a
-    generator; unsupported parameters are refused at the call."""
-    from .gfsearch import arrays_to_dialgebra
+    generator, grown by gfsearch.valid_pairs; unsupported parameters are
+    refused at the call."""
+    from .gfsearch import arrays_to_dialgebra, valid_pairs
 
-    field, tables, _ = _valid_pairs(p, dim, bound)
+    _require_dim2(dim)
+    field = Field.prime(p)
+    tables, _ = valid_pairs(p, dim, bound)
     return (arrays_to_dialgebra(field, left, right) for left, right in tables)
 
 
-def _valid_pairs(p, dim, bound):
-    """GF(p) and valid_pairs(p, dim, bound), for dim 2 only (classify_dim2
-    labels the classes); Field.prime and the search bound refuse p."""
-    from .gfsearch import valid_pairs
-
+def _require_dim2(dim):
     if dim != 2:
         raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
-    return (Field.prime(p), *valid_pairs(p, dim, bound))
 
 
 class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
@@ -404,22 +407,103 @@ class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
     __slots__ = ()
 
 
+# A 2x2x2 tensor is a flat tuple of its entries gamma[i][j][k] at 4i + 2j + k,
+# the order of its base-p code, first entry most significant.
+_CUBE = tuple(product(range(2), repeat=3))
+
+
+def _flat(entries):
+    """The flat tensor with the given {position: residue} entries."""
+    return tuple(entries.get(e, 0) for e in range(8))
+
+
+def _nested(t):
+    """A flat tensor as nested lists gamma[i][j][k]."""
+    return [[t[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+
+
+def _normal_forms(p):
+    """The p + 11 normal forms of the valid dim-2 dialgebras over GF(p), as
+    flat (left, right) residue tensors: classify_dim2's canonical tables
+    (trivial, both one-sided zeros, I, III, IV and II_k for k = 1..p-1) and
+    the six associative algebras of the from-associative bucket, each with
+    equal products: F + 0, the left-unit and right-unit algebras, the dual
+    numbers F[e], F x F and the field GF(p^2) = F[x] / (x^2 - a x - b)."""
+    points = [*_CANONICAL_POINTS.values(), *((0, 1, 0, 0, k, 0) for k in range(1, p))]
+    # ParamTable's entries: r <| s, s <| s on r and s, s |> r, s |> s on r and s.
+    forms = [(_flat({2: x1, 6: x2, 7: x3}), _flat({4: x4, 6: x5, 7: x6}))
+             for x1, x2, x3, x4, x5, x6 in points]
+    # x^2 = x + 1 is irreducible over GF(2); for odd p, x^2 = b with b the
+    # least non-square, found by Euler's criterion.
+    a, b = (1, 1) if p == 2 else (0, next(b for b in range(2, p) if pow(b, (p - 1) // 2, p) != 1))
+    unit = {0: 1, 3: 1, 5: 1}
+    for entries in ({0: 1}, {0: 1, 3: 1}, {0: 1, 5: 1}, unit, {0: 1, 7: 1}, {**unit, 6: b, 7: a}):
+        t = _flat(entries)
+        forms.append((t, t))
+    return forms
+
+
+def _gl2(p):
+    """Each (g, g^-1) of GL(2, p), as row tuples: the inverse is the
+    adjugate over the determinant."""
+    for a, b, c, d in product(range(p), repeat=4):
+        det = (a * d - b * c) % p
+        if det:
+            r = pow(det, -1, p)
+            yield ((a, b), (c, d)), ((d * r % p, -b * r % p), (-c * r % p, a * r % p))
+
+
+def _orbit_scan(p, forms):
+    """Each form's GL(2, p) orbit as a set of (left, right) flat tensors. A
+    base change g (rows the new basis) sends gamma to
+    gamma'[i][j][k] = sum g[i][x] g[j][y] gamma[x][y][z] g^-1[z][k]: linear
+    in gamma, so per g the images of the unit tensors are formed once, and
+    each distinct tensor among the forms is the reduced combination of
+    those at its nonzero entries."""
+    tensors = sorted({t for form in forms for t in form})
+    terms = [[(e, v) for e, v in enumerate(t) if v] for t in tensors]
+    units = sorted({e for ts in terms for e, _ in ts})
+    index = {t: n for n, t in enumerate(tensors)}
+    pairs = [(index[left], index[right]) for left, right in forms]
+    orbits = [set() for _ in forms]
+    for g, h in _gl2(p):
+        unit = {}
+        for e in units:
+            x, y, z = _CUBE[e]
+            unit[e] = [g[i][x] * g[j][y] * h[z][k] for i, j, k in _CUBE]
+        images = []
+        for t, ts in zip(tensors, terms):
+            if len(ts) == 1:
+                ((e, v),) = ts
+                t = tuple(v * u % p for u in unit[e])
+            elif ts:
+                columns = zip(*([v * u for u in unit[e]] for e, v in ts))
+                t = tuple(sum(column) % p for column in columns)
+            # The zero tensor is its own image.
+            images.append(t)
+        for orbit, (left, right) in zip(orbits, pairs):
+            orbit.add((images[left], images[right]))
+    return orbits
+
+
 def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     """Partition all valid dialgebras over GF(p) into isomorphism classes.
 
-    Candidates are scanned in lexicographic tensor order and grouped by
-    GL-orbit, so each class is represented by its least member and the
-    output order is canonical.
+    Each of the p + 11 normal forms is moved by every g in GL(2, p), on raw
+    residues; the search bound is charged (p + 11) |GL(2, p)| before that.
+    A class is represented by the least member of its orbit in
+    lexicographic tensor order, left product first, and the classes come in
+    that order.
     """
-    from .gfsearch import arrays_to_dialgebra, pair_orbit
-
-    field, tables, pairs = _valid_pairs(p, dim, bound)
-    seen, classes = set(), []
-    for (left, right), codes in zip(tables, pairs):
-        if codes in seen:
-            continue
-        orbit = pair_orbit(left, right, p, bound)
-        seen |= orbit
-        rep = arrays_to_dialgebra(field, left, right)
-        classes.append(CensusClass(rep, classify_dim2(rep), len(orbit)))
+    _require_dim2(dim)
+    field = Field.prime(p)
+    guard_search(f"census over GF({p}) in dim 2", (p + 11) * (p * p - 1) * (p * p - p), bound)
+    forms = _normal_forms(p)
+    # Flat tensors of residues compare as their base-p codes do.
+    least = {min(orbit): len(orbit) for orbit in _orbit_scan(p, forms)}
+    _require(len(least) == len(forms), "two normal forms share an orbit")
+    classes = []
+    for (left, right), size in sorted(least.items()):
+        rep = Dialgebra.from_residues(field, _nested(left), _nested(right))
+        classes.append(CensusClass(rep, classify_dim2(rep), size))
     return classes

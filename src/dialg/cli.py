@@ -6,9 +6,9 @@ Exit codes: 0 success / property holds, 1 property fails or no isomorphism,
 
 The module imports at the top only from the modules `check` runs on: the
 exact core, which `import dialg` loads anyway. Each other verb imports the
-layer it runs in its handler: info, classify2, iso and census from classify
-(census then loads numpy), leibniz, op and quotient from constructions; json
-loads only where a handler prints it.
+layer it runs in its handler: info, classify2, iso and census from classify,
+leibniz, op and quotient from constructions; json loads only where a handler
+prints it. No verb loads numpy.
 """
 
 from __future__ import annotations

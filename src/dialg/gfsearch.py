@@ -1,9 +1,9 @@
 """Vectorized modular-arithmetic plumbing for finite-field searches.
 
 Structure tensors over GF(p) are plain integer residue arrays here, which
-keeps exhaustive censuses and GL(n, p) scans fast. Everything user-facing
-stays in the exact Scalar world; tests cross-check the two routes against
-each other.
+keeps the exhaustive growth of valid pairs and GL(n, p) scans fast.
+Everything user-facing stays in the exact Scalar world; tests cross-check
+the two routes against each other.
 
 GL(n, p) is built row by row: row k takes, in increasing base-p code, every
 vector outside the span of rows 0..k-1. The prefixes are kept in
@@ -23,7 +23,7 @@ narrow dtype would wrap silently under a caller's @. The list is charged
 |GL(n, p)| = prod_k (p^n - p^k) against the search bound before anything is
 allocated.
 
-The census grows the valid (left, right) pairs the same way, one coordinate
+valid_pairs grows the valid (left, right) pairs the same way, one coordinate
 of the flattened pair at a time, left product first: survivors are extended
 by 0..p-1 in order, and each basis equation of identities._LAWS, the exact
 checker's law table, is checked once its last coordinate is set. So the
@@ -38,13 +38,17 @@ Equations are checked one at a time, each on the survivors of the last.
 Checking a column's equations in one batch is faster at p = 2 and 3 but
 slower from p = 5 on, where the growth spends its time.
 
+enumerate_valid_dialgebras is its one library caller; the census takes its
+classes from the dim-2 normal forms in classify, and the tests check it
+against these pairs grouped by pair_orbit.
+
 isomorphism_indices scans GL(n, p) the same way: each homomorphism
 equation (i, j, k) of the left product, then of the right product, cuts
 the surviving GL indices to those that satisfy it, and the scan stops as
 soon as none is left. No library path calls it: are_isomorphic and
 automorphism_group run glsearch's pure-Python row-by-row search, which
-yields the same maps in the same order without numpy, and the tests keep
-this vectorised scan as the reference that search is checked against.
+yields the same maps in the same order without numpy. Like pair_orbit and
+transform_tensor_batch, it is kept as a test reference.
 """
 
 from __future__ import annotations
@@ -55,9 +59,8 @@ from math import prod
 
 import numpy as np
 
-from .algebras import BilinearProduct, Dialgebra
+from .algebras import Dialgebra
 from .identities import DIALGEBRA_LAWS, _law_equations
-from .linalg import Vec
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
 
@@ -249,17 +252,6 @@ def isomorphism_indices(a_pair, b_pair, p):
 
 
 def arrays_to_dialgebra(field, left, right):
-    """The Dialgebra of two residue tensors. Each distinct residue vector
-    becomes one Vec, shared by both tables, so equal products compare on
-    identical objects."""
-    vecs = {}
-
-    def vec(coords):
-        v = vecs.get(coords)
-        if v is None:
-            v = vecs[coords] = Vec.of(field, coords)
-        return v
-
-    tables = ([[vec(tuple(v)) for v in row] for row in np.asarray(t).tolist()] for t in (left, right))
-    return Dialgebra(field, len(left), *(BilinearProduct(field, len(left), t) for t in tables))
+    """The Dialgebra of two residue tensors, by Dialgebra.from_residues."""
+    return Dialgebra.from_residues(field, *(np.asarray(t).tolist() for t in (left, right)))
 

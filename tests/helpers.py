@@ -433,6 +433,27 @@ def reference_valid_pairs(p, n):
     return tuple(pairs)
 
 
+def reference_census(p, bound):
+    """The dim-2 census by pair growth, as (representative, label, orbit size)
+    per class: every valid pair from gfsearch.valid_pairs, in lexicographic
+    order, and the GL(2, p) orbit from gfsearch.pair_orbit of each pair no
+    earlier orbit holds, so each class is its least member's."""
+    from dialg import Field, classify_dim2
+    from dialg.gfsearch import arrays_to_dialgebra, pair_orbit, valid_pairs
+
+    field = Field.prime(p)
+    tables, pairs = valid_pairs(p, 2, bound)
+    seen, classes = set(), []
+    for (left, right), codes in zip(tables, pairs):
+        if codes in seen:
+            continue
+        orbit = pair_orbit(left, right, p, bound)
+        seen |= orbit
+        rep = arrays_to_dialgebra(field, left, right)
+        classes.append((rep, classify_dim2(rep), len(orbit)))
+    return classes
+
+
 def dialgebra_to_arrays(d):
     """Residue arrays (left, right) of a prime-field dialgebra."""
     if not d.field.is_finite:

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from dialg import (
     KIND_ZERO_CUBED_RIGHT,
     Field,
     Algebra,
+    Dialgebra,
     Mat,
     NonPrimeError,
     NotInvertibleError,
@@ -26,6 +27,7 @@ from dialg import (
     census,
     check_associative,
     check_dialgebra,
+    classify_dim2,
     enumerate_valid_dialgebras,
     is_valid_dialgebra,
 )
@@ -39,6 +41,7 @@ from helpers import (
     int_matrix_to_mat,
     int_tensor_to_product,
     reference_associative_indices,
+    reference_census,
     reference_valid_pairs,
 )
 
@@ -55,10 +58,16 @@ ALLOWED_KINDS = {
 
 
 def test_census_parameters_out_of_range():
-    with pytest.raises(SearchBoundExceededError, match="needs 1960321 candidates"):
-        census(11)
+    # (p + 11) |GL(2, p)| = 28 * 78336 at p = 17.
+    with pytest.raises(
+        SearchBoundExceededError, match=r"^census over GF\(17\) in dim 2 needs 2193408 candidates"
+    ):
+        census(17)
     with pytest.raises(ValueError):
         census(2, dim=3)
+    # Refused before any work that grows with p.
+    with pytest.raises(SearchBoundExceededError, match=r"over GF\(1000000007\)"):
+        census(1000000007, bound=1)
 
 
 def test_enumerate_valid_dialgebras_refuses_at_the_call():
@@ -70,7 +79,7 @@ def test_enumerate_valid_dialgebras_refuses_at_the_call():
 
 def test_census_honours_the_search_bound():
     with pytest.raises(
-        SearchBoundExceededError, match="needs 243 candidates, over the search bound 100$"
+        SearchBoundExceededError, match="needs 672 candidates, over the search bound 100$"
     ):
         census(3, bound=100)
 
@@ -98,6 +107,51 @@ def test_gf7_census_has_p_plus_11_classes_that_partition_the_valid_set():
     # Orbit-stabilizer again, with |GL(2, 7)| = 2016.
     for c in classes:
         assert c.orbit_size * len(automorphism_group(c.representative)) == 2016
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_census_agrees_with_the_growth_route(p):
+    # The growth needs more than the default bound from p = 11 on; the
+    # census from the normal forms does not.
+    classes = census(p)
+    reference = reference_census(p, DEFAULT_SEARCH_BOUND if p < 11 else 10**9)
+    assert [tuple(c) for c in classes] == reference
+    gl_order = (p * p - 1) * (p * p - p)
+    for c in classes:
+        assert c.orbit_size * len(automorphism_group(c.representative)) == gl_order
+
+
+def test_gf13_census_partitions_the_grown_valid_set():
+    classes = census(13)
+    assert len(classes) == 13 + 11
+    assert sum(c.orbit_size for c in classes) == len(valid_pairs(13, 2, bound=10**9)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_six_from_associative_forms(p):
+    from dialg.classify import _nested, _normal_forms
+
+    field = Field.prime(p)
+    tables = _normal_forms(p)[-6:]
+    forms = [Dialgebra.from_residues(field, _nested(lt), _nested(rt)) for lt, rt in tables]
+    for d in forms:
+        assert d.products_equal()
+        assert check_dialgebra(d) == []
+        assert classify_dim2(d).kind == KIND_FROM_ASSOCIATIVE
+    for a, b in combinations(forms, 2):
+        assert are_isomorphic(a, b) is None
+    # F + 0, left unit, right unit, F[e], F x F and GF(p^2).
+    orders = [p - 1, p * (p - 1), p * (p - 1), p - 1, 2, 2]
+    assert [len(automorphism_group(d)) for d in forms] == orders
+    # GF(p^2) = F[x] / (x^2 - a x - b): x^2 = x + 1 over GF(2), else x^2 = b
+    # for the least non-square b.
+    field_table = tables[-1][0]
+    a, b = field_table[7], field_table[6]
+    squares = {x * x % p for x in range(p)}
+    if p == 2:
+        assert (a, b) == (1, 1)
+    else:
+        assert a == 0 and b not in squares and set(range(b)) <= squares
 
 
 def test_gf2_census_shape(census_gf2):
@@ -274,8 +328,12 @@ def test_census_charges_the_gl_list_against_its_own_bound(monkeypatch):
         return real(p, n, bound)
 
     monkeypatch.setattr(gfsearch, "gl_matrices", spy)
-    assert len(census(2, bound=5000)) == 13
-    assert bounds and set(bounds) == {5000}
+    # The census builds no GL list: it is charged (2 + 11) |GL(2, 2)| = 78.
+    assert len(census(2, bound=78)) == 13
+    over = "needs 78 candidates, over the search bound 77$"
+    with pytest.raises(SearchBoundExceededError, match=over):
+        census(2, bound=77)
+    assert bounds == []
     zero = np.zeros((2, 2, 2), dtype=np.int64)
     with pytest.raises(SearchBoundExceededError, match=r"^GL\(2, 3\) list needs 48 candidates"):
         gfsearch.pair_orbit(zero, zero, 3, 47)

@@ -158,16 +158,24 @@ def test_census_streams_json_lines():
 
 
 def test_census_rejects_unsupported_parameters(capsys):
-    code, _ = run(["census", "--prime", "11"])
+    code, _ = run(["census", "--prime", "17"])
     assert code == 2
-    assert "needs 1960321 candidates" in capsys.readouterr().err
+    assert "needs 2193408 candidates" in capsys.readouterr().err
+
+
+def test_census_answers_gf11_under_the_default_bound():
+    code, out = run(["census", "--prime", "11"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 11 + 11
+    assert sum(r["orbit_size"] for r in records) == 20281
 
 
 def test_census_honors_the_search_bound_env(monkeypatch, capsys):
     monkeypatch.setenv("DIALG_SEARCH_BOUND", "100")
     code, out = run(["census", "--prime", "3"])
     assert code == 2 and out == ""
-    assert capsys.readouterr().err.endswith("needs 243 candidates, over the search bound 100\n")
+    assert capsys.readouterr().err.endswith("needs 672 candidates, over the search bound 100\n")
 
 
 def test_census_reaches_gf7_under_the_default_bound():
@@ -319,7 +327,7 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
     # Each verb loads only the layers it runs, importing them from their
     # modules: `import dialg` and check stay on the exact core, op and
     # leibniz add constructions, quotient adds structure (for its ideal
-    # test), and only the census loads numpy.
+    # test), and no verb loads gfsearch or numpy.
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
     assert _loads("import dialg") == ("", set())
     assert _loads(_main("check", path)) == ("PASS\n", set())
@@ -333,9 +341,9 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
     assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", layers)
     pa, pb = t2_files(tmp_path)
     assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, layers | {"dialg.glsearch"})
-    # The census verb does need numpy and gfsearch, so the probe can see them.
+    # The census scans its normal forms in pure Python.
     census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
-    assert _loads(census) == ("", layers | {"dialg.gfsearch", "numpy"})
+    assert _loads(census) == ("", layers)
     # The result records are named tuples, so neither loads dataclasses or
     # inspect. site may preload modules: compare with those loaded before.
     added = (
