@@ -11,7 +11,8 @@ trip needs: errors, fields, linalg, algebras, identities and fileformat.
 The layers above it, classify, structure and constructions, load together
 on the first access to one of their names (or to one of those submodules)
 through this package: then the name is read from its module and kept in
-this namespace. Only the enumeration of valid dialgebras loads numpy.
+this namespace. No public name loads numpy: only the test reference module
+dialg.gfsearch imports it.
 """
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, ProductTag

@@ -28,8 +28,8 @@ The census moves each of the p + 11 normal forms of the valid dim-2
 dialgebras over GF(p) (the canonical tables and the six associative
 algebras of the from-associative bucket) by every element of GL(2, p), on
 raw residues in pure Python, and keeps each orbit's least member and size.
-Only the enumeration of valid dialgebras grows every valid pair, by
-gfsearch, and so imports numpy.
+The enumeration of valid dialgebras is the union of the same orbits, sorted,
+so no function here imports gfsearch or numpy.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ SUBLABEL_TRIVIAL = "trivial"
 SUBLABEL_SQUARE = "square-type"
 
 
-# gfsearch is imported inside the functions that use it; its gl_matrices
-# stays readable as classify.gl_matrices, which the benchmark's tracer reads.
+# gfsearch's gl_matrices stays readable as classify.gl_matrices, which the
+# benchmark's tracer reads; it loads gfsearch, and so numpy, on that access.
 def __getattr__(name):
     if name == "gl_matrices":
         from .gfsearch import gl_matrices
@@ -385,20 +385,14 @@ def automorphism_group(d, bound=DEFAULT_SEARCH_BOUND):
 
 
 def enumerate_valid_dialgebras(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
-    """Every valid dialgebra over GF(p) in tensor-lexicographic order, as a
-    generator, grown by gfsearch.valid_pairs; unsupported parameters are
-    refused at the call."""
-    from .gfsearch import arrays_to_dialgebra, valid_pairs
-
-    _require_dim2(dim)
+    """Every valid dialgebra over GF(p) in tensor-lexicographic order, left
+    product first, as a generator: the union of the census orbits, each table
+    built on demand; unsupported parameters are refused at the call, as by
+    census."""
+    # Flat tensors of residues compare as their base-p codes do.
+    tables = sorted(set().union(*_orbits(p, dim, bound)))
     field = Field.prime(p)
-    tables, _ = valid_pairs(p, dim, bound)
-    return (arrays_to_dialgebra(field, left, right) for left, right in tables)
-
-
-def _require_dim2(dim):
-    if dim != 2:
-        raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
+    return (Dialgebra.from_residues(field, _nested(left), _nested(right)) for left, right in tables)
 
 
 class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
@@ -486,6 +480,16 @@ def _orbit_scan(p, forms):
     return orbits
 
 
+def _orbits(p, dim, bound):
+    """The GL(2, p) orbits of the p + 11 normal forms, after the dim, the
+    prime and the charge of (p + 11) |GL(2, p)| to the search bound."""
+    if dim != 2:
+        raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
+    Field.prime(p)  # refuses a non-prime p
+    guard_search(f"census over GF({p}) in dim 2", (p + 11) * (p * p - 1) * (p * p - p), bound)
+    return _orbit_scan(p, _normal_forms(p))
+
+
 def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     """Partition all valid dialgebras over GF(p) into isomorphism classes.
 
@@ -495,13 +499,11 @@ def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     lexicographic tensor order, left product first, and the classes come in
     that order.
     """
-    _require_dim2(dim)
+    orbits = _orbits(p, dim, bound)
     field = Field.prime(p)
-    guard_search(f"census over GF({p}) in dim 2", (p + 11) * (p * p - 1) * (p * p - p), bound)
-    forms = _normal_forms(p)
     # Flat tensors of residues compare as their base-p codes do.
-    least = {min(orbit): len(orbit) for orbit in _orbit_scan(p, forms)}
-    _require(len(least) == len(forms), "two normal forms share an orbit")
+    least = {min(orbit): len(orbit) for orbit in orbits}
+    _require(len(least) == len(orbits), "two normal forms share an orbit")
     classes = []
     for (left, right), size in sorted(least.items()):
         rep = Dialgebra.from_residues(field, _nested(left), _nested(right))

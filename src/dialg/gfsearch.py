@@ -1,9 +1,11 @@
 """Vectorized modular-arithmetic plumbing for finite-field searches.
 
 Structure tensors over GF(p) are plain integer residue arrays here, which
-keeps the exhaustive growth of valid pairs and GL(n, p) scans fast.
-Everything user-facing stays in the exact Scalar world; tests cross-check
-the two routes against each other.
+keeps the exhaustive growth of valid pairs and GL(n, p) scans fast. No
+library function calls this module: the tests read it as an independent
+reference for the census, the enumeration and the isomorphism search, and
+bench/session.py times valid_pairs and gl_matrices. It is the one module
+that imports numpy, which only the `test` extra installs.
 
 GL(n, p) is built row by row: row k takes, in increasing base-p code, every
 vector outside the span of rows 0..k-1. The prefixes are kept in
@@ -38,9 +40,9 @@ Equations are checked one at a time, each on the survivors of the last.
 Checking a column's equations in one batch is faster at p = 2 and 3 but
 slower from p = 5 on, where the growth spends its time.
 
-enumerate_valid_dialgebras is its one library caller; the census takes its
-classes from the dim-2 normal forms in classify, and the tests check it
-against these pairs grouped by pair_orbit.
+The census and the enumeration of valid dialgebras take their tables from
+the dim-2 normal forms in classify; the tests check both against these
+pairs grouped by pair_orbit.
 
 isomorphism_indices scans GL(n, p) the same way: each homomorphism
 equation (i, j, k) of the left product, then of the right product, cuts
@@ -59,7 +61,6 @@ from math import prod
 
 import numpy as np
 
-from .algebras import Dialgebra
 from .identities import DIALGEBRA_LAWS, _law_equations
 from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
@@ -249,9 +250,3 @@ def isomorphism_indices(a_pair, b_pair, p):
             if not len(hits):
                 return hits
     return hits
-
-
-def arrays_to_dialgebra(field, left, right):
-    """The Dialgebra of two residue tensors, by Dialgebra.from_residues."""
-    return Dialgebra.from_residues(field, *(np.asarray(t).tolist() for t in (left, right)))
-

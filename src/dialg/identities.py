@@ -32,8 +32,9 @@ are associativity, so one law's slabs serve all five.
 
 The law table _LAWS is also expanded here, once per (laws, n): the
 basis equations over a flattened (left, right) pair of tables, as plain
-int column pairs (_law_equations). The GF(p) census growth in gfsearch
-evaluates them on residue arrays; nothing else expands the table.
+int column pairs (_law_equations). The GF(p) pair growth in gfsearch, the
+tests' reference for the census, evaluates them on residue arrays; nothing
+else expands the table.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ViolationReport(namedtuple("ViolationReport", "law triple residual")):
 
 
 # Every law is (x a y) b z = x c (y d z); each row names (a, b, c, d). The GF(p)
-# census pair growth in gfsearch reads the same rows, as _law_equations.
+# pair growth in gfsearch reads the same rows, as _law_equations.
 _LEFT, _RIGHT = ProductTag.LEFT, ProductTag.RIGHT
 _LAWS = {
     LAW_ASSOC_LEFT: (_LEFT, _LEFT, _LEFT, _LEFT),

@@ -7,6 +7,7 @@ from math import gcd, lcm
 import numpy as np
 
 from dialg import (
+    DEFAULT_SEARCH_BOUND,
     KIND_I,
     KIND_II,
     KIND_III,
@@ -402,7 +403,6 @@ def associative_indices(p, n):
     GF(p), by gfsearch's coordinate growth under assoc-left alone."""
     from dialg.gfsearch import _grow, _place_values
     from dialg.identities import LAW_ASSOC_LEFT
-    from dialg.structure import DEFAULT_SEARCH_BOUND
 
     return _grow(p, n, [LAW_ASSOC_LEFT], n**3, DEFAULT_SEARCH_BOUND) @ _place_values(p, n**3)
 
@@ -433,13 +433,29 @@ def reference_valid_pairs(p, n):
     return tuple(pairs)
 
 
+def arrays_to_dialgebra(field, left, right):
+    """The Dialgebra of two residue tensors, by Dialgebra.from_residues."""
+    return Dialgebra.from_residues(field, *(np.asarray(t).tolist() for t in (left, right)))
+
+
+def grown_valid_dialgebras(p, bound=DEFAULT_SEARCH_BOUND):
+    """Every valid dim-2 dialgebra over GF(p), in lexicographic order, by
+    gfsearch.valid_pairs' coordinate growth: the reference that the census
+    orbits and enumerate_valid_dialgebras, which reads them, are checked
+    against."""
+    from dialg.gfsearch import valid_pairs
+
+    field = Field.prime(p)
+    return [arrays_to_dialgebra(field, left, right) for left, right in valid_pairs(p, 2, bound)[0]]
+
+
 def reference_census(p, bound):
     """The dim-2 census by pair growth, as (representative, label, orbit size)
     per class: every valid pair from gfsearch.valid_pairs, in lexicographic
     order, and the GL(2, p) orbit from gfsearch.pair_orbit of each pair no
     earlier orbit holds, so each class is its least member's."""
-    from dialg import Field, classify_dim2
-    from dialg.gfsearch import arrays_to_dialgebra, pair_orbit, valid_pairs
+    from dialg import classify_dim2
+    from dialg.gfsearch import pair_orbit, valid_pairs
 
     field = Field.prime(p)
     tables, pairs = valid_pairs(p, 2, bound)
@@ -469,8 +485,6 @@ def dialgebra_to_arrays(d):
 
 def int_tensor_to_product(field, tensor):
     """The BilinearProduct of one residue tensor."""
-    from dialg.gfsearch import arrays_to_dialgebra
-
     return arrays_to_dialgebra(field, tensor, tensor).left
 
 

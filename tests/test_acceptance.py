@@ -56,6 +56,7 @@ from helpers import (
     GF7,
     QQ,
     associative_zoo,
+    grown_valid_dialgebras,
     int_matrix_to_mat,
     random_invertible,
     random_valid_dialgebras,
@@ -177,13 +178,14 @@ def _clear_search_caches():
 
 
 def test_criterion_04_gf2_census():
-    # Timed from a cold cache so the enumeration itself is measured.
+    # Timed from a cold cache so the growth itself is measured: the valid
+    # set comes from growth, independent of the census orbits.
     _clear_search_caches()
     start = time.perf_counter()
-    from dialg import census, enumerate_valid_dialgebras
+    from dialg import census
 
     census_gf2 = census(2)
-    valid_gf2 = list(enumerate_valid_dialgebras(2))
+    valid_gf2 = grown_valid_dialgebras(2)
     failures = []
     allowed = {
         KIND_TRIVIAL,

@@ -31,13 +31,15 @@ from dialg import (
     enumerate_valid_dialgebras,
     is_valid_dialgebra,
 )
-from dialg.gfsearch import arrays_to_dialgebra, valid_pairs
+from dialg.gfsearch import valid_pairs
 from helpers import (
     GF2,
     GF3,
     all_tensors,
+    arrays_to_dialgebra,
     associative_indices,
     dialgebra_to_arrays,
+    grown_valid_dialgebras,
     int_matrix_to_mat,
     int_tensor_to_product,
     reference_associative_indices,
@@ -71,10 +73,28 @@ def test_census_parameters_out_of_range():
 
 
 def test_enumerate_valid_dialgebras_refuses_at_the_call():
-    with pytest.raises(SearchBoundExceededError, match="needs 1960321 candidates"):
-        enumerate_valid_dialgebras(11)
+    # It is charged as the census is: (p + 11) |GL(2, p)|.
+    with pytest.raises(
+        SearchBoundExceededError, match=r"^census over GF\(17\) in dim 2 needs 2193408 candidates"
+    ):
+        enumerate_valid_dialgebras(17)
     with pytest.raises(ValueError, match="dim must be 2, got 3"):
         enumerate_valid_dialgebras(3, dim=3)
+    assert len(list(enumerate_valid_dialgebras(2, bound=78))) == 49
+    with pytest.raises(SearchBoundExceededError, match="needs 78 candidates, over the search bound 77$"):
+        enumerate_valid_dialgebras(2, bound=77)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_enumeration_is_the_grown_valid_set_in_growth_order(p):
+    # The growth needs more than the default bound from p = 11 on; at 11 this
+    # is the valid_pairs call of test_census_agrees_with_the_growth_route[11],
+    # so it is cached.
+    grown = grown_valid_dialgebras(p, DEFAULT_SEARCH_BOUND if p < 11 else 10**9)
+    enumerated = list(enumerate_valid_dialgebras(p))
+    assert enumerated == grown
+    for d in enumerated:
+        assert (d.right is d.left) == (d.right == d.left)
 
 
 def test_census_honours_the_search_bound():

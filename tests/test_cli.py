@@ -461,6 +461,56 @@ def test_triples_equivalent_over_gf3_does_not_import_numpy():
     assert _modules_after(probe.format(triples)) == "2; 1 1; 1 2\nFalse\n"
 
 
+# A finder first on sys.meta_path that refuses numpy, as an install without
+# the test extra has none.
+REFUSE_NUMPY = """
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+
+def test_the_library_and_every_verb_run_with_numpy_unimportable(tmp_path):
+    path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
+    pa, pb = t2_files(tmp_path)
+    verbs = [
+        ["check", path], ["info", path], ["classify2", path], ["iso", pa, pb],
+        ["census", "--prime", "2"], ["leibniz", path], ["op", path],
+        ["quotient", path, "--ideal", "1,0"],
+    ]
+    probe = REFUSE_NUMPY + f"""
+import io
+import dialg
+from dialg.cli import main
+
+assert len(dialg.census(2)) == 13
+valid = list(dialg.enumerate_valid_dialgebras(2))
+assert len(valid) == 49
+d = valid[-1]
+assert dialg.classify_dim2(d).label_string() == "II_1"
+assert dialg.are_isomorphic(d, d) is not None
+assert len(dialg.automorphism_group(d)) == 2
+dialg.structure_flags(d)
+F = dialg.Field.prime(3)
+t = dialg.ZeroCubedTriple.from_entries(F, 1, 2, {{(0, 0, 0): 1, (1, 1, 0): 2}})
+assert dialg.triples_equivalent(t, t) is not None
+for argv in {verbs!r}:
+    assert main(argv, io.StringIO()) == 0, argv
+try:
+    import dialg.gfsearch
+except ImportError:
+    print("gfsearch refused")
+"""
+    assert _modules_after(probe) == "gfsearch refused\n"
+
+
 def test_iso_over_the_search_bound_env_exits_2_before_any_search(tmp_path):
     pa, pb = t2_files(tmp_path)
     done = _fresh("-m", "dialg.cli", "iso", pa, pb, DIALG_SEARCH_BOUND="100")

@@ -20,13 +20,9 @@ from dialg import (
 )
 from dialg.classify import _gl_isomorphisms
 from dialg.glsearch import isomorphisms
-from dialg.gfsearch import (
-    arrays_to_dialgebra,
-    gl_matrices,
-    isomorphism_indices,
-    transform_tensor_batch,
-)
+from dialg.gfsearch import gl_matrices, isomorphism_indices, transform_tensor_batch
 from helpers import (
+    arrays_to_dialgebra,
     dialgebra_to_arrays,
     int_matrix_to_mat,
     matrix_algebra,
