@@ -308,23 +308,6 @@ class Dialgebra:
         return cls(field, dim, lp, rp, basis_names)
 
     @classmethod
-    def from_residues(cls, field, left, right):
-        """The Dialgebra of two nested int tensors gamma[i][j][k]. Each
-        distinct coordinate vector becomes one Vec, shared by both tables,
-        so equal products compare on identical objects."""
-        vecs = {}
-
-        def vec(coords):
-            v = vecs.get(coords)
-            if v is None:
-                v = vecs[coords] = Vec.of(field, coords)
-            return v
-
-        dim = len(left)
-        tables = ([[vec(tuple(v)) for v in row] for row in t] for t in (left, right))
-        return cls(field, dim, *(BilinearProduct(field, dim, t) for t in tables))
-
-    @classmethod
     def trivial(cls, field, dim):
         zero = BilinearProduct.zero(field, dim)
         return cls(field, dim, zero, zero)

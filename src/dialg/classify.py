@@ -29,7 +29,8 @@ dialgebras over GF(p) (the canonical tables and the six associative
 algebras of the from-associative bucket) by every element of GL(2, p), on
 raw residues in pure Python, and keeps each orbit's least member and size.
 The enumeration of valid dialgebras is the union of the same orbits, sorted,
-so no function here imports gfsearch or numpy.
+so no function here imports gfsearch or numpy; only reading the module
+attribute gl_matrices does.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ SUBLABEL_TRIVIAL = "trivial"
 SUBLABEL_SQUARE = "square-type"
 
 
-# gfsearch's gl_matrices stays readable as classify.gl_matrices, which the
-# benchmark's tracer reads; it loads gfsearch, and so numpy, on that access.
+# gfsearch's gl_matrices stays readable as classify.gl_matrices, which only
+# bench/test_bench.py asserts (bench/layers.py does not read it); it loads
+# gfsearch, and so numpy, on that access.
 def __getattr__(name):
     if name == "gl_matrices":
         from .gfsearch import gl_matrices
@@ -141,7 +143,7 @@ def canonical_dialgebra(kind, field, k=None):
         k = field.scalar(k)
         if not k:
             raise ValueError("the II family needs a nonzero parameter")
-        point = (0, 1, 0, 0, k, 0)
+        point = _ii_point(k)
     elif kind in _CANONICAL_POINTS:
         k, point = None, _CANONICAL_POINTS[kind]
     else:
@@ -153,6 +155,11 @@ def canonical_dialgebra(kind, field, k=None):
         _require(next(dialgebra_violations(d), None) is None, f"canonical {kind} table is invalid")
         _CANONICAL[kind, field, k] = d
     return d
+
+
+def _ii_point(k):
+    """II_k's point of the ParamTable family: s <| s = r and s |> s = k r."""
+    return (0, 1, 0, 0, k, 0)
 
 
 class ParamTable(namedtuple("ParamTable", "x1 x2 x3 x4 x5 x6")):
@@ -195,11 +202,16 @@ def dim2_constraints(t):
     ]
 
 
+def _param_entries(t):
+    """The (left, right) {(i, j, k): value} entries of a point x1..x6 on
+    (r, s): r <| s, s <| s on r and s; s |> r, s |> s on r and s."""
+    left, right = ((0, 1, 0), (1, 1, 0), (1, 1, 1)), ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    return dict(zip(left, t[:3])), dict(zip(right, t[3:]))
+
+
 def param_dialgebra(t):
     """The dialgebra encoded by a ParamTable, on the standard basis (r, s)."""
-    left = {(0, 1, 0): t.x1, (1, 1, 0): t.x2, (1, 1, 1): t.x3}
-    right = {(1, 0, 0): t.x4, (1, 1, 0): t.x5, (1, 1, 1): t.x6}
-    return Dialgebra.from_entries(t.x1.field, 2, left, right)
+    return Dialgebra.from_entries(t.x1.field, 2, *_param_entries(t))
 
 
 def is_isomorphism(a, b, t):
@@ -392,7 +404,7 @@ def enumerate_valid_dialgebras(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     # Flat tensors of residues compare as their base-p codes do.
     tables = sorted(set().union(*_orbits(p, dim, bound)))
     field = Field.prime(p)
-    return (Dialgebra.from_residues(field, _nested(left), _nested(right)) for left, right in tables)
+    return (_dialgebra(field, form) for form in tables)
 
 
 class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
@@ -406,14 +418,9 @@ class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
 _CUBE = tuple(product(range(2), repeat=3))
 
 
-def _flat(entries):
-    """The flat tensor with the given {position: residue} entries."""
-    return tuple(entries.get(e, 0) for e in range(8))
-
-
-def _nested(t):
-    """A flat tensor as nested lists gamma[i][j][k]."""
-    return [[t[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+def _dialgebra(field, form):
+    """The Dialgebra of a flat (left, right) residue pair."""
+    return Dialgebra.from_entries(field, 2, *({e: v for e, v in zip(_CUBE, t) if v} for t in form))
 
 
 def _normal_forms(p):
@@ -423,18 +430,18 @@ def _normal_forms(p):
     the six associative algebras of the from-associative bucket, each with
     equal products: F + 0, the left-unit and right-unit algebras, the dual
     numbers F[e], F x F and the field GF(p^2) = F[x] / (x^2 - a x - b)."""
-    points = [*_CANONICAL_POINTS.values(), *((0, 1, 0, 0, k, 0) for k in range(1, p))]
-    # ParamTable's entries: r <| s, s <| s on r and s, s |> r, s |> s on r and s.
-    forms = [(_flat({2: x1, 6: x2, 7: x3}), _flat({4: x4, 6: x5, 7: x6}))
-             for x1, x2, x3, x4, x5, x6 in points]
+    points = [*_CANONICAL_POINTS.values(), *map(_ii_point, range(1, p))]
+    forms = [tuple(tuple(side.get(e, 0) for e in _CUBE) for side in _param_entries(x))
+             for x in points]
     # x^2 = x + 1 is irreducible over GF(2); for odd p, x^2 = b with b the
     # least non-square, found by Euler's criterion.
     a, b = (1, 1) if p == 2 else (0, next(b for b in range(2, p) if pow(b, (p - 1) // 2, p) != 1))
-    unit = {0: 1, 3: 1, 5: 1}
-    for entries in ({0: 1}, {0: 1, 3: 1}, {0: 1, 5: 1}, unit, {0: 1, 7: 1}, {**unit, 6: b, 7: a}):
-        t = _flat(entries)
-        forms.append((t, t))
-    return forms
+    # Flat, in that order, each with e0 e0 = e0: e0 is a left unit, a right unit
+    # and a unit in the next three, F x F has the idempotents e0 and e1, and
+    # GF(p^2) is on the basis (1, x).
+    associative = [(1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1, 0, 0),
+                   (1, 0, 0, 1, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 1, 0, 1, b, a)]
+    return forms + [(t, t) for t in associative]
 
 
 def _gl2(p):
@@ -506,6 +513,6 @@ def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):
     _require(len(least) == len(orbits), "two normal forms share an orbit")
     classes = []
     for (left, right), size in sorted(least.items()):
-        rep = Dialgebra.from_residues(field, _nested(left), _nested(right))
+        rep = _dialgebra(field, (left, right))
         classes.append(CensusClass(rep, classify_dim2(rep), size))
     return classes

@@ -434,8 +434,11 @@ def reference_valid_pairs(p, n):
 
 
 def arrays_to_dialgebra(field, left, right):
-    """The Dialgebra of two residue tensors, by Dialgebra.from_residues."""
-    return Dialgebra.from_residues(field, *(np.asarray(t).tolist() for t in (left, right)))
+    """The Dialgebra of two residue tensors gamma[i][j][k], by Dialgebra.from_entries."""
+    entries = [
+        {tuple(map(int, key)): int(v) for key, v in np.ndenumerate(t) if v} for t in (left, right)
+    ]
+    return Dialgebra.from_entries(field, len(left), *entries)
 
 
 def grown_valid_dialgebras(p, bound=DEFAULT_SEARCH_BOUND):

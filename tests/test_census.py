@@ -24,6 +24,7 @@ from dialg import (
     SearchBoundExceededError,
     are_isomorphic,
     automorphism_group,
+    canonical_dialgebra,
     census,
     check_associative,
     check_dialgebra,
@@ -148,12 +149,26 @@ def test_gf13_census_partitions_the_grown_valid_set():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_census_seeds_are_the_classifiers_tables(p):
+    # The first p + 5 normal forms are the canonical tables, in the order of
+    # _CANONICAL_POINTS and then II_k for k = 1..p-1, as flat residues.
+    from dialg.classify import _CANONICAL_POINTS, _normal_forms
+
+    field = Field.prime(p)
+    kinds = [(kind, None) for kind in _CANONICAL_POINTS] + [(KIND_II, k) for k in range(1, p)]
+    assert len(kinds) == p + 5
+    tables = [canonical_dialgebra(kind, field, k) for kind, k in kinds]
+    flat = [tuple(tuple(int(x) for x in a.ravel()) for a in dialgebra_to_arrays(d)) for d in tables]
+    assert _normal_forms(p)[: p + 5] == flat
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_the_six_from_associative_forms(p):
-    from dialg.classify import _nested, _normal_forms
+    from dialg.classify import _normal_forms
 
     field = Field.prime(p)
     tables = _normal_forms(p)[-6:]
-    forms = [Dialgebra.from_residues(field, _nested(lt), _nested(rt)) for lt, rt in tables]
+    forms = [arrays_to_dialgebra(field, *(np.reshape(t, (2, 2, 2)) for t in form)) for form in tables]
     for d in forms:
         assert d.products_equal()
         assert check_dialgebra(d) == []
