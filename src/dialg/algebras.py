@@ -5,13 +5,20 @@ e_i * e_j = sum_k gamma[i][j][k] e_k. A Dialgebra carries two of them,
 the left product and the right product, on a shared basis. Construction
 never enforces the dialgebra laws; validity is checked separately so that
 invalid candidates can be represented during censuses. Equal products are
-one object: a Dialgebra whose right product equals its left one holds the
-left one twice (right is left), and per-product work runs once.
-Dialgebra._per_product is the one place that decides this: it calls a
-per-product function once for a shared product, and rebases, opposites,
-quotients, annihilators, square dimensions and perfection flags all go
-through it. Law checks share by the same identity: identities replays a
-law whose products are the objects of an earlier law's.
+one object: Dialgebra.__init__ stores the left product as the right one
+whenever the two are equal (right is left), and per-product work runs
+once. The tables are frozen, so that decision stands: BilinearProduct,
+Algebra and Dialgebra share one freeze rule, _Frozen, under which each
+slot is set once in __init__ and any later assignment or deletion raises
+AttributeError. No caller can make right a distinct copy of left, so
+products_equal(), an identity test, agrees with ==, and the canonical
+tables that classify shares with every caller stay as they were built.
+Every reader of the decision goes by identity: Dialgebra._per_product
+calls a per-product function once for a shared product (rebases,
+opposites, quotients, annihilators, square dimensions and perfection flags
+all go through it), identities replays a law whose products are the
+objects of an earlier law's, and glsearch and structure key products by
+id().
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over a lazily built raw sparse view: for each pair (i, j) the
@@ -67,12 +74,34 @@ def _entry_grid(field, entries, shape):
     return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
 
 
+_set = object.__setattr__
+
+
+class _Frozen:
+    """The one freeze rule: a subclass sets each of its slots once, by
+    _fill in __init__, and any later assignment or deletion raises
+    AttributeError. A lazy cache fills through object.__setattr__."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        """Set the slots, in the order of __slots__, to values."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class ProductTag(Enum):
     LEFT = "left"
     RIGHT = "right"
 
 
-class BilinearProduct:
+class BilinearProduct(_Frozen):
     """One bilinear product given by its structure constants.
 
     Rows are stored as gamma[i][j] = the Vec of coordinates of e_i * e_j.
@@ -81,16 +110,14 @@ class BilinearProduct:
     __slots__ = ("field", "dim", "rows", "_sparse", "_den")
 
     def __init__(self, field, dim, rows):
-        self.field = field
-        self.dim = dim
-        self.rows = tuple(tuple(r) for r in rows)
-        self._sparse = self._den = None
-        if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
+        rows = tuple(tuple(r) for r in rows)
+        if len(rows) != dim or any(len(r) != dim for r in rows):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
-        for r in self.rows:
+        for r in rows:
             for v in r:
                 if v.field is not field or len(v) != dim:
                     raise FieldMismatchError("structure constant row shape mismatch")
+        self._fill(field, dim, rows, None, None)
 
     @classmethod
     def zero(cls, field, dim):
@@ -110,8 +137,11 @@ class BilinearProduct:
 
     def _build_view(self):
         n = self.dim
-        flat, self._den = self.field.numerators([_vec_terms(g) for r in self.rows for g in r])
-        self._sparse = tuple(tuple(map(tuple, flat[i * n : (i + 1) * n])) for i in range(n))
+        flat, den = self.field.numerators([_vec_terms(g) for r in self.rows for g in r])
+        sparse = tuple(tuple(map(tuple, flat[i * n : (i + 1) * n])) for i in range(n))
+        # _den first: the properties test _sparse alone.
+        _set(self, "_den", den)
+        _set(self, "_sparse", sparse)
 
     @property
     def sparse(self):
@@ -237,7 +267,7 @@ def _check_names(names, dim):
     return names
 
 
-class Algebra:
+class Algebra(_Frozen):
     """A single-product algebra on a coordinate basis."""
 
     __slots__ = ("field", "dim", "product", "basis_names")
@@ -245,10 +275,7 @@ class Algebra:
     def __init__(self, field, dim, product, basis_names=None):
         if product.field is not field or product.dim != dim:
             raise FieldMismatchError("product does not match the algebra")
-        self.field = field
-        self.dim = dim
-        self.product = product
-        self.basis_names = _check_names(basis_names, dim)
+        self._fill(field, dim, product, _check_names(basis_names, dim))
 
     @classmethod
     def from_entries(cls, field, dim, entries, basis_names=None):
@@ -281,11 +308,13 @@ class Algebra:
         return f"Algebra(dim {self.dim} over {self.field}, {self.product!r})"
 
 
-class Dialgebra:
+class Dialgebra(_Frozen):
     """Two bilinear products on one basis; the dialgebra laws are not enforced here.
 
-    When right == left, right is left: every constructor ends here, so
-    products_equal() is an identity test.
+    When right == left, right is left: every constructor ends here, and the
+    slots cannot be reassigned afterwards, so products_equal() is an
+    identity test that agrees with right == left. A renamed table,
+    Dialgebra(d.field, d.dim, d.left, d.right, names), shares d's products.
     """
 
     __slots__ = ("field", "dim", "left", "right", "basis_names")
@@ -294,11 +323,8 @@ class Dialgebra:
         for prod in (left, right):
             if prod.field is not field or prod.dim != dim:
                 raise FieldMismatchError("product does not match the dialgebra")
-        self.field = field
-        self.dim = dim
-        self.left = left
-        self.right = left if right == left else right
-        self.basis_names = _check_names(basis_names, dim)
+        right = left if right == left else right
+        self._fill(field, dim, left, right, _check_names(basis_names, dim))
 
     @classmethod
     def from_entries(cls, field, dim, left=None, right=None, basis_names=None):

@@ -232,7 +232,11 @@ class Field:
 
 
 class Scalar:
-    """An exact element of a Field. Immutable and hashable."""
+    """An exact element of a Field: hashable, and immutable by convention.
+
+    It is not frozen like the table classes, whose attributes cannot be
+    assigned: a Scalar is built on the hot path of every exact computation,
+    and the freeze rule would slow each build."""
 
     __slots__ = ("field", "value")
 

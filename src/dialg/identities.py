@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .algebras import ProductTag
+from .algebras import ProductTag, _Frozen
 from .linalg import Vec, _solve
 
 LAW_ASSOC = "assoc"
@@ -243,7 +243,7 @@ def check_leibniz(a):
     return list(_violations(a.field, a.dim, laws))
 
 
-class BarUnitSet:
+class BarUnitSet(_Frozen):
     """The affine set of bar-units {e : x <| e = x = e |> x for all x}.
 
     Empty when point is None; otherwise every element is point + v with v in
@@ -255,14 +255,7 @@ class BarUnitSet:
     __slots__ = ("point", "direction")
 
     def __init__(self, point, direction):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "direction", direction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._fill(point, direction)
 
     def __reduce__(self):
         return type(self), (self.point, self.direction)

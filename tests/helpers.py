@@ -228,10 +228,17 @@ def random_valid_dialgebras(count, seed=20240811):
 
 def unshared(d):
     """d with its right product a distinct object equal to its left one: the
-    two-product layout that Dialgebra.__init__ never keeps, set on the slot
-    directly, so that every routine takes its two-product route."""
+    two-product layout that Dialgebra.__init__ never keeps, so that every
+    routine takes its two-product route.
+
+    The twin breaks the class's sharing rule on purpose: its right slot is
+    set past the freeze with object.__setattr__, so products_equal() reads
+    False on equal products. Anything that reads products_equal()
+    (fingerprint, are_isomorphic's screen, classify_dim2's guards) is outside
+    what a twin may be passed to: there a twin calls two equal tables NOT
+    ISOMORPHIC, or raises InternalCheckError on a valid one."""
     twin = Dialgebra(d.field, d.dim, d.left, d.left, d.basis_names)
-    twin.right = BilinearProduct(d.field, d.dim, d.left.rows)
+    object.__setattr__(twin, "right", BilinearProduct(d.field, d.dim, d.left.rows))
     return twin
 
 

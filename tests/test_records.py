@@ -3,7 +3,8 @@
 Each keeps the repr, hash, equality and immutability it had as a frozen
 dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
 on every way to build one. The slotted value classes the records hold
-pickle at every protocol as well, without their lazy caches.
+pickle at every protocol as well, without their lazy caches, and the table
+classes refuse every assignment and deletion.
 """
 
 import copy
@@ -186,6 +187,32 @@ def test_a_pickle_round_trip_gives_an_equal_value_without_its_caches(name, proto
     assert back.field is value.field
     if isinstance(value, Dialgebra):
         assert (back.right is back.left) == (value.right is value.left)
+
+
+def _products(value):
+    if isinstance(value, BilinearProduct):
+        return [value]
+    return [value.product] if isinstance(value, Algebra) else [value.left, value.right]
+
+
+@pytest.mark.parametrize("name", ["BilinearProduct", "Algebra", "Dialgebra", "Dialgebra-shared"])
+def test_a_table_cannot_be_changed_and_still_fills_its_lazy_view(name):
+    value = VALUES[name]()
+    want = [(prod.sparse, prod.den) for prod in _products(value)]
+    text = repr(value)
+    for obj in [value, *_products(value)]:
+        for slot in type(obj).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(obj, slot, getattr(obj, slot))
+            with pytest.raises(AttributeError):
+                delattr(obj, slot)
+    assert repr(value) == text and [(p.sparse, p.den) for p in _products(value)] == want
+    # A fresh build and a pickle round trip fill the view on first read.
+    for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        products = _products(again)
+        assert again == value and all(p._sparse is p._den is None for p in products)
+        assert [(p.sparse, p.den) for p in products] == want
+        assert all(p._sparse is p.sparse for p in products)
 
 
 def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():
