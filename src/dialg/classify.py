@@ -39,8 +39,7 @@ from collections import namedtuple
 from itertools import product
 
 from .algebras import Dialgebra
-from .errors import FieldMismatchError, InternalCheckError, NotADialgebraError
-from .errors import UnsupportedOverRationalsError
+from .errors import FieldMismatchError, NotADialgebraError, UnsupportedOverRationalsError, _require
 from .fields import PRIME, Field
 from .identities import _bar_unit_rows, dialgebra_violations
 from .linalg import Mat, Vec, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
@@ -237,11 +236,6 @@ def is_isomorphism(a, b, t):
     return True
 
 
-def _require(condition, message):
-    if not condition:
-        raise InternalCheckError(message)
-
-
 def classify_dim2(d):
     """Sort a two-dimensional dialgebra into its unique bucket; an invalid
     one raises NotADialgebraError naming its first law violation.
@@ -429,7 +423,14 @@ def _normal_forms(p):
     (trivial, both one-sided zeros, I, III, IV and II_k for k = 1..p-1) and
     the six associative algebras of the from-associative bucket, each with
     equal products: F + 0, the left-unit and right-unit algebras, the dual
-    numbers F[e], F x F and the field GF(p^2) = F[x] / (x^2 - a x - b)."""
+    numbers F[e], F x F and the field GF(p^2) = F[x] / (x^2 - a x - b).
+
+    Their automorphism groups give the number of valid pairs, which _orbits
+    checks: |Aut| is p - 1 for I, III, F + 0 and F[e]; p(p - 1) for IV, both
+    one-sided zeros, every II_k and the left-unit and right-unit algebras; 2
+    for F x F and GF(p^2); and all of GL(2, p), of order (p^2 - 1)(p^2 - p),
+    for the trivial table. So the orbit sizes |GL(2, p)| / |Aut| sum to
+    N(p) = (p^2 - 1)(4p + (p + 4) + p(p - 1)) + 1 = (p^2 - 1)(p + 2)^2 + 1."""
     points = [*_CANONICAL_POINTS.values(), *map(_ii_point, range(1, p))]
     forms = [tuple(tuple(side.get(e, 0) for e in _CUBE) for side in _param_entries(x))
              for x in points]
@@ -458,30 +459,19 @@ def _orbit_scan(p, forms):
     """Each form's GL(2, p) orbit as a set of (left, right) flat tensors. A
     base change g (rows the new basis) sends gamma to
     gamma'[i][j][k] = sum g[i][x] g[j][y] gamma[x][y][z] g^-1[z][k]: linear
-    in gamma, so per g the images of the unit tensors are formed once, and
-    each distinct tensor among the forms is the reduced combination of
-    those at its nonzero entries."""
+    in gamma, so per g the image of each unit tensor is formed once as raw
+    terms, and each distinct tensor among the forms is contracted against
+    them at its nonzero entries."""
     tensors = sorted({t for form in forms for t in form})
-    terms = [[(e, v) for e, v in enumerate(t) if v] for t in tensors]
-    units = sorted({e for ts in terms for e, _ in ts})
+    terms = [_terms(t) for t in tensors]
+    units = [(e, _CUBE[e]) for e in sorted({e for ts in terms for e, _ in ts})]
     index = {t: n for n, t in enumerate(tensors)}
     pairs = [(index[left], index[right]) for left, right in forms]
     orbits = [set() for _ in forms]
     for g, h in _gl2(p):
-        unit = {}
-        for e in units:
-            x, y, z = _CUBE[e]
-            unit[e] = [g[i][x] * g[j][y] * h[z][k] for i, j, k in _CUBE]
-        images = []
-        for t, ts in zip(tensors, terms):
-            if len(ts) == 1:
-                ((e, v),) = ts
-                t = tuple(v * u % p for u in unit[e])
-            elif ts:
-                columns = zip(*([v * u for u in unit[e]] for e, v in ts))
-                t = tuple(sum(column) % p for column in columns)
-            # The zero tensor is its own image.
-            images.append(t)
+        unit = {e: _terms([g[i][x] * g[j][y] * h[z][k] for i, j, k in _CUBE])
+                for e, (x, y, z) in units}
+        images = [tuple(v % p for v in contract([0] * 8, ts, unit)) for ts in terms]
         for orbit, (left, right) in zip(orbits, pairs):
             orbit.add((images[left], images[right]))
     return orbits
@@ -489,12 +479,16 @@ def _orbit_scan(p, forms):
 
 def _orbits(p, dim, bound):
     """The GL(2, p) orbits of the p + 11 normal forms, after the dim, the
-    prime and the charge of (p + 11) |GL(2, p)| to the search bound."""
+    prime and the charge of (p + 11) |GL(2, p)| to the search bound; their
+    sizes must sum to N(p), the count of valid pairs (see _normal_forms)."""
     if dim != 2:
         raise ValueError(f"census parameters out of supported range (dim must be 2, got {dim})")
     Field.prime(p)  # refuses a non-prime p
     guard_search(f"census over GF({p}) in dim 2", (p + 11) * (p * p - 1) * (p * p - p), bound)
-    return _orbit_scan(p, _normal_forms(p))
+    orbits = _orbit_scan(p, _normal_forms(p))
+    total = (p * p - 1) * (p + 2) ** 2 + 1
+    _require(sum(map(len, orbits)) == total, f"the orbit sizes do not sum to N({p}) = {total}")
+    return orbits
 
 
 def census(p, dim=2, bound=DEFAULT_SEARCH_BOUND):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one internal check."""
 
 
 class DialgError(Exception):
@@ -60,3 +60,10 @@ class SearchBoundExceededError(DialgError):
 
 class InternalCheckError(DialgError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _require(condition, message):
+    """The one internal check: a false condition is a bug, reported as
+    InternalCheckError(message)."""
+    if not condition:
+        raise InternalCheckError(message)

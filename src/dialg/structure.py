@@ -48,10 +48,10 @@ from .algebras import Algebra, Dialgebra
 from .constructions import ZeroCubedTriple, zero_cubed_build
 from .errors import (
     FieldMismatchError,
-    InternalCheckError,
     NotZeroCubedError,
     SearchBoundExceededError,
     UnsupportedOverRationalsError,
+    _require,
 )
 from .fields import PRIME
 from .linalg import (
@@ -292,8 +292,7 @@ def zero_cubed_decompose(a):
         for row in rebased.product.rows[z.dim :]
     )
     triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
-    if rebased != zero_cubed_build(triple):
-        raise InternalCheckError("complement product left the annihilator")
+    _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
     return triple, witness
 
 

@@ -18,6 +18,7 @@ from dialg import (
     Field,
     Algebra,
     Dialgebra,
+    InternalCheckError,
     Mat,
     NonPrimeError,
     NotInvertibleError,
@@ -137,6 +138,7 @@ def test_census_agrees_with_the_growth_route(p):
     classes = census(p)
     reference = reference_census(p, DEFAULT_SEARCH_BOUND if p < 11 else 10**9)
     assert [tuple(c) for c in classes] == reference
+    assert sum(c.orbit_size for c in classes) == (p * p - 1) * (p + 2) ** 2 + 1
     gl_order = (p * p - 1) * (p * p - p)
     for c in classes:
         assert c.orbit_size * len(automorphism_group(c.representative)) == gl_order
@@ -146,6 +148,30 @@ def test_gf13_census_partitions_the_grown_valid_set():
     classes = census(13)
     assert len(classes) == 13 + 11
     assert sum(c.orbit_size for c in classes) == len(valid_pairs(13, 2, bound=10**9)[1])
+    assert sum(c.orbit_size for c in classes) == 37801
+
+
+@pytest.mark.parametrize("p, count", [(2, 49), (3, 201), (5, 1177), (7, 3889)])
+def test_the_orbits_sum_to_the_mass_formula(p, count):
+    # N(p) = (p^2 - 1)(p + 2)^2 + 1 valid pairs, the sum of |GL(2, p)| / |Aut|
+    # over the p + 11 normal forms.
+    assert (p * p - 1) * (p + 2) ** 2 + 1 == count
+    assert sum(c.orbit_size for c in census(p)) == count
+
+
+def test_a_missing_normal_form_fails_the_mass_formula(monkeypatch):
+    # Without II_1 the other p + 10 orbits are still distinct, so only the
+    # sum of the orbit sizes shows the gap.
+    import dialg.classify as classify
+
+    forms = classify._normal_forms(5)
+    ii_1 = forms[len(classify._CANONICAL_POINTS)]  # II_k for k = 1..p-1 follow them
+    assert ii_1[0] == ii_1[1]
+    monkeypatch.setattr(classify, "_normal_forms", lambda p: [f for f in forms if f != ii_1])
+    with pytest.raises(InternalCheckError, match=r"do not sum to N\(5\) = 1177"):
+        census(5)
+    with pytest.raises(InternalCheckError, match=r"do not sum to N\(5\) = 1177"):
+        list(enumerate_valid_dialgebras(5))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
