@@ -10,9 +10,12 @@ whenever the two are equal (right is left), and per-product work runs
 once. The tables are frozen, so that decision stands: BilinearProduct,
 Algebra and Dialgebra share one freeze rule, _Frozen, under which each
 slot is set once in __init__ and any later assignment or deletion raises
-AttributeError. No caller can make right a distinct copy of left, so
-products_equal(), an identity test, agrees with ==, and the canonical
-tables that classify shares with every caller stay as they were built.
+AttributeError. _Frozen adds it on top of linalg's value rule, _Value, so
+a table's equality, hash and pickle come from its public slots, basis
+names aside, and a pickle carries no lazy view. No caller can make right
+a distinct copy of left, so products_equal(), an identity test, agrees
+with ==, and the canonical tables that classify shares with every caller
+stay as they were built.
 Every reader of the decision goes by identity: Dialgebra._per_product
 calls a per-product function once for a shared product (rebases,
 opposites, quotients, annihilators, square dimensions and perfection flags
@@ -48,7 +51,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import FieldMismatchError
-from .linalg import Vec, _raw, _span, _terms, _vec_terms, contract, contract_pair
+from .linalg import Vec, _raw, _span, _terms, _Value, _vec_terms, contract, contract_pair
 
 
 def _entry_key(key, bounds):
@@ -77,10 +80,11 @@ def _entry_grid(field, entries, shape):
 _set = object.__setattr__
 
 
-class _Frozen:
-    """The one freeze rule: a subclass sets each of its slots once, by
-    _fill in __init__, and any later assignment or deletion raises
-    AttributeError. A lazy cache fills through object.__setattr__."""
+class _Frozen(_Value):
+    """The one freeze rule, on top of linalg's value rule (_Value): a
+    subclass sets each of its slots once, by _fill in __init__, and any later
+    assignment or deletion raises AttributeError. A lazy cache fills through
+    object.__setattr__."""
 
     __slots__ = ()
 
@@ -235,18 +239,6 @@ class BilinearProduct(_Frozen):
     def is_zero(self):
         return not any(any(v for v in r) for r in self.rows)
 
-    def __reduce__(self):
-        # The table alone: the lazy sparse view and denominator are rebuilt on read.
-        return (BilinearProduct, (self.field, self.dim, self.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, BilinearProduct):
-            return NotImplemented
-        return self.field is other.field and self.dim == other.dim and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((id(self.field), self.dim, self.rows))
-
     def __repr__(self):
         entries = [
             f"({i},{j},{k})={c}"
@@ -293,17 +285,6 @@ class Algebra(_Frozen):
         t_inv = t.inverse()
         return Algebra(self.field, self.dim, self.product.rebase(t, t_inv))
 
-    def __reduce__(self):
-        return (Algebra, (self.field, self.dim, self.product, self.basis_names))
-
-    def __eq__(self, other):
-        if not isinstance(other, Algebra):
-            return NotImplemented
-        return self.field is other.field and self.dim == other.dim and self.product == other.product
-
-    def __hash__(self):
-        return hash((id(self.field), self.dim, self.product))
-
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field}, {self.product!r})"
 
@@ -314,7 +295,9 @@ class Dialgebra(_Frozen):
     When right == left, right is left: every constructor ends here, and the
     slots cannot be reassigned afterwards, so products_equal() is an
     identity test that agrees with right == left. A renamed table,
-    Dialgebra(d.field, d.dim, d.left, d.right, names), shares d's products.
+    Dialgebra(d.field, d.dim, d.left, d.right, names), shares d's products
+    and equals d: basis names do not count. A shared product is one pickled
+    object, so right is left on loading.
     """
 
     __slots__ = ("field", "dim", "left", "right", "basis_names")
@@ -363,24 +346,6 @@ class Dialgebra(_Frozen):
         t_inv = t.inverse()
         left, right = self._per_product(lambda prod: prod.rebase(t, t_inv))
         return Dialgebra(self.field, self.dim, left, right)
-
-    def __reduce__(self):
-        # A shared product is one pickled object, so right is left on loading.
-        return (Dialgebra, (self.field, self.dim, self.left, self.right, self.basis_names))
-
-    def __eq__(self, other):
-        # Structural identity of the two tensors; basis names are decoration.
-        if not isinstance(other, Dialgebra):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.dim == other.dim
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.dim, self.left, self.right))
 
     def __repr__(self):
         return (

@@ -236,7 +236,12 @@ class Scalar:
 
     It is not frozen like the table classes, whose attributes cannot be
     assigned: a Scalar is built on the hot path of every exact computation,
-    and the freeze rule would slow each build."""
+    and the freeze rule would slow each build. For the same reason Scalar
+    and Vec keep their own __eq__, __hash__ and __reduce__ rather than
+    linalg's value rule, _Value: a table compares its rows of Vecs of
+    Scalars entry by entry, and under the rule `Scalar ==` went from 0.6-1.1
+    to 1.6-1.8 us, and == on 8-coordinate GF(7) Vecs from 0.9-1.5 to about
+    4.4 us (2-core VM, Python 3.11.7)."""
 
     __slots__ = ("field", "value")
 

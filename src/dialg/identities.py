@@ -257,19 +257,8 @@ class BarUnitSet(_Frozen):
     def __init__(self, point, direction):
         self._fill(point, direction)
 
-    def __reduce__(self):
-        return type(self), (self.point, self.direction)
-
     def __repr__(self):
         return f"BarUnitSet(point={self.point!r}, direction={self.direction!r})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.point, self.direction) == (other.point, other.direction)
-
-    def __hash__(self):
-        return hash((self.point, self.direction))
 
     @property
     def is_empty(self):

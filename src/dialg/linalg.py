@@ -32,6 +32,10 @@ its own scale, so every Scalar over Q holds a Fraction. A Subspace stays in
 int rows: every sum, meet, kernel, span, residue and element here, and every
 product and ideal spin in algebras and structure, reads and makes those rows
 and their terms, and only output reads `Subspace.basis`.
+
+Mat and Subspace, and the frozen tables of algebras, take equality, hashing
+and pickling from one base class, `_Value`: equal type and public slots,
+basis names aside, and a pickle of the public slots alone.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import FieldMismatchError, NotInvertibleError
 from .fields import Scalar
@@ -74,6 +79,35 @@ def contract_pair(acc, xs, ys, view):
     for i, a in xs:
         contract(acc, [(j, a * b) for j, b in ys], view[i])
     return acc
+
+
+class _Value:
+    """The one value rule of Mat, Subspace and the frozen tables (algebras'
+    _Frozen): two values are equal when their types are the same and their
+    public slots agree, basis_names aside, and equal values hash alike. A
+    pickle carries the public slots, in __slots__ order, as the constructor's
+    arguments: the lazy caches, the slots named with an underscore, are
+    rebuilt on read. Scalar and Vec keep their own, faster methods."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        public = [name for name in cls.__slots__ if not name.startswith("_")]
+        if public:
+            cls._args = attrgetter(*public)
+            cls._key = attrgetter(*(name for name in public if name != "basis_names"))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._args(self)
 
 
 class Vec:
@@ -164,7 +198,7 @@ class Vec:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-class Mat:
+class Mat(_Value):
     """A rectangular matrix stored as a tuple of row Vecs.
 
     The column count is kept explicitly so 0-row matrices keep their shape.
@@ -253,21 +287,6 @@ class Mat:
 
     def is_zero(self):
         return not any(self.rows)
-
-    def __reduce__(self):
-        return (Mat, (self.field, self.rows, self.ncols))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.ncols, self.rows))
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}: {self})"
@@ -414,15 +433,17 @@ def solve(m, b):
     return _solve(m.field, [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)], m.ncols)
 
 
-class Subspace:
+class Subspace(_Value):
     """A linear subspace of F^n, held as its echelon rows and pivots.
 
     The rows are int tuples in the one form `_insert` keeps them in
     (Field.normalize): the RREF rows over GF(p), and over Q the primitive
     rows with a positive pivot. Either is the RREF with each row times one
     scale, so two Subspaces are equal as sets exactly when their rows are
-    equal, which is how __eq__ and __hash__ are implemented. The methods read
-    the rows and their terms; only output reads `basis`, the RREF as a Mat.
+    equal. The rows are the key of _Value's equality and hash, beside the
+    field and ambient_dim; the pivots in it follow from the rows. The methods
+    read the rows and their terms; only output reads `basis`, the RREF as a
+    Mat.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis", "_sparse")
@@ -514,22 +535,6 @@ class Subspace:
         n, rows = self.ambient_dim, self._row_terms()
         for coeffs in product(residues, repeat=self.dim):
             yield Vec.from_numerators(self.field, contract([0] * n, _terms(coeffs), rows), 1)
-
-    def __reduce__(self):
-        # The echelon rows alone: the lazy basis and terms are rebuilt on read.
-        return (Subspace, (self.field, self.ambient_dim, self.rows, self.pivots))
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim}: {self.basis})"

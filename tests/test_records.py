@@ -3,7 +3,8 @@
 Each keeps the repr, hash, equality and immutability it had as a frozen
 dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
 on every way to build one. The slotted value classes the records hold
-pickle at every protocol as well, without their lazy caches, and the table
+pickle at every protocol as well, without their lazy caches, compare and
+hash by their type and public slots, basis names aside, and the table
 classes refuse every assignment and deletion.
 """
 
@@ -213,6 +214,41 @@ def test_a_table_cannot_be_changed_and_still_fills_its_lazy_view(name):
         assert again == value and all(p._sparse is p._den is None for p in products)
         assert [(p.sparse, p.den) for p in products] == want
         assert all(p._sparse is p.sparse for p in products)
+
+
+# The slotted values again, and a BarUnitSet: every class whose equality,
+# hash and pickle come from linalg._Value, and Scalar and Vec, which keep
+# their own methods under the same rule.
+RULE_VALUES = {**VALUES, "BarUnitSet": RECORDS["BarUnitSet"][0]}
+
+
+def _public_slots(value):
+    return tuple(getattr(value, s) for s in type(value).__slots__ if not s.startswith("_"))
+
+
+@pytest.mark.parametrize("name", list(RULE_VALUES))
+def test_a_value_is_its_type_and_public_slots(name):
+    value = RULE_VALUES[name]()
+    # The pickle format that existing pickles load by.
+    cls, args = value.__reduce__()
+    slots = _public_slots(value)
+    assert cls is type(value) and len(args) == len(slots)
+    assert all(a is b for a, b in zip(args, slots))
+    for again in (RULE_VALUES[name](), type(value)(*slots)):
+        assert again == value and hash(again) == hash(value)
+    if isinstance(value, (Algebra, Dialgebra)):
+        names = [f"b{i}" for i in range(value.dim)]
+        renamed = type(value)(*slots[:-1], names)
+        assert renamed.basis_names != value.basis_names
+        assert renamed == value and hash(renamed) == hash(value)
+        for protocol in PROTOCOLS:
+            back = pickle.loads(pickle.dumps(renamed, protocol))
+            assert back == value and back.basis_names == tuple(names)
+    for other_name, build in RULE_VALUES.items():
+        other = build()
+        if type(other) is not type(value):
+            assert (value == other) is False and (value != other) is True, other_name
+    assert (value == slots) is False
 
 
 def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():
