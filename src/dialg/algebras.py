@@ -8,14 +8,14 @@ invalid candidates can be represented during censuses. Equal products are
 one object: Dialgebra.__init__ stores the left product as the right one
 whenever the two are equal (right is left), and per-product work runs
 once. The tables are frozen, so that decision stands: BilinearProduct,
-Algebra and Dialgebra share one freeze rule, _Frozen, under which each
-slot is set once in __init__ and any later assignment or deletion raises
-AttributeError. _Frozen adds it on top of linalg's value rule, _Value, so
-a table's equality, hash and pickle come from its public slots, basis
-names aside, and a pickle carries no lazy view. No caller can make right
-a distinct copy of left, so products_equal(), an identity test, agrees
-with ==, and the canonical tables that classify shares with every caller
-stay as they were built.
+Algebra and Dialgebra are values under fields' one value rule, _Value, as
+are Field, Mat, Subspace and identities' BarUnitSet. Each slot is set once,
+by _fill in __init__, and any later assignment or deletion raises
+AttributeError; a table's equality, hash and pickle come from its public
+slots, basis names aside, and a pickle carries no lazy view, which fills
+through _set. No caller can make right a distinct copy of left, so
+products_equal(), an identity test, agrees with ==, and the canonical
+tables that classify shares with every caller stay as they were built.
 Every reader of the decision goes by identity: Dialgebra._per_product
 calls a per-product function once for a shared product (rebases,
 opposites, quotients, annihilators, square dimensions and perfection flags
@@ -51,7 +51,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import FieldMismatchError
-from .linalg import Vec, _raw, _span, _terms, _Value, _vec_terms, contract, contract_pair
+from .fields import _set, _Value
+from .linalg import Vec, _raw, _span, _terms, _vec_terms, contract, contract_pair
 
 
 def _entry_key(key, bounds):
@@ -77,35 +78,12 @@ def _entry_grid(field, entries, shape):
     return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
 
 
-_set = object.__setattr__
-
-
-class _Frozen(_Value):
-    """The one freeze rule, on top of linalg's value rule (_Value): a
-    subclass sets each of its slots once, by _fill in __init__, and any later
-    assignment or deletion raises AttributeError. A lazy cache fills through
-    object.__setattr__."""
-
-    __slots__ = ()
-
-    def _fill(self, *values):
-        """Set the slots, in the order of __slots__, to values."""
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class ProductTag(Enum):
     LEFT = "left"
     RIGHT = "right"
 
 
-class BilinearProduct(_Frozen):
+class BilinearProduct(_Value):
     """One bilinear product given by its structure constants.
 
     Rows are stored as gamma[i][j] = the Vec of coordinates of e_i * e_j.
@@ -259,7 +237,7 @@ def _check_names(names, dim):
     return names
 
 
-class Algebra(_Frozen):
+class Algebra(_Value):
     """A single-product algebra on a coordinate basis."""
 
     __slots__ = ("field", "dim", "product", "basis_names")
@@ -289,7 +267,7 @@ class Algebra(_Frozen):
         return f"Algebra(dim {self.dim} over {self.field}, {self.product!r})"
 
 
-class Dialgebra(_Frozen):
+class Dialgebra(_Value):
     """Two bilinear products on one basis; the dialgebra laws are not enforced here.
 
     When right == left, right is left: every constructor ends here, and the

@@ -3,6 +3,15 @@
 Rational values are stored as `fractions.Fraction` (always in lowest terms
 with positive denominator), prime-field values as residues in [0, p).
 Nothing in this module is ever floating point.
+
+The one value rule lives here, in `_Value`, the lowest module that holds
+values: a subclass compares, hashes and pickles by its public slots, sets
+each slot once, by `_fill` in its constructor, and refuses any later
+assignment or deletion; a lazy cache fills through `_set`. `Field` uses
+it, as do linalg's `Mat` and `Subspace`, the tables of algebras
+(`BilinearProduct`, `Algebra`, `Dialgebra`) and identities' `BarUnitSet`.
+`Scalar`, here, and linalg's `Vec` keep their own methods and are immutable
+by convention only, since they are built on the hot path.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import FieldMismatchError, NonPrimeError, UnsupportedOverRationalsError
 
@@ -63,12 +73,59 @@ def is_prime(p):
     return True
 
 
-class Field:
+# Sets an attribute past _Value's freeze: the one way a lazy cache fills.
+_set = object.__setattr__
+
+
+class _Value:
+    """The one value rule. Two values are equal when their types are the same
+    and their public slots agree, basis_names aside, and equal values hash
+    alike. A pickle carries the public slots, in __slots__ order, as the
+    constructor's arguments: the lazy caches, the slots named with an
+    underscore, are rebuilt on read. Each slot is set once, by _fill in the
+    constructor, through the slot setters found here once per class; any
+    later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        public = [name for name in cls.__slots__ if not name.startswith("_")]
+        if public:
+            cls._args = attrgetter(*public)
+            cls._key = attrgetter(*(name for name in public if name != "basis_names"))
+
+    def _fill(self, *values):
+        """Set the slots, in the order of __slots__, to values."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._args(self)
+
+
+class Field(_Value):
     """The field of rationals or GF(p).
 
     Instances are interned: there is one object per field, so identity
     comparison (`a.field is b.field`) is a valid equality test and is what
-    the hot arithmetic paths use.
+    the hot arithmetic paths use. Unpickling and copying go through __new__,
+    so they return the interned instance.
     """
 
     __slots__ = ("kind", "p", "_zero", "_one")
@@ -88,16 +145,9 @@ class Field:
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         inst = object.__new__(cls)
-        inst.kind = kind
-        inst.p = p
-        inst._zero = None
-        inst._one = None
+        inst._fill(kind, p, None, None)
         cls._instances[key] = inst
         return inst
-
-    def __reduce__(self):
-        # Unpickling and copying go through __new__, so they return the interned instance.
-        return (Field, (self.kind, self.p))
 
     @classmethod
     def rationals(cls):
@@ -149,13 +199,13 @@ class Field:
     @property
     def zero(self):
         if self._zero is None:
-            self._zero = self.scalar(0)
+            _set(self, "_zero", self.scalar(0))
         return self._zero
 
     @property
     def one(self):
         if self._one is None:
-            self._one = self.scalar(1)
+            _set(self, "_one", self.scalar(1))
         return self._one
 
     def reduce(self, values):
@@ -234,13 +284,13 @@ class Field:
 class Scalar:
     """An exact element of a Field: hashable, and immutable by convention.
 
-    It is not frozen like the table classes, whose attributes cannot be
-    assigned: a Scalar is built on the hot path of every exact computation,
-    and the freeze rule would slow each build. For the same reason Scalar
-    and Vec keep their own __eq__, __hash__ and __reduce__ rather than
-    linalg's value rule, _Value: a table compares its rows of Vecs of
-    Scalars entry by entry, and under the rule `Scalar ==` went from 0.6-1.1
-    to 1.6-1.8 us, and == on 8-coordinate GF(7) Vecs from 0.9-1.5 to about
+    It is not a _Value, the rule above that Field, Mat, Subspace, the tables
+    and BarUnitSet follow, so its attributes can be assigned: a Scalar is
+    built on the hot path of every exact computation, and _fill would slow
+    each build. For the same reason Scalar and Vec keep their own __eq__,
+    __hash__ and __reduce__: a table compares its rows of Vecs of Scalars
+    entry by entry, and under the rule `Scalar ==` went from 0.6-1.1 to
+    1.6-1.8 us, and == on 8-coordinate GF(7) Vecs from 0.9-1.5 to about
     4.4 us (2-core VM, Python 3.11.7)."""
 
     __slots__ = ("field", "value")

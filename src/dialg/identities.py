@@ -44,7 +44,8 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .algebras import ProductTag, _Frozen
+from .algebras import ProductTag
+from .fields import _Value
 from .linalg import Vec, _solve
 
 LAW_ASSOC = "assoc"
@@ -243,7 +244,7 @@ def check_leibniz(a):
     return list(_violations(a.field, a.dim, laws))
 
 
-class BarUnitSet(_Frozen):
+class BarUnitSet(_Value):
     """The affine set of bar-units {e : x <| e = x = e |> x for all x}.
 
     Empty when point is None; otherwise every element is point + v with v in

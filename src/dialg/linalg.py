@@ -33,9 +33,11 @@ int rows: every sum, meet, kernel, span, residue and element here, and every
 product and ideal spin in algebras and structure, reads and makes those rows
 and their terms, and only output reads `Subspace.basis`.
 
-Mat and Subspace, and the frozen tables of algebras, take equality, hashing
-and pickling from one base class, `_Value`: equal type and public slots,
-basis names aside, and a pickle of the public slots alone.
+Mat and Subspace are values under fields' one value rule, `_Value`, as
+are Field and the tables of algebras: equal type and public slots, a pickle
+of the public slots alone, and no assignment after the constructor's
+`_fill`; Subspace's lazy basis and row terms fill through `_set`. Vec keeps
+its own methods and is immutable by convention only.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import attrgetter
 
 from .errors import FieldMismatchError, NotInvertibleError
-from .fields import Scalar
+from .fields import Scalar, _set, _Value
 
 
 def _terms(values):
@@ -79,35 +80,6 @@ def contract_pair(acc, xs, ys, view):
     for i, a in xs:
         contract(acc, [(j, a * b) for j, b in ys], view[i])
     return acc
-
-
-class _Value:
-    """The one value rule of Mat, Subspace and the frozen tables (algebras'
-    _Frozen): two values are equal when their types are the same and their
-    public slots agree, basis_names aside, and equal values hash alike. A
-    pickle carries the public slots, in __slots__ order, as the constructor's
-    arguments: the lazy caches, the slots named with an underscore, are
-    rebuilt on read. Scalar and Vec keep their own, faster methods."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        public = [name for name in cls.__slots__ if not name.startswith("_")]
-        if public:
-            cls._args = attrgetter(*public)
-            cls._key = attrgetter(*(name for name in public if name != "basis_names"))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) == other._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __reduce__(self):
-        return type(self), self._args(self)
 
 
 class Vec:
@@ -207,12 +179,11 @@ class Mat(_Value):
     __slots__ = ("field", "rows", "ncols")
 
     def __init__(self, field, rows, ncols):
-        self.field = field
-        self.rows = tuple(rows)
-        self.ncols = ncols
-        for r in self.rows:
+        rows = tuple(rows)
+        for r in rows:
             if r.field is not field or len(r) != ncols:
                 raise FieldMismatchError("ragged or mixed-field matrix rows")
+        self._fill(field, rows, ncols)
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
@@ -450,11 +421,7 @@ class Subspace(_Value):
 
     def __init__(self, field, ambient_dim, rows, pivots):
         # Trusts that rows are echelon rows with these pivots, kept as _insert keeps them.
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.rows = tuple(map(tuple, rows))
-        self.pivots = tuple(pivots)
-        self._basis = self._sparse = None
+        self._fill(field, ambient_dim, tuple(map(tuple, rows)), tuple(pivots), None, None)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -482,7 +449,7 @@ class Subspace(_Value):
         """The RREF basis as a Mat: each echelon row divided once by its pivot."""
         if self._basis is None:
             rows = _normalized(self.field, self.rows, self.pivots)
-            self._basis = Mat(self.field, rows, self.ambient_dim)
+            _set(self, "_basis", Mat(self.field, rows, self.ambient_dim))
         return self._basis
 
     def _check(self, other):
@@ -494,7 +461,7 @@ class Subspace(_Value):
     def _row_terms(self):
         """The raw terms of each echelon row, built on first use."""
         if self._sparse is None:
-            self._sparse = [_terms(r) for r in self.rows]
+            _set(self, "_sparse", [_terms(r) for r in self.rows])
         return self._sparse
 
     def reduce(self, v):

@@ -4,8 +4,9 @@ Each keeps the repr, hash, equality and immutability it had as a frozen
 dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
 on every way to build one. The slotted value classes the records hold
 pickle at every protocol as well, without their lazy caches, compare and
-hash by their type and public slots, basis names aside, and the table
-classes refuse every assignment and deletion.
+hash by their type and public slots, basis names aside, and every class
+under the one value rule (the tables, Mat, Subspace, BarUnitSet and
+Field) refuses every assignment and deletion.
 """
 
 import copy
@@ -22,6 +23,7 @@ from dialg import (
     BarUnitSet,
     BilinearProduct,
     Dialgebra,
+    Field,
     FieldMismatchError,
     Fingerprint,
     Mat,
@@ -163,24 +165,11 @@ VALUES = {
 }
 
 
-def _read_lazy_views(value):
-    """Fill the caches that a Subspace or a product builds on first read."""
-    if isinstance(value, Subspace):
-        value.basis, value._row_terms()
-    products = {
-        BilinearProduct: lambda: [value],
-        Algebra: lambda: [value.product],
-        Dialgebra: lambda: [value.left, value.right],
-    }.get(type(value), list)()
-    for prod in products:
-        prod.sparse, prod.den
-
-
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", list(VALUES))
 def test_a_pickle_round_trip_gives_an_equal_value_without_its_caches(name, protocol):
     value = VALUES[name]()
-    _read_lazy_views(value)
+    _views(value)
     data = pickle.dumps(value, protocol)
     assert data == pickle.dumps(VALUES[name](), protocol)
     back = pickle.loads(data)
@@ -190,35 +179,94 @@ def test_a_pickle_round_trip_gives_an_equal_value_without_its_caches(name, proto
         assert (back.right is back.left) == (value.right is value.left)
 
 
-def _products(value):
-    if isinstance(value, BilinearProduct):
-        return [value]
-    return [value.product] if isinstance(value, Algebra) else [value.left, value.right]
+# Every class under the one value rule, fields._Value, and both kinds of field.
+FROZEN = {
+    **{name: VALUES[name] for name in VALUES if name not in ("Scalar", "Vec")},
+    "BarUnitSet": RECORDS["BarUnitSet"][0],
+    "QQ": lambda: QQ,
+    "GF(5)": lambda: Field.prime(5),
+}
 
 
-@pytest.mark.parametrize("name", ["BilinearProduct", "Algebra", "Dialgebra", "Dialgebra-shared"])
+def _parts(value):
+    """value and the values it holds whose caches fill on first read."""
+    if isinstance(value, Algebra):
+        return [value, value.product]
+    if isinstance(value, Dialgebra):
+        return [value, value.left, value.right]
+    return [value, value.direction] if isinstance(value, BarUnitSet) else [value]
+
+
+def _views(value):
+    """The lazy views of value's parts, read (and so filled), in the order of
+    the cache slots they fill."""
+    views = []
+    for part in _parts(value):
+        if isinstance(part, Subspace):
+            views += [part.basis, part._row_terms()]
+        if isinstance(part, BilinearProduct):
+            views += [part.sparse, part.den]
+        if isinstance(part, Field):
+            views += [part.zero, part.one]
+    return views
+
+
+def _caches(value):
+    """The lazy caches of value's parts: each part's slots named with an underscore."""
+    return [
+        getattr(part, slot)
+        for part in _parts(value)
+        for slot in type(part).__slots__
+        if slot.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
 def test_a_table_cannot_be_changed_and_still_fills_its_lazy_view(name):
-    value = VALUES[name]()
-    want = [(prod.sparse, prod.den) for prod in _products(value)]
+    value = FROZEN[name]()
+    want = _views(value)
     text = repr(value)
-    for obj in [value, *_products(value)]:
+    for obj in _parts(value):
         for slot in type(obj).__slots__:
             with pytest.raises(AttributeError):
                 setattr(obj, slot, getattr(obj, slot))
             with pytest.raises(AttributeError):
                 delattr(obj, slot)
-    assert repr(value) == text and [(p.sparse, p.den) for p in _products(value)] == want
-    # A fresh build and a pickle round trip fill the view on first read.
+    assert repr(value) == text and _views(value) == want
+    # A deep copy and a pickle round trip fill the views on first read; a
+    # field is interned, so both give the field itself.
     for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        products = _products(again)
-        assert again == value and all(p._sparse is p._den is None for p in products)
-        assert [(p.sparse, p.den) for p in products] == want
-        assert all(p._sparse is p.sparse for p in products)
+        assert again == value and (again is value) == isinstance(value, Field)
+        if again is not value:
+            assert all(cache is None for cache in _caches(again))
+        views = _views(again)
+        assert views == want
+        assert all(view is cache for view, cache in zip(views, _caches(again), strict=True))
 
 
-# The slotted values again, and a BarUnitSet: every class whose equality,
-# hash and pickle come from linalg._Value, and Scalar and Vec, which keep
-# their own methods under the same rule.
+def test_a_prime_field_keeps_its_modulus():
+    f = Field.prime(5)
+    with pytest.raises(AttributeError):
+        f.p = 7
+    with pytest.raises(AttributeError):
+        del f.kind
+    assert f is Field.prime(5) and str(f) == "prime 5"
+    assert (f.scalar(3) + f.scalar(4)).value == 2
+
+
+def test_a_subspace_in_a_set_stays_found():
+    s = VALUES["Subspace"]()
+    subspaces = {s}
+    with pytest.raises(AttributeError):
+        s.rows = ((1, 0, 0),)
+    with pytest.raises(AttributeError):
+        s.ambient_dim = 4
+    assert s in subspaces and VALUES["Subspace"]() in subspaces
+
+
+# The slotted values again, and a BarUnitSet: every class but Field whose
+# equality, hash and pickle come from fields._Value, and Scalar and Vec,
+# which keep their own methods under the same rule.
 RULE_VALUES = {**VALUES, "BarUnitSet": RECORDS["BarUnitSet"][0]}
 
 
