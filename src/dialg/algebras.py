@@ -11,11 +11,11 @@ once. The tables are frozen, so that decision stands: BilinearProduct,
 Algebra and Dialgebra are values under fields' one value rule, _Value, as
 are Field, Mat, Subspace and identities' BarUnitSet. Each slot is set once,
 by _fill in __init__, and any later assignment or deletion raises
-AttributeError; a table's equality, hash and pickle come from its public
-slots, basis names aside, and a pickle carries no lazy view, which fills
-through _set. No caller can make right a distinct copy of left, so
-products_equal(), an identity test, agrees with ==, and the canonical
-tables that classify shares with every caller stay as they were built.
+AttributeError; a table's equality and hash come from its public slots,
+basis names aside, and a pickle carries its constructor's arguments alone.
+No caller can make right a distinct copy of left, so products_equal(), an
+identity test, agrees with ==, and the canonical tables that classify
+shares with every caller stay as they were built.
 Every reader of the decision goes by identity: Dialgebra._per_product
 calls a per-product function once for a shared product (rebases,
 opposites, quotients, annihilators, square dimensions and perfection flags
@@ -23,15 +23,20 @@ all go through it), identities replays a law whose products are the
 objects of an earlier law's, and glsearch and structure key products by
 id().
 
+A BilinearProduct is held as its int view (see the class), its value and
+what every reader of numbers uses; its rows of Scalars are an output view,
+built on first read as a Subspace's basis is. Producers build the view
+directly: from raw values (from_entries and the parser, by _from_values),
+from int numerators with one reduction mod p or one gcd pass
+(_from_numerators: rebase, quotients, the Leibniz bracket and the census's
+residue tensors), or, for transpose_args, from a canonical view as it is
+(_of).
+
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
-`contract`, over a lazily built raw sparse view: for each pair (i, j) the
-tuple of (k, g) with gamma[i][j][k] = g / den != 0, where g is an int
-numerator over `den`, the table's one common denominator (the lcm of its
-entry denominators, cached with the view). Over GF(p) g is the residue and
-den is 1. apply and rebase scale their vector and matrix arguments to int
-numerators too, accumulate on ints alone (reduced mod p over GF(p) between
-contractions), and make one division per output coordinate, by
-Vec.from_numerators; Scalar and Vec objects are built only for results.
+`contract`, over the view. apply and rebase scale their vector and matrix
+arguments to int numerators too and accumulate on ints alone (reduced mod
+p over GF(p) between contractions); apply makes one division per output
+coordinate, by Vec.from_numerators, and rebase makes none.
 rebase moves each nonzero constant by the inverse base change once, before
 the two contractions with the new basis. subspace_product builds none: it
 contracts the int echelon rows of its two Subspaces pairwise and spans the
@@ -49,10 +54,11 @@ index, over one common denominator per law.
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 
 from .errors import FieldMismatchError
 from .fields import _set, _Value
-from .linalg import Vec, _raw, _span, _terms, _vec_terms, contract, contract_pair
+from .linalg import Vec, _dense, _span, _terms, _vec_terms, contract, contract_pair
 
 
 def _entry_key(key, bounds):
@@ -67,15 +73,9 @@ def _entry_key(key, bounds):
     return key
 
 
-def _entry_grid(field, entries, shape):
-    """The nested Vec tuples g[i][j] of shape (rows, columns, length) with
-    coordinate k of g[i][j] = c for each (i, j, k): c in entries, else 0."""
-    n, m, length = shape
-    grid = [[[field.zero] * length for _ in range(m)] for _ in range(n)]
-    for key, c in entries.items():
-        i, j, k = _entry_key(key, shape)
-        grid[i][j][k] = field.scalar(c)
-    return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
+def _grid(cells, n):
+    """The n x n nested tuples of a row-major list of n^2 term lists."""
+    return tuple(tuple(map(tuple, cells[i * n : (i + 1) * n])) for i in range(n))
 
 
 class ProductTag(Enum):
@@ -83,33 +83,79 @@ class ProductTag(Enum):
     RIGHT = "right"
 
 
-class BilinearProduct(_Value):
-    """One bilinear product given by its structure constants.
-
-    Rows are stored as gamma[i][j] = the Vec of coordinates of e_i * e_j.
+class BilinearProduct(_Value, args=("field", "dim", "rows")):
+    """One bilinear product given by its structure constants, held as its
+    int view: sparse[i][j] holds (k, g), k increasing, for each nonzero
+    gamma[i][j][k] = g / den, g an int numerator. Over GF(p) g is the residue
+    and den is 1; over Q den is the lcm of the reduced entry denominators.
+    The view is canonical, so it is the table's value: equality and the
+    hash compare it. rows, gamma[i][j] as the Vec of coordinates of
+    e_i * e_j, is built when first read; a table built from rows keeps them,
+    and a pickle carries rows as the constructor's argument.
     """
 
-    __slots__ = ("field", "dim", "rows", "_sparse", "_den")
+    __slots__ = ("field", "dim", "sparse", "den", "_rows")
 
     def __init__(self, field, dim, rows):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
-        for r in rows:
-            for v in r:
-                if v.field is not field or len(v) != dim:
-                    raise FieldMismatchError("structure constant row shape mismatch")
-        self._fill(field, dim, rows, None, None)
+        if any(v.field is not field or len(v) != dim for r in rows for v in r):
+            raise FieldMismatchError("structure constant row shape mismatch")
+        flat, den = field.numerators([_vec_terms(g) for r in rows for g in r])
+        self._fill(field, dim, _grid(flat, dim), den, rows)
+
+    @classmethod
+    def _from_values(cls, field, dim, values):
+        """The table with gamma[i][j][k] = v for each (i, j, k): v in values,
+        raw values: residues in [0, p) over GF(p), ints or Fractions over Q."""
+        cells = [[] for _ in range(dim * dim)]
+        for (i, j, k), v in sorted(values.items()):
+            if v:
+                cells[i * dim + j].append((k, v))
+        return cls._from_numerators(field, dim, *field.numerators(cells))
+
+    @classmethod
+    def _from_numerators(cls, field, dim, cells, den):
+        """The table with gamma[i][j][k] = g / den for each (k, g) in cells[i *
+        dim + j], from nonzero int numerator terms in increasing k, reduced
+        or not: one reduction mod p over GF(p), where den is 1 and terms that
+        vanish are dropped, and over Q one gcd pass that brings den to the
+        lcm of the reduced entry denominators. Its rows are unbuilt."""
+        if field.is_finite:
+            p = field.p
+            cells = [[(k, r) for k, g in c if (r := g % p)] for c in cells]
+        else:
+            common = gcd(den, *(g for c in cells for _, g in c))
+            if common != 1:
+                cells, den = [[(k, g // common) for k, g in c] for c in cells], den // common
+        return cls._of(field, dim, _grid(cells, dim), den)
+
+    @classmethod
+    def _of(cls, field, dim, sparse, den):
+        """The table whose int view, canonical already, is (sparse, den)."""
+        table = object.__new__(cls)
+        table._fill(field, dim, sparse, den, None)
+        return table
 
     @classmethod
     def zero(cls, field, dim):
-        z = Vec.zero(field, dim)
-        return cls(field, dim, tuple((z,) * dim for _ in range(dim)))
+        return cls._from_numerators(field, dim, [()] * (dim * dim), 1)
 
     @classmethod
     def from_entries(cls, field, dim, entries):
         """Build from a {(i, j, k): coefficient} mapping, 0-based indices."""
-        return cls(field, dim, _entry_grid(field, entries, (dim, dim, dim)))
+        values = {_entry_key(key, (dim,) * 3): field.scalar(c).value for key, c in entries.items()}
+        return cls._from_values(field, dim, values)
+
+    @property
+    def rows(self):
+        """gamma[i][j] as the Vec of coordinates of e_i * e_j, built on first read."""
+        if self._rows is None:
+            field, n, den = self.field, self.dim, self.den
+            rows = [[Vec.from_numerators(field, _dense(n, t), den) for t in r] for r in self.sparse]
+            _set(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
 
     def entry(self, i, j, k):
         return self.rows[i][j].coords[k]
@@ -117,29 +163,15 @@ class BilinearProduct(_Value):
     def row(self, i, j):
         return self.rows[i][j]
 
-    def _build_view(self):
-        n = self.dim
-        flat, den = self.field.numerators([_vec_terms(g) for r in self.rows for g in r])
-        sparse = tuple(tuple(map(tuple, flat[i * n : (i + 1) * n])) for i in range(n))
-        # _den first: the properties test _sparse alone.
-        _set(self, "_den", den)
-        _set(self, "_sparse", sparse)
-
-    @property
-    def sparse(self):
-        """The raw sparse view: sparse[i][j] holds (k, g) for each nonzero
-        gamma[i][j][k] = g / den, g an int numerator."""
-        if self._sparse is None:
-            self._build_view()
-        return self._sparse
-
-    @property
-    def den(self):
-        """The sparse view's common denominator: the lcm of the entry
-        denominators, 1 over GF(p)."""
-        if self._sparse is None:
-            self._build_view()
-        return self._den
+    def _entry_texts(self):
+        """(i, j, k, text) for each nonzero gamma[i][j][k], in index order, with
+        text the constant as its Scalar prints: an int, or <num>/<den> in
+        lowest terms."""
+        for i, row in enumerate(self.sparse):
+            for j, terms in enumerate(row):
+                for k, g in terms:
+                    c = gcd(g, self.den)
+                    yield i, j, k, f"{g // c}/{self.den // c}" if c != self.den else str(g // c)
 
     def apply(self, x, y):
         """Bilinear extension: the product of two coordinate vectors."""
@@ -181,18 +213,13 @@ class BilinearProduct(_Value):
 
     def transpose_args(self):
         """The product with swapped arguments: gamma'[i][j] = gamma[j][i]."""
-        return BilinearProduct(
-            self.field,
-            self.dim,
-            tuple(tuple(self.rows[j][i] for j in range(self.dim)) for i in range(self.dim)),
-        )
+        return BilinearProduct._of(self.field, self.dim, tuple(zip(*self.sparse)), self.den)
 
     def rebase(self, t, t_inv):
         """Structure constants in the basis whose rows (in old coordinates) are t."""
         field, n = self.field, self.dim
         if any(m.field is not field or m.shape != (n, n) for m in (t, t_inv)):
             raise FieldMismatchError("base change matrix shape mismatch")
-        view = self.sparse
         # All int numerators: t = basis / dt, t_inv = back / di, gamma = view / den.
         basis, dt = field.numerators([_vec_terms(r) for r in t.rows])
         back, di = field.numerators([_vec_terms(r) for r in t_inv.rows])
@@ -200,7 +227,7 @@ class BilinearProduct(_Value):
         # moved[a][b] = (e_a * e_b) @ t_inv, once per nonzero constant.
         moved = [
             [_terms(field.reduce(contract([0] * n, g, back))) if g else () for g in row]
-            for row in view
+            for row in self.sparse
         ]
         # by_right[j][a] = (e_a * t_j) @ t_inv, so the new (t_i * t_j) @ t_inv
         # is sum_a t_i[a] by_right[j][a].
@@ -208,23 +235,14 @@ class BilinearProduct(_Value):
             [_terms(field.reduce(contract([0] * n, ys, moved[a]))) for a in range(n)]
             for ys in basis
         ]
-        rows = tuple(
-            tuple(Vec.from_numerators(field, contract([0] * n, xs, b), den) for b in by_right)
-            for xs in basis
-        )
-        return BilinearProduct(field, n, rows)
+        cells = [_terms(contract([0] * n, xs, b)) for xs in basis for b in by_right]
+        return BilinearProduct._from_numerators(field, n, cells, den)
 
     def is_zero(self):
-        return not any(any(v for v in r) for r in self.rows)
+        return not any(map(any, self.sparse))
 
     def __repr__(self):
-        entries = [
-            f"({i},{j},{k})={c}"
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k, c in enumerate(self.rows[i][j].coords)
-            if c
-        ]
+        entries = [f"({i},{j},{k})={c}" for i, j, k, c in self._entry_texts()]
         return f"BilinearProduct[{', '.join(entries) or '0'}]"
 
 
@@ -256,7 +274,8 @@ class Algebra(_Value):
 
     def square_space(self):
         """A*A: the span of the products e_i e_j, the rows of the table."""
-        return _span(self.field, self.dim, [_raw(v) for row in self.product.rows for v in row])
+        n, view = self.dim, self.product.sparse
+        return _span(self.field, n, [_dense(n, terms) for row in view for terms in row])
 
     def rebase(self, t):
         """The same algebra written on the basis whose rows are t (invertible)."""
@@ -289,9 +308,7 @@ class Dialgebra(_Value):
 
     @classmethod
     def from_entries(cls, field, dim, left=None, right=None, basis_names=None):
-        left, right = left or {}, right or {}
-        lp = BilinearProduct.from_entries(field, dim, left)
-        rp = lp if right == left else BilinearProduct.from_entries(field, dim, right)
+        lp, rp = (BilinearProduct.from_entries(field, dim, e or {}) for e in (left, right))
         return cls(field, dim, lp, rp, basis_names)
 
     @classmethod

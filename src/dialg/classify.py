@@ -38,11 +38,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .algebras import Dialgebra
+from .algebras import BilinearProduct, Dialgebra
 from .errors import FieldMismatchError, NotADialgebraError, UnsupportedOverRationalsError, _require
 from .fields import PRIME, Field
 from .identities import _bar_unit_rows, dialgebra_violations
-from .linalg import Mat, Vec, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
+from .linalg import Mat, Vec, _dense, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
 from .structure import DEFAULT_SEARCH_BOUND, _ann, guard_search
 
 KIND_TRIVIAL = "trivial-both"
@@ -85,7 +85,8 @@ def _ranks(prod):
     """The ranks of one product's table rows and of its multiplication rows
     x -> e_i * x and x -> x * e_i: dim A*A, n - dim rann and n - dim lann."""
     systems = (prod.multiplication_rows(), prod.multiplication_rows(right=True))
-    rows = [[_raw(v) for r in prod.rows for v in r], *(list(m.values()) for m in systems)]
+    table = [_dense(prod.dim, terms) for row in prod.sparse for terms in row]
+    rows = [table, *(list(m.values()) for m in systems)]
     return [len(_echelon(prod.field, r)[1]) for r in rows]
 
 
@@ -209,8 +210,17 @@ def _param_entries(t):
 
 
 def param_dialgebra(t):
-    """The dialgebra encoded by a ParamTable, on the standard basis (r, s)."""
-    return Dialgebra.from_entries(t.x1.field, 2, *_param_entries(t))
+    """The dialgebra encoded by a ParamTable, on the standard basis (r, s):
+    its rows hold t's own Scalars, zeros included, and its pickle carries
+    them."""
+    field, r2 = t.x1.field, range(2)
+    z = field.zero
+
+    def product(entries):
+        rows = [[Vec(field, [entries.get((i, j, k), z) for k in r2]) for j in r2] for i in r2]
+        return BilinearProduct(field, 2, rows)
+
+    return Dialgebra(field, 2, *map(product, _param_entries(t)))
 
 
 def is_isomorphism(a, b, t):
@@ -412,9 +422,17 @@ class CensusClass(namedtuple("CensusClass", "representative label orbit_size")):
 _CUBE = tuple(product(range(2), repeat=3))
 
 
+def _product(field, flat):
+    """The table of a flat residue tensor, built as its int view."""
+    cells = [_terms(flat[c : c + 2]) for c in range(0, 8, 2)]
+    return BilinearProduct._from_numerators(field, 2, cells, 1)
+
+
 def _dialgebra(field, form):
     """The Dialgebra of a flat (left, right) residue pair."""
-    return Dialgebra.from_entries(field, 2, *({e: v for e, v in zip(_CUBE, t) if v} for t in form))
+    left, right = form
+    lp = _product(field, left)
+    return Dialgebra(field, 2, lp, lp if right == left else _product(field, right))
 
 
 def _normal_forms(p):

@@ -21,7 +21,7 @@ from .errors import DialgError, ParseError, UnsupportedOverRationalsError
 from .fields import ASCII_INT
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
-from .linalg import Subspace, Vec
+from .linalg import Subspace, Vec, _dense
 
 ENV_SEARCH_BOUND = "DIALG_SEARCH_BOUND"
 
@@ -142,7 +142,7 @@ def cmd_iso(args, out):
 
 def _residues(prod):
     """The structure constants gamma[i][j][k] of a GF(p) product, as nested ints."""
-    return [[[c.value for c in v.coords] for v in row] for row in prod.rows]
+    return [[_dense(prod.dim, terms) for terms in row] for row in prod.sparse]
 
 
 def cmd_census(args, out):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_grid
+from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_key
 from .errors import (
     DerivationSquareError,
     FieldMismatchError,
@@ -25,7 +25,29 @@ from .errors import (
     NotAssociativeError,
 )
 from .identities import associative_violations, dialgebra_violations
-from .linalg import Mat, Subspace, Vec, _kernel, _vec_terms, contract, contract_pair
+from .linalg import (
+    Mat,
+    Subspace,
+    Vec,
+    _dense,
+    _kernel,
+    _residue,
+    _terms,
+    _vec_terms,
+    contract,
+    contract_pair,
+)
+
+
+def _entry_grid(field, entries, shape):
+    """The nested Vec tuples g[i][j] of shape (rows, columns, length) with
+    coordinate k of g[i][j] = c for each (i, j, k): c in entries, else 0."""
+    n, m, length = shape
+    grid = [[[field.zero] * length for _ in range(m)] for _ in range(n)]
+    for key, c in entries.items():
+        i, j, k = _entry_key(key, shape)
+        grid[i][j][k] = field.scalar(c)
+    return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
 
 
 def from_associative(a):
@@ -112,14 +134,14 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
         """The product (z + x)(z' + x') = f(x, x') on Z + X, Z coordinates
         first, or X coordinates first when x_first: the X block starts at xo
         and the Z coordinates at zo."""
-        field, n = self.field, self.z_dim + self.x_dim
-        xo, zo = (0, self.x_dim) if x_first else (self.z_dim, 0)
-        zero, pad = Vec.zero(field, n), (field.zero,) * self.x_dim
-        rows = [[zero] * n for _ in range(n)]
-        for a, row in enumerate(self.f):
-            for b, v in enumerate(row):
-                rows[xo + a][xo + b] = Vec(field, pad[:zo] + v.coords + pad[zo:])
-        return BilinearProduct(field, n, rows)
+        field, x, n = self.field, self.x_dim, self.z_dim + self.x_dim
+        xo, zo = (0, x) if x_first else (self.z_dim, 0)
+        flat, den = field.numerators([_vec_terms(v) for row in self.f for v in row])
+        cells = [()] * (n * n)
+        for a in range(x):
+            for b in range(x):
+                cells[(xo + a) * n + xo + b] = [(zo + k, g) for k, g in flat[a * x + b]]
+        return BilinearProduct._from_numerators(field, n, cells, den)
 
 
 def zero_cubed_build(t):
@@ -169,14 +191,12 @@ def leibniz_bracket(d):
     den = lcm(d.left.den, d.right.den)
     signs = [(0, den // d.left.den), (1, -(den // d.right.den))]
     left, right = d.left.sparse, d.right.sparse
-    rows = tuple(
-        tuple(
-            Vec.from_numerators(field, contract([0] * n, signs, (left[i][j], right[j][i])), den)
-            for j in range(n)
-        )
+    cells = [
+        _terms(contract([0] * n, signs, (left[i][j], right[j][i])))
         for i in range(n)
-    )
-    return Algebra(field, n, BilinearProduct(field, n, rows), d.basis_names)
+        for j in range(n)
+    ]
+    return Algebra(field, n, BilinearProduct._from_numerators(field, n, cells, den), d.basis_names)
 
 
 def quotient(d, ideal):
@@ -202,8 +222,20 @@ def quotient(d, ideal):
 
     proj = Mat(d.field, tuple(project(units[c]) for c in range(d.dim)), new_dim)
 
+    # Each kept e_a * e_b reduced modulo the ideal, on int numerator terms: a
+    # row with a term at a pivot comes back over den times its own scale.
+    pivots, rows, place = set(ideal.pivots), ideal._row_terms(), {c: i for i, c in enumerate(keep)}
+
+    def residue(terms):
+        if not any(k in pivots for k, _ in terms):
+            return terms, 1
+        r, scale = _residue(_dense(d.dim, terms), ideal.pivots, rows)
+        return _terms(r), scale
+
     def projected(prod):
-        rows = tuple(tuple(project(prod.row(a, b)) for b in keep) for a in keep)
-        return BilinearProduct(d.field, new_dim, rows)
+        cells = [residue(prod.sparse[a][b]) for a in keep for b in keep]
+        big = lcm(*(scale for _, scale in cells))
+        cells = [[(place[k], big // s * g) for k, g in t if k in place] for t, s in cells]
+        return BilinearProduct._from_numerators(d.field, new_dim, cells, prod.den * big)
 
     return Dialgebra(d.field, new_dim, *d._per_product(projected)), proj

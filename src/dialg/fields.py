@@ -31,8 +31,9 @@ PRIME = "prime"
 # /<den> with a positive denominator and no leading zero. int() and
 # Fraction() would also read other Unicode digits, underscores, surrounding
 # whitespace, decimals and exponents. Every number in a file, `--ideal`,
-# `--prime`, `--dim` and DIALG_SEARCH_BOUND is read by Field.scalar or
-# ASCII_INT, so by these two patterns alone.
+# `--prime`, `--dim` and DIALG_SEARCH_BOUND is read by Field.parse (which
+# Field.scalar calls on a string) or ASCII_INT, so by these two patterns
+# alone.
 ASCII_INT = re.compile(r"[+-]?\d+", re.ASCII)
 _RATIONAL_COEFF = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
@@ -81,19 +82,20 @@ class _Value:
     """The one value rule. Two values are equal when their types are the same
     and their public slots agree, basis_names aside, and equal values hash
     alike. A pickle carries the public slots, in __slots__ order, as the
-    constructor's arguments: the lazy caches, the slots named with an
-    underscore, are rebuilt on read. Each slot is set once, by _fill in the
-    constructor, through the slot setters found here once per class; any
-    later assignment or deletion raises AttributeError."""
+    constructor's arguments, or the names a class declares as its `args`
+    (class BilinearProduct(_Value, args=...)): the lazy caches, the slots
+    named with an underscore, are rebuilt on read. Each slot is set once, by
+    _fill in the constructor, through the slot setters found here once per
+    class; any later assignment or deletion raises AttributeError."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, args=None, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         public = [name for name in cls.__slots__ if not name.startswith("_")]
         if public:
-            cls._args = attrgetter(*public)
+            cls._args = attrgetter(*(args or public))
             cls._key = attrgetter(*(name for name in public if name != "basis_names"))
 
     def _fill(self, *values):
@@ -164,30 +166,21 @@ class Field(_Value):
     def scalar(self, value):
         """Coerce an int, Fraction, string or Scalar into this field.
 
-        A string is read by the one rule for numbers (ASCII_INT and
-        _RATIONAL_COEFF): over Q an integer or <num>/<den>, over GF(p) an
-        integer, reduced mod p; any other string raises ValueError. Over
-        GF(p) only integer values are accepted; a fraction like 1/2 is
-        rejected because the file format and the classification tables
-        treat prime-field coefficients as residues.
+        A string is read by Field.parse. Over GF(p) only integer values are
+        accepted; a fraction like 1/2 is rejected because the file format
+        and the classification tables treat prime-field coefficients as
+        residues.
         """
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldMismatchError(f"scalar over {value.field} given to {self}")
             return value
+        if isinstance(value, str):
+            value = self.parse(value)
         if self.kind == RATIONAL:
             if isinstance(value, (int, Fraction)):
                 return Scalar(self, Fraction(value))
-            if isinstance(value, str):
-                match = _RATIONAL_COEFF.fullmatch(value)
-                if not match:
-                    raise ValueError(f"bad rational coefficient {value!r}")
-                return Scalar(self, Fraction(int(match[1]), int(match[2] or 1)))
             raise TypeError(f"cannot make a rational scalar from {value!r}")
-        if isinstance(value, str):
-            if not ASCII_INT.fullmatch(value):
-                raise ValueError(f"coefficient {value!r} is not in {self}")
-            value = int(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"{value} is not an integer residue for {self}")
@@ -195,6 +188,22 @@ class Field(_Value):
         if not isinstance(value, int):
             raise TypeError(f"cannot make a {self} scalar from {value!r}")
         return Scalar(self, value % self.p)
+
+    def parse(self, text):
+        """The raw value of a number read from text by the one rule for
+        numbers (ASCII_INT and _RATIONAL_COEFF): over GF(p) an integer,
+        reduced mod p; over Q an int, or a Fraction for <num>/<den>. Any
+        other string raises ValueError. Plain ASCII digits, the common case,
+        take no regex."""
+        plain = text.isdigit() and text.isascii()
+        if self.kind == PRIME:
+            if not (plain or ASCII_INT.fullmatch(text)):
+                raise ValueError(f"coefficient {text!r} is not in {self}")
+            return int(text) % self.p
+        match = plain or _RATIONAL_COEFF.fullmatch(text)
+        if not match:
+            raise ValueError(f"bad rational coefficient {text!r}")
+        return int(text) if plain or match[2] is None else Fraction(int(match[1]), int(match[2]))
 
     @property
     def zero(self):

@@ -10,45 +10,48 @@ Line-oriented UTF-8; `#` starts a comment; blank lines are ignored.
     right 2 1 1 1
 
 Coefficients are integers or <num>/<den> fractions in rational mode and
-integers (reduced mod p) in prime mode, read by Field.scalar; every number
+integers (reduced mod p) in prime mode, read by Field.parse; every number
 in a file follows the one rule for numbers in `fields`. Omitted entries are
 zero and a repeated (tag, i, j, k) is an error. Single-product algebra
 files use the same grammar restricted to `left` lines.
+
+A file is read in one pass, line by line, into raw coefficients, and each
+product is built from them as its int view (BilinearProduct._from_values):
+no Scalar or Vec is made. Writing reads the view back
+(BilinearProduct._entry_texts), so neither direction builds a table's rows.
 """
 
 from __future__ import annotations
 
-from .algebras import Algebra, Dialgebra
+from .algebras import Algebra, BilinearProduct, Dialgebra
 from .errors import NonPrimeError, ParseError
 from .fields import ASCII_INT, Field
 
 MAX_DIM = 16
 
 
-def _logical_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped.split()
-
-
 def _parse_int(token, lineno, message):
-    if not ASCII_INT.fullmatch(token):
+    # Plain ASCII digits, the common case, take no regex.
+    if not (token.isdigit() and token.isascii() or ASCII_INT.fullmatch(token)):
         raise ParseError(lineno, message)
     return int(token)
 
 
 def _parse_common(text, allow_right):
-    lines = list(_logical_lines(text))
-    pos = 0
+    # The numbered token lists of the lines left after comments, one at a time.
+    lines = (
+        (lineno, toks)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (toks := raw.partition("#")[0].split())
+    )
+    last = 1
 
     def take(what):
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
+        nonlocal last
+        item = next(lines, None)
+        if item is None:
             raise ParseError(last, f"unexpected end of file, expected {what}")
-        item = lines[pos]
-        pos += 1
+        last = item[0]
         return item
 
     lineno, toks = take("the `dialg 1` header")
@@ -78,9 +81,7 @@ def _parse_common(text, allow_right):
 
     basis_names = None
     entries = {"left": {}, "right": {}}
-    while pos < len(lines):
-        lineno, toks = lines[pos]
-        pos += 1
+    for lineno, toks in lines:
         if toks[0] == "basis":
             if basis_names is not None:
                 raise ParseError(lineno, "duplicate basis line")
@@ -100,11 +101,11 @@ def _parse_common(text, allow_right):
         for idx in (i, j, k):
             if not 1 <= idx <= dim:
                 raise ParseError(lineno, f"index {idx} out of range [1, {dim}]")
-        key = (i - 1, j - 1, k - 1)
-        if key in entries[toks[0]]:
+        key, table = (i - 1, j - 1, k - 1), entries[toks[0]]
+        if key in table:
             raise ParseError(lineno, f"duplicate entry {toks[0]} {i} {j} {k}")
         try:
-            entries[toks[0]][key] = field.scalar(toks[4])
+            table[key] = field.parse(toks[4])
         except ValueError as exc:
             raise ParseError(lineno, str(exc))
 
@@ -113,22 +114,19 @@ def _parse_common(text, allow_right):
 
 def parse_dialgebra(text):
     field, dim, names, entries = _parse_common(text, allow_right=True)
-    return Dialgebra.from_entries(field, dim, entries["left"], entries["right"], names)
+    left = BilinearProduct._from_values(field, dim, entries["left"])
+    same = entries["right"] == entries["left"]
+    right = left if same else BilinearProduct._from_values(field, dim, entries["right"])
+    return Dialgebra(field, dim, left, right, names)
 
 
 def parse_algebra(text):
     field, dim, names, entries = _parse_common(text, allow_right=False)
-    return Algebra.from_entries(field, dim, entries["left"], names)
+    return Algebra(field, dim, BilinearProduct._from_values(field, dim, entries["left"]), names)
 
 
 def _entry_lines(tag, product):
-    lines = []
-    for i in range(product.dim):
-        for j in range(product.dim):
-            for k, c in enumerate(product.rows[i][j].coords):
-                if c:
-                    lines.append(f"{tag} {i + 1} {j + 1} {k + 1} {c}")
-    return lines
+    return [f"{tag} {i + 1} {j + 1} {k + 1} {c}" for i, j, k, c in product._entry_texts()]
 
 
 def _header_lines(field, dim, basis_names):

@@ -55,6 +55,14 @@ def _terms(values):
     return [(k, v) for k, v in enumerate(values) if v]
 
 
+def _dense(n, terms):
+    """The n raw values with the (index, value) terms and 0 elsewhere."""
+    values = [0] * n
+    for k, v in terms:
+        values[k] = v
+    return values
+
+
 def _vec_terms(v):
     """The raw terms of a Vec's coordinates."""
     return [(k, c.value) for k, c in enumerate(v.coords) if c.value]

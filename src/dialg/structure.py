@@ -58,6 +58,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    _dense,
     _echelon,
     _insert,
     _kernel,
@@ -286,11 +287,14 @@ def zero_cubed_decompose(a):
     field, n = a.field, a.dim
     units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
     witness = Mat(field, (*z.basis.rows, *units), n)
-    rebased = a.rebase(witness)
-    f = tuple(
-        tuple(Vec(field, v.coords[: z.dim]) for v in row[z.dim :])
-        for row in rebased.product.rows[z.dim :]
-    )
+    rebased, zd = a.rebase(witness), z.dim
+    view, den = rebased.product.sparse, rebased.product.den
+
+    def block(terms):
+        """The Z coordinates of a product, off the rebased view."""
+        return Vec.from_numerators(field, _dense(zd, [t for t in terms if t[0] < zd]), den)
+
+    f = tuple(tuple(map(block, row[zd:])) for row in view[zd:])
     triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
     _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
     return triple, witness

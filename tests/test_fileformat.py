@@ -9,6 +9,7 @@ from dialg import (
     KIND_I,
     KIND_II,
     KIND_IV,
+    BilinearProduct,
     Dialgebra,
     ParseError,
     ProductTag,
@@ -193,6 +194,41 @@ def test_only_ascii_decimal_numerals_parse(text, lineno):
     with pytest.raises(ParseError) as info:
         parse_dialgebra("dialg 1\n" + text)
     assert info.value.lineno == lineno
+
+
+# One rejection of each kind, with the (line, message) it has always had;
+# `+1` is an index like 1. The file header is "dialg 1", a field line and
+# "dim 2", so the entry lines start at line 4.
+_REJECTIONS = [
+    ("rational", "left \u0661 1 1 1", parse_dialgebra, 4, "indices must be integers"),
+    ("rational", "left 1 \u00b2 1 1", parse_dialgebra, 4, "indices must be integers"),
+    ("rational", "left 1 1 1 \u0661", parse_dialgebra, 4, "bad rational coefficient '\u0661'"),
+    ("prime 7", "left 1 1 1 \u00b2", parse_dialgebra, 4, "coefficient '\u00b2' is not in prime 7"),
+    ("rational", "left -1 1 1 1", parse_dialgebra, 4, "index -1 out of range [1, 2]"),
+    ("rational", "left 1 3 1 1", parse_dialgebra, 4, "index 3 out of range [1, 2]"),
+    ("rational", "left 1 1 0 1", parse_dialgebra, 4, "index 0 out of range [1, 2]"),
+    ("rational", "left 1 1 1 1\nleft 1 1 1 2", parse_dialgebra, 5, "duplicate entry left 1 1 1"),
+    ("rational", "right 1 1 1 1\nright +1 01 1 2", parse_dialgebra, 5,
+     "duplicate entry right 1 1 1"),
+    ("prime 7", "left 1 1 1 1/2", parse_dialgebra, 4, "coefficient '1/2' is not in prime 7"),
+    ("rational", "left 1 1 1 3/-2", parse_dialgebra, 4, "bad rational coefficient '3/-2'"),
+    ("rational", "left 1 1 1 1/0", parse_dialgebra, 4, "bad rational coefficient '1/0'"),
+    ("rational", "left 1 1 1", parse_dialgebra, 4, "expected `left <i> <j> <k> <c>`"),
+    ("rational", "left 1 1 1 1\nright 2 2 2 1", parse_algebra, 5,
+     "`right` entries are not allowed in an algebra file"),
+]
+
+
+@pytest.mark.parametrize("field, body, parse, lineno, message", _REJECTIONS)
+def test_each_rejection_keeps_its_line_and_message(field, body, parse, lineno, message):
+    with pytest.raises(ParseError) as info:
+        parse(f"dialg 1\nfield {field}\ndim 2\n{body}\n")
+    assert (info.value.lineno, info.value.message) == (lineno, message)
+
+
+def test_a_signed_index_reads_as_its_value():
+    d = parse_dialgebra("dialg 1\nfield rational\ndim 2\nleft +1 +2 02 -3/6\n")
+    assert d.left == BilinearProduct.from_entries(QQ, 2, {(0, 1, 1): "-1/2"})
 
 
 # A basis name is one token: no whitespace, line break or control character,
