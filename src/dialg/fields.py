@@ -8,10 +8,10 @@ The one value rule lives here, in `_Value`, the lowest module that holds
 values: a subclass compares, hashes and pickles by its public slots, sets
 each slot once, by `_fill` in its constructor, and refuses any later
 assignment or deletion; a lazy cache fills through `_set`. `Field` uses
-it, as do linalg's `Mat` and `Subspace`, the tables of algebras
-(`BilinearProduct`, `Algebra`, `Dialgebra`) and identities' `BarUnitSet`.
-`Scalar`, here, and linalg's `Vec` keep their own methods and are immutable
-by convention only, since they are built on the hot path.
+it, as do `Scalar`, linalg's `Vec`, `Mat` and `Subspace`, the tables of
+algebras (`BilinearProduct`, `Algebra`, `Dialgebra`) and identities'
+`BarUnitSet`, so none of them, the shared constants `Field.zero` and
+`Field.one` included, can be changed.
 """
 
 from __future__ import annotations
@@ -290,24 +290,15 @@ class Field(_Value):
         return f"prime {self.p}"
 
 
-class Scalar:
-    """An exact element of a Field: hashable, and immutable by convention.
-
-    It is not a _Value, the rule above that Field, Mat, Subspace, the tables
-    and BarUnitSet follow, so its attributes can be assigned: a Scalar is
-    built on the hot path of every exact computation, and _fill would slow
-    each build. For the same reason Scalar and Vec keep their own __eq__,
-    __hash__ and __reduce__: a table compares its rows of Vecs of Scalars
-    entry by entry, and under the rule `Scalar ==` went from 0.6-1.1 to
-    1.6-1.8 us, and == on 8-coordinate GF(7) Vecs from 0.9-1.5 to about
-    4.4 us (2-core VM, Python 3.11.7)."""
+class Scalar(_Value):
+    """An exact element of a Field: a value under the one value rule, so it
+    compares, hashes and pickles by (field, value) and cannot be changed."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
         # Trusts that value is already normalized; use Field.scalar to coerce.
-        self.field = field
-        self.value = value
+        self._fill(field, value)
 
     def _coerced(self, other):
         if not isinstance(other, Scalar):
@@ -343,17 +334,6 @@ class Scalar:
 
     def __bool__(self):
         return self.value != 0
-
-    def __reduce__(self):
-        return (Scalar, (self.field, self.value))
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field is other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
 
     def __repr__(self):
         return f"Scalar({self} over {self.field})"

@@ -33,11 +33,11 @@ int rows: every sum, meet, kernel, span, residue and element here, and every
 product and ideal spin in algebras and structure, reads and makes those rows
 and their terms, and only output reads `Subspace.basis`.
 
-Mat and Subspace are values under fields' one value rule, `_Value`, as
-are Field and the tables of algebras: equal type and public slots, a pickle
-of the public slots alone, and no assignment after the constructor's
-`_fill`; Subspace's lazy basis and row terms fill through `_set`. Vec keeps
-its own methods and is immutable by convention only.
+Vec, Mat and Subspace are values under fields' one value rule, `_Value`,
+as are Field, Scalar and the tables of algebras: equal type and public
+slots, a pickle of the public slots alone, and no assignment after the
+constructor's `_fill`; Subspace's lazy basis and row terms fill through
+`_set`.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ def contract_pair(acc, xs, ys, view):
     return acc
 
 
-class Vec:
+class Vec(_Value):
     """A coordinate vector with exact entries over a single field."""
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
-        self.field = field
-        self.coords = tuple(coords)
+        self._fill(field, tuple(coords))
 
     @classmethod
     def of(cls, field, values):
@@ -159,17 +158,6 @@ class Vec:
 
     def __bool__(self):
         return any(self.coords)
-
-    def __reduce__(self):
-        return (Vec, (self.field, self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return self.field is other.field and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
 
     def __repr__(self):
         return f"Vec{self}"

@@ -214,6 +214,7 @@ _REJECTIONS = [
     ("rational", "left 1 1 1 3/-2", parse_dialgebra, 4, "bad rational coefficient '3/-2'"),
     ("rational", "left 1 1 1 1/0", parse_dialgebra, 4, "bad rational coefficient '1/0'"),
     ("rational", "left 1 1 1", parse_dialgebra, 4, "expected `left <i> <j> <k> <c>`"),
+    ("rational", "basis r s\nbasis r s", parse_dialgebra, 5, "duplicate basis line"),
     ("rational", "left 1 1 1 1\nright 2 2 2 1", parse_algebra, 5,
      "`right` entries are not allowed in an algebra file"),
 ]

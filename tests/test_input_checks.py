@@ -102,6 +102,16 @@ CHECKS = {
         FieldMismatchError,
         "vector/matrix shape mismatch",
     ),
+    "vector-times-a-non-matrix": (
+        lambda: Vec.of(QQ, [1]) @ 1,
+        TypeError,
+        "unsupported operand type(s) for @: 'Vec' and 'int'",
+    ),
+    "matrix-times-a-non-matrix": (
+        lambda: M2 @ 1,
+        TypeError,
+        "unsupported operand type(s) for @: 'Mat' and 'int'",
+    ),
     "inverse-of-a-non-square-matrix": (
         lambda: M23.inverse(),
         NotInvertibleError,

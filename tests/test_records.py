@@ -5,9 +5,10 @@ dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
 on every way to build one. The slotted value classes the records hold
 pickle at every protocol as well, without their lazy caches, compare and
 hash by their type and public slots, basis names aside, and every class
-under the one value rule (the tables, Mat, Subspace, BarUnitSet and
-Field) refuses every assignment and deletion. A BilinearProduct's public
-slots hold its int view, and its pickle carries its rows, the
+under the one value rule (the tables, Scalar, Vec, Mat, Subspace,
+BarUnitSet and Field) refuses every assignment and deletion, so the shared
+constants Field.zero and Field.one cannot be changed. A BilinearProduct's
+public slots hold its int view, and its pickle carries its rows, the
 constructor's argument.
 """
 
@@ -183,7 +184,7 @@ def test_a_pickle_round_trip_gives_an_equal_value_without_its_caches(name, proto
 
 # Every class under the one value rule, fields._Value, and both kinds of field.
 FROZEN = {
-    **{name: VALUES[name] for name in VALUES if name not in ("Scalar", "Vec")},
+    **VALUES,
     "BarUnitSet": RECORDS["BarUnitSet"][0],
     "QQ": lambda: QQ,
     "GF(5)": lambda: Field.prime(5),
@@ -263,6 +264,19 @@ def test_a_prime_field_keeps_its_modulus():
     assert (f.scalar(3) + f.scalar(4)).value == 2
 
 
+def test_the_field_constants_cannot_be_changed():
+    f = Field.prime(3)
+    with pytest.raises(AttributeError):
+        f.one.value = 2
+    with pytest.raises(AttributeError):
+        f.zero.value = 1
+    with pytest.raises(AttributeError):
+        del f.one.field
+    assert (f.zero.value, f.one.value) == (0, 1) and f.one.field is f
+    assert repr(Mat.identity(f, 2)) == "Mat(2x2: 1 0; 0 1)"
+    assert Vec.unit(f, 2, 0) == Vec.of(f, [1, 0])
+
+
 def test_a_subspace_in_a_set_stays_found():
     s = VALUES["Subspace"]()
     subspaces = {s}
@@ -274,8 +288,7 @@ def test_a_subspace_in_a_set_stays_found():
 
 
 # The slotted values again, and a BarUnitSet: every class but Field whose
-# equality, hash and pickle come from fields._Value, and Scalar and Vec,
-# which keep their own methods under the same rule.
+# equality, hash and pickle come from fields._Value.
 RULE_VALUES = {**VALUES, "BarUnitSet": RECORDS["BarUnitSet"][0]}
 
 
