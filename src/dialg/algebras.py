@@ -12,7 +12,7 @@ Algebra and Dialgebra are values under fields' one value rule, _Value, as
 are Field, Mat, Subspace and identities' BarUnitSet. Each slot is set once,
 by _fill in __init__, and any later assignment or deletion raises
 AttributeError; a table's equality and hash come from its public slots,
-basis names aside, and a pickle carries its constructor's arguments alone.
+basis names aside, and a pickle or copy carries those slots alone.
 No caller can make right a distinct copy of left, so products_equal(), an
 identity test, agrees with ==, and the canonical tables that classify
 shares with every caller stay as they were built.
@@ -26,11 +26,12 @@ id().
 A BilinearProduct is held as its int view (see the class), its value and
 what every reader of numbers uses; its rows of Scalars are an output view,
 built on first read as a Subspace's basis is. Producers build the view
-directly: from raw values (from_entries and the parser, by _from_values),
-from int numerators with one reduction mod p or one gcd pass
-(_from_numerators: rebase, quotients, the Leibniz bracket and the census's
-residue tensors), or, for transpose_args, from a canonical view as it is
-(_of).
+directly: from raw values (from_entries, the parser and classify's
+canonical tables, by _from_values), from int numerators with one reduction
+mod p or one gcd pass (_from_numerators: rebase, quotients, the Leibniz
+bracket and the census's residue tensors), or, for transpose_args and for
+a pickle or copy, from a canonical view as it is (_of). So a pickle
+neither builds nor carries rows.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over the view. apply and rebase scale their vector and matrix
@@ -83,15 +84,17 @@ class ProductTag(Enum):
     RIGHT = "right"
 
 
-class BilinearProduct(_Value, args=("field", "dim", "rows")):
+class BilinearProduct(_Value):
     """One bilinear product given by its structure constants, held as its
     int view: sparse[i][j] holds (k, g), k increasing, for each nonzero
     gamma[i][j][k] = g / den, g an int numerator. Over GF(p) g is the residue
     and den is 1; over Q den is the lcm of the reduced entry denominators.
     The view is canonical, so it is the table's value: equality and the
     hash compare it. rows, gamma[i][j] as the Vec of coordinates of
-    e_i * e_j, is built when first read; a table built from rows keeps them,
-    and a pickle carries rows as the constructor's argument.
+    e_i * e_j, is built when first read; a table built from rows keeps them.
+    A pickle or copy carries the view and loads through _of, which refuses a
+    view that is not dim x dim; a pickle written while tables pickled their
+    rows loads through the constructor.
     """
 
     __slots__ = ("field", "dim", "sparse", "den", "_rows")
@@ -133,10 +136,16 @@ class BilinearProduct(_Value, args=("field", "dim", "rows")):
 
     @classmethod
     def _of(cls, field, dim, sparse, den):
-        """The table whose int view, canonical already, is (sparse, den)."""
+        """The table whose int view, canonical already, is (sparse, den); a
+        pickle loads through it, so it checks the view's shape."""
+        if len(sparse) != dim or any(len(r) != dim for r in sparse):
+            raise FieldMismatchError("structure constant tensor is not dim x dim")
         table = object.__new__(cls)
         table._fill(field, dim, sparse, den, None)
         return table
+
+    def __reduce__(self):
+        return self._of, self._args(self)
 
     @classmethod
     def zero(cls, field, dim):

@@ -210,17 +210,10 @@ def _param_entries(t):
 
 
 def param_dialgebra(t):
-    """The dialgebra encoded by a ParamTable, on the standard basis (r, s):
-    its rows hold t's own Scalars, zeros included, and its pickle carries
-    them."""
-    field, r2 = t.x1.field, range(2)
-    z = field.zero
-
-    def product(entries):
-        rows = [[Vec(field, [entries.get((i, j, k), z) for k in r2]) for j in r2] for i in r2]
-        return BilinearProduct(field, 2, rows)
-
-    return Dialgebra(field, 2, *map(product, _param_entries(t)))
+    """The dialgebra encoded by a ParamTable, on the standard basis (r, s),
+    built as its int view like every table: its rows are built on first
+    read."""
+    return Dialgebra.from_entries(t.x1.field, 2, *_param_entries(t))
 
 
 def is_isomorphism(a, b, t):

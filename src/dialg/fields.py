@@ -81,21 +81,21 @@ _set = object.__setattr__
 class _Value:
     """The one value rule. Two values are equal when their types are the same
     and their public slots agree, basis_names aside, and equal values hash
-    alike. A pickle carries the public slots, in __slots__ order, as the
-    constructor's arguments, or the names a class declares as its `args`
-    (class BilinearProduct(_Value, args=...)): the lazy caches, the slots
-    named with an underscore, are rebuilt on read. Each slot is set once, by
-    _fill in the constructor, through the slot setters found here once per
-    class; any later assignment or deletion raises AttributeError."""
+    alike. A pickle carries exactly the public slots, in __slots__ order, as
+    the constructor's arguments (a class whose constructor takes other
+    arguments reduces to one that takes its slots): the lazy caches, the
+    slots named with an underscore, are rebuilt on read. Each slot is set
+    once, by _fill in the constructor, through the slot setters found here
+    once per class; any later assignment or deletion raises AttributeError."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, args=None, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         public = [name for name in cls.__slots__ if not name.startswith("_")]
         if public:
-            cls._args = attrgetter(*(args or public))
+            cls._args = attrgetter(*public)
             cls._key = attrgetter(*(name for name in public if name != "basis_names"))
 
     def _fill(self, *values):

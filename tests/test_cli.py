@@ -421,6 +421,22 @@ except AttributeError as exc:
     ]
 
 
+def test_dir_lists_every_public_name_before_the_layers_load():
+    # dir(dialg) goes through the package's __dir__: the lazy names are
+    # listed, and none of their modules is loaded to list them. Here, where
+    # submodules such as dialg.cli are loaded, it lists those as well.
+    listed = "import dialg\nprint([n for n in dir(dialg) if n[0] != '_'] == dialg.__all__)"
+    assert _loads(listed) == ("True\n", set())
+    assert set(dialg.__all__) <= set(dir(dialg))
+
+
+def test_classify_reads_gl_matrices_from_gfsearch():
+    import dialg.classify
+    import dialg.gfsearch
+
+    assert dialg.classify.gl_matrices is dialg.gfsearch.gl_matrices
+
+
 def t2_files(tmp_path):
     """Upper triangular 2 x 2 matrices over GF(3) as a dialgebra, and a
     rebased copy, as files."""

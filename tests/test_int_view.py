@@ -1,6 +1,7 @@
 """A table is its int view: every route to a table gives one canonical
-(sparse, den), and parsing, rebasing, quotients and brackets build no Vec
-rows until a caller reads them.
+(sparse, den), parsing, rebasing, quotients and brackets build no Vec
+rows until a caller reads them, and a pickle or deep copy of any table
+carries its view alone, so the copy has no rows until they are read.
 """
 
 import copy
@@ -14,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialg import (
+    KIND_I,
+    KIND_II,
+    KIND_IV,
     Algebra,
     BilinearProduct,
     Dialgebra,
     Field,
     Vec,
     annihilators,
+    canonical_dialgebra,
+    census,
     check_associative,
     check_dialgebra,
     fingerprint,
@@ -32,6 +38,7 @@ from dialg import (
     serialize_dialgebra,
 )
 from helpers import (
+    GF7,
     QQ,
     matrix_algebra,
     random_invertible,
@@ -148,3 +155,37 @@ def test_derived_tables_build_no_rows_until_read(index):
         n = prod.dim
         assert all(prod.entry(i, j, k) is prod.rows[i][j].coords[k]
                    for i in range(n) for j in range(n) for k in range(n))
+
+
+def _tables(index):
+    """A parsed, rebased, quotient and from_entries table from VALID[index],
+    and a census and a canonical table."""
+    d = VALID[index]
+    parsed = parse_dialgebra(serialize_dialgebra(d))
+    rebased = parsed.rebase(random_invertible(d.field, d.dim, random.Random(index)))
+    q, _ = quotient(rebased, annihilators(rebased).ann)
+    kind, k = ((KIND_I, None), (KIND_II, 2), (KIND_IV, None))[index % 3]
+    return {
+        "parsed": parsed,
+        "rebased": rebased,
+        "quotient": q,
+        "from_entries": Dialgebra.from_entries(
+            d.field, d.dim, table_entries(d.left), table_entries(d.right)
+        ),
+        "census": census(3)[index % 14].representative,
+        "canonical": canonical_dialgebra(kind, (QQ, GF7)[index % 2], k),
+    }
+
+
+@pytest.mark.parametrize("index", range(len(VALID)))
+def test_a_pickle_or_copy_of_a_table_carries_no_rows(index):
+    for name, table in _tables(index).items():
+        # Rows read first: a copy still carries only the view.
+        table.left.rows, table.right.rows
+        copies = [pickle.loads(pickle.dumps(table, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies + [copy.deepcopy(table)]:
+            assert again == table and hash(again) == hash(table), name
+            assert (again.right is again.left) == (table.right is table.left), name
+            assert _no_rows(again.left, again.right), name
+            assert again.left.rows == table.left.rows and again.right.rows == table.right.rows

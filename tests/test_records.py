@@ -7,9 +7,11 @@ pickle at every protocol as well, without their lazy caches, compare and
 hash by their type and public slots, basis names aside, and every class
 under the one value rule (the tables, Scalar, Vec, Mat, Subspace,
 BarUnitSet and Field) refuses every assignment and deletion, so the shared
-constants Field.zero and Field.one cannot be changed. A BilinearProduct's
-public slots hold its int view, and its pickle carries its rows, the
-constructor's argument.
+constants Field.zero and Field.one cannot be changed. Every value's pickle
+carries exactly its public slots, a BilinearProduct's its int view, so a
+pickle or copy of a table builds and carries no rows; pickles of tables
+written when they carried their rows still load to equal tables, and a
+pickled view that is not dim x dim is refused on loading.
 """
 
 import copy
@@ -41,6 +43,7 @@ from dialg import (
     classify_dim2,
     fingerprint,
     from_associative,
+    parse_dialgebra,
     serialize_dialgebra,
     structure_flags,
 )
@@ -242,13 +245,11 @@ def test_a_table_cannot_be_changed_and_still_fills_its_lazy_view(name):
     for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert again == value and (again is value) == isinstance(value, Field)
         if again is not value:
-            # Every cache is unfilled on loading, but a table's rows: a
-            # pickle carries them as the constructor's argument.
-            for part, orig in zip(_parts(again), _parts(value), strict=True):
+            # Every cache, a table's rows included, is unfilled on loading.
+            for part in _parts(again):
                 for slot in type(part).__slots__:
                     if slot.startswith("_"):
-                        cache = getattr(part, slot)
-                        assert cache == orig.rows if slot == "_rows" else cache is None
+                        assert getattr(part, slot) is None, slot
         views = _views(again)
         assert views == want
         assert all(view is cache for view, cache in zip(views, _caches(again), strict=True))
@@ -296,24 +297,16 @@ def _public_slots(value):
     return tuple(getattr(value, s) for s in type(value).__slots__ if not s.startswith("_"))
 
 
-def _arguments(value):
-    """The constructor's arguments, which a pickle carries: the public slots,
-    but a table's field, dim and rows, since its public slots hold its int
-    view."""
-    if isinstance(value, BilinearProduct):
-        return value.field, value.dim, value.rows
-    return _public_slots(value)
-
-
 @pytest.mark.parametrize("name", list(RULE_VALUES))
 def test_a_value_is_its_type_and_public_slots(name):
     value = RULE_VALUES[name]()
-    # The pickle format that existing pickles load by.
-    cls, args = value.__reduce__()
-    slots, arguments = _public_slots(value), _arguments(value)
-    assert cls is type(value) and len(args) == len(arguments)
-    assert all(a is b for a, b in zip(args, arguments))
-    for again in (RULE_VALUES[name](), type(value)(*arguments)):
+    # A pickle carries the public slots, and its loader rebuilds the value
+    # from them.
+    load, args = value.__reduce__()
+    slots = _public_slots(value)
+    assert len(args) == len(slots) and all(a is b for a, b in zip(args, slots))
+    for again in (RULE_VALUES[name](), load(*args)):
+        assert type(again) is type(value)
         assert again == value and hash(again) == hash(value)
         assert _public_slots(again) == slots
     if isinstance(value, (Algebra, Dialgebra)):
@@ -329,6 +322,101 @@ def test_a_value_is_its_type_and_public_slots(name):
         if type(other) is not type(value):
             assert (value == other) is False and (value != other) is True, other_name
     assert (value == slots) is False
+
+
+GF7_TEXT = "dialg 1\nfield prime 7\ndim 2\nleft 2 2 1 3\nright 1 2 2 5\n"
+OLD_TABLES = {
+    "canonical": lambda: canonical_dialgebra(KIND_I, QQ).right,
+    "parsed": lambda: parse_dialgebra(GF7_TEXT),
+}
+
+# Pickles of OLD_TABLES written when a table's pickle carried its rows, to
+# load through the public constructor BilinearProduct(field, dim, rows).
+OLD_PICKLES = {
+    ("canonical", 0): (
+        b'cdialg.algebras\nBilinearProduct\np0\n(cdialg.fields\nField\n'
+        b'p1\n(Vrational\np2\nNtp3\nRp4\nI2\n((cdialg.linalg\nVec\np5\n'
+        b'(g4\n(cdialg.fields\nScalar\np6\n(g4\ncfractions\nFraction\np7\n'
+        b'(I0\nI1\ntp8\nRp9\ntp10\nRp11\ng11\ntp12\ntp13\nRp14\ng5\n(g4\n'
+        b'(g11\ng11\ntp15\ntp16\nRp17\ntp18\n(g5\n(g4\n(g6\n(g4\ng7\n(I1\n'
+        b'I1\ntp19\nRp20\ntp21\nRp22\ng11\ntp23\ntp24\nRp25\ng5\n(g4\n(g6\n'
+        b'(g4\ng7\n(I0\nI1\ntp26\nRp27\ntp28\nRp29\ng6\n(g4\ng7\n(I1\nI1\n'
+        b'tp30\nRp31\ntp32\nRp33\ntp34\ntp35\nRp36\ntp37\ntp38\ntp39\nRp40\n'
+        b'.'
+    ),
+    ("canonical", 5): (
+        b'\x80\x05\x95\n\x01\x00\x00\x00\x00\x00\x00\x8c\x0edialg.algebras\x94\x8c\x0fBili'
+        b'nearProduct\x94\x93\x94\x8c\x0cdialg.fields\x94\x8c\x05Field\x94\x93\x94\x8c\x08'
+        b'rational\x94N\x86\x94R\x94K\x02\x8c\x0cdialg.linalg\x94\x8c\x03Vec\x94\x93\x94h'
+        b'\x08h\x03\x8c\x06Scalar\x94\x93\x94h\x08\x8c\tfractions\x94\x8c\x08Fraction\x94'
+        b'\x93\x94K\x00K\x01\x86\x94R\x94\x86\x94R\x94h\x14\x86\x94\x86\x94R\x94h\x0bh\x08'
+        b'h\x14h\x14\x86\x94\x86\x94R\x94\x86\x94h\x0bh\x08h\rh\x08h\x10K\x01K\x01\x86\x94'
+        b'R\x94\x86\x94R\x94h\x14\x86\x94\x86\x94R\x94h\x0bh\x08h\rh\x08h\x10K\x00K\x01'
+        b'\x86\x94R\x94\x86\x94R\x94h\rh\x08h\x10K\x01K\x01\x86\x94R\x94\x86\x94R\x94\x86'
+        b'\x94\x86\x94R\x94\x86\x94\x86\x94\x87\x94R\x94.'
+    ),
+    ("parsed", 0): (
+        b'cdialg.algebras\nDialgebra\np0\n(cdialg.fields\nField\np1\n(Vprime\n'
+        b'p2\nI7\ntp3\nRp4\nI2\ncdialg.algebras\nBilinearProduct\np5\n(g4\n'
+        b'I2\n((cdialg.linalg\nVec\np6\n(g4\n(cdialg.fields\nScalar\np7\n'
+        b'(g4\nI0\ntp8\nRp9\ng9\ntp10\ntp11\nRp12\ng6\n(g4\n(g9\ng9\ntp13\n'
+        b'tp14\nRp15\ntp16\n(g6\n(g4\n(g9\ng9\ntp17\ntp18\nRp19\ng6\n(g4\n'
+        b'(g7\n(g4\nI3\ntp20\nRp21\ng9\ntp22\ntp23\nRp24\ntp25\ntp26\ntp27\n'
+        b'Rp28\ng5\n(g4\nI2\n((g6\n(g4\n(g9\ng9\ntp29\ntp30\nRp31\ng6\n'
+        b'(g4\n(g9\ng7\n(g4\nI5\ntp32\nRp33\ntp34\ntp35\nRp36\ntp37\n(g6\n'
+        b'(g4\n(g9\ng9\ntp38\ntp39\nRp40\ng6\n(g4\n(g9\ng9\ntp41\ntp42\n'
+        b'Rp43\ntp44\ntp45\ntp46\nRp47\nNtp48\nRp49\n.'
+    ),
+    ("parsed", 5): (
+        b'\x80\x05\x95+\x01\x00\x00\x00\x00\x00\x00\x8c\x0edialg.algebras\x94\x8c\tDialgeb'
+        b'ra\x94\x93\x94(\x8c\x0cdialg.fields\x94\x8c\x05Field\x94\x93\x94\x8c\x05prime'
+        b'\x94K\x07\x86\x94R\x94K\x02h\x00\x8c\x0fBilinearProduct\x94\x93\x94h\x08K\x02'
+        b'\x8c\x0cdialg.linalg\x94\x8c\x03Vec\x94\x93\x94h\x08h\x03\x8c\x06Scalar\x94\x93'
+        b'\x94h\x08K\x00\x86\x94R\x94h\x11\x86\x94\x86\x94R\x94h\rh\x08h\x11h\x11\x86\x94'
+        b'\x86\x94R\x94\x86\x94h\rh\x08h\x11h\x11\x86\x94\x86\x94R\x94h\rh\x08h\x0fh\x08K'
+        b'\x03\x86\x94R\x94h\x11\x86\x94\x86\x94R\x94\x86\x94\x86\x94\x87\x94R\x94h\nh\x08'
+        b'K\x02h\rh\x08h\x11h\x11\x86\x94\x86\x94R\x94h\rh\x08h\x11h\x0fh\x08K\x05\x86\x94'
+        b'R\x94\x86\x94\x86\x94R\x94\x86\x94h\rh\x08h\x11h\x11\x86\x94\x86\x94R\x94h\rh'
+        b'\x08h\x11h\x11\x86\x94\x86\x94R\x94\x86\x94\x86\x94\x87\x94R\x94Nt\x94R\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(OLD_PICKLES), ids=[f"{n}-{p}" for n, p in OLD_PICKLES])
+def test_a_pickle_that_carries_rows_still_loads(key):
+    name, protocol = key
+    want = OLD_TABLES[name]()
+    back = pickle.loads(OLD_PICKLES[key])
+    assert type(back) is type(want) and back == want and hash(back) == hash(want)
+    assert repr(back) == repr(want)
+    # A table's pickle now carries its view, and is shorter.
+    assert len(pickle.dumps(want, protocol)) < len(OLD_PICKLES[key])
+
+
+class _Forged:
+    """Pickles as a table whose view is (sparse, 1) on dim, as only a hand-built
+    pickle can hold it."""
+
+    def __init__(self, dim, sparse):
+        self.dim, self.sparse = dim, sparse
+
+    def __reduce__(self):
+        return BilinearProduct._of, (QQ, self.dim, self.sparse, 1)
+
+
+BAD_VIEWS = {
+    "three-rows": (2, (((), ()), ((), ()), ((), ()))),
+    "short-row": (2, (((), ()), ((),))),
+    "no-rows": (1, ()),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("bad", BAD_VIEWS.values(), ids=list(BAD_VIEWS))
+def test_a_pickled_view_that_is_not_dim_by_dim_is_refused(bad, protocol):
+    data = pickle.dumps(_Forged(*bad), protocol)
+    with pytest.raises(FieldMismatchError):
+        pickle.loads(data)
 
 
 def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():

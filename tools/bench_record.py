@@ -6,7 +6,10 @@ Runs BENCHMARK.json's command, `python3 bench/run.py`, with `--workload W
 --seed 1 --seconds <run_seconds> --trace 0` once for each workload that
 BENCHMARK.json names (or each --workload given), every run a fresh
 subprocess with PYTHONDONTWRITEBYTECODE=1, and keeps the last two lines of
-its stdout: the run record and the result line, both JSON. The file also
+its stdout: the run record and the result line, both JSON. Beside them it
+writes the run's op_shares: each op kind's count times its median_ms, over
+the sum of those products for the run's op_mix. A share is an estimate from
+medians, not a measured share of the run's time. The file also
 holds the tier-1 suite's wall time and test counts, run here in the same
 environment, the code lines per module of src/dialg (tools/code_lines.py),
 the commit and whether the tracked files differ from it, whether src/dialg
@@ -77,7 +80,16 @@ def bench_run(command, workload, seconds, smoke):
     if out.returncode != 0 or len(lines) < 2:
         sys.exit(f"{workload}: bench/run.py exited {out.returncode}\n{out.stderr}")
     record, result = (json.loads(line) for line in lines[-2:])
-    return {"command": cmd, "record": record, "result": result}
+    return {"command": cmd, "record": record, "result": result,
+            "op_shares": op_shares(record["op_mix"])}
+
+
+def op_shares(op_mix):
+    """Each op kind's estimated share of the run: count x median_ms over the
+    sum of those products, from the run's own op_mix."""
+    weights = {kind: m["count"] * m["median_ms"] for kind, m in op_mix.items()}
+    total = sum(weights.values())
+    return {kind: w / total for kind, w in weights.items()}
 
 
 def refusals(runs):
