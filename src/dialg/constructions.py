@@ -5,9 +5,12 @@ opposites, zero-cubed algebras (A(AA) = (AA)A = 0) built from a bilinear
 pairing f: X x X -> Z into an annihilating block Z, dialgebras from a
 square-zero derivation, the Leibniz bracket, and quotients by ideals.
 
-One method writes the table of a pairing, ZeroCubedTriple._product, in
-either block order: Z coordinates first for zero_cubed_build, X first for
-structure's triple equivalence.
+A ZeroCubedTriple's pairing is read in one place, ZeroCubedTriple._product,
+which writes its table in either block order: Z coordinates first for
+zero_cubed_build, X first for apply, radical and structure's triple
+equivalence. No other code turns f into numbers (image spans its Vecs
+as they are), and each call builds the table anew: no caller applies one
+triple repeatedly, so no view of f is kept.
 """
 
 from __future__ import annotations
@@ -35,19 +38,7 @@ from .linalg import (
     _terms,
     _vec_terms,
     contract,
-    contract_pair,
 )
-
-
-def _entry_grid(field, entries, shape):
-    """The nested Vec tuples g[i][j] of shape (rows, columns, length) with
-    coordinate k of g[i][j] = c for each (i, j, k): c in entries, else 0."""
-    n, m, length = shape
-    grid = [[[field.zero] * length for _ in range(m)] for _ in range(n)]
-    for key, c in entries.items():
-        i, j, k = _entry_key(key, shape)
-        grid[i][j][k] = field.scalar(c)
-    return tuple(tuple(Vec(field, tuple(g)) for g in row) for row in grid)
 
 
 def from_associative(a):
@@ -68,16 +59,20 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     """A bilinear pairing f: X x X -> Z, stored as f[a][b] = Vec over Z coords.
 
     Building on Z + X with product (z + x)(z' + x') = f(x, x') yields an
-    associative algebra whose triple products vanish.
+    associative algebra whose triple products vanish. `_product` writes that
+    table and is the one reader of the numbers of f: apply and radical go
+    through it.
 
-    Every way to build one checks the grid: the constructor, `_make` and
-    so `_replace`, which namedtuple would build by tuple.__new__, and
-    unpickling, which calls __new__.
+    The grid is stored as nested tuples, so a triple hashes and no cell
+    changes after the check. Every way to build one checks the grid: the
+    constructor, `_make` and so `_replace`, which namedtuple would build by
+    tuple.__new__, and unpickling, which calls __new__.
     """
 
     __slots__ = ()
 
     def __new__(cls, field, z_dim, x_dim, f):
+        f = tuple(map(tuple, f))
         if len(f) != x_dim or any(len(row) != x_dim for row in f):
             raise FieldMismatchError("pairing grid is not x_dim x x_dim")
         for row in f:
@@ -97,19 +92,23 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
 
     @classmethod
     def from_entries(cls, field, z_dim, x_dim, entries):
-        return cls(field, z_dim, x_dim, _entry_grid(field, entries, (x_dim, x_dim, z_dim)))
+        """The triple with f[a][b][c] = v for each (a, b, c): v in entries, else 0."""
+        grid = [[[field.zero] * z_dim for _ in range(x_dim)] for _ in range(x_dim)]
+        for key, c in entries.items():
+            a, b, k = _entry_key(key, (x_dim, x_dim, z_dim))
+            grid[a][b][k] = field.scalar(c)
+        return cls(field, z_dim, x_dim, [[Vec(field, g) for g in row] for row in grid])
 
     def apply(self, x, y):
-        """f(x, y) for two coordinate vectors over X."""
-        if x.field is not self.field or y.field is not self.field:
+        """f(x, y) for two coordinate vectors over X: the Z block of their
+        product in the X-first table, x and y padded with Z zeros."""
+        field, z = self.field, (self.field.zero,) * self.z_dim
+        if x.field is not field or y.field is not field:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.x_dim or len(y) != self.x_dim:
             raise FieldMismatchError("vector length mismatch")
-        (xs, ys), d = self.field.numerators([_vec_terms(x), _vec_terms(y)])
-        flat, den = self.field.numerators([_vec_terms(g) for row in self.f for g in row])
-        view = [flat[a * self.x_dim : (a + 1) * self.x_dim] for a in range(self.x_dim)]
-        raw = contract_pair([0] * self.z_dim, xs, ys, view)
-        return Vec.from_numerators(self.field, raw, d * d * den)
+        xy = self._product(x_first=True).apply(Vec(field, x.coords + z), Vec(field, y.coords + z))
+        return Vec(field, xy.coords[self.x_dim :])
 
     def image(self):
         """The span of all pairing values inside Z."""
@@ -119,16 +118,12 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     def radical(self):
         """{v in X : f(v, .) = 0 = f(., v)}; zero iff Z is exactly the annihilator.
 
-        One kernel of the raw rows a -> f[a][b][c] and a -> f[b][a][c].
+        One kernel of the X-first table's multiplication rows, both sides,
+        cut to the X columns: the Z columns of every row are zero.
         """
-        f, xs = self.f, range(self.x_dim)
-        rows = [
-            [(f[a][b] if left else f[b][a]).coords[c].value for a in xs]
-            for b in xs
-            for c in range(self.z_dim)
-            for left in (True, False)
-        ]
-        return _kernel(self.field, rows, self.x_dim)
+        table, x = self._product(x_first=True), self.x_dim
+        rows = [*table.multiplication_rows().values(), *table.multiplication_rows(True).values()]
+        return _kernel(self.field, [r[:x] for r in rows], x)
 
     def _product(self, x_first):
         """The product (z + x)(z' + x') = f(x, x') on Z + X, Z coordinates

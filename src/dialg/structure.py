@@ -32,10 +32,11 @@ A zero-cubed algebra, A(AA) = (AA)A = 0, is associative, since then
 annihilator, and nothing else.
 It splits as its annihilator Z plus a pairing f: X x X -> Z on the
 non-pivot units X: zero_cubed_decompose rebases onto that basis and reads
-f off the rebased table. Triple equivalence is an isomorphism search: each
-pairing becomes the algebra on X + Z, X first, and glsearch's row search,
-imported on first use and split into the X and Z blocks, finds the block
-maps (alpha, beta). So this module never imports gfsearch or numpy.
+f[a][b] as the Z block of the rebased table's row for the X units a and b.
+Triple equivalence is an isomorphism search: each pairing becomes the
+algebra on X + Z, X first, and glsearch's row search, imported on first
+use and split into the X and Z blocks, finds the block maps (alpha, beta).
+So this module never imports gfsearch or numpy.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    _dense,
     _echelon,
     _insert,
     _kernel,
@@ -288,13 +288,7 @@ def zero_cubed_decompose(a):
     units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
     witness = Mat(field, (*z.basis.rows, *units), n)
     rebased, zd = a.rebase(witness), z.dim
-    view, den = rebased.product.sparse, rebased.product.den
-
-    def block(terms):
-        """The Z coordinates of a product, off the rebased view."""
-        return Vec.from_numerators(field, _dense(zd, [t for t in terms if t[0] < zd]), den)
-
-    f = tuple(tuple(map(block, row[zd:])) for row in view[zd:])
+    f = [[Vec(field, v.coords[:zd]) for v in row[zd:]] for row in rebased.product.rows[zd:]]
     triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
     _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
     return triple, witness

@@ -2,7 +2,8 @@
 
 Each keeps the repr, hash, equality and immutability it had as a frozen
 dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
-on every way to build one. The slotted value classes the records hold
+on every way to build one and holds it as nested tuples, so it hashes and
+no cell changes after the check. The slotted value classes the records hold
 pickle at every protocol as well, without their lazy caches, compare and
 hash by their type and public slots, basis names aside, and every class
 under the one value rule (the tables, Scalar, Vec, Mat, Subspace,
@@ -46,6 +47,7 @@ from dialg import (
     parse_dialgebra,
     serialize_dialgebra,
     structure_flags,
+    zero_cubed_build,
 )
 from dialg.cli import main
 from helpers import GF3, QQ, upper_triangular_algebra
@@ -457,6 +459,18 @@ def test_zero_cubed_triple_checks_its_grid_on_every_way_to_build_one(bad):
     for protocol in PROTOCOLS:
         with pytest.raises(FieldMismatchError):
             pickle.loads(pickle.dumps(unchecked, protocol))
+
+
+def test_zero_cubed_triple_built_from_lists_holds_a_frozen_grid():
+    # A grid passed as lists is stored as nested tuples: the triple hashes,
+    # equals the same triple from entries, and no cell changes after the check.
+    t = ZeroCubedTriple(QQ, 1, 1, [[Vec.of(QQ, [1])]])
+    same = ZeroCubedTriple.from_entries(QQ, 1, 1, {(0, 0, 0): 1})
+    assert t == same and hash(t) == hash(same)
+    assert type(t.f) is tuple and all(type(row) is tuple for row in t.f)
+    with pytest.raises(TypeError):
+        t.f[0][0] = Vec.of(QQ, [1, 5])
+    assert zero_cubed_build(t) == zero_cubed_build(same)
 
 
 def test_zero_cubed_triple_builds_by_keyword_make_and_replace():

@@ -61,8 +61,10 @@ from helpers import (
     reference_prime,
     reference_semiprime,
     reference_simple,
+    reference_span,
     reference_subspace_product,
     reference_triples_equivalent,
+    reference_zero_cubed_apply,
     square_algebra,
     upper_triangular_algebra,
 )
@@ -645,6 +647,56 @@ def test_triples_equivalent_unsupported_over_the_rationals():
     t = ZeroCubedTriple.from_entries(QQ, 1, 1, {(0, 0, 0): 1})
     with pytest.raises(UnsupportedOverRationalsError):
         triples_equivalent(t, t)
+
+
+@st.composite
+def pairings(draw, fields):
+    """One pairing with every cell drawn, zeros included: over GF(p) at the
+    TRIPLE_SHAPES sizes, over Q at (z, x) up to (2, 3) from a few values."""
+    field = draw(st.sampled_from(fields))
+    if field.is_finite:
+        z, x = draw(st.sampled_from(TRIPLE_SHAPES[field.p]))
+        values = st.integers(0, field.p - 1)
+    else:
+        z, x = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        values = st.sampled_from([0, 0, 1, -1, Fraction(1, 2)])
+    cells = product(range(x), range(x), range(z))
+    return ZeroCubedTriple.from_entries(field, z, x, {cell: draw(values) for cell in cells})
+
+
+def reference_pairs_to_zero(t, v):
+    """f(v, e_b) = 0 = f(e_b, v) for every unit e_b of X, by the Scalar loop."""
+    zero = Vec.zero(t.field, t.z_dim)
+    units = [Vec.unit(t.field, t.x_dim, b) for b in range(t.x_dim)]
+    return all(
+        reference_zero_cubed_apply(t, v, u) == zero == reference_zero_cubed_apply(t, u, v)
+        for u in units
+    )
+
+
+@settings(max_examples=80)
+@given(pairings([GF2, GF3]))
+def test_radical_and_image_match_a_scan_of_the_space(t):
+    field = t.field
+    space = (Vec.of(field, c) for c in product(range(field.p), repeat=t.x_dim))
+    assert set(t.radical().elements()) == {v for v in space if reference_pairs_to_zero(t, v)}
+    assert t.image() == reference_span(field, t.z_dim, [g for row in t.f for g in row])
+
+
+@settings(max_examples=60)
+@given(pairings([QQ]))
+def test_radical_over_the_rationals_passes_the_reference(t):
+    radical = t.radical()
+    assert all(reference_pairs_to_zero(t, v) for v in radical.basis.rows)
+    # Its dimension is x minus the rank of v -> (f(v, e_b), f(e_b, v))_b.
+    units = [Vec.unit(QQ, t.x_dim, b) for b in range(t.x_dim)]
+
+    def image(a):
+        pairs = [p for u in units for p in ((a, u), (u, a))]
+        return Vec(QQ, [c for p in pairs for c in reference_zero_cubed_apply(t, *p).coords])
+
+    rank = reference_span(QQ, 2 * t.x_dim * t.z_dim, map(image, units)).dim
+    assert radical.dim == t.x_dim - rank
 
 
 def test_annihilator_ideals_on_random_valid_dialgebras():
