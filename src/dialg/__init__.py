@@ -8,15 +8,17 @@ classification and exhaustive small-field censuses.
 
 `import dialg` loads only the exact core that every command and file round
 trip needs: errors, fields, linalg, algebras, identities and fileformat.
-The layers above it, classify, structure and constructions, load together
-on the first access to one of their names (or to one of those submodules)
-through this package: then the name is read from its module and kept in
-this namespace. No public name loads numpy: only the test reference module
+The three layers above it, classify, structure and constructions, import
+only that core at load time, never each other. Through this package each
+loads alone on the first access to one of its names (or to it as a
+submodule): then the name is read from its module and kept in this
+namespace. No public name loads numpy: only the test reference module
 dialg.gfsearch imports it.
 """
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, ProductTag
 from .errors import (
+    DEFAULT_SEARCH_BOUND,
     DerivationSquareError,
     DialgError,
     FieldMismatchError,
@@ -87,13 +89,15 @@ _LAZY = {
             "ZeroCubedTriple",
             "from_associative",
             "from_differential",
+            "is_zero_cubed",
             "leibniz_bracket",
             "opposite",
             "quotient",
+            "triples_equivalent",
             "zero_cubed_build",
+            "zero_cubed_decompose",
         ),
         "structure": (
-            "DEFAULT_SEARCH_BOUND",
             "AnnihilatorProfile",
             "StructureFlags",
             "algebra_annihilator",
@@ -104,10 +108,7 @@ _LAZY = {
             "annihilators",
             "generated_ideal",
             "is_ideal",
-            "is_zero_cubed",
             "structure_flags",
-            "triples_equivalent",
-            "zero_cubed_decompose",
         ),
     }.items()
     for name in (module, *names)
@@ -126,10 +127,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    # classify imports structure, which imports constructions: the first
-    # access loads all three layers, so a session that uses them pays the
-    # load in one call rather than in up to three.
-    import_module(".classify", __name__)
     value = import_module(f".{module}", __name__)
     if name != module:
         value = getattr(value, name)

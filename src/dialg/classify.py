@@ -39,11 +39,17 @@ from collections import namedtuple
 from itertools import product
 
 from .algebras import BilinearProduct, Dialgebra
-from .errors import FieldMismatchError, NotADialgebraError, UnsupportedOverRationalsError, _require
+from .errors import (
+    DEFAULT_SEARCH_BOUND,
+    FieldMismatchError,
+    NotADialgebraError,
+    UnsupportedOverRationalsError,
+    _require,
+    guard_search,
+)
 from .fields import PRIME, Field
-from .identities import _bar_unit_rows, dialgebra_violations
+from .identities import _ann, _bar_unit_rows, dialgebra_violations
 from .linalg import Mat, Vec, _dense, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
-from .structure import DEFAULT_SEARCH_BOUND, _ann, guard_search
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"

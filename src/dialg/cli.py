@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import DialgError, ParseError, UnsupportedOverRationalsError
+from .errors import DEFAULT_SEARCH_BOUND, DialgError, ParseError, UnsupportedOverRationalsError
 from .fields import ASCII_INT
 from .fileformat import parse_dialgebra, serialize_algebra, serialize_dialgebra
 from .identities import check_dialgebra
@@ -27,8 +27,6 @@ ENV_SEARCH_BOUND = "DIALG_SEARCH_BOUND"
 
 
 def _search_bound():
-    from .structure import DEFAULT_SEARCH_BOUND
-
     raw = os.environ.get(ENV_SEARCH_BOUND)
     if raw is None:
         return DEFAULT_SEARCH_BOUND

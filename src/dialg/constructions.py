@@ -2,15 +2,30 @@
 
 Covers: the dialgebra with both products equal to an associative product,
 opposites, zero-cubed algebras (A(AA) = (AA)A = 0) built from a bilinear
-pairing f: X x X -> Z into an annihilating block Z, dialgebras from a
-square-zero derivation, the Leibniz bracket, and quotients by ideals.
+pairing f: X x X -> Z into an annihilating block Z and split back into one,
+dialgebras from a square-zero derivation, the Leibniz bracket, and
+quotients by ideals.
+
+The zero-cubed algebra is the paper's preliminary object: with x -| y := 0
+and x |- y := xy, an associative algebra is a dialgebra exactly when it is
+zero-cubed. Such an algebra is associative, since then (xy)z = 0 = x(yz),
+so is_zero_cubed tests that every product lies in the annihilator, and
+nothing else. It splits as its annihilator Z plus a pairing f: X x X -> Z
+on the non-pivot units X: zero_cubed_decompose rebases onto that basis and
+reads f[a][b] as the Z block of the rebased table's row for the X units a
+and b. Triple equivalence is an isomorphism search: each pairing becomes
+the algebra on X + Z, X first, and glsearch's row search, imported on first
+use and split into the X and Z blocks, finds the block maps (alpha, beta).
 
 A ZeroCubedTriple's pairing is read in one place, ZeroCubedTriple._product,
 which writes its table in either block order: Z coordinates first for
-zero_cubed_build, X first for apply, radical and structure's triple
-equivalence. No other code turns f into numbers (image spans its Vecs
-as they are), and each call builds the table anew: no caller applies one
-triple repeatedly, so no view of f is kept.
+zero_cubed_build, X first for apply, radical and triple equivalence. No
+other code turns f into numbers (image spans its Vecs as they are), and
+each call builds the table anew: no caller applies one triple repeatedly,
+so no view of f is kept.
+
+At load time this module imports only the exact core; quotient imports
+structure's ideal test when it runs.
 """
 
 from __future__ import annotations
@@ -20,14 +35,20 @@ from math import lcm
 
 from .algebras import Algebra, BilinearProduct, Dialgebra, _entry_key
 from .errors import (
+    DEFAULT_SEARCH_BOUND,
     DerivationSquareError,
     FieldMismatchError,
     NotADerivationError,
     NotADialgebraError,
     NotAnIdealError,
     NotAssociativeError,
+    NotZeroCubedError,
+    UnsupportedOverRationalsError,
+    _require,
+    guard_search,
 )
-from .identities import associative_violations, dialgebra_violations
+from .fields import PRIME
+from .identities import _ann, associative_violations, dialgebra_violations
 from .linalg import (
     Mat,
     Subspace,
@@ -64,14 +85,18 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     through it.
 
     The grid is stored as nested tuples, so a triple hashes and no cell
-    changes after the check. Every way to build one checks the grid: the
-    constructor, `_make` and so `_replace`, which namedtuple would build by
-    tuple.__new__, and unpickling, which calls __new__.
+    changes after the check. Every way to build one checks the dims and the
+    grid: the constructor, `_make` and so `_replace`, which namedtuple would
+    build by tuple.__new__, and unpickling, which calls __new__.
     """
 
     __slots__ = ()
 
     def __new__(cls, field, z_dim, x_dim, f):
+        if not all(isinstance(d, int) and d >= 0 for d in (z_dim, x_dim)):
+            raise FieldMismatchError(
+                f"pairing dims z_dim={z_dim!r}, x_dim={x_dim!r} are not ints >= 0"
+            )
         f = tuple(map(tuple, f))
         if len(f) != x_dim or any(len(row) != x_dim for row in f):
             raise FieldMismatchError("pairing grid is not x_dim x x_dim")
@@ -142,6 +167,70 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
 def zero_cubed_build(t):
     """The algebra on Z + X, Z coordinates first, with (z + x)(z' + x') = f(x, x')."""
     return Algebra(t.field, t.z_dim + t.x_dim, t._product(x_first=False))
+
+
+def is_zero_cubed(a):
+    """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz). It
+    holds exactly when AA, the span of the products e_i e_j, lies in the
+    annihilator."""
+    return a.square_space().is_subspace_of(_ann(a.product, a.product))
+
+
+def zero_cubed_decompose(a):
+    """Split a zero-cubed algebra as annihilator block plus complement pairing.
+
+    Returns (triple, witness) where the witness rows are the new basis in old
+    coordinates (annihilator basis first, then the units at its non-pivot
+    columns); rewriting a on that basis gives exactly
+    zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
+    Z block of the rebased product of the complement units i and j.
+    """
+    z = _ann(a.product, a.product)
+    if not a.square_space().is_subspace_of(z):
+        raise NotZeroCubedError("input is not an associative zero-cubed algebra")
+    field, n = a.field, a.dim
+    units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
+    witness = Mat(field, (*z.basis.rows, *units), n)
+    rebased, zd = a.rebase(witness), z.dim
+    f = [[Vec(field, v.coords[:zd]) for v in row[zd:]] for row in rebased.product.rows[zd:]]
+    triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
+    _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
+    return triple, witness
+
+
+def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
+    """Search for block isomorphisms (alpha, beta) matching the two pairings.
+
+    Returns invertible matrices with t2.f(x @ beta, y @ beta) = t1.f(x, y) @ alpha
+    on all basis pairs, or None. Exhaustive, so finite fields only.
+
+    Each pairing is the algebra on X + Z, X coordinates first, whose two
+    products are the one table (a, b, x + c) -> f[a][b][c]; a block-diagonal
+    diag(beta, alpha) sends the first to the second exactly when (alpha,
+    beta) matches the pairings. The answer is glsearch's first such map, cut
+    to blocks at X: block-diagonal matrices in lexicographic order run
+    beta-major, so it pairs the least beta that has a solution with the
+    least alpha for it, in GL enumeration order.
+    """
+    if t1.field is not t2.field:
+        raise FieldMismatchError("triples live over different fields")
+    field = t1.field
+    if field.kind != PRIME:
+        raise UnsupportedOverRationalsError("triple equivalence search needs a finite field")
+    if t1.z_dim != t2.z_dim or t1.x_dim != t2.x_dim:
+        return None
+    z, x = t1.z_dim, t1.x_dim
+    guard_search("triple equivalence search", field.p ** (z * z + x * x), bound)
+    from .glsearch import isomorphisms
+
+    # Each pairing on X + Z, X first, as a dialgebra with one shared product.
+    a, b = (Dialgebra(field, z + x, m, m) for m in (t1._product(True), t2._product(True)))
+    found = next(isomorphisms(a, b, split=x), None)
+    if found is None:
+        return None
+    alpha = Mat(field, [Vec(field, r.coords[x:]) for r in found.rows[x:]], z)
+    beta = Mat(field, [Vec(field, r.coords[:x]) for r in found.rows[:x]], x)
+    return alpha, beta
 
 
 def from_differential(a, d):

@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the one internal check."""
+"""Exception types shared across the package, the one internal check and the
+one refusal of an exhaustive search.
+
+Every layer imports guard_search and DEFAULT_SEARCH_BOUND from here, so how
+a search over too many candidates is refused is decided in one place, beside
+the error it raises, and no layer imports another for it.
+"""
+
+DEFAULT_SEARCH_BOUND = 10**6
 
 
 class DialgError(Exception):
@@ -67,3 +75,11 @@ def _require(condition, message):
     InternalCheckError(message)."""
     if not condition:
         raise InternalCheckError(message)
+
+
+def guard_search(what, candidates, bound):
+    """Refuse an exhaustive search over more candidates than the bound allows."""
+    if candidates > bound:
+        raise SearchBoundExceededError(
+            f"{what} needs {candidates} candidates, over the search bound {bound}"
+        )

@@ -61,8 +61,8 @@ from math import prod
 
 import numpy as np
 
+from .errors import DEFAULT_SEARCH_BOUND, guard_search
 from .identities import DIALGEBRA_LAWS, _law_equations
-from .structure import DEFAULT_SEARCH_BOUND, guard_search
 
 
 def _place_values(p, length):

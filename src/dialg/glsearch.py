@@ -5,14 +5,14 @@ b's coordinates, satisfy the homomorphism equations of both products. Over
 GF(p) the search chooses the rows in turn, in the order gfsearch.gl_matrices
 lists GL(n, p), and yields every such T lazily in that order, so the first
 one is the witness an exhaustive scan would pick. It runs on raw residues in
-pure Python and builds no GL list; classify and structure import it on first
-use, guarding the call with the search bound.
+pure Python and builds no GL list; classify and constructions import it on
+first use, guarding the call with the search bound.
 
 A split restricts the search to block-diagonal maps: rows below it use only
-the first split coordinates and the rest only the others. structure's
-triple equivalence asks for that, with its pairing block X first, so the
-first hit is the least beta of the pairing block paired with the least
-alpha of the annihilator block.
+the first split coordinates and the rest only the others. The triple
+equivalence in constructions asks for that, with its pairing block X
+first, so the first hit is the least beta of the pairing block paired with
+the least alpha of the annihilator block.
 
 Dimension 1 is one closed form on Scalars over any field (see
 _scalar_isomorphisms); classify takes the rational dim-1 witness from it.

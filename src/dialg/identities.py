@@ -35,6 +35,12 @@ basis equations over a flattened (left, right) pair of tables, as plain
 int column pairs (_law_equations). The GF(p) pair growth in gfsearch, the
 tests' reference for the census, evaluates them on residue arrays; nothing
 else expands the table.
+
+The annihilator ann = rann_left meet lann_right and the bar-units read one
+linear system, the rows of x -> e_i <| x and x -> x |> e_i, off the two
+products' views. _ann takes its kernel, which structure's
+algebra_annihilator, constructions' zero-cubed test and classify_dim2 read;
+_bar_unit_rows appends the right-hand sides of x <| e = x = e |> x.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from math import lcm
 
 from .algebras import ProductTag
 from .fields import _Value
-from .linalg import Vec, _solve
+from .linalg import Vec, _kernel, _solve
 
 LAW_ASSOC = "assoc"
 LAW_ASSOC_LEFT = "assoc-left"
@@ -276,6 +282,13 @@ class BarUnitSet(_Value):
             return
         for v in self.direction.elements():
             yield self.point + v
+
+
+def _ann(left, right):
+    """{x : e_i <| x = x |> e_i = 0 for every i}, the rann of left meet the
+    lann of right: one kernel of the rows of x -> e_i <| x and x -> x |> e_i."""
+    rows = [*left.multiplication_rows().values(), *right.multiplication_rows(right=True).values()]
+    return _kernel(left.field, rows, left.dim)
 
 
 def _bar_unit_rows(d):

@@ -1,4 +1,4 @@
-"""Annihilators, ideals, zero-cubed decomposition and perfection predicates.
+"""Annihilators, ideals and perfection predicates.
 
 The simple/semiprime/prime predicates are decided exactly over finite
 fields from the principal ideals (v), v != 0: one spin per line of GF(p)^dim,
@@ -23,20 +23,14 @@ scans and perfection predicates build no Vec and no basis for a subspace.
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
 one kernel per one-sided annihilator, and ann = rann_left meet lann_right
-as one kernel of the two systems' echelon rows together. `_ann` takes that
-meet as one kernel of the raw rows, with no one-sided kernel: it serves
-`algebra_annihilator` and `classify_dim2`, which need ann alone.
+as one kernel of the two systems' echelon rows together.
+`algebra_annihilator` needs ann alone and takes it from identities._ann, one
+kernel of the raw rows with no one-sided kernel.
 
-A zero-cubed algebra, A(AA) = (AA)A = 0, is associative, since then
-(xy)z = 0 = x(yz), so is_zero_cubed tests that every product lies in the
-annihilator, and nothing else.
-It splits as its annihilator Z plus a pairing f: X x X -> Z on the
-non-pivot units X: zero_cubed_decompose rebases onto that basis and reads
-f[a][b] as the Z block of the rebased table's row for the X units a and b.
-Triple equivalence is an isomorphism search: each pairing becomes the
-algebra on X + Z, X first, and glsearch's row search, imported on first
-use and split into the X and Z blocks, finds the block maps (alpha, beta).
-So this module never imports gfsearch or numpy.
+This module imports only the exact core, the search bound and its refusal
+from errors among it, so it never imports another layer, gfsearch or numpy.
+The zero-cubed decomposition and triple equivalence live in constructions,
+beside the one reader of a triple's pairing.
 """
 
 from __future__ import annotations
@@ -45,29 +39,16 @@ from collections import namedtuple
 from functools import reduce
 from itertools import islice
 
-from .algebras import Algebra, Dialgebra
-from .constructions import ZeroCubedTriple, zero_cubed_build
+from .algebras import Algebra
 from .errors import (
+    DEFAULT_SEARCH_BOUND,
     FieldMismatchError,
-    NotZeroCubedError,
-    SearchBoundExceededError,
     UnsupportedOverRationalsError,
-    _require,
+    guard_search,
 )
 from .fields import PRIME
-from .linalg import (
-    Mat,
-    Subspace,
-    Vec,
-    _echelon,
-    _insert,
-    _kernel,
-    _null_space,
-    all_subspaces,
-    contract,
-)
-
-DEFAULT_SEARCH_BOUND = 10**6
+from .identities import _ann
+from .linalg import Subspace, _echelon, _insert, _null_space, all_subspaces, contract
 
 
 class AnnihilatorProfile(
@@ -103,13 +84,6 @@ def annihilators(d):
     return AnnihilatorProfile(
         *(_null_space(field, *e, n) for e in (rann_left, lann_left, rann_right, lann_right, both))
     )
-
-
-def _ann(left, right):
-    """{x : e_i <| x = x |> e_i = 0 for every i}, the rann of left meet the
-    lann of right: one kernel of the rows of x -> e_i <| x and x -> x |> e_i."""
-    rows = [*left.multiplication_rows().values(), *right.multiplication_rows(right=True).values()]
-    return _kernel(left.field, rows, left.dim)
 
 
 def algebra_annihilator(a):
@@ -168,14 +142,6 @@ def generated_ideal(d, seed):
 def is_algebra_ideal(a, u):
     """Two-sided ideal test for a single product."""
     return _closure(u, (a.product,), u.dim + 1) == u
-
-
-def guard_search(what, candidates, bound):
-    """Refuse an exhaustive search over more candidates than the bound allows."""
-    if candidates > bound:
-        raise SearchBoundExceededError(
-            f"{what} needs {candidates} candidates, over the search bound {bound}"
-        )
 
 
 def _subspace_count(p, n):
@@ -263,71 +229,3 @@ def structure_flags(d, bound=DEFAULT_SEARCH_BOUND):
         lambda prod: _perfection(Algebra(d.field, d.dim, prod), bound)
     )
     return StructureFlags(equal, ls, rs, lsp, rsp, lp, rp)
-
-
-def is_zero_cubed(a):
-    """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz). It
-    holds exactly when AA, the span of the products e_i e_j, lies in the
-    annihilator."""
-    return a.square_space().is_subspace_of(algebra_annihilator(a))
-
-
-def zero_cubed_decompose(a):
-    """Split a zero-cubed algebra as annihilator block plus complement pairing.
-
-    Returns (triple, witness) where the witness rows are the new basis in old
-    coordinates (annihilator basis first, then the units at its non-pivot
-    columns); rewriting a on that basis gives exactly
-    zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
-    Z block of the rebased product of the complement units i and j.
-    """
-    z = algebra_annihilator(a)
-    if not a.square_space().is_subspace_of(z):
-        raise NotZeroCubedError("input is not an associative zero-cubed algebra")
-    field, n = a.field, a.dim
-    units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
-    witness = Mat(field, (*z.basis.rows, *units), n)
-    rebased, zd = a.rebase(witness), z.dim
-    f = [[Vec(field, v.coords[:zd]) for v in row[zd:]] for row in rebased.product.rows[zd:]]
-    triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
-    _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
-    return triple, witness
-
-
-def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
-    """Search for block isomorphisms (alpha, beta) matching the two pairings.
-
-    Returns invertible matrices with t2.f(x @ beta, y @ beta) = t1.f(x, y) @ alpha
-    on all basis pairs, or None. Exhaustive, so finite fields only.
-
-    Each pairing is the algebra on X + Z, X coordinates first, whose two
-    products are the one table (a, b, x + c) -> f[a][b][c]; a block-diagonal
-    diag(beta, alpha) sends the first to the second exactly when (alpha,
-    beta) matches the pairings. The answer is glsearch's first such map, cut
-    to blocks at X: block-diagonal matrices in lexicographic order run
-    beta-major, so it pairs the least beta that has a solution with the
-    least alpha for it, in GL enumeration order.
-    """
-    if t1.field is not t2.field:
-        raise FieldMismatchError("triples live over different fields")
-    field = t1.field
-    if field.kind != PRIME:
-        raise UnsupportedOverRationalsError("triple equivalence search needs a finite field")
-    if t1.z_dim != t2.z_dim or t1.x_dim != t2.x_dim:
-        return None
-    z, x = t1.z_dim, t1.x_dim
-    guard_search("triple equivalence search", field.p ** (z * z + x * x), bound)
-    from .glsearch import isomorphisms
-
-    found = next(isomorphisms(_pairing_algebra(t1), _pairing_algebra(t2), split=x), None)
-    if found is None:
-        return None
-    alpha = Mat(field, [Vec(field, r.coords[x:]) for r in found.rows[x:]], z)
-    beta = Mat(field, [Vec(field, r.coords[:x]) for r in found.rows[:x]], x)
-    return alpha, beta
-
-
-def _pairing_algebra(t):
-    """The pairing on X + Z, X first, as a dialgebra with one shared product."""
-    product = t._product(x_first=True)
-    return Dialgebra(t.field, product.dim, product, product)

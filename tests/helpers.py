@@ -814,7 +814,7 @@ def _reference_one_sided_zero_label(d):
         ClassLabel,
         _require,
     )
-    from dialg.structure import zero_cubed_decompose
+    from dialg.constructions import zero_cubed_decompose
 
     kind = KIND_ZERO_CUBED_LEFT if d.left.is_zero() else KIND_ZERO_CUBED_RIGHT
     single = d.as_single(ProductTag.RIGHT if kind == KIND_ZERO_CUBED_LEFT else ProductTag.LEFT)

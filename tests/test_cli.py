@@ -325,25 +325,28 @@ def _main(*argv):
 
 def test_exact_verbs_do_not_import_numpy(tmp_path):
     # Each verb loads only the layers it runs, importing them from their
-    # modules: `import dialg` and check stay on the exact core, op and
-    # leibniz add constructions, quotient adds structure (for its ideal
-    # test), and no verb loads gfsearch or numpy.
+    # modules, and the layers import only the exact core: `import dialg` and
+    # check stay on the core, info, classify2, census and iso load classify
+    # alone (iso adds glsearch), op and leibniz constructions alone, and
+    # quotient adds structure (for its ideal test). No verb loads gfsearch
+    # or numpy. Through the package, a name loads its own layer alone.
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
     assert _loads("import dialg") == ("", set())
     assert _loads(_main("check", path)) == ("PASS\n", set())
     assert _loads(_main("op", path))[1] == {"dialg.constructions"}
     assert _loads(_main("leibniz", path))[1] == {"dialg.constructions"}
-    layers = {"dialg.classify", "dialg.structure", "dialg.constructions"}
-    # Through the package, the first access to a layer's name loads all three.
-    assert _loads("import dialg\ndialg.opposite") == ("", layers)
-    assert _loads(_main("quotient", path, "--ideal", "1,0"))[1] == layers - {"dialg.classify"}
-    assert _loads(_main("info", path))[1] == layers
-    assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", layers)
+    assert _loads("import dialg\ndialg.opposite") == ("", {"dialg.constructions"})
+    assert _loads("import dialg\ndialg.census") == ("", {"dialg.classify"})
+    assert _loads("import dialg\ndialg.is_ideal") == ("", {"dialg.structure"})
+    quotient = _loads(_main("quotient", path, "--ideal", "1,0"))
+    assert quotient[1] == {"dialg.structure", "dialg.constructions"}
+    assert _loads(_main("info", path))[1] == {"dialg.classify"}
+    assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", {"dialg.classify"})
     pa, pb = t2_files(tmp_path)
-    assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, layers | {"dialg.glsearch"})
+    assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, {"dialg.classify", "dialg.glsearch"})
     # The census scans its normal forms in pure Python.
     census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
-    assert _loads(census) == ("", layers)
+    assert _loads(census) == ("", {"dialg.classify"})
     # The result records are named tuples, so neither loads dataclasses or
     # inspect. site may preload modules: compare with those loaded before.
     added = (
@@ -358,14 +361,14 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
 # ones are bound by `import dialg`; each of the others is read from its home
 # module, below, on first access.
 CORE_NAMES = """
-    Algebra BarUnitSet BilinearProduct DerivationSquareError DialgError Dialgebra Field
-    FieldMismatchError InternalCheckError Mat NonPrimeError NotADerivationError
-    NotADialgebraError NotAnIdealError NotAssociativeError NotInvertibleError
-    NotZeroCubedError ParseError ProductTag Scalar SearchBoundExceededError Subspace
-    UnsupportedOverRationalsError Vec ViolationReport algebras all_subspaces bar_units
-    check_associative check_dialgebra check_leibniz errors fields fileformat identities
-    is_prime is_valid_dialgebra kernel law_residual linalg parse_algebra parse_dialgebra
-    rref serialize_algebra serialize_dialgebra solve
+    Algebra BarUnitSet BilinearProduct DEFAULT_SEARCH_BOUND DerivationSquareError DialgError
+    Dialgebra Field FieldMismatchError InternalCheckError Mat NonPrimeError
+    NotADerivationError NotADialgebraError NotAnIdealError NotAssociativeError
+    NotInvertibleError NotZeroCubedError ParseError ProductTag Scalar SearchBoundExceededError
+    Subspace UnsupportedOverRationalsError Vec ViolationReport algebras all_subspaces
+    bar_units check_associative check_dialgebra check_leibniz errors fields fileformat
+    identities is_prime is_valid_dialgebra kernel law_residual linalg parse_algebra
+    parse_dialgebra rref serialize_algebra serialize_dialgebra solve
 """.split()
 LAZY_HOMES = {
     "classify": """
@@ -376,14 +379,13 @@ LAZY_HOMES = {
         fingerprint is_isomorphism param_dialgebra
     """.split(),
     "structure": """
-        DEFAULT_SEARCH_BOUND AnnihilatorProfile StructureFlags algebra_annihilator
-        algebra_ideals algebra_prime algebra_semiprime algebra_simple annihilators
-        generated_ideal is_ideal is_zero_cubed structure_flags triples_equivalent
-        zero_cubed_decompose
+        AnnihilatorProfile StructureFlags algebra_annihilator algebra_ideals algebra_prime
+        algebra_semiprime algebra_simple annihilators generated_ideal is_ideal
+        structure_flags
     """.split(),
     "constructions": """
-        ZeroCubedTriple from_associative from_differential leibniz_bracket opposite
-        quotient zero_cubed_build
+        ZeroCubedTriple from_associative from_differential is_zero_cubed leibniz_bracket
+        opposite quotient triples_equivalent zero_cubed_build zero_cubed_decompose
     """.split(),
 }
 

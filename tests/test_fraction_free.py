@@ -34,8 +34,8 @@ from dialg import (
     rref,
     solve,
 )
+from dialg.identities import _ann
 from dialg.linalg import _span
-from dialg.structure import _ann
 from helpers import (
     GF2,
     QQ,

@@ -1,24 +1,25 @@
 """The result records: named tuples, except BarUnitSet, which models a set.
 
 Each keeps the repr, hash, equality and immutability it had as a frozen
-dataclass, pickles to an equal record, and ZeroCubedTriple checks its grid
-on every way to build one and holds it as nested tuples, so it hashes and
-no cell changes after the check. The slotted value classes the records hold
-pickle at every protocol as well, without their lazy caches, compare and
-hash by their type and public slots, basis names aside, and every class
-under the one value rule (the tables, Scalar, Vec, Mat, Subspace,
-BarUnitSet and Field) refuses every assignment and deletion, so the shared
-constants Field.zero and Field.one cannot be changed. Every value's pickle
-carries exactly its public slots, a BilinearProduct's its int view, so a
-pickle or copy of a table builds and carries no rows; pickles of tables
-written when they carried their rows still load to equal tables, and a
-pickled view that is not dim x dim is refused on loading.
+dataclass, pickles to an equal record, and ZeroCubedTriple checks its dims
+and grid on every way to build one and holds the grid as nested tuples, so
+it hashes and no cell changes after the check. The slotted value classes
+the records hold pickle at every protocol as well, without their lazy
+caches, compare and hash by their type and public slots, basis names
+aside, and every class under the one value rule (the tables, Scalar, Vec,
+Mat, Subspace, BarUnitSet and Field) refuses every assignment and deletion,
+so the shared constants Field.zero and Field.one cannot be changed. Every
+value's pickle carries exactly its public slots, a BilinearProduct's its
+int view, so a pickle or copy of a table builds and carries no rows;
+pickles of tables written when they carried their rows still load to equal
+tables, and a pickled view that is not dim x dim is refused on loading.
 """
 
 import copy
 import io
 import json
 import pickle
+import re
 
 import pytest
 
@@ -458,6 +459,33 @@ def test_zero_cubed_triple_checks_its_grid_on_every_way_to_build_one(bad):
     unchecked = tuple.__new__(ZeroCubedTriple, bad)
     for protocol in PROTOCOLS:
         with pytest.raises(FieldMismatchError):
+            pickle.loads(pickle.dumps(unchecked, protocol))
+
+
+BAD_DIMS = [
+    # A negative Z or X, each with a grid that fits it, so that only the dims
+    # are wrong; a float and a string for a dim.
+    ((QQ, -1, 0, ()), "z_dim=-1, x_dim=0"),
+    ((QQ, 0, -1, ()), "z_dim=0, x_dim=-1"),
+    ((QQ, 1.0, 0, ()), "z_dim=1.0, x_dim=0"),
+    ((QQ, 2, "0", ()), "z_dim=2, x_dim='0'"),
+]
+
+
+@pytest.mark.parametrize("bad, dims", BAD_DIMS)
+def test_zero_cubed_triple_checks_its_dims_on_every_way_to_build_one(bad, dims):
+    # The dims are checked before the grid, and the refusal names both.
+    match = f"^pairing dims {re.escape(dims)} are not ints >= 0$"
+    with pytest.raises(FieldMismatchError, match=match):
+        ZeroCubedTriple(*bad)
+    with pytest.raises(FieldMismatchError, match=match):
+        ZeroCubedTriple._make(bad)
+    good = ZeroCubedTriple(QQ, 1, 1, ((Vec.of(QQ, [1]),),))
+    with pytest.raises(FieldMismatchError, match=match):
+        good._replace(**dict(zip(ZeroCubedTriple._fields, bad)))
+    unchecked = tuple.__new__(ZeroCubedTriple, bad)
+    for protocol in PROTOCOLS:
+        with pytest.raises(FieldMismatchError, match=match):
             pickle.loads(pickle.dumps(unchecked, protocol))
 
 
