@@ -9,9 +9,9 @@ classification and exhaustive small-field censuses.
 `import dialg` loads only the exact core that every command and file round
 trip needs: errors, fields, linalg, algebras, identities and fileformat.
 The three layers above it, classify, structure and constructions, import
-only that core at load time, never each other. Through this package each
-loads alone on the first access to one of its names (or to it as a
-submodule): then the name is read from its module and kept in this
+only that core at load time, never each other. Through this package they
+load together on the first access to one of their names (or to one of
+those submodules): then the name is read from its module and kept in this
 namespace. No public name loads numpy: only the test reference module
 dialg.gfsearch imports it.
 """
@@ -44,6 +44,7 @@ from .fileformat import (
 from .identities import (
     BarUnitSet,
     ViolationReport,
+    algebra_annihilator,
     bar_units,
     check_associative,
     check_dialgebra,
@@ -100,7 +101,6 @@ _LAZY = {
         "structure": (
             "AnnihilatorProfile",
             "StructureFlags",
-            "algebra_annihilator",
             "algebra_ideals",
             "algebra_prime",
             "algebra_semiprime",
@@ -127,6 +127,10 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
+    # The first access loads all three layers, so a session that uses them
+    # pays the load in one call rather than in up to three.
+    for layer in ("classify", "structure", "constructions"):
+        import_module(f".{layer}", __name__)
     value = import_module(f".{module}", __name__)
     if name != module:
         value = getattr(value, name)

@@ -5,10 +5,13 @@ Exit codes: 0 success / property holds, 1 property fails or no isomorphism,
 2 usage or input errors. All output is deterministic for a fixed input.
 
 The module imports at the top only from the modules `check` runs on: the
-exact core, which `import dialg` loads anyway. Each other verb imports the
-layer it runs in its handler: info, classify2, iso and census from classify,
-leibniz, op and quotient from constructions; json loads only where a handler
-prints it. No verb loads numpy.
+exact core, which `import dialg` loads anyway. Each other verb imports
+what it runs in its handler: leibniz, op and quotient import constructions,
+and info, classify2, iso and census read classify through the package,
+which loads all three layers together. Those four load all three because
+bench/layers.py wraps only the modules a run loads, and the traced cli
+smoke runs no verb but them and check (ROADMAP item 1(b)). json loads only
+where a handler prints it. No verb loads numpy.
 """
 
 from __future__ import annotations
@@ -72,12 +75,12 @@ def cmd_check(args, out):
 
 
 def cmd_info(args, out):
-    from .classify import Fingerprint, fingerprint
+    from . import classify
 
     d = _load(args.path)
-    fp = fingerprint(d)
+    fp = classify.fingerprint(d)
     pairs = [("field", str(d.field)), ("dim", d.dim)]
-    pairs += zip(Fingerprint._fields, fp)
+    pairs += zip(classify.Fingerprint._fields, fp)
     if args.json:
         import json
 
@@ -100,10 +103,10 @@ def _label_record(label):
 
 
 def cmd_classify2(args, out):
-    from .classify import classify_dim2
+    from . import classify
 
     d = _load(args.path)
-    label = classify_dim2(d)
+    label = classify.classify_dim2(d)
     if args.json:
         import json
 
@@ -121,12 +124,12 @@ def cmd_classify2(args, out):
 
 
 def cmd_iso(args, out):
-    from .classify import are_isomorphic
+    from . import classify
 
     a = _load(args.path_a)
     b = _load(args.path_b)
     try:
-        witness = are_isomorphic(a, b, bound=_search_bound())
+        witness = classify.are_isomorphic(a, b, bound=_search_bound())
     except UnsupportedOverRationalsError as exc:
         print(f"UNSUPPORTED: {exc}", file=out)
         return 2
@@ -146,9 +149,9 @@ def _residues(prod):
 def cmd_census(args, out):
     import json
 
-    from .classify import census
+    from . import classify
 
-    for cls in census(args.prime, args.dim, bound=_search_bound()):
+    for cls in classify.census(args.prime, args.dim, bound=_search_bound()):
         record = {
             **_label_record(cls.label),
             "left": _residues(cls.representative.left),

@@ -48,7 +48,7 @@ from .errors import (
     guard_search,
 )
 from .fields import PRIME
-from .identities import _ann, associative_violations, dialgebra_violations
+from .identities import algebra_annihilator, associative_violations, dialgebra_violations
 from .linalg import (
     Mat,
     Subspace,
@@ -93,7 +93,7 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     __slots__ = ()
 
     def __new__(cls, field, z_dim, x_dim, f):
-        if not all(isinstance(d, int) and d >= 0 for d in (z_dim, x_dim)):
+        if not all(type(d) is int and d >= 0 for d in (z_dim, x_dim)):
             raise FieldMismatchError(
                 f"pairing dims z_dim={z_dim!r}, x_dim={x_dim!r} are not ints >= 0"
             )
@@ -173,7 +173,7 @@ def is_zero_cubed(a):
     """A(AA) = (AA)A = 0, which makes a associative: (xy)z = 0 = x(yz). It
     holds exactly when AA, the span of the products e_i e_j, lies in the
     annihilator."""
-    return a.square_space().is_subspace_of(_ann(a.product, a.product))
+    return a.square_space().is_subspace_of(algebra_annihilator(a))
 
 
 def zero_cubed_decompose(a):
@@ -185,7 +185,7 @@ def zero_cubed_decompose(a):
     zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
     Z block of the rebased product of the complement units i and j.
     """
-    z = _ann(a.product, a.product)
+    z = algebra_annihilator(a)
     if not a.square_space().is_subspace_of(z):
         raise NotZeroCubedError("input is not an associative zero-cubed algebra")
     field, n = a.field, a.dim

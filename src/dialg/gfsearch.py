@@ -51,11 +51,19 @@ soon as none is left. No library path calls it: are_isomorphic and
 automorphism_group run glsearch's pure-Python row-by-row search, which
 yields the same maps in the same order without numpy. Like pair_orbit and
 transform_tensor_batch, it is kept as a test reference.
+
+The module loads structure and constructions, though it reads nothing from
+them. bench/session.py imports it before it times any op, and it loaded
+both when it read the search bound from structure: loading them here keeps
+their compile out of the search workload's timed ops, and has the bench
+tracer wrap both layers, until the session imports the layers it times and
+the tracer every module it reads (ROADMAP item 1(b)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib import import_module
 from itertools import product
 from math import prod
 
@@ -63,6 +71,11 @@ import numpy as np
 
 from .errors import DEFAULT_SEARCH_BOUND, guard_search
 from .identities import DIALGEBRA_LAWS, _law_equations
+
+# Loaded for the search bench alone (see the docstring). `from . import`
+# would go through the package, which loads classify as well.
+import_module(".structure", __package__)
+import_module(".constructions", __package__)
 
 
 def _place_values(p, length):

@@ -38,9 +38,10 @@ else expands the table.
 
 The annihilator ann = rann_left meet lann_right and the bar-units read one
 linear system, the rows of x -> e_i <| x and x -> x |> e_i, off the two
-products' views. _ann takes its kernel, which structure's
-algebra_annihilator, constructions' zero-cubed test and classify_dim2 read;
-_bar_unit_rows appends the right-hand sides of x <| e = x = e |> x.
+products' views. _ann takes its kernel: classify_dim2 reads it for a
+dialgebra, and algebra_annihilator for a single-product algebra, which is
+what constructions' zero-cubed test and decomposition call. _bar_unit_rows
+appends the right-hand sides of x <| e = x = e |> x.
 """
 
 from __future__ import annotations
@@ -289,6 +290,11 @@ def _ann(left, right):
     lann of right: one kernel of the rows of x -> e_i <| x and x -> x |> e_i."""
     rows = [*left.multiplication_rows().values(), *right.multiplication_rows(right=True).values()]
     return _kernel(left.field, rows, left.dim)
+
+
+def algebra_annihilator(a):
+    """{x : x A = A x = 0} for a single-product algebra."""
+    return _ann(a.product, a.product)
 
 
 def _bar_unit_rows(d):

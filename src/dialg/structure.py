@@ -23,9 +23,9 @@ scans and perfection predicates build no Vec and no basis for a subspace.
 The annihilators are kernels of the int rows that
 BilinearProduct.multiplication_rows reads off each product's sparse view:
 one kernel per one-sided annihilator, and ann = rann_left meet lann_right
-as one kernel of the two systems' echelon rows together.
-`algebra_annihilator` needs ann alone and takes it from identities._ann, one
-kernel of the raw rows with no one-sided kernel.
+as one kernel of the two systems' echelon rows together. The annihilator of
+a single-product algebra, `algebra_annihilator`, needs ann alone and lives
+in identities, beside the one kernel it takes.
 
 This module imports only the exact core, the search bound and its refusal
 from errors among it, so it never imports another layer, gfsearch or numpy.
@@ -47,7 +47,6 @@ from .errors import (
     guard_search,
 )
 from .fields import PRIME
-from .identities import _ann
 from .linalg import Subspace, _echelon, _insert, _null_space, all_subspaces, contract
 
 
@@ -84,11 +83,6 @@ def annihilators(d):
     return AnnihilatorProfile(
         *(_null_space(field, *e, n) for e in (rann_left, lann_left, rann_right, lann_right, both))
     )
-
-
-def algebra_annihilator(a):
-    """{x : x A = A x = 0} for a single-product algebra."""
-    return _ann(a.product, a.product)
 
 
 def _closure(u, products, stop=None):

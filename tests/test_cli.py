@@ -324,29 +324,29 @@ def _main(*argv):
 
 
 def test_exact_verbs_do_not_import_numpy(tmp_path):
-    # Each verb loads only the layers it runs, importing them from their
-    # modules, and the layers import only the exact core: `import dialg` and
-    # check stay on the core, info, classify2, census and iso load classify
-    # alone (iso adds glsearch), op and leibniz constructions alone, and
-    # quotient adds structure (for its ideal test). No verb loads gfsearch
-    # or numpy. Through the package, a name loads its own layer alone.
+    # The layers import only the exact core: `import dialg` and check stay on
+    # the core, `import dialg.classify` loads that layer alone, op and
+    # leibniz load constructions alone, and quotient adds structure (for its
+    # ideal test). info, classify2, iso and census read classify through the
+    # package, which loads the three layers together; iso adds glsearch. No
+    # verb loads gfsearch or numpy.
     path = write(tmp_path, "i.dialg", canonical_dialgebra(KIND_I, QQ))
     assert _loads("import dialg") == ("", set())
+    assert _loads("import dialg.classify") == ("", {"dialg.classify"})
     assert _loads(_main("check", path)) == ("PASS\n", set())
     assert _loads(_main("op", path))[1] == {"dialg.constructions"}
     assert _loads(_main("leibniz", path))[1] == {"dialg.constructions"}
-    assert _loads("import dialg\ndialg.opposite") == ("", {"dialg.constructions"})
-    assert _loads("import dialg\ndialg.census") == ("", {"dialg.classify"})
-    assert _loads("import dialg\ndialg.is_ideal") == ("", {"dialg.structure"})
-    quotient = _loads(_main("quotient", path, "--ideal", "1,0"))
-    assert quotient[1] == {"dialg.structure", "dialg.constructions"}
-    assert _loads(_main("info", path))[1] == {"dialg.classify"}
-    assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", {"dialg.classify"})
+    layers = {"dialg.classify", "dialg.structure", "dialg.constructions"}
+    # Through the package, the first access to a layer's name loads all three.
+    assert _loads("import dialg\ndialg.opposite") == ("", layers)
+    assert _loads(_main("quotient", path, "--ideal", "1,0"))[1] == layers - {"dialg.classify"}
+    assert _loads(_main("info", path))[1] == layers
+    assert _loads(_main("classify2", path)) == ("I\nwitness:\n1 0\n0 1\n", layers)
     pa, pb = t2_files(tmp_path)
-    assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, {"dialg.classify", "dialg.glsearch"})
+    assert _loads(_main("iso", pa, pb)) == (T2_WITNESS, layers | {"dialg.glsearch"})
     # The census scans its normal forms in pure Python.
     census = "from dialg.cli import main\nimport io\nmain(['census', '--prime', '2'], io.StringIO())"
-    assert _loads(census) == ("", {"dialg.classify"})
+    assert _loads(census) == ("", layers)
     # The result records are named tuples, so neither loads dataclasses or
     # inspect. site may preload modules: compare with those loaded before.
     added = (
@@ -365,8 +365,8 @@ CORE_NAMES = """
     Dialgebra Field FieldMismatchError InternalCheckError Mat NonPrimeError
     NotADerivationError NotADialgebraError NotAnIdealError NotAssociativeError
     NotInvertibleError NotZeroCubedError ParseError ProductTag Scalar SearchBoundExceededError
-    Subspace UnsupportedOverRationalsError Vec ViolationReport algebras all_subspaces
-    bar_units check_associative check_dialgebra check_leibniz errors fields fileformat
+    Subspace UnsupportedOverRationalsError Vec ViolationReport algebra_annihilator algebras
+    all_subspaces bar_units check_associative check_dialgebra check_leibniz errors fields fileformat
     identities is_prime is_valid_dialgebra kernel law_residual linalg parse_algebra
     parse_dialgebra rref serialize_algebra serialize_dialgebra solve
 """.split()
@@ -379,7 +379,7 @@ LAZY_HOMES = {
         fingerprint is_isomorphism param_dialgebra
     """.split(),
     "structure": """
-        AnnihilatorProfile StructureFlags algebra_annihilator algebra_ideals algebra_prime
+        AnnihilatorProfile StructureFlags algebra_ideals algebra_prime
         algebra_semiprime algebra_simple annihilators generated_ideal is_ideal
         structure_flags
     """.split(),

@@ -464,11 +464,12 @@ def test_zero_cubed_triple_checks_its_grid_on_every_way_to_build_one(bad):
 
 BAD_DIMS = [
     # A negative Z or X, each with a grid that fits it, so that only the dims
-    # are wrong; a float and a string for a dim.
+    # are wrong; a float, a string and a bool for a dim.
     ((QQ, -1, 0, ()), "z_dim=-1, x_dim=0"),
     ((QQ, 0, -1, ()), "z_dim=0, x_dim=-1"),
     ((QQ, 1.0, 0, ()), "z_dim=1.0, x_dim=0"),
     ((QQ, 2, "0", ()), "z_dim=2, x_dim='0'"),
+    ((QQ, True, 0, ()), "z_dim=True, x_dim=0"),
 ]
 
 
