@@ -29,9 +29,11 @@ built on first read as a Subspace's basis is. Producers build the view
 directly: from raw values (from_entries, the parser and classify's
 canonical tables, by _from_values), from int numerators with one reduction
 mod p or one gcd pass (_from_numerators: rebase, quotients, the Leibniz
-bracket and the census's residue tensors), or, for transpose_args and for
-a pickle or copy, from a canonical view as it is (_of). So a pickle
-neither builds nor carries rows.
+bracket, from_differential and the census's residue tensors), or from a
+canonical view as it is: unchecked for transpose_args (_from_view), and
+checked for a pickle or copy (_of), which refuses any view that is not
+canonical. So a pickle neither builds nor carries rows, and no library code
+reads rows: only callers do.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
 `contract`, over the view. apply and rebase scale their vector and matrix
@@ -64,14 +66,50 @@ from .linalg import Vec, _dense, _span, _terms, _vec_terms, contract, contract_p
 
 def _entry_key(key, bounds):
     """key itself if it is a tuple of three ints, each in range of its bound;
-    any other key is a FieldMismatchError naming it."""
+    any other key, one with a bool index included, is a FieldMismatchError
+    naming it."""
     if not (
         isinstance(key, tuple)
         and len(key) == 3
-        and all(isinstance(i, int) and 0 <= i < n for i, n in zip(key, bounds))
+        and all(type(i) is int and 0 <= i < n for i, n in zip(key, bounds))
     ):
         raise FieldMismatchError(f"entry key {key!r} is not three ints below {bounds}")
     return key
+
+
+def _check_dim(dim):
+    """Refuse a dimension that is not an int >= 0, a bool included."""
+    if type(dim) is not int or dim < 0:
+        raise FieldMismatchError(f"dimension {dim!r} is not an int >= 0")
+
+
+def _canonical(field, dim, sparse, den):
+    """Whether (sparse, den), dim x dim already, is a canonical int view over
+    field (see BilinearProduct): nested tuples; in each cell, terms (k, g) of
+    ints with k strictly increasing in [0, dim) and g != 0; den a positive
+    int; over GF(p) residues g in (0, p) over den 1, and over Q numerators
+    with no factor common to all of them and den."""
+    p = field.p if field.is_finite else None
+    if not (type(den) is int and den > 0 and (p is None or den == 1)):
+        return False
+    if type(sparse) is not tuple or any(type(r) is not tuple for r in sparse):
+        return False
+    numerators = []
+    for cell in (c for r in sparse for c in r):
+        if type(cell) is not tuple:
+            return False
+        last = -1
+        for term in cell:
+            if type(term) is not tuple or len(term) != 2:
+                return False
+            k, g = term
+            if not (type(k) is int and last < k < dim and type(g) is int and g):
+                return False
+            if p is not None and not 0 < g < p:
+                return False
+            last = k
+            numerators.append(g)
+    return p is not None or gcd(den, *numerators) == 1
 
 
 def _grid(cells, n):
@@ -92,14 +130,16 @@ class BilinearProduct(_Value):
     The view is canonical, so it is the table's value: equality and the
     hash compare it. rows, gamma[i][j] as the Vec of coordinates of
     e_i * e_j, is built when first read; a table built from rows keeps them.
-    A pickle or copy carries the view and loads through _of, which refuses a
-    view that is not dim x dim; a pickle written while tables pickled their
-    rows loads through the constructor.
+    A pickle or copy carries the view and loads through _of, which refuses,
+    as a FieldMismatchError, a view that is not canonical; a pickle written
+    while tables pickled their rows loads through the constructor. Every
+    constructor refuses a dim that is not an int >= 0.
     """
 
     __slots__ = ("field", "dim", "sparse", "den", "_rows")
 
     def __init__(self, field, dim, rows):
+        _check_dim(dim)
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
@@ -132,17 +172,27 @@ class BilinearProduct(_Value):
             common = gcd(den, *(g for c in cells for _, g in c))
             if common != 1:
                 cells, den = [[(k, g // common) for k, g in c] for c in cells], den // common
-        return cls._of(field, dim, _grid(cells, dim), den)
+        return cls._from_view(field, dim, _grid(cells, dim), den)
 
     @classmethod
-    def _of(cls, field, dim, sparse, den):
-        """The table whose int view, canonical already, is (sparse, den); a
-        pickle loads through it, so it checks the view's shape."""
-        if len(sparse) != dim or any(len(r) != dim for r in sparse):
-            raise FieldMismatchError("structure constant tensor is not dim x dim")
+    def _from_view(cls, field, dim, sparse, den):
+        """The table whose int view, canonical already, is (sparse, den),
+        unchecked but for dim."""
+        _check_dim(dim)
         table = object.__new__(cls)
         table._fill(field, dim, sparse, den, None)
         return table
+
+    @classmethod
+    def _of(cls, field, dim, sparse, den):
+        """The table whose int view is (sparse, den), checked, since a pickle
+        loads through it: a view that is not canonical would load as a table
+        unequal to its canonical twin, or one whose rows cannot be read."""
+        if len(sparse) != dim or any(len(r) != dim for r in sparse):
+            raise FieldMismatchError("structure constant tensor is not dim x dim")
+        if not _canonical(field, dim, sparse, den):
+            raise FieldMismatchError("structure constant view is not canonical")
+        return cls._from_view(field, dim, sparse, den)
 
     def __reduce__(self):
         return self._of, self._args(self)
@@ -154,6 +204,7 @@ class BilinearProduct(_Value):
     @classmethod
     def from_entries(cls, field, dim, entries):
         """Build from a {(i, j, k): coefficient} mapping, 0-based indices."""
+        _check_dim(dim)
         values = {_entry_key(key, (dim,) * 3): field.scalar(c).value for key, c in entries.items()}
         return cls._from_values(field, dim, values)
 
@@ -222,7 +273,7 @@ class BilinearProduct(_Value):
 
     def transpose_args(self):
         """The product with swapped arguments: gamma'[i][j] = gamma[j][i]."""
-        return BilinearProduct._of(self.field, self.dim, tuple(zip(*self.sparse)), self.den)
+        return BilinearProduct._from_view(self.field, self.dim, tuple(zip(*self.sparse)), self.den)
 
     def rebase(self, t, t_inv):
         """Structure constants in the basis whose rows (in old coordinates) are t."""
@@ -270,6 +321,7 @@ class Algebra(_Value):
     __slots__ = ("field", "dim", "product", "basis_names")
 
     def __init__(self, field, dim, product, basis_names=None):
+        _check_dim(dim)
         if product.field is not field or product.dim != dim:
             raise FieldMismatchError("product does not match the algebra")
         self._fill(field, dim, product, _check_names(basis_names, dim))
@@ -309,6 +361,7 @@ class Dialgebra(_Value):
     __slots__ = ("field", "dim", "left", "right", "basis_names")
 
     def __init__(self, field, dim, left, right, basis_names=None):
+        _check_dim(dim)
         for prod in (left, right):
             if prod.field is not field or prod.dim != dim:
                 raise FieldMismatchError("product does not match the dialgebra")

@@ -12,10 +12,11 @@ zero-cubed. Such an algebra is associative, since then (xy)z = 0 = x(yz),
 so is_zero_cubed tests that every product lies in the annihilator, and
 nothing else. It splits as its annihilator Z plus a pairing f: X x X -> Z
 on the non-pivot units X: zero_cubed_decompose rebases onto that basis and
-reads f[a][b] as the Z block of the rebased table's row for the X units a
-and b. Triple equivalence is an isomorphism search: each pairing becomes
-the algebra on X + Z, X first, and glsearch's row search, imported on first
-use and split into the X and Z blocks, finds the block maps (alpha, beta).
+reads f[a][b] off the rebased table's int view, as the Z terms of the cell
+of the X units a and b over its den. Triple equivalence is an isomorphism
+search: each pairing becomes the algebra on X + Z, X first, and glsearch's
+row search, imported on first use and split into the X and Z blocks, finds
+the block maps (alpha, beta).
 
 A ZeroCubedTriple's pairing is read in one place, ZeroCubedTriple._product,
 which writes its table in either block order: Z coordinates first for
@@ -23,6 +24,11 @@ zero_cubed_build, X first for apply, radical and triple equivalence. No
 other code turns f into numbers (image spans its Vecs as they are), and
 each call builds the table anew: no caller applies one triple repeatedly,
 so no view of f is kept.
+
+from_differential builds both of its tables, and checks the product rule
+and d^2 = 0, by contractions of d's int rows with the algebra's view, and
+quotient reduces each kept cell of the view, and each unit for its
+projection, modulo the ideal on int terms: neither reads a table's rows.
 
 At load time this module imports only the exact core; quotient imports
 structure's ideal test when it runs.
@@ -183,7 +189,8 @@ def zero_cubed_decompose(a):
     coordinates (annihilator basis first, then the units at its non-pivot
     columns); rewriting a on that basis gives exactly
     zero_cubed_build(triple). A*A lies in the annihilator, so f[i][j] is the
-    Z block of the rebased product of the complement units i and j.
+    Z block of the rebased product of the complement units i and j: the Z
+    terms of its cell in the rebased table's view, over the view's den.
     """
     z = algebra_annihilator(a)
     if not a.square_space().is_subspace_of(z):
@@ -192,8 +199,10 @@ def zero_cubed_decompose(a):
     units = (Vec.unit(field, n, c) for c in range(n) if c not in z.pivots)
     witness = Mat(field, (*z.basis.rows, *units), n)
     rebased, zd = a.rebase(witness), z.dim
-    f = [[Vec(field, v.coords[:zd]) for v in row[zd:]] for row in rebased.product.rows[zd:]]
-    triple = ZeroCubedTriple(field, z.dim, n - z.dim, f)
+    # Cut to Z here; a term outside Z fails the check below.
+    view, den = rebased.product.sparse, rebased.product.den
+    f = [[Vec.from_numerators(field, _dense(n, c)[:zd], den) for c in r[zd:]] for r in view[zd:]]
+    triple = ZeroCubedTriple(field, zd, n - zd, f)
     _require(rebased == zero_cubed_build(triple), "complement product left the annihilator")
     return triple, witness
 
@@ -239,30 +248,31 @@ def from_differential(a, d):
     The matrix d acts on row coordinates (d(x) = x @ d). It must satisfy the
     product rule and square to zero; the mixed laws need every x d(d(y)) z
     term to vanish, so anything weaker is rejected. The two tables are built
-    once, and the product rule d(e_i e_j) = e_i <| e_j + e_i |> e_j is
-    checked on them, pair by pair in row-major order.
+    once, as int numerators over one den by contractions with a's view, and
+    the product rule d(e_i e_j) = e_i <| e_j + e_i |> e_j is checked on
+    them, pair by pair in row-major order, before d^2 = 0.
     """
     if any(associative_violations(a)):
         raise NotAssociativeError("the underlying algebra must be associative")
     if d.field is not a.field or d.shape != (a.dim, a.dim):
         raise FieldMismatchError("derivation matrix shape mismatch")
-    n = a.dim
-    units = tuple(Vec.unit(a.field, n, i) for i in range(n))
-    left = tuple(tuple(a.multiply(units[i], d.row(j)) for j in range(n)) for i in range(n))
-    right = tuple(tuple(a.multiply(d.row(i), units[j]) for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if a.product.row(i, j) @ d != left[i][j] + right[i][j]:
-                raise NotADerivationError(f"product rule fails on basis pair ({i}, {j})")
-    if not (d @ d).is_zero():
+    field, n, view = a.field, a.dim, a.product.sparse
+    # d(e_j) = ds[j] / dd, so each product below is over a's den times dd.
+    ds, dd = field.numerators([_vec_terms(r) for r in d.rows])
+    columns = tuple(zip(*view))
+    # e_i <| e_j = e_i d(e_j) and e_i |> e_j = d(e_i) e_j, row-major.
+    left = [_terms(contract([0] * n, ds[j], view[i])) for i in range(n) for j in range(n)]
+    right = [_terms(contract([0] * n, ds[i], columns[j])) for i in range(n) for j in range(n)]
+    for c, cells in enumerate(zip(left, right)):
+        # d(e_i e_j) - e_i <| e_j - e_i |> e_j, for (i, j) = divmod(c, n).
+        residual = contract(contract([0] * n, view[c // n][c % n], ds), [(0, -1), (1, -1)], cells)
+        if any(field.reduce(residual)):
+            raise NotADerivationError(f"product rule fails on basis pair {divmod(c, n)}")
+    if any(any(field.reduce(contract([0] * n, row, ds))) for row in ds):
         raise DerivationSquareError("derivation does not square to zero")
-    return Dialgebra(
-        a.field,
-        n,
-        BilinearProduct(a.field, n, left),
-        BilinearProduct(a.field, n, right),
-        a.basis_names,
-    )
+    den = a.product.den * dd
+    tables = [BilinearProduct._from_numerators(field, n, cells, den) for cells in (left, right)]
+    return Dialgebra(field, n, *tables, a.basis_names)
 
 
 def leibniz_bracket(d):
@@ -296,30 +306,31 @@ def quotient(d, ideal):
         raise FieldMismatchError("ideal does not live in the dialgebra's space")
     if not is_ideal(d, ideal):
         raise NotAnIdealError("subspace is not a two-sided ideal for both products")
-    keep = [c for c in range(d.dim) if c not in ideal.pivots]
-    new_dim = len(keep)
-    units = tuple(Vec.unit(d.field, d.dim, i) for i in range(d.dim))
-
-    def project(v):
-        reduced = ideal.reduce(v)
-        return Vec(d.field, tuple(reduced.coords[c] for c in keep))
-
-    proj = Mat(d.field, tuple(project(units[c]) for c in range(d.dim)), new_dim)
-
-    # Each kept e_a * e_b reduced modulo the ideal, on int numerator terms: a
-    # row with a term at a pivot comes back over den times its own scale.
+    field, n = d.field, d.dim
+    keep = [c for c in range(n) if c not in ideal.pivots]
+    dim = len(keep)
+    # Terms reduced modulo the ideal and cut to the kept coordinates, as int
+    # numerators: a row with a term at a pivot comes back over its own scale.
     pivots, rows, place = set(ideal.pivots), ideal._row_terms(), {c: i for i, c in enumerate(keep)}
 
     def residue(terms):
-        if not any(k in pivots for k, _ in terms):
-            return terms, 1
-        r, scale = _residue(_dense(d.dim, terms), ideal.pivots, rows)
-        return _terms(r), scale
+        scale = 1
+        if any(k in pivots for k, _ in terms):
+            r, scale = _residue(_dense(n, terms), ideal.pivots, rows)
+            terms = _terms(r)
+        return [(place[k], g) for k, g in terms if k in place], scale
+
+    # Row c of P is e_c reduced the same way; a kept e_c stays a unit, its
+    # Scalars shared, as Subspace.reduce leaves a vector off the pivots.
+    units = [residue([(c, 1)]) for c in range(n)]
+    proj = Mat(field, [Vec.unit(field, dim, place[c]) if c in place
+                       else Vec.from_numerators(field, _dense(dim, t), s)
+                       for c, (t, s) in enumerate(units)], dim)
 
     def projected(prod):
         cells = [residue(prod.sparse[a][b]) for a in keep for b in keep]
         big = lcm(*(scale for _, scale in cells))
-        cells = [[(place[k], big // s * g) for k, g in t if k in place] for t, s in cells]
-        return BilinearProduct._from_numerators(d.field, new_dim, cells, prod.den * big)
+        cells = [t if s == big else [(k, big // s * g) for k, g in t] for t, s in cells]
+        return BilinearProduct._from_numerators(field, dim, cells, prod.den * big)
 
-    return Dialgebra(d.field, new_dim, *d._per_product(projected)), proj
+    return Dialgebra(field, dim, *d._per_product(projected)), proj

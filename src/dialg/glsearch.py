@@ -14,8 +14,10 @@ equivalence in constructions asks for that, with its pairing block X
 first, so the first hit is the least beta of the pairing block paired with
 the least alpha of the annihilator block.
 
-Dimension 1 is one closed form on Scalars over any field (see
-_scalar_isomorphisms); classify takes the rational dim-1 witness from it.
+Dimension 1 is one closed form on raw values over any field (see
+_scalar_isomorphisms): each product's one constant is read off its int
+view, and Scalars are built only for the maps it yields. classify takes
+the rational dim-1 witness from it.
 """
 
 from __future__ import annotations
@@ -42,18 +44,20 @@ def _scalar_isomorphisms(a, b):
     product. A nonzero y fixes t, which must be nonzero and agree across both
     products; x != 0 with y = 0 allows no map. Otherwise every nonzero t
     works: GF(p) lists them in increasing order, and over the rationals t = 1
-    stands for them all (callers take only the first)."""
+    stands for them all (callers take only the first). x and y are read as
+    numerators off the views, and t = x / y is formed on raw values."""
     field, hits = a.field, None
     for pa, pb in ((a.left, b.left), (a.right, b.right)):
-        x, y = pa.entry(0, 0, 0), pb.entry(0, 0, 0)
+        # The numerators of the two constants, each over its table's den.
+        x, y = (sum(g for _, g in q.sparse[0][0]) for q in (pa, pb))
         if y:
-            t = x / y
+            t = field.reduce([x * pb.den * field.reciprocal(y * pa.den)])[0]
             hits = [t] if t and (hits is None or hits == [t]) else []
         elif x:
             hits = []
     if hits is None:
-        hits = map(field.scalar, range(1, field.p)) if field.kind == PRIME else [field.one]
-    return (Mat(field, [Vec(field, [t])], 1) for t in hits)
+        hits = range(1, field.p) if field.kind == PRIME else [1]
+    return (Mat.from_rows(field, [[t]]) for t in hits)
 
 
 def _row_search(a, b, p, n, split):

@@ -26,7 +26,10 @@ which is the plain subtraction over GF(p), where L = 1.
 
 Scalars are built only for results, by one exit, Vec.from_numerators
 (Field.divide): int numerators over one denominator, divided once each, or
-reduced mod p. An echelon row leaves over its pivot, a product or residue
+reduced mod p. That holds for the whole library, input coercion
+(Field.scalar) aside: no library code reads a table's rows or does Scalar
+or Vec arithmetic, which only law_residual and BarUnitSet's contains and
+elements offer callers. An echelon row leaves over its pivot, a product or residue
 over the common denominator of its inputs (Field.numerators, integral) times
 its own scale, so every Scalar over Q holds a Fraction. A Subspace stays in
 int rows: every sum, meet, kernel, span, residue and element here, and every

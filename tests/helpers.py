@@ -19,12 +19,15 @@ from dialg import (
     AnnihilatorProfile,
     BarUnitSet,
     BilinearProduct,
+    DerivationSquareError,
     Dialgebra,
     Field,
     FieldMismatchError,
     Fingerprint,
     Mat,
+    NotADerivationError,
     NotADialgebraError,
+    NotAssociativeError,
     NotInvertibleError,
     ProductTag,
     Subspace,
@@ -32,6 +35,7 @@ from dialg import (
     ZeroCubedTriple,
     all_subspaces,
     canonical_dialgebra,
+    check_associative,
     from_associative,
     from_differential,
     opposite,
@@ -729,6 +733,34 @@ def reference_mat_vec(m, v):
                 acc = acc + a * b
         out.append(acc)
     return Vec(m.field, tuple(out))
+
+
+def reference_from_differential(a, d):
+    """from_differential on Scalars, per entry: each table of unit products
+    e_i d(e_j) and d(e_i) e_j by Algebra.multiply, the product rule checked
+    as a Vec sum pair by pair in row-major order, then d^2 = 0 by Mat
+    product, with from_differential's refusals and messages."""
+    if check_associative(a):
+        raise NotAssociativeError("the underlying algebra must be associative")
+    if d.field is not a.field or d.shape != (a.dim, a.dim):
+        raise FieldMismatchError("derivation matrix shape mismatch")
+    n = a.dim
+    units = tuple(Vec.unit(a.field, n, i) for i in range(n))
+    left = tuple(tuple(a.multiply(units[i], d.row(j)) for j in range(n)) for i in range(n))
+    right = tuple(tuple(a.multiply(d.row(i), units[j]) for j in range(n)) for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            if a.product.row(i, j) @ d != left[i][j] + right[i][j]:
+                raise NotADerivationError(f"product rule fails on basis pair ({i}, {j})")
+    if not (d @ d).is_zero():
+        raise DerivationSquareError("derivation does not square to zero")
+    return Dialgebra(
+        a.field,
+        n,
+        BilinearProduct(a.field, n, left),
+        BilinearProduct(a.field, n, right),
+        a.basis_names,
+    )
 
 
 def reference_zero_cubed_apply(t, x, y):

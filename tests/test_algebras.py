@@ -9,6 +9,7 @@ from dialg import (
     KIND_II,
     KIND_III,
     Algebra,
+    BilinearProduct,
     Dialgebra,
     FieldMismatchError,
     ProductTag,
@@ -109,7 +110,8 @@ def test_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
-    "key", [(-1, 0, 0), (0, 0, -2), (0, 2, 0), (0, 0), (0, 0, 0, 0), (0, 0, 1.0), "abc"]
+    "key",
+    [(-1, 0, 0), (0, 0, -2), (0, 2, 0), (0, 0), (0, 0, 0, 0), (0, 0, 1.0), "abc", (True, 0, 0)],
 )
 def test_from_entries_rejects_keys_outside_the_index_range(key):
     for build in (
@@ -118,6 +120,21 @@ def test_from_entries_rejects_keys_outside_the_index_range(key):
         lambda: Algebra.from_entries(QQ, 2, {key: 1}),
     ):
         with pytest.raises(FieldMismatchError, match="entry key"):
+            build()
+
+
+def test_a_table_constructor_refuses_a_bool_dim():
+    # True == 1, so each of these built a dim-1 table named dim True.
+    one = BilinearProduct.zero(QQ, 1)
+    for build in (
+        lambda: Dialgebra.from_entries(QQ, True, {(0, 0, 0): 1}),
+        lambda: Algebra.from_entries(QQ, True, {}),
+        lambda: BilinearProduct.zero(QQ, True),
+        lambda: Dialgebra.trivial(QQ, True),
+        lambda: Algebra(QQ, True, one),
+        lambda: Dialgebra(QQ, True, one, one),
+    ):
+        with pytest.raises(FieldMismatchError, match="dimension True is not an int >= 0"):
             build()
 
 

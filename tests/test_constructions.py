@@ -9,6 +9,7 @@ from dialg import (
     KIND_III,
     Algebra,
     DerivationSquareError,
+    DialgError,
     Dialgebra,
     FieldMismatchError,
     Mat,
@@ -35,9 +36,13 @@ from dialg import (
 from helpers import (
     GF3,
     GF5,
+    GF7,
     QQ,
+    associative_zoo,
     inner_derivation_by_e12,
+    random_invertible,
     random_valid_dialgebras,
+    reference_from_differential,
     square_algebra,
     upper_triangular_algebra,
 )
@@ -198,6 +203,53 @@ def test_from_differential_rejects_non_associative_base():
     bad = Algebra.from_entries(QQ, 2, {(0, 0, 1): 1, (0, 1, 0): 1})
     with pytest.raises(NotAssociativeError):
         from_differential(bad, Mat.zero(QQ, 2, 2))
+
+
+def _derivation_inputs(field, rng):
+    """(algebra, matrix) pairs, seeded: every {-1, 0, 1} matrix on each dim-2
+    zoo algebra; drawn matrices, the zero matrix and scaled conjugates of the
+    E12 bracket (square-zero derivations) on upper triangular algebras,
+    rebased or not; and a non-associative base."""
+    zoo = associative_zoo(field)
+    for a in zoo[:-1]:
+        for values in product((-1, 0, 1), repeat=4):
+            yield a, Mat.from_rows(field, [values[:2], values[2:]])
+    ut, e12 = zoo[-1], inner_derivation_by_e12(field)
+    for _ in range(12):
+        t = random_invertible(field, 3, rng)
+        a = ut.rebase(t) if rng.randrange(2) else ut
+        yield a, Mat.from_rows(field, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(3)]
+                                       for _ in range(3)])
+        c = field.scalar(rng.choice((1, -1, 2, 3)))
+        yield ut.rebase(t), t @ Mat(field, [r.scale(c) for r in e12.rows], 3) @ t.inverse()
+    yield ut, Mat.zero(field, 3, 3)
+    yield Algebra.from_entries(field, 2, {(0, 0, 1): 1, (0, 1, 0): 1}), Mat.zero(field, 2, 2)
+
+
+def _outcome(build, a, m):
+    try:
+        return build(a, m)
+    except DialgError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, GF7], ids=str)
+def test_from_differential_matches_the_per_entry_reference(field):
+    kinds = set()
+    for a, m in _derivation_inputs(field, random.Random(17)):
+        got, want = _outcome(from_differential, a, m), _outcome(reference_from_differential, a, m)
+        if isinstance(want, tuple):
+            assert got == want
+            kinds.add(want[0])
+            continue
+        assert got == want and got.basis_names == want.basis_names
+        assert (got.right is got.left) == (want.right is want.left)
+        assert (got.left.sparse, got.left.den) == (want.left.sparse, want.left.den)
+        assert (got.right.sparse, got.right.den) == (want.right.sparse, want.right.den)
+        kinds.add("shared" if got.right is got.left else "distinct")
+    # Both kinds of table and every refusal occur.
+    assert kinds == {"shared", "distinct", NotADerivationError, DerivationSquareError,
+                     NotAssociativeError}
 
 
 def test_leibniz_bracket_of_I():

@@ -3,6 +3,8 @@ oracle, and the row-by-row search behind are_isomorphic and
 automorphism_group against that scan."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from dialg import (
     DEFAULT_SEARCH_BOUND,
+    Dialgebra,
     Field,
+    Mat,
     are_isomorphic,
     automorphism_group,
     census,
@@ -183,3 +187,31 @@ def test_shared_products_search_one_equation_set(p, name):
         mats, _ = gl_matrices(p, d.dim)
         want = reference_isomorphism_indices(pair, pair, p).tolist()
         assert got == [int_matrix_to_mat(field, mats[g]) for g in want]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_dim_1_closed_form_is_the_scan_over_every_nonzero_map(p):
+    field = Field.prime(p)
+    tables = [Dialgebra.from_entries(field, 1, {(0, 0, 0): x}, {(0, 0, 0): y})
+              for x in range(p) for y in range(p)]
+    maps = [Mat.from_rows(field, [[t]]) for t in range(1, p)]
+    for a in tables:
+        assert automorphism_group(a) == [t for t in maps if is_isomorphism(a, a, t)]
+        for b in tables:
+            hits = [t for t in maps if is_isomorphism(a, b, t)]
+            assert are_isomorphic(a, b) == (hits[0] if hits else None)
+
+
+def test_the_dim_1_closed_form_over_the_rationals_is_the_verified_ratio():
+    """Over Q the one candidate map is x / y for any product whose constant y
+    in b is nonzero, else 1; the answer is that map if it verifies, else None."""
+    field, values = Field.rationals(), (0, 1, -2, Fraction(1, 2), Fraction(-3, 4))
+    pairs = list(product(values, repeat=2))
+    tables = {c: Dialgebra.from_entries(field, 1, {(0, 0, 0): c[0]}, {(0, 0, 0): c[1]})
+              for c in pairs}
+    for ca, cb in product(pairs, repeat=2):
+        a, b = tables[ca], tables[cb]
+        ratios = {Fraction(x) / y for x, y in zip(ca, cb) if y} or {1}
+        maps = [Mat.from_rows(field, [[t]]) for t in ratios if t]
+        hits = [t for t in maps if is_isomorphism(a, b, t)]
+        assert are_isomorphic(a, b) == (hits[0] if hits else None)

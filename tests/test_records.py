@@ -12,14 +12,20 @@ so the shared constants Field.zero and Field.one cannot be changed. Every
 value's pickle carries exactly its public slots, a BilinearProduct's its
 int view, so a pickle or copy of a table builds and carries no rows;
 pickles of tables written when they carried their rows still load to equal
-tables, and a pickled view that is not dim x dim is refused on loading.
+tables, and a pickled view that is not canonical (not dim x dim, or
+not the one int view its table has) is refused on loading. The source
+keeps the three rules of the value class to their own modules: the freeze,
+value and pickle methods are defined where the class docstrings say.
 """
 
+import ast
 import copy
 import io
 import json
 import pickle
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +57,7 @@ from dialg import (
     zero_cubed_build,
 )
 from dialg.cli import main
-from helpers import GF3, QQ, upper_triangular_algebra
+from helpers import GF3, GF5, QQ, upper_triangular_algebra
 
 I_QQ = canonical_dialgebra(KIND_I, QQ)
 
@@ -397,20 +403,37 @@ def test_a_pickle_that_carries_rows_still_loads(key):
 
 
 class _Forged:
-    """Pickles as a table whose view is (sparse, 1) on dim, as only a hand-built
-    pickle can hold it."""
+    """Pickles as a table whose view is (sparse, den) on dim over field, as only
+    a hand-built pickle can hold it."""
 
-    def __init__(self, dim, sparse):
-        self.dim, self.sparse = dim, sparse
+    def __init__(self, field, dim, sparse, den):
+        self.args = field, dim, sparse, den
 
     def __reduce__(self):
-        return BilinearProduct._of, (QQ, self.dim, self.sparse, 1)
+        return BilinearProduct._of, self.args
 
 
 BAD_VIEWS = {
-    "three-rows": (2, (((), ()), ((), ()), ((), ()))),
-    "short-row": (2, (((), ()), ((),))),
-    "no-rows": (1, ()),
+    "three-rows": (QQ, 2, (((), ()), ((), ()), ((), ())), 1),
+    "short-row": (QQ, 2, (((), ()), ((),)), 1),
+    "no-rows": (QQ, 1, (), 1),
+    "zero-numerator": (QQ, 2, ((((0, 0),), ()), ((), ())), 1),
+    "common-factor": (QQ, 2, ((((0, 2),), ()), ((), ())), 2),
+    "zero-table-over-den-2": (QQ, 2, (((), ()), ((), ())), 2),
+    "k-out-of-range": (QQ, 2, ((((5, 1),), ()), ((), ())), 1),
+    "negative-k": (QQ, 2, ((((-1, 1),), ()), ((), ())), 1),
+    "k-decreasing": (QQ, 2, ((((1, 1), (0, 1)), ()), ((), ())), 1),
+    "k-repeated": (QQ, 2, ((((0, 1), (0, 1)), ()), ((), ())), 1),
+    "float-numerator": (QQ, 2, ((((0, 1.0),), ()), ((), ())), 1),
+    "bool-numerator": (QQ, 2, ((((0, True),), ()), ((), ())), 1),
+    "zero-den": (QQ, 2, (((), ()), ((), ())), 0),
+    "negative-den": (QQ, 2, ((((0, 1),), ()), ((), ())), -1),
+    "float-den": (QQ, 2, (((), ()), ((), ())), 1.0),
+    "list-cell": (QQ, 2, (([(0, 1)], ()), ((), ())), 1),
+    "residue-p": (GF5, 2, ((((0, 5),), ()), ((), ())), 1),
+    "negative-residue": (GF5, 2, ((((0, -1),), ()), ((), ())), 1),
+    "den-over-GF5": (GF5, 2, ((((0, 1),), ()), ((), ())), 2),
+    "bool-dim": (QQ, True, ((((0, 1),),),), 1),
 }
 
 
@@ -519,3 +542,32 @@ def test_bar_unit_set_does_not_answer_about_its_fields(build):
         iter(s)
     with pytest.raises(TypeError):
         len(s)
+
+
+# Each rule of the value class, by the methods it defines: their definitions
+# under src/dialg, counted per module.
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "dialg"
+RULES = {
+    "one freeze rule": ({"__setattr__", "__delattr__"}, {"fields.py": 2}),
+    "one value rule": ({"__eq__", "__hash__"}, {"fields.py": 2}),
+    "one pickle rule": (
+        {"__reduce__"},
+        {"fields.py": 1, "algebras.py": 1, "constructions.py": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+def test_each_value_rule_is_defined_in_its_own_modules_alone(rule):
+    """fields._Value alone refuses assignment and deletion and alone compares
+    and hashes; every value pickles through it but a table, which loads its
+    int view through BilinearProduct._of, and ZeroCubedTriple, which checks
+    its grid on loading."""
+    names, want = RULES[rule]
+    found = Counter(
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    )
+    assert found == want
