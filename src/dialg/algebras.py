@@ -24,22 +24,22 @@ objects of an earlier law's, and glsearch and structure key products by
 id().
 
 A BilinearProduct is held as its int view (see the class), its value and
-what every reader of numbers uses; its rows of Scalars are an output view,
-built on first read as a Subspace's basis is. Producers build the view
-directly: from raw values (from_entries, the parser and classify's
-canonical tables, by _from_values), from int numerators with one reduction
-mod p or one gcd pass (_from_numerators: rebase, quotients, the Leibniz
-bracket, from_differential and the census's residue tensors), or from a
-canonical view as it is: unchecked for transpose_args (_from_view), and
-checked for a pickle or copy (_of), which refuses any view that is not
-canonical. So a pickle neither builds nor carries rows, and no library code
-reads rows: only callers do.
+what every reader of numbers uses, as a Vec is; its rows of Vecs are an
+output view, built on first read as a Subspace's basis is. Producers build
+the view directly: from raw values (from_entries, the parser and
+classify's canonical tables, by _from_values), from int numerators with
+one reduction mod p or one gcd pass (_from_numerators: rebase, quotients,
+the Leibniz bracket, from_differential and the census's residue tensors),
+or from a canonical view as it is: unchecked for transpose_args
+(_from_view), and checked for a pickle or copy (_of), which refuses any
+view that is not canonical. So a pickle neither builds nor carries rows,
+and no library code reads rows: only callers do.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
-`contract`, over the view. apply and rebase scale their vector and matrix
-arguments to int numerators too and accumulate on ints alone (reduced mod
-p over GF(p) between contractions); apply makes one division per output
-coordinate, by Vec.from_numerators, and rebase makes none.
+`contract`, over the view. apply and rebase read the int views of their
+vector and matrix arguments too and accumulate on ints alone (reduced mod
+p over GF(p) between contractions); apply's result is one
+Vec.from_numerators, and rebase builds no Vec.
 rebase moves each nonzero constant by the inverse base change once, before
 the two contractions with the new basis. subspace_product builds none: it
 contracts the int echelon rows of its two Subspaces pairwise and spans the
@@ -61,7 +61,7 @@ from math import gcd
 
 from .errors import FieldMismatchError
 from .fields import _set, _Value
-from .linalg import Vec, _dense, _span, _terms, _vec_terms, contract, contract_pair
+from .linalg import Vec, _dense, _numerators, _span, _terms, contract, contract_pair
 
 
 def _entry_key(key, bounds):
@@ -130,10 +130,11 @@ class BilinearProduct(_Value):
     The view is canonical, so it is the table's value: equality and the
     hash compare it. rows, gamma[i][j] as the Vec of coordinates of
     e_i * e_j, is built when first read; a table built from rows keeps them.
-    A pickle or copy carries the view and loads through _of, which refuses,
-    as a FieldMismatchError, a view that is not canonical; a pickle written
-    while tables pickled their rows loads through the constructor. Every
-    constructor refuses a dim that is not an int >= 0.
+    A pickle or copy carries the view and loads through _of (the one pickle
+    rule of fields._Value), which refuses, as a FieldMismatchError, a view
+    that is not canonical; a pickle written while tables pickled their rows
+    loads through the constructor. Every constructor refuses a dim that is
+    not an int >= 0.
     """
 
     __slots__ = ("field", "dim", "sparse", "den", "_rows")
@@ -145,18 +146,20 @@ class BilinearProduct(_Value):
             raise FieldMismatchError("structure constant tensor is not dim x dim")
         if any(v.field is not field or len(v) != dim for r in rows for v in r):
             raise FieldMismatchError("structure constant row shape mismatch")
-        flat, den = field.numerators([_vec_terms(g) for r in rows for g in r])
+        flat, den = _numerators([g for r in rows for g in r])
         self._fill(field, dim, _grid(flat, dim), den, rows)
 
     @classmethod
     def _from_values(cls, field, dim, values):
         """The table with gamma[i][j][k] = v for each (i, j, k): v in values,
-        raw values: residues in [0, p) over GF(p), ints or Fractions over Q."""
+        raw values: residues in [0, p) over GF(p), ints or Fractions over Q,
+        scaled to int numerators over the lcm of their denominators."""
+        keys = sorted(key for key, v in values.items() if v)
+        nums, den = field.integral([values[key] for key in keys])
         cells = [[] for _ in range(dim * dim)]
-        for (i, j, k), v in sorted(values.items()):
-            if v:
-                cells[i * dim + j].append((k, v))
-        return cls._from_numerators(field, dim, *field.numerators(cells))
+        for (i, j, k), g in zip(keys, nums):
+            cells[i * dim + j].append((k, g))
+        return cls._from_numerators(field, dim, cells, den)
 
     @classmethod
     def _from_numerators(cls, field, dim, cells, den):
@@ -193,9 +196,6 @@ class BilinearProduct(_Value):
         if not _canonical(field, dim, sparse, den):
             raise FieldMismatchError("structure constant view is not canonical")
         return cls._from_view(field, dim, sparse, den)
-
-    def __reduce__(self):
-        return self._of, self._args(self)
 
     @classmethod
     def zero(cls, field, dim):
@@ -239,7 +239,7 @@ class BilinearProduct(_Value):
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.dim or len(y) != self.dim:
             raise FieldMismatchError("vector length mismatch")
-        (xs, ys), d = self.field.numerators([_vec_terms(x), _vec_terms(y)])
+        (xs, ys), d = _numerators([x, y])
         raw = contract_pair([0] * self.dim, xs, ys, self.sparse)
         return Vec.from_numerators(self.field, raw, d * d * self.den)
 
@@ -281,8 +281,8 @@ class BilinearProduct(_Value):
         if any(m.field is not field or m.shape != (n, n) for m in (t, t_inv)):
             raise FieldMismatchError("base change matrix shape mismatch")
         # All int numerators: t = basis / dt, t_inv = back / di, gamma = view / den.
-        basis, dt = field.numerators([_vec_terms(r) for r in t.rows])
-        back, di = field.numerators([_vec_terms(r) for r in t_inv.rows])
+        basis, dt = _numerators(t.rows)
+        back, di = _numerators(t_inv.rows)
         den = dt * dt * self.den * di
         # moved[a][b] = (e_a * e_b) @ t_inv, once per nonzero constant.
         moved = [

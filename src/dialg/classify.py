@@ -49,7 +49,7 @@ from .errors import (
 )
 from .fields import PRIME, Field
 from .identities import _ann, _bar_unit_rows, dialgebra_violations
-from .linalg import Mat, Vec, _dense, _echelon, _raw, _terms, _vec_terms, contract, contract_pair
+from .linalg import Mat, Vec, _dense, _echelon, _numerators, _terms, contract, contract_pair
 
 KIND_TRIVIAL = "trivial-both"
 KIND_ZERO_CUBED_LEFT = "zero-cubed-left-zero"
@@ -232,9 +232,9 @@ def is_isomorphism(a, b, t):
         raise FieldMismatchError(f"a over {field}, b over {b.field}, t over {t.field}")
     if t.shape != (n, b.dim) or n != b.dim:
         return False
-    if len(_echelon(field, [_raw(r) for r in t.rows])[1]) < n:
+    if len(_echelon(field, [list(r.num) for r in t.rows])[1]) < n:
         return False
-    rows, dt = field.numerators([_vec_terms(r) for r in t.rows])
+    rows, dt = _numerators(t.rows)
     for pa, pb in ((a.left, b.left), (a.right, b.right)):
         sa, sb = pa.den, dt * pb.den
         for i, j in product(range(n), repeat=2):

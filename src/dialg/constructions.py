@@ -62,8 +62,8 @@ from .linalg import (
     _dense,
     _kernel,
     _residue,
+    _numerators,
     _terms,
-    _vec_terms,
     contract,
 )
 
@@ -133,13 +133,14 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
     def apply(self, x, y):
         """f(x, y) for two coordinate vectors over X: the Z block of their
         product in the X-first table, x and y padded with Z zeros."""
-        field, z = self.field, (self.field.zero,) * self.z_dim
+        field, z = self.field, (0,) * self.z_dim
         if x.field is not field or y.field is not field:
             raise FieldMismatchError("vector field mismatch")
         if len(x) != self.x_dim or len(y) != self.x_dim:
             raise FieldMismatchError("vector length mismatch")
-        xy = self._product(x_first=True).apply(Vec(field, x.coords + z), Vec(field, y.coords + z))
-        return Vec(field, xy.coords[self.x_dim :])
+        x, y = (Vec.from_numerators(field, v.num + z, v.den) for v in (x, y))
+        xy = self._product(x_first=True).apply(x, y)
+        return Vec.from_numerators(field, xy.num[self.x_dim :], xy.den)
 
     def image(self):
         """The span of all pairing values inside Z."""
@@ -162,7 +163,7 @@ class ZeroCubedTriple(namedtuple("ZeroCubedTriple", "field z_dim x_dim f")):
         and the Z coordinates at zo."""
         field, x, n = self.field, self.x_dim, self.z_dim + self.x_dim
         xo, zo = (0, x) if x_first else (self.z_dim, 0)
-        flat, den = field.numerators([_vec_terms(v) for row in self.f for v in row])
+        flat, den = _numerators([v for row in self.f for v in row])
         cells = [()] * (n * n)
         for a in range(x):
             for b in range(x):
@@ -237,8 +238,8 @@ def triples_equivalent(t1, t2, bound=DEFAULT_SEARCH_BOUND):
     found = next(isomorphisms(a, b, split=x), None)
     if found is None:
         return None
-    alpha = Mat(field, [Vec(field, r.coords[x:]) for r in found.rows[x:]], z)
-    beta = Mat(field, [Vec(field, r.coords[:x]) for r in found.rows[:x]], x)
+    alpha = Mat(field, [Vec.from_numerators(field, r.num[x:], 1) for r in found.rows[x:]], z)
+    beta = Mat(field, [Vec.from_numerators(field, r.num[:x], 1) for r in found.rows[:x]], x)
     return alpha, beta
 
 
@@ -258,7 +259,7 @@ def from_differential(a, d):
         raise FieldMismatchError("derivation matrix shape mismatch")
     field, n, view = a.field, a.dim, a.product.sparse
     # d(e_j) = ds[j] / dd, so each product below is over a's den times dd.
-    ds, dd = field.numerators([_vec_terms(r) for r in d.rows])
+    ds, dd = _numerators(d.rows)
     columns = tuple(zip(*view))
     # e_i <| e_j = e_i d(e_j) and e_i |> e_j = d(e_i) e_j, row-major.
     left = [_terms(contract([0] * n, ds[j], view[i])) for i in range(n) for j in range(n)]
@@ -320,8 +321,7 @@ def quotient(d, ideal):
             terms = _terms(r)
         return [(place[k], g) for k, g in terms if k in place], scale
 
-    # Row c of P is e_c reduced the same way; a kept e_c stays a unit, its
-    # Scalars shared, as Subspace.reduce leaves a vector off the pivots.
+    # Row c of P is e_c reduced the same way; a kept e_c stays a unit.
     units = [residue([(c, 1)]) for c in range(n)]
     proj = Mat(field, [Vec.unit(field, dim, place[c]) if c in place
                        else Vec.from_numerators(field, _dense(dim, t), s)

@@ -82,11 +82,11 @@ class _Value:
     """The one value rule. Two values are equal when their types are the same
     and their public slots agree, basis_names aside, and equal values hash
     alike. A pickle carries exactly the public slots, in __slots__ order, as
-    the constructor's arguments (a class whose constructor takes other
-    arguments reduces to one that takes its slots): the lazy caches, the
-    slots named with an underscore, are rebuilt on read. Each slot is set
-    once, by _fill in the constructor, through the slot setters found here
-    once per class; any later assignment or deletion raises AttributeError."""
+    the arguments of the class's checked loader _of where it has one, else
+    of the constructor: the lazy caches, the slots named with an underscore,
+    are rebuilt on read. Each slot is set once, by _fill in the constructor,
+    through the slot setters found here once per class; any later
+    assignment or deletion raises AttributeError."""
 
     __slots__ = ()
 
@@ -118,7 +118,7 @@ class _Value:
         return hash(self._key(self))
 
     def __reduce__(self):
-        return type(self), self._args(self)
+        return getattr(type(self), "_of", type(self)), self._args(self)
 
 
 class Field(_Value):
@@ -248,16 +248,6 @@ class Field(_Value):
             g = -g
         return values if g == 1 else [v // g for v in values]
 
-    def numerators(self, rows):
-        """Rows of raw (index, value) terms as int numerators over one common
-        denominator, the lcm of the value denominators: (rows, den). Over
-        GF(p) the residues are their own numerators: (rows, 1), unchanged."""
-        if self.kind == PRIME:
-            return rows, 1
-        den = lcm(*(a.denominator for terms in rows for _, a in terms))
-        scaled = [[(k, a.numerator * (den // a.denominator)) for k, a in terms] for terms in rows]
-        return scaled, den
-
     def divide(self, numerators, den):
         """The raw values numerator / den of integer numerators over a common
         denominator, one division each: Fractions over Q (0 for a zero
@@ -275,11 +265,15 @@ class Field(_Value):
             return pow(value, -1, self.p)
         return Fraction(1, value)
 
-    def elements(self):
-        """All field elements, in residue order. Finite fields only."""
+    def _residues(self):
+        """The raw elements, range(p). Finite fields only."""
         if self.kind != PRIME:
             raise UnsupportedOverRationalsError("cannot enumerate the rationals")
-        return [Scalar(self, v) for v in range(self.p)]
+        return range(self.p)
+
+    def elements(self):
+        """All field elements, in residue order. Finite fields only."""
+        return [Scalar(self, v) for v in self._residues()]
 
     def __repr__(self):
         return str(self)

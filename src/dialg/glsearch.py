@@ -16,7 +16,7 @@ the least alpha of the annihilator block.
 
 Dimension 1 is one closed form on raw values over any field (see
 _scalar_isomorphisms): each product's one constant is read off its int
-view, and Scalars are built only for the maps it yields. classify takes
+view, and the maps it yields are built from raw values. classify takes
 the rational dim-1 witness from it.
 """
 
@@ -57,7 +57,7 @@ def _scalar_isomorphisms(a, b):
             hits = []
     if hits is None:
         hits = range(1, field.p) if field.kind == PRIME else [1]
-    return (Mat.from_rows(field, [[t]]) for t in hits)
+    return (Mat(field, [Vec.from_numerators(field, [t], 1)], 1) for t in hits)
 
 
 def _row_search(a, b, p, n, split):

@@ -11,36 +11,34 @@ All arithmetic here runs on raw values, never on Scalars: products go
 through `contract`, the one exact contraction kernel, shared with algebras,
 structure and constructions, and every echelon form is built by `_insert`,
 the one pivot step. A raw value is the int residue over GF(p). Over Q it is
-a Fraction or an int; the product tables of algebras hold int numerators
-over one common denominator per table (Field.numerators), so their
+an int numerator: a Vec, like a table of algebras, is its int view, int
+numerators over one den (`_numerators` puts several over one), so their
 contractions run on ints alone.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22 (1968)). A row enters
-it as ints, scaled once by the lcm of its denominators (Field.integral),
-and each echelon row is kept as an int row normalized at its pivot
-(Field.normalize): with pivot 1 over GF(p), and over Q as the primitive int
-row (gcd 1) with a positive pivot. Either is the RREF row times one scale,
-so the canonical form is the same. A row is reduced by cross-multiplication,
-w L - sum_i (L / h_i) w[p_i] row_i with L the lcm of the pivots h_i used,
-which is the plain subtraction over GF(p), where L = 1.
+it as ints, a Vec's numerators or a raw row scaled once by the lcm of its
+denominators (Field.integral), and each echelon row is kept as an int row
+normalized at its pivot (Field.normalize): with pivot 1 over GF(p), and over
+Q as the primitive int row (gcd 1) with a positive pivot. Either is the RREF
+row times one scale, so the canonical form is the same. A row is reduced by
+cross-multiplication, w L - sum_i (L / h_i) w[p_i] row_i with L the lcm of
+the pivots h_i used, which is the plain subtraction over GF(p), where L = 1.
 
-Scalars are built only for results, by one exit, Vec.from_numerators
-(Field.divide): int numerators over one denominator, divided once each, or
-reduced mod p. That holds for the whole library, input coercion
-(Field.scalar) aside: no library code reads a table's rows or does Scalar
-or Vec arithmetic, which only law_residual and BarUnitSet's contains and
-elements offer callers. An echelon row leaves over its pivot, a product or residue
-over the common denominator of its inputs (Field.numerators, integral) times
-its own scale, so every Scalar over Q holds a Fraction. A Subspace stays in
-int rows: every sum, meet, kernel, span, residue and element here, and every
-product and ideal spin in algebras and structure, reads and makes those rows
-and their terms, and only output reads `Subspace.basis`.
+Every result Vec leaves by one exit, Vec.from_numerators: int numerators
+over one den, reduced once mod p or by one gcd. Scalars are built only by
+input coercion (Field.scalar) and by reads of a Vec's coords (its items, a
+Mat's entries, a table's rows): no library code reads them or does Scalar or
+Vec arithmetic, which only law_residual and BarUnitSet's contains and
+elements offer callers. A Subspace stays in int rows: every sum, meet,
+kernel, span, residue and element here, and every product and ideal spin in
+algebras and structure, reads and makes those rows and their terms, and
+only output reads `Subspace.basis`.
 
 Vec, Mat and Subspace are values under fields' one value rule, `_Value`,
 as are Field, Scalar and the tables of algebras: equal type and public
 slots, a pickle of the public slots alone, and no assignment after the
-constructor's `_fill`; Subspace's lazy basis and row terms fill through
-`_set`.
+constructor's `_fill`; a Vec's coords and Subspace's lazy basis and row
+terms fill through `_set`.
 """
 
 from __future__ import annotations
@@ -66,14 +64,10 @@ def _dense(n, terms):
     return values
 
 
-def _vec_terms(v):
-    """The raw terms of a Vec's coordinates."""
-    return [(k, c.value) for k, c in enumerate(v.coords) if c.value]
-
-
-def _raw(v):
-    """A Vec's coordinates as a list of raw values."""
-    return [c.value for c in v.coords]
+def _numerators(vecs):
+    """The int terms of each Vec of vecs over the lcm of their dens: (rows, den)."""
+    den = lcm(*(v.den for v in vecs))
+    return [_terms(v.num if v.den == den else [x * den // v.den for x in v.num]) for v in vecs], den
 
 
 def contract(acc, xs, vectors):
@@ -94,12 +88,25 @@ def contract_pair(acc, xs, ys, view):
 
 
 class Vec(_Value):
-    """A coordinate vector with exact entries over a single field."""
+    """A coordinate vector with exact entries over a single field, held as
+    its int view: coordinate k is num[k] / den, in canonical form, so the
+    view is its value. Over GF(p) num holds residues and den is 1; over Q den
+    is positive and gcd(den, *num) = 1. coords, its Scalars, is built on
+    first read; a Vec built from Scalars keeps them. A pickle carries the
+    view and loads through _of, which refuses, as a FieldMismatchError, a
+    view that is not canonical."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den", "_coords")
 
     def __init__(self, field, coords):
-        self._fill(field, tuple(coords))
+        coords = tuple(coords)
+        for c in coords:
+            if not isinstance(c, Scalar):
+                raise TypeError(f"expected a Scalar, got {c!r}")
+            if c.field is not field:
+                raise FieldMismatchError(f"scalar over {c.field} in a vector over {field}")
+        num, den = field.integral([c.value for c in coords])
+        self._fill(field, tuple(num), den, coords)
 
     @classmethod
     def of(cls, field, values):
@@ -107,25 +114,50 @@ class Vec(_Value):
 
     @classmethod
     def from_numerators(cls, field, values, den):
-        """A Vec from int numerators over the common denominator den (see
-        Field.divide): one division, or one reduction mod p, per coordinate."""
-        z = field.zero
-        return cls(field, [Scalar(field, v) if v else z for v in field.divide(values, den)])
+        """The Vec of values / den, values ints or Fractions, den a positive
+        int (1 over GF(p)), unchecked: one reduction mod p over GF(p), one gcd
+        pass over Q. It builds no Scalar."""
+        values, d = field.integral(field.reduce(values))
+        g = gcd(den * d, *values)
+        num = tuple(values) if g == 1 else tuple(v // g for v in values)
+        vec = object.__new__(cls)
+        vec._fill(field, num, den * d // g, None)
+        return vec
+
+    @classmethod
+    def _of(cls, field, num, den):
+        """The Vec whose view is (num, den), checked, since a pickle loads
+        through it: a view that is not canonical would load unequal to its
+        canonical twin."""
+        ints = type(num) is tuple and type(den) is int and all(type(x) is int for x in num)
+        if field.is_finite:
+            canonical = ints and den == 1 and all(0 <= x < field.p for x in num)
+        else:
+            canonical = ints and den > 0 and gcd(den, *num) == 1
+        if not canonical:
+            raise FieldMismatchError("vector view is not canonical")
+        return cls.from_numerators(field, num, den)
 
     @classmethod
     def zero(cls, field, n):
-        z = field.zero
-        return cls(field, (z,) * n)
+        return cls.from_numerators(field, [0] * n, 1)
 
     @classmethod
     def unit(cls, field, n, i):
-        z, o = field.zero, field.one
-        return cls(field, tuple(o if j == i else z for j in range(n)))
+        return cls.from_numerators(field, [int(j == i) for j in range(n)], 1)
+
+    @property
+    def coords(self):
+        """The Scalars num[k] / den, built on first read."""
+        if self._coords is None:
+            f = self.field
+            _set(self, "_coords", tuple(map(f.scalar, f.divide(self.num, self.den))))
+        return self._coords
 
     def _check(self, other):
         if not isinstance(other, Vec):
             raise TypeError(f"expected a Vec, got {other!r}")
-        if other.field is not self.field or len(other.coords) != len(self.coords):
+        if other.field is not self.field or len(other.num) != len(self.num):
             raise FieldMismatchError("vector field or length mismatch")
 
     def __add__(self, other):
@@ -146,12 +178,12 @@ class Vec(_Value):
         """Row vector times matrix."""
         if not isinstance(m, Mat):
             return NotImplemented
-        if m.field is not self.field or m.nrows != len(self.coords):
+        if m.field is not self.field or m.nrows != len(self.num):
             raise FieldMismatchError("vector/matrix shape mismatch")
         return m._premultiply((self,))[0]
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.num)
 
     def __iter__(self):
         return iter(self.coords)
@@ -160,7 +192,7 @@ class Vec(_Value):
         return self.coords[i]
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __repr__(self):
         return f"Vec{self}"
@@ -233,22 +265,18 @@ class Mat(_Value):
 
     def _premultiply(self, vecs):
         """v @ self for each row Vec v of vecs, taking self's numerators once."""
-        field = self.field
-        rows, den = field.numerators([_vec_terms(r) for r in self.rows])
-        products = []
-        for v in vecs:
-            (xs,), d = field.numerators([_vec_terms(v)])
-            raw = contract([0] * self.ncols, xs, rows)
-            products.append(Vec.from_numerators(field, raw, d * den))
-        return products
+        rows, den = _numerators(self.rows)
+        n = self.ncols
+        return [Vec.from_numerators(self.field, contract([0] * n, _terms(v.num), rows), v.den * den)
+                for v in vecs]
 
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
             raise NotInvertibleError("only square matrices are invertible")
-        one = self.field.one.value
-        rows = [_raw(r) + [one if j == i else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        # [M | I] always has rank n; M is invertible iff its pivots are 0..n-1.
+        # [M | I] with row i times den_i, which has the same RREF, always has
+        # rank n; M is invertible iff its pivots are 0..n-1.
+        rows = [[*r.num, *(r.den * (j == i) for j in range(n))] for i, r in enumerate(self.rows)]
         rows, pivots = _echelon(self.field, rows)
         if pivots != list(range(n)):
             raise NotInvertibleError("matrix is singular")
@@ -271,10 +299,9 @@ def rref(m):
     The row space is preserved; pivots are normalized to 1 and are the only
     nonzero entries in their columns.
     """
-    rows, pivots = _echelon(m.field, [_raw(r) for r in m.rows])
+    s = _span(m.field, m.ncols, [list(r.num) for r in m.rows])
     zero = Vec.zero(m.field, m.ncols)
-    basis = _normalized(m.field, rows, pivots) + [zero] * (m.nrows - len(rows))
-    return Mat(m.field, tuple(basis), m.ncols), len(pivots)
+    return Mat(m.field, s.basis.rows + (zero,) * (m.nrows - s.dim), m.ncols), s.dim
 
 
 def _residue(w, pivots, terms):
@@ -343,11 +370,6 @@ def _echelon(field, rows):
     return ech, pivots
 
 
-def _normalized(field, rows, pivots):
-    """Echelon rows as RREF Vecs: each row divided by its pivot, once."""
-    return [Vec.from_numerators(field, r, r[p]) for r, p in zip(rows, pivots)]
-
-
 def _span(field, n, rows):
     """The Subspace of F^n spanned by raw rows, reduced or not."""
     return Subspace(field, n, *_echelon(field, rows))
@@ -377,7 +399,7 @@ def _kernel(field, rows, ncols):
 
 def kernel(m):
     """The solution space {x : m @ x = 0}, as a canonical Subspace."""
-    return _kernel(m.field, [_raw(r) for r in m.rows], m.ncols)
+    return _kernel(m.field, [list(r.num) for r in m.rows], m.ncols)
 
 
 def _solve(field, rows, n):
@@ -400,7 +422,9 @@ def solve(m, b):
     """
     if b.field is not m.field or len(b) != m.nrows:
         raise FieldMismatchError("right-hand side shape mismatch")
-    return _solve(m.field, [_raw(r) + [c.value] for r, c in zip(m.rows, b.coords)], m.ncols)
+    # Row i times den_i and b's den: [num_i b.den | b.num[i] den_i].
+    rows = [[x * b.den for x in r.num] + [c * r.den] for r, c in zip(m.rows, b.num)]
+    return _solve(m.field, rows, m.ncols)
 
 
 class Subspace(_Value):
@@ -428,7 +452,7 @@ class Subspace(_Value):
         for v in vecs:
             if v.field is not field or len(v) != ambient_dim:
                 raise FieldMismatchError("spanning vector shape mismatch")
-        return _span(field, ambient_dim, [_raw(v) for v in vecs])
+        return _span(field, ambient_dim, [list(v.num) for v in vecs])
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -447,7 +471,7 @@ class Subspace(_Value):
     def basis(self):
         """The RREF basis as a Mat: each echelon row divided once by its pivot."""
         if self._basis is None:
-            rows = _normalized(self.field, self.rows, self.pivots)
+            rows = [Vec.from_numerators(self.field, r, r[p]) for r, p in zip(self.rows, self.pivots)]
             _set(self, "_basis", Mat(self.field, rows, self.ambient_dim))
         return self._basis
 
@@ -467,11 +491,10 @@ class Subspace(_Value):
         """Subtract off this subspace: the residue of v modulo the row space."""
         if v.field is not self.field or len(v) != self.ambient_dim:
             raise FieldMismatchError("vector shape mismatch")
-        if not any(v.coords[c] for c in self.pivots):
+        if not any(v.num[c] for c in self.pivots):
             return v  # nothing to subtract
-        w, den = self.field.integral(_raw(v))
-        residue, big = _residue(w, self.pivots, self._row_terms())
-        return Vec.from_numerators(self.field, residue, den * big)
+        residue, big = _residue(list(v.num), self.pivots, self._row_terms())
+        return Vec.from_numerators(self.field, residue, v.den * big)
 
     def contains(self, v):
         return not self.reduce(v)
@@ -497,9 +520,8 @@ class Subspace(_Value):
 
     def elements(self):
         """All vectors of the subspace; finite fields only."""
-        residues = [s.value for s in self.field.elements()]
         n, rows = self.ambient_dim, self._row_terms()
-        for coeffs in product(residues, repeat=self.dim):
+        for coeffs in product(self.field._residues(), repeat=self.dim):
             yield Vec.from_numerators(self.field, contract([0] * n, _terms(coeffs), rows), 1)
 
     def __repr__(self):
@@ -512,7 +534,7 @@ def all_subspaces(field, n):
     Enumerates RREF patterns directly: rank, then pivot columns, then the
     free entries, each in lexicographic order.
     """
-    residues = [s.value for s in field.elements()]
+    residues = field._residues()
     for rank in range(n + 1):
         for pivots in combinations(range(n), rank):
             free_slots = []

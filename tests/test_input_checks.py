@@ -235,6 +235,20 @@ def test_a_bad_input_is_refused_with_its_error_and_message(name):
     assert fragment in str(info.value)
 
 
+def test_a_vec_refuses_an_entry_that_is_not_a_scalar_of_its_field():
+    # A GF(3) entry in a rational Vec would make inverse() answer 1/2 for [2
+    # mod 3], and an int entry would fail later, in arithmetic or inverse().
+    with pytest.raises(FieldMismatchError, match="scalar over prime 3 in a vector over rational"):
+        Vec(QQ, [GF3.scalar(1), GF3.scalar(2)])
+    with pytest.raises(FieldMismatchError):
+        Mat(QQ, [Vec(QQ, [GF3.scalar(2)])], 1).inverse()
+    with pytest.raises(TypeError, match="expected a Scalar, got 1"):
+        Vec(QQ, [1, 2])
+    with pytest.raises(TypeError):
+        Vec(GF3, [GF3.one, Fraction(1, 2)])
+    assert Mat(QQ, [Vec(QQ, [QQ.scalar(2)])], 1).inverse() == Mat.from_rows(QQ, [["1/2"]])
+
+
 def test_the_negation_and_indexing_of_a_vec():
     v = Vec.of(QQ, [1, "-1/2", 0])
     assert -v == Vec.of(QQ, [-1, "1/2", 0]) and -(-v) == v

@@ -4,7 +4,8 @@ rows until a caller reads them, and a pickle or deep copy of any table
 carries its view alone, so the copy has no rows until they are read.
 Library code computes on the int view alone: with a table's rows and the
 Scalar and Vec operators made to raise, every public library call still
-answers.
+answers, and with a Vec's coords made to raise, it builds a Scalar only by
+input coercion (Field.scalar).
 """
 
 import copy
@@ -305,6 +306,41 @@ def _sweep_calls(field):
             "automorphism_group dim 3": lambda: dialg.automorphism_group(valid[5]),
         })
     return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, GF5], ids=str)
+def test_no_library_call_builds_a_scalar_but_by_coercion(field, monkeypatch):
+    """A Vec is its int view too: the sweep reads no Vec's coords (nor, so,
+    its items or a Mat's entries) and builds a Scalar only in Field.scalar,
+    the input coercion that ClassLabel.k and ParamTable.of go through."""
+    calls = _sweep_calls(field)
+    coercing = []
+    scalar, init = Field.scalar, Scalar.__init__
+
+    def coerce(self, value):
+        coercing.append(value)
+        try:
+            return scalar(self, value)
+        finally:
+            coercing.pop()
+
+    def build(self, *args):
+        if not coercing:
+            raise _Forbidden("Scalar.__init__")
+        init(self, *args)
+
+    monkeypatch.setattr(Field, "scalar", coerce)
+    monkeypatch.setattr(Scalar, "__init__", build)
+    monkeypatch.setattr(Vec, "coords", property(_forbid("Vec.coords")))
+    tripped = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except _Forbidden as e:
+            tripped[name] = str(e)
+        except DialgError:
+            assert name.endswith("refusal"), name
+    assert tripped == {}
 
 
 @pytest.mark.parametrize("field", [QQ, GF3, GF5], ids=str)

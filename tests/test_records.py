@@ -9,11 +9,13 @@ caches, compare and hash by their type and public slots, basis names
 aside, and every class under the one value rule (the tables, Scalar, Vec,
 Mat, Subspace, BarUnitSet and Field) refuses every assignment and deletion,
 so the shared constants Field.zero and Field.one cannot be changed. Every
-value's pickle carries exactly its public slots, a BilinearProduct's its
-int view, so a pickle or copy of a table builds and carries no rows;
-pickles of tables written when they carried their rows still load to equal
-tables, and a pickled view that is not canonical (not dim x dim, or
-not the one int view its table has) is refused on loading. The source
+value's pickle carries exactly its public slots, a BilinearProduct's and a
+Vec's their int view, so a pickle or copy of a table builds and carries no
+rows, and equal Vecs and Mats pickle alike whatever route built them;
+pickles of tables written when they carried their rows, and of Vecs
+written when they carried their Scalars, still load to equal values, and a
+pickled view that is not canonical (not dim x dim, or not the one int view
+its table has) is refused on loading. The source
 keeps the three rules of the value class to their own modules: the freeze,
 value and pickle methods are defined where the class docstrings say.
 """
@@ -31,6 +33,7 @@ import pytest
 
 from dialg import (
     KIND_I,
+    KIND_III,
     KIND_TRIVIAL,
     Algebra,
     BarUnitSet,
@@ -52,6 +55,7 @@ from dialg import (
     fingerprint,
     from_associative,
     parse_dialgebra,
+    quotient,
     serialize_dialgebra,
     structure_flags,
     zero_cubed_build,
@@ -214,14 +218,16 @@ def _parts(value):
 
 def _views(value):
     """The lazy views of value's parts, read (and so filled), in the order of
-    the cache slots they fill. A table's lazy part is its rows: its int view
-    is its value, set by the constructor."""
+    the cache slots they fill. A table's lazy part is its rows and a Vec's
+    its coords: the int view of each is its value, set by the constructor."""
     views = []
     for part in _parts(value):
         if isinstance(part, Subspace):
             views += [part.basis, part._row_terms()]
         if isinstance(part, BilinearProduct):
             views += [part.rows]
+        if isinstance(part, Vec):
+            views += [part.coords]
         if isinstance(part, Field):
             views += [part.zero, part.one]
     return views
@@ -402,6 +408,160 @@ def test_a_pickle_that_carries_rows_still_loads(key):
     assert len(pickle.dumps(want, protocol)) < len(OLD_PICKLES[key])
 
 
+OLD_VALUES = {
+    "Vec": lambda: Vec.of(QQ, [1, "-1/2", 0]),
+    "Mat": lambda: Mat.from_rows(GF5, [[1, 2], [0, 3]]),
+    "ClassLabel": lambda: classify_dim2(
+        canonical_dialgebra(KIND_III, QQ).rebase(Mat.from_rows(QQ, [[2, 0], [1, 3]]))
+    ),
+    "ZeroCubedTriple": lambda: ZeroCubedTriple.from_entries(
+        QQ, 1, 2, {(0, 1, 0): 1, (1, 0, 0): "-1/2"}
+    ),
+}
+
+# Pickles of OLD_VALUES written when a Vec's pickle carried its Scalars, to
+# load through the public constructor Vec(field, coords).
+OLD_VALUE_PICKLES = {
+    ("Vec", 0): (
+        b'cdialg.linalg\nVec\np0\n(cdialg.fields\nField\np1\n(Vrational\np2\nNt'
+        b'p3\nRp4\n(cdialg.fields\nScalar\np5\n(g4\ncfractions\nFraction\np6\n('
+        b'I1\nI1\ntp7\nRp8\ntp9\nRp10\ng5\n(g4\ng6\n(I-1\nI2\ntp11\nRp12\ntp13'
+        b'\nRp14\ng5\n(g4\ng6\n(I0\nI1\ntp15\nRp16\ntp17\nRp18\ntp19\ntp20\nRp2'
+        b'1\n.'
+    ),
+    ("Vec", 5): (
+        b'\x80\x05\x95\xa2\x00\x00\x00\x00\x00\x00\x00\x8c\x0cdialg.linalg\x94'
+        b'\x8c\x03Vec\x94\x93\x94\x8c\x0cdialg.fields\x94\x8c\x05Field\x94\x93'
+        b'\x94\x8c\x08rational\x94N\x86\x94R\x94h\x03\x8c\x06Scalar\x94\x93\x94'
+        b'h\x08\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x01\x86'
+        b'\x94R\x94\x86\x94R\x94h\nh\x08h\rJ\xff\xff\xff\xffK\x02\x86\x94R\x94'
+        b'\x86\x94R\x94h\nh\x08h\rK\x00K\x01\x86\x94R\x94\x86\x94R\x94\x87\x94'
+        b'\x86\x94R\x94.'
+    ),
+    ("Mat", 0): (
+        b'cdialg.linalg\nMat\np0\n(cdialg.fields\nField\np1\n(Vprime\np2\nI5\nt'
+        b'p3\nRp4\n(cdialg.linalg\nVec\np5\n(g4\n(cdialg.fields\nScalar\np6\n(g'
+        b'4\nI1\ntp7\nRp8\ng6\n(g4\nI2\ntp9\nRp10\ntp11\ntp12\nRp13\ng5\n(g4\n('
+        b'g6\n(g4\nI0\ntp14\nRp15\ng6\n(g4\nI3\ntp16\nRp17\ntp18\ntp19\nRp20\nt'
+        b'p21\nI2\ntp22\nRp23\n.'
+    ),
+    ("Mat", 5): (
+        b'\x80\x05\x95\x96\x00\x00\x00\x00\x00\x00\x00\x8c\x0cdialg.linalg\x94'
+        b'\x8c\x03Mat\x94\x93\x94\x8c\x0cdialg.fields\x94\x8c\x05Field\x94\x93'
+        b'\x94\x8c\x05prime\x94K\x05\x86\x94R\x94h\x00\x8c\x03Vec\x94\x93\x94h'
+        b'\x08h\x03\x8c\x06Scalar\x94\x93\x94h\x08K\x01\x86\x94R\x94h\x0ch\x08K'
+        b'\x02\x86\x94R\x94\x86\x94\x86\x94R\x94h\nh\x08h\x0ch\x08K\x00\x86\x94'
+        b'R\x94h\x0ch\x08K\x03\x86\x94R\x94\x86\x94\x86\x94R\x94\x86\x94K\x02'
+        b'\x87\x94R\x94.'
+    ),
+    ("ClassLabel", 0): (
+        b'ccopy_reg\n_reconstructor\np0\n(cdialg.classify\nClassLabel\np1\nc__b'
+        b'uiltin__\ntuple\np2\n(VIII\np3\nNNcdialg.linalg\nMat\np4\n(cdialg.fie'
+        b'lds\nField\np5\n(Vrational\np6\nNtp7\nRp8\n(cdialg.linalg\nVec\np9\n('
+        b'g8\n(cdialg.fields\nScalar\np10\n(g8\ncfractions\nFraction\np11\n(I1'
+        b'\nI1\ntp12\nRp13\ntp14\nRp15\ng10\n(g8\ng11\n(I0\nI1\ntp16\nRp17\ntp1'
+        b'8\nRp19\ntp20\ntp21\nRp22\ng9\n(g8\n(g10\n(g8\ng11\n(I-1\nI6\ntp23\nR'
+        b'p24\ntp25\nRp26\ng10\n(g8\ng11\n(I1\nI3\ntp27\nRp28\ntp29\nRp30\ntp31'
+        b'\ntp32\nRp33\ntp34\nI2\ntp35\nRp36\ncdialg.algebras\nDialgebra\np37\n'
+        b'(g8\nI2\nc__builtin__\ngetattr\np38\n(cdialg.algebras\nBilinearProduc'
+        b't\np39\nV_of\np40\ntp41\nRp42\n(g8\nI2\n(((t((I0\nI1\ntp43\ntp44\ntp4'
+        b'5\n((t((I1\nI1\ntp46\ntp47\ntp48\ntp49\nI1\ntp50\nRp51\ng38\n(g39\ng4'
+        b'0\ntp52\nRp53\n(g8\nI2\n(((t(ttp54\n((t((I1\nI1\ntp55\ntp56\ntp57\ntp'
+        b'58\nI1\ntp59\nRp60\n(Vr\np61\nVs\np62\ntp63\ntp64\nRp65\ntp66\ntp67\n'
+        b'Rp68\n.'
+    ),
+    ("ClassLabel", 5): (
+        b'\x80\x05\x95\xb1\x01\x00\x00\x00\x00\x00\x00\x8c\x0edialg.classify'
+        b'\x94\x8c\nClassLabel\x94\x93\x94(\x8c\x03III\x94NN\x8c\x0cdialg.linal'
+        b'g\x94\x8c\x03Mat\x94\x93\x94\x8c\x0cdialg.fields\x94\x8c\x05Field\x94'
+        b'\x93\x94\x8c\x08rational\x94N\x86\x94R\x94h\x04\x8c\x03Vec\x94\x93'
+        b'\x94h\x0ch\x07\x8c\x06Scalar\x94\x93\x94h\x0c\x8c\tfractions\x94\x8c'
+        b'\x08Fraction\x94\x93\x94K\x01K\x01\x86\x94R\x94\x86\x94R\x94h\x10h'
+        b'\x0ch\x13K\x00K\x01\x86\x94R\x94\x86\x94R\x94\x86\x94\x86\x94R\x94h'
+        b'\x0eh\x0ch\x10h\x0ch\x13J\xff\xff\xff\xffK\x06\x86\x94R\x94\x86\x94R'
+        b'\x94h\x10h\x0ch\x13K\x01K\x03\x86\x94R\x94\x86\x94R\x94\x86\x94\x86'
+        b'\x94R\x94\x86\x94K\x02\x87\x94R\x94\x8c\x0edialg.algebras\x94\x8c\tDi'
+        b'algebra\x94\x93\x94(h\x0cK\x02\x8c\x08builtins\x94\x8c\x07getattr\x94'
+        b'\x93\x94h-\x8c\x0fBilinearProduct\x94\x93\x94\x8c\x03_of\x94\x86\x94R'
+        b'\x94(h\x0cK\x02)K\x00K\x01\x86\x94\x85\x94\x86\x94)K\x01K\x01\x86\x94'
+        b'\x85\x94\x86\x94\x86\x94K\x01t\x94R\x94h2h4h5\x86\x94R\x94(h\x0cK\x02'
+        b'))\x86\x94)K\x01K\x01\x86\x94\x85\x94\x86\x94\x86\x94K\x01t\x94R\x94'
+        b'\x8c\x01r\x94\x8c\x01s\x94\x86\x94t\x94R\x94t\x94\x81\x94.'
+    ),
+    ("ZeroCubedTriple", 0): (
+        b'cdialg.constructions\nZeroCubedTriple\np0\n(cdialg.fields\nField\np1'
+        b'\n(Vrational\np2\nNtp3\nRp4\nI1\nI2\n((cdialg.linalg\nVec\np5\n(g4\n('
+        b'cdialg.fields\nScalar\np6\n(g4\ncfractions\nFraction\np7\n(I0\nI1\ntp'
+        b'8\nRp9\ntp10\nRp11\ntp12\ntp13\nRp14\ng5\n(g4\n(g6\n(g4\ng7\n(I1\nI1'
+        b'\ntp15\nRp16\ntp17\nRp18\ntp19\ntp20\nRp21\ntp22\n(g5\n(g4\n(g6\n(g4'
+        b'\ng7\n(I-1\nI2\ntp23\nRp24\ntp25\nRp26\ntp27\ntp28\nRp29\ng5\n(g4\n(g'
+        b'11\ntp30\ntp31\nRp32\ntp33\ntp34\ntp35\nRp36\n.'
+    ),
+    ("ZeroCubedTriple", 5): (
+        b'\x80\x05\x95\xfd\x00\x00\x00\x00\x00\x00\x00\x8c\x13dialg.constructio'
+        b'ns\x94\x8c\x0fZeroCubedTriple\x94\x93\x94(\x8c\x0cdialg.fields\x94'
+        b'\x8c\x05Field\x94\x93\x94\x8c\x08rational\x94N\x86\x94R\x94K\x01K\x02'
+        b'\x8c\x0cdialg.linalg\x94\x8c\x03Vec\x94\x93\x94h\x08h\x03\x8c\x06Scal'
+        b'ar\x94\x93\x94h\x08\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K'
+        b'\x00K\x01\x86\x94R\x94\x86\x94R\x94\x85\x94\x86\x94R\x94h\x0bh\x08h\r'
+        b'h\x08h\x10K\x01K\x01\x86\x94R\x94\x86\x94R\x94\x85\x94\x86\x94R\x94'
+        b'\x86\x94h\x0bh\x08h\rh\x08h\x10J\xff\xff\xff\xffK\x02\x86\x94R\x94'
+        b'\x86\x94R\x94\x85\x94\x86\x94R\x94h\x0bh\x08h\x14\x85\x94\x86\x94R'
+        b'\x94\x86\x94\x86\x94t\x94R\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(OLD_VALUE_PICKLES), ids=[f"{n}-{p}" for n, p in OLD_VALUE_PICKLES]
+)
+def test_a_pickle_of_a_vec_that_carries_scalars_still_loads(key):
+    name, protocol = key
+    want = OLD_VALUES[name]()
+    back = pickle.loads(OLD_VALUE_PICKLES[key])
+    assert type(back) is type(want) and back == want and hash(back) == hash(want)
+    assert repr(back) == repr(want) and pickle.dumps(back, protocol) == pickle.dumps(want, protocol)
+
+
+def _one_vec(f):
+    """Routes to the Vec (0, 1, 0) over f, and to the zero Vec of length 3."""
+    e1 = Vec.of(f, [0, 1, 0])
+    # Numerators to reduce: residues over GF(p), a common factor over Q.
+    raw = ([5, 6, 0], 1) if f.is_finite else ([0, 3, 0], 3)
+    unit = [
+        e1,
+        Vec.from_numerators(f, *raw),
+        Vec.unit(f, 3, 1),
+        e1 @ Mat.identity(f, 3),
+        Mat.from_rows(f, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]).inverse().rows[1].scale(f.scalar(2)),
+        Mat.identity(f, 3).inverse().rows[1],
+    ]
+    zero = [Vec.zero(f, 3), Vec.of(f, [0, 0, 0]), Vec.from_numerators(f, [0, 0, 0], 1), e1 - e1]
+    return [unit, zero]
+
+
+def _one_mat(f):
+    """Routes to the identity of size 2 over f, and to the projection [-1; 1]
+    of quotient by the line of (1, 1) in the trivial dialgebra of dim 2."""
+    one = Mat.identity(f, 2)
+    identity = [one, Mat.from_rows(f, [[1, 0], [0, 1]]), one @ one, one.inverse(),
+                Mat.from_rows(f, [[2, 0], [0, 2]]).inverse() @ Mat.from_rows(f, [[2, 0], [0, 2]])]
+    line = Subspace.from_vectors(f, 2, [[1, 1]])
+    proj = quotient(Dialgebra.trivial(f, 2), line)[1]
+    raw = ([-1], 1) if f.is_finite else ([-2], 2)
+    projection = [proj, Mat.from_rows(f, [[-1], [1]]), proj @ Mat.identity(f, 1),
+                  Mat(f, [Vec.from_numerators(f, *raw), Vec.unit(f, 1, 0)], 1)]
+    return [identity, projection]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("field", [QQ, GF5], ids=str)
+def test_equal_vecs_and_mats_pickle_alike_whatever_built_them(field, protocol):
+    for group in _one_vec(field) + _one_mat(field):
+        assert all(v == group[0] for v in group)
+        assert len({pickle.dumps(v, protocol) for v in group}) == 1, group[0]
+
+
 class _Forged:
     """Pickles as a table whose view is (sparse, den) on dim over field, as only
     a hand-built pickle can hold it."""
@@ -443,6 +603,42 @@ def test_a_pickled_view_that_is_not_dim_by_dim_is_refused(bad, protocol):
     data = pickle.dumps(_Forged(*bad), protocol)
     with pytest.raises(FieldMismatchError):
         pickle.loads(data)
+
+
+class _ForgedVec:
+    """Pickles as a Vec whose view is (num, den) over field."""
+
+    def __init__(self, field, num, den):
+        self.args = field, num, den
+
+    def __reduce__(self):
+        return Vec._of, self.args
+
+
+BAD_VEC_VIEWS = {
+    "common-factor": (QQ, (2, 0), 2),
+    "zero-over-den-2": (QQ, (0, 0), 2),
+    "zero-den": (QQ, (1,), 0),
+    "negative-den": (QQ, (-1,), -1),
+    "float-den": (QQ, (1,), 1.0),
+    "list-num": (QQ, [1], 1),
+    "float-numerator": (QQ, (1.0,), 1),
+    "bool-numerator": (QQ, (True,), 1),
+    "residue-p": (GF5, (5,), 1),
+    "negative-residue": (GF5, (-1,), 1),
+    "den-over-GF5": (GF5, (1,), 2),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("bad", BAD_VEC_VIEWS.values(), ids=list(BAD_VEC_VIEWS))
+def test_a_pickled_vec_view_that_is_not_canonical_is_refused(bad, protocol):
+    data = pickle.dumps(_ForgedVec(*bad), protocol)
+    with pytest.raises(FieldMismatchError, match="vector view is not canonical"):
+        pickle.loads(data)
+    # A canonical view loads to its Vec.
+    good = Vec.of(QQ, ["1/2", 0])
+    assert pickle.loads(pickle.dumps(_ForgedVec(QQ, (1, 0), 2), protocol)) == good
 
 
 def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():
@@ -552,7 +748,7 @@ RULES = {
     "one value rule": ({"__eq__", "__hash__"}, {"fields.py": 2}),
     "one pickle rule": (
         {"__reduce__"},
-        {"fields.py": 1, "algebras.py": 1, "constructions.py": 1},
+        {"fields.py": 1, "constructions.py": 1},
     ),
 }
 
@@ -560,9 +756,9 @@ RULES = {
 @pytest.mark.parametrize("rule", list(RULES))
 def test_each_value_rule_is_defined_in_its_own_modules_alone(rule):
     """fields._Value alone refuses assignment and deletion and alone compares
-    and hashes; every value pickles through it but a table, which loads its
-    int view through BilinearProduct._of, and ZeroCubedTriple, which checks
-    its grid on loading."""
+    and hashes; every value pickles through it, a table and a Vec loading
+    their int view through their checked _of, but ZeroCubedTriple, which
+    checks its grid on loading."""
     names, want = RULES[rule]
     found = Counter(
         path.name
