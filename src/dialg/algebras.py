@@ -27,12 +27,12 @@ A BilinearProduct is held as its int view (see the class), its value and
 what every reader of numbers uses, as a Vec is; its rows of Vecs are an
 output view, built on first read as a Subspace's basis is. Producers build
 the view directly: from raw values (from_entries, the parser and
-classify's canonical tables, by _from_values), from int numerators with
-one reduction mod p or one gcd pass (_from_numerators: rebase, quotients,
-the Leibniz bracket, from_differential and the census's residue tensors),
-or from a canonical view as it is: unchecked for transpose_args
-(_from_view), and checked for a pickle or copy (_of), which refuses any
-view that is not canonical. So a pickle neither builds nor carries rows,
+classify's canonical tables, by _from_values), from int numerators made
+canonical by fields' one int-view rule, Field.canonical (_from_numerators:
+rebase, quotients, the Leibniz bracket, from_differential and the census's
+residue tensors), or from a canonical view as it is: unchecked for
+transpose_args (_from_view), and checked for a pickle or copy (_of, by
+Field.is_canonical). So a pickle neither builds nor carries rows,
 and no library code reads rows: only callers do.
 
 Arithmetic on the tensor goes through linalg's exact contraction kernel,
@@ -86,12 +86,8 @@ def _check_dim(dim):
 def _canonical(field, dim, sparse, den):
     """Whether (sparse, den), dim x dim already, is a canonical int view over
     field (see BilinearProduct): nested tuples; in each cell, terms (k, g) of
-    ints with k strictly increasing in [0, dim) and g != 0; den a positive
-    int; over GF(p) residues g in (0, p) over den 1, and over Q numerators
-    with no factor common to all of them and den."""
-    p = field.p if field.is_finite else None
-    if not (type(den) is int and den > 0 and (p is None or den == 1)):
-        return False
+    ints with k strictly increasing in [0, dim) and g != 0; and numerators
+    over den that Field.is_canonical accepts."""
     if type(sparse) is not tuple or any(type(r) is not tuple for r in sparse):
         return False
     numerators = []
@@ -105,11 +101,9 @@ def _canonical(field, dim, sparse, den):
             k, g = term
             if not (type(k) is int and last < k < dim and type(g) is int and g):
                 return False
-            if p is not None and not 0 < g < p:
-                return False
             last = k
             numerators.append(g)
-    return p is not None or gcd(den, *numerators) == 1
+    return field.is_canonical(numerators, den)
 
 
 def _grid(cells, n):
@@ -152,29 +146,23 @@ class BilinearProduct(_Value):
     @classmethod
     def _from_values(cls, field, dim, values):
         """The table with gamma[i][j][k] = v for each (i, j, k): v in values,
-        raw values: residues in [0, p) over GF(p), ints or Fractions over Q,
-        scaled to int numerators over the lcm of their denominators."""
-        keys = sorted(key for key, v in values.items() if v)
-        nums, den = field.integral([values[key] for key in keys])
+        raw values: residues in [0, p) over GF(p), ints or Fractions over Q."""
         cells = [[] for _ in range(dim * dim)]
-        for (i, j, k), g in zip(keys, nums):
-            cells[i * dim + j].append((k, g))
-        return cls._from_numerators(field, dim, cells, den)
+        for i, j, k in sorted(key for key, v in values.items() if v):
+            cells[i * dim + j].append((k, values[i, j, k]))
+        return cls._from_numerators(field, dim, cells, 1)
 
     @classmethod
     def _from_numerators(cls, field, dim, cells, den):
         """The table with gamma[i][j][k] = g / den for each (k, g) in cells[i *
-        dim + j], from nonzero int numerator terms in increasing k, reduced
-        or not: one reduction mod p over GF(p), where den is 1 and terms that
-        vanish are dropped, and over Q one gcd pass that brings den to the
-        lcm of the reduced entry denominators. Its rows are unbuilt."""
-        if field.is_finite:
-            p = field.p
-            cells = [[(k, r) for k, g in c if (r := g % p)] for c in cells]
-        else:
-            common = gcd(den, *(g for c in cells for _, g in c))
-            if common != 1:
-                cells, den = [[(k, g // common) for k, g in c] for c in cells], den // common
+        dim + j], from nonzero raw terms (ints, or Fractions over Q) in
+        increasing k, made canonical by Field.canonical; terms that vanish
+        mod p are dropped. Its rows are unbuilt."""
+        flat = [g for c in cells for _, g in c]
+        nums, den = field.canonical(flat, den)
+        if nums is not flat:  # else canonical already
+            it = iter(nums)
+            cells = [[(k, g) for k, _ in c if (g := next(it))] for c in cells]
         return cls._from_view(field, dim, _grid(cells, dim), den)
 
     @classmethod

@@ -11,7 +11,9 @@ assignment or deletion; a lazy cache fills through `_set`. `Field` uses
 it, as do `Scalar`, linalg's `Vec`, `Mat` and `Subspace`, the tables of
 algebras (`BilinearProduct`, `Algebra`, `Dialgebra`) and identities'
 `BarUnitSet`, so none of them, the shared constants `Field.zero` and
-`Field.one` included, can be changed.
+`Field.one` included, can be changed. The one int-view rule lives here
+too: `Field.canonical` makes the view every Vec and table holds, and
+`Field.is_canonical` checks one a pickle loads.
 """
 
 from __future__ import annotations
@@ -235,6 +237,26 @@ class Field(_Value):
         den = lcm(*(v.denominator for v in values))
         return [v.numerator * (den // v.denominator) for v in values], den
 
+    def canonical(self, values, den):
+        """The canonical int view (num, den) of raw values (ints, or Fractions
+        over Q) over a positive int den, the one form every Vec and table
+        holds: over GF(p), where den is always 1, the residues mod p; over Q
+        int numerators over a positive den with gcd(den, *num) = 1, and num
+        is values itself when (values, den) is canonical already."""
+        if self.kind == PRIME:
+            return self.reduce(values), 1
+        values, d = self.integral(values)
+        g = gcd(den * d, *values)
+        return (values, den * d) if g == 1 else ([v // g for v in values], den * d // g)
+
+    def is_canonical(self, values, den):
+        """Whether (values, den) is a canonical int view (see canonical):
+        ints, no bool, over an int den."""
+        ints = type(den) is int and all(type(v) is int for v in values)
+        if self.kind == PRIME:
+            return ints and den == 1 and all(0 <= v < self.p for v in values)
+        return ints and den > 0 and gcd(den, *values) == 1
+
     def normalize(self, values, head):
         """A nonzero reduced int row in the one form an echelon row is kept
         in, given its pivot value head: scaled to pivot 1 over GF(p), and
@@ -293,6 +315,14 @@ class Scalar(_Value):
     def __init__(self, field, value):
         # Trusts that value is already normalized; use Field.scalar to coerce.
         self._fill(field, value)
+
+    @classmethod
+    def _of(cls, field, value):
+        """The Scalar of value, checked, since a pickle loads through it: only
+        a value Field.scalar makes, a residue in [0, p) or a Fraction."""
+        if not (field.is_canonical((value,), 1) if field.is_finite else type(value) is Fraction):
+            raise FieldMismatchError(f"{value!r} is not a value of {field}")
+        return cls(field, value)
 
     def _coerced(self, other):
         if not isinstance(other, Scalar):

@@ -25,9 +25,10 @@ cross-multiplication, w L - sum_i (L / h_i) w[p_i] row_i with L the lcm of
 the pivots h_i used, which is the plain subtraction over GF(p), where L = 1.
 
 Every result Vec leaves by one exit, Vec.from_numerators: int numerators
-over one den, reduced once mod p or by one gcd. Scalars are built only by
-input coercion (Field.scalar) and by reads of a Vec's coords (its items, a
-Mat's entries, a table's rows): no library code reads them or does Scalar or
+over one den, made canonical by Field.canonical, the one int-view rule,
+which Field.is_canonical checks on loading. Scalars are built only by input
+coercion (Field.scalar) and by reads of a Vec's coords (its items, a Mat's
+entries, a table's rows): no library code reads them or does Scalar or
 Vec arithmetic, which only law_residual and BarUnitSet's contains and
 elements offer callers. A Subspace stays in int rows: every sum, meet,
 kernel, span, residue and element here, and every product and ideal spin in
@@ -105,7 +106,7 @@ class Vec(_Value):
                 raise TypeError(f"expected a Scalar, got {c!r}")
             if c.field is not field:
                 raise FieldMismatchError(f"scalar over {c.field} in a vector over {field}")
-        num, den = field.integral([c.value for c in coords])
+        num, den = field.canonical([c.value for c in coords], 1)
         self._fill(field, tuple(num), den, coords)
 
     @classmethod
@@ -113,38 +114,36 @@ class Vec(_Value):
         return cls(field, tuple(field.scalar(v) for v in values))
 
     @classmethod
-    def from_numerators(cls, field, values, den):
-        """The Vec of values / den, values ints or Fractions, den a positive
-        int (1 over GF(p)), unchecked: one reduction mod p over GF(p), one gcd
-        pass over Q. It builds no Scalar."""
-        values, d = field.integral(field.reduce(values))
-        g = gcd(den * d, *values)
-        num = tuple(values) if g == 1 else tuple(v // g for v in values)
+    def _from_view(cls, field, num, den):
+        """The Vec whose int view, a canonical tuple already, is (num, den), unchecked."""
         vec = object.__new__(cls)
-        vec._fill(field, num, den * d // g, None)
+        vec._fill(field, num, den, None)
         return vec
 
     @classmethod
+    def from_numerators(cls, field, values, den):
+        """The Vec of values / den, values ints or Fractions, den a positive
+        int (1 over GF(p)), made canonical by Field.canonical. It builds no
+        Scalar."""
+        num, den = field.canonical(values, den)
+        return cls._from_view(field, tuple(num), den)
+
+    @classmethod
     def _of(cls, field, num, den):
-        """The Vec whose view is (num, den), checked, since a pickle loads
-        through it: a view that is not canonical would load unequal to its
-        canonical twin."""
-        ints = type(num) is tuple and type(den) is int and all(type(x) is int for x in num)
-        if field.is_finite:
-            canonical = ints and den == 1 and all(0 <= x < field.p for x in num)
-        else:
-            canonical = ints and den > 0 and gcd(den, *num) == 1
-        if not canonical:
+        """The Vec whose view is (num, den), checked by Field.is_canonical,
+        since a pickle loads through it: a view that is not canonical would
+        load unequal to its canonical twin."""
+        if type(num) is not tuple or not field.is_canonical(num, den):
             raise FieldMismatchError("vector view is not canonical")
-        return cls.from_numerators(field, num, den)
+        return cls._from_view(field, num, den)
 
     @classmethod
     def zero(cls, field, n):
-        return cls.from_numerators(field, [0] * n, 1)
+        return cls._from_view(field, (0,) * n, 1)
 
     @classmethod
     def unit(cls, field, n, i):
-        return cls.from_numerators(field, [int(j == i) for j in range(n)], 1)
+        return cls._from_view(field, tuple(int(j == i) for j in range(n)), 1)
 
     @property
     def coords(self):
@@ -248,7 +247,9 @@ class Mat(_Value):
         return self.rows[i].coords[j]
 
     def transpose(self):
-        cols = [Vec(self.field, tuple(r.coords[j] for r in self.rows)) for j in range(self.ncols)]
+        rows, den = _numerators(self.rows)
+        dense = [_dense(self.ncols, r) for r in rows]
+        cols = [Vec.from_numerators(self.field, [r[j] for r in dense], den) for j in range(self.ncols)]
         return Mat(self.field, cols, self.nrows)
 
     def __matmul__(self, other):
@@ -445,6 +446,17 @@ class Subspace(_Value):
     def __init__(self, field, ambient_dim, rows, pivots):
         # Trusts that rows are echelon rows with these pivots, kept as _insert keeps them.
         self._fill(field, ambient_dim, tuple(map(tuple, rows)), tuple(pivots), None, None)
+
+    @classmethod
+    def _of(cls, field, ambient_dim, rows, pivots):
+        """The Subspace with these rows and pivots, checked, since a pickle
+        loads through it: they must be the ones _span makes of the rows."""
+        ints = type(ambient_dim) is int and ambient_dim >= 0 and type(rows) is tuple and all(
+            type(r) is tuple and len(r) == ambient_dim and all(type(x) is int for x in r) for r in rows)
+        span = ints and _span(field, ambient_dim, [list(r) for r in rows])
+        if not span or span.rows != rows or span.pivots != pivots:
+            raise FieldMismatchError("subspace rows are not canonical")
+        return span
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialg import Field, FieldMismatchError, NonPrimeError, is_prime, parse_dialgebra
 from dialg.fields import MILLER_RABIN_BOUND
@@ -149,3 +151,34 @@ def test_fields_and_scalars_survive_pickle_and_copy(field):
     for s in (field.zero, field.one, field.scalar(3)):
         for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
             assert clone == s and clone.field is field
+
+
+@st.composite
+def raw_views(draw):
+    """(field, values, den): raw values over a positive den, 1 over GF(p)."""
+    field = draw(st.sampled_from([QQ, GF3, Field.prime(9973)]))
+    if field.is_finite:
+        value, den = st.integers(-(10**6), 10**6), st.just(1)
+    else:
+        fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+        value, den = st.one_of(st.integers(-60, 60), fraction), st.integers(1, 36)
+    return field, draw(st.lists(value, max_size=5)), draw(den)
+
+
+@settings(max_examples=300)
+@given(raw_views(), st.integers(2, 9))
+def test_canonical_divides_back_and_is_the_one_view_is_canonical_accepts(view, k):
+    field, values, den = view
+    num, d = field.canonical(list(values), den)
+    assert [Fraction(x) for x in field.divide(num, d)] == [
+        Fraction(v % field.p if field.is_finite else v) / den for v in values
+    ]
+    assert field.is_canonical(num, d) and field.is_canonical(tuple(num), d)
+    assert not field.is_canonical([k * x for x in num], k * d)
+    for bad_den in (0, -d, True, float(d)):
+        assert not field.is_canonical(num, bad_den)
+    if num:
+        assert not field.is_canonical([bool(num[0]), *num[1:]], d)
+    if field.is_finite:
+        assert not field.is_canonical([*num, field.p], d)
+        assert not field.is_canonical([*num, -1], d)

@@ -282,8 +282,8 @@ def _sweep_calls(field):
         "round trip": lambda: [parse_dialgebra(t) for t in texts[:-1]] + [parse_algebra(texts[-1])],
         "serialize": lambda: [serialize_dialgebra(d) for d in valid + lines],
         "linalg": lambda: (dialg.rref(m), dialg.kernel(m), dialg.solve(m, u3), m.inverse(), m @ m,
-                           u3 @ m, line3.sum(plane3), line3.intersect(plane3), plane3.reduce(u3),
-                           plane3.contains(u3), line3.is_subspace_of(plane3)),
+                           u3 @ m, m.transpose(), m @ u3, line3.sum(plane3), line3.intersect(plane3),
+                           plane3.reduce(u3), plane3.contains(u3), line3.is_subspace_of(plane3)),
         "are_isomorphic dim 1": lambda: [dialg.are_isomorphic(a, b) for a in lines for b in lines],
         "are_isomorphic dim 2": lambda: [dialg.are_isomorphic(valid[i], valid[i + 6]) for i in (0, 1, 2, 3)],
     }

@@ -202,6 +202,19 @@ def test_row_vector_matrix_action():
     assert m @ Vec.of(QQ, [1, 1]) == Vec.of(QQ, [3, 7])
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_transpose_and_matrix_vector_product_are_the_entrywise_ones(field):
+    rng = random.Random(f"transpose {field}")
+    for nrows, ncols in [(0, 3), (3, 0), (0, 0), (1, 1), (2, 3), (4, 4), (3, 5)]:
+        m = Mat(field, [random_vec(field, ncols, rng) for _ in range(nrows)], ncols)
+        t = m.transpose()
+        assert t.shape == (ncols, nrows) and t.transpose() == m
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(nrows) for j in range(ncols))
+        x = random_vec(field, ncols, rng)
+        want = [sum((m.entry(i, j) * x[j] for j in range(ncols)), field.zero) for i in range(nrows)]
+        assert m @ x == Vec(field, want)
+
+
 def test_zero_row_matrix_keeps_shape():
     m = Mat(QQ, (), 3)
     red, rank = rref(m)

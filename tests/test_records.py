@@ -15,7 +15,9 @@ rows, and equal Vecs and Mats pickle alike whatever route built them;
 pickles of tables written when they carried their rows, and of Vecs
 written when they carried their Scalars, still load to equal values, and a
 pickled view that is not canonical (not dim x dim, or not the one int view
-its table has) is refused on loading. The source
+its table has) is refused on loading, as is a Scalar or Subspace pickle
+that no constructor makes; pickles of Scalars and Subspaces written when
+they loaded unchecked still load. The source
 keeps the three rules of the value class to their own modules: the freeze,
 value and pickle methods are defined where the class docstrings say.
 """
@@ -33,6 +35,7 @@ import pytest
 
 from dialg import (
     KIND_I,
+    KIND_II,
     KIND_III,
     KIND_TRIVIAL,
     Algebra,
@@ -639,6 +642,171 @@ def test_a_pickled_vec_view_that_is_not_canonical_is_refused(bad, protocol):
     # A canonical view loads to its Vec.
     good = Vec.of(QQ, ["1/2", 0])
     assert pickle.loads(pickle.dumps(_ForgedVec(QQ, (1, 0), 2), protocol)) == good
+
+
+class _Tampered(pickle.Pickler):
+    """Pickles target as its own __reduce__ would, with the loader's arguments
+    replaced by edit(args): a pickle edited by hand."""
+
+    def __init__(self, file, protocol, target, edit):
+        super().__init__(file, protocol)
+        self.target, self.edit = target, edit
+
+    def reducer_override(self, obj):
+        if obj is not self.target:
+            return NotImplemented
+        loader, args = obj.__reduce__()
+        return loader, self.edit(args)
+
+
+def _tampered(value, protocol, edit):
+    out = io.BytesIO()
+    _Tampered(out, protocol, value, edit).dump(value)
+    return out.getvalue()
+
+
+def _line(f):
+    return Subspace.from_vectors(f, 2, [[1, 2]])
+
+
+# Per value class with a canonical form: a value, and edits of its pickled
+# arguments that no constructor makes.
+TAMPERED = {
+    "Scalar": (lambda: GF5.scalar(2), {
+        "residue-out-of-range": lambda a: (a[0], 7),
+        "negative-residue": lambda a: (a[0], -3),
+        "bool-residue": lambda a: (a[0], True),
+        "float-residue": lambda a: (a[0], 2.0),
+    }),
+    "Scalar-rational": (lambda: QQ.scalar("-3/4"), {
+        "int-value": lambda a: (a[0], -3),
+        "float-value": lambda a: (a[0], -0.75),
+    }),
+    "Vec": (lambda: Vec.of(QQ, [1, "-1/2"]), {
+        "common-factor": lambda a: (a[0], tuple(2 * x for x in a[1]), 2 * a[2]),
+    }),
+    "Subspace": (lambda: _line(QQ), {
+        "wrong-pivots": lambda a: (*a[:3], (1,)),
+        "scaled-rows": lambda a: (a[0], a[1], ((2, 4),), a[3]),
+        "list-pivots": lambda a: (*a[:3], [0]),
+        "short-row": lambda a: (a[0], a[1], ((1,),), a[3]),
+        "bool-entry": lambda a: (a[0], a[1], ((True, 2),), a[3]),
+        "zero-row": lambda a: (a[0], a[1], a[2] + ((0, 0),), a[3] + (1,)),
+        "ambient-dim": lambda a: (a[0], 3, *a[2:]),
+    }),
+    "Subspace-GF5": (lambda: _line(GF5), {
+        "residue-out-of-range": lambda a: (a[0], a[1], ((1, 7),), a[3]),
+    }),
+    "BilinearProduct": (lambda: canonical_dialgebra(KIND_I, QQ).right, {
+        "common-factor": lambda a: (
+            *a[:2], tuple(tuple(tuple((k, 2 * g) for k, g in c) for c in r) for r in a[2]), 2 * a[3]
+        ),
+    }),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", list(TAMPERED))
+def test_a_value_round_trips_and_refuses_a_tampered_pickle(name, protocol):
+    build, edits = TAMPERED[name]
+    value = build()
+    back = pickle.loads(pickle.dumps(value, protocol))
+    assert type(back) is type(value) and back == value and repr(back) == repr(value)
+    # The identity edit loads too: the tampering route is sound.
+    assert pickle.loads(_tampered(value, protocol, lambda a: a)) == value
+    for edit in edits.values():
+        with pytest.raises(FieldMismatchError):
+            pickle.loads(_tampered(value, protocol, edit))
+
+
+PARENT_VALUES = {
+    "Scalar": VALUES["Scalar"],
+    "Subspace": VALUES["Subspace"],
+    "ClassLabel": lambda: classify_dim2(canonical_dialgebra(KIND_II, GF5, 3)),
+    "BarUnitSet": RECORDS["BarUnitSet"][0],
+}
+
+# Pickles of PARENT_VALUES written when Scalars and Subspaces loaded through
+# their constructors, unchecked.
+PARENT_PICKLES = {
+    ("Scalar", 0): (
+        b'cdialg.fields\nScalar\np0\n(cdialg.fields\nField\np1\n(Vrational\np'
+        b'2\nNtp3\nRp4\ncfractions\nFraction\np5\n(I-3\nI4\ntp6\nRp7\ntp8\nRp'
+        b'9\n.'
+    ),
+    ("Scalar", 5): (
+        b'\x80\x05\x95_\x00\x00\x00\x00\x00\x00\x00\x8c\x0cdialg.fields\x94'
+        b'\x8c\x06Scalar\x94\x93\x94h\x00\x8c\x05Field\x94\x93\x94\x8c\x08rat'
+        b'ional\x94N\x86\x94R\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93'
+        b'\x94J\xfd\xff\xff\xffK\x04\x86\x94R\x94\x86\x94R\x94.'
+    ),
+    ("Subspace", 0): (
+        b'cdialg.linalg\nSubspace\np0\n(cdialg.fields\nField\np1\n(Vrational'
+        b'\np2\nNtp3\nRp4\nI3\n((I2\nI0\nI-3\ntp5\n(I0\nI1\nI1\ntp6\ntp7\n(I0'
+        b'\nI1\ntp8\ntp9\nRp10\n.'
+    ),
+    ("Subspace", 5): (
+        b'\x80\x05\x95h\x00\x00\x00\x00\x00\x00\x00\x8c\x0cdialg.linalg\x94'
+        b'\x8c\x08Subspace\x94\x93\x94(\x8c\x0cdialg.fields\x94\x8c\x05Field'
+        b'\x94\x93\x94\x8c\x08rational\x94N\x86\x94R\x94K\x03K\x02K\x00J\xfd'
+        b'\xff\xff\xff\x87\x94K\x00K\x01K\x01\x87\x94\x86\x94K\x00K\x01\x86'
+        b'\x94t\x94R\x94.'
+    ),
+    ("ClassLabel", 0): (
+        b'ccopy_reg\n_reconstructor\np0\n(cdialg.classify\nClassLabel\np1\nc_'
+        b'_builtin__\ntuple\np2\n(VII\np3\ncdialg.fields\nScalar\np4\n(cdialg'
+        b'.fields\nField\np5\n(Vprime\np6\nI5\ntp7\nRp8\nI3\ntp9\nRp10\nNcdia'
+        b'lg.linalg\nMat\np11\n(g8\n(c__builtin__\ngetattr\np12\n(cdialg.lina'
+        b'lg\nVec\np13\nV_of\np14\ntp15\nRp16\n(g8\n(I1\nI0\ntp17\nI1\ntp18\n'
+        b'Rp19\ng12\n(g13\ng14\ntp20\nRp21\n(g8\n(I0\nI1\ntp22\nI1\ntp23\nRp2'
+        b'4\ntp25\nI2\ntp26\nRp27\ncdialg.algebras\nDialgebra\np28\n(g8\nI2\n'
+        b'g12\n(cdialg.algebras\nBilinearProduct\np29\ng14\ntp30\nRp31\n(g8\n'
+        b'I2\n(((t(ttp32\n((t((I0\nI1\ntp33\ntp34\ntp35\ntp36\nI1\ntp37\nRp38'
+        b'\ng12\n(g29\ng14\ntp39\nRp40\n(g8\nI2\n(((t(ttp41\n((t((I0\nI3\ntp4'
+        b'2\ntp43\ntp44\ntp45\nI1\ntp46\nRp47\n(Vr\np48\nVs\np49\ntp50\ntp51'
+        b'\nRp52\ntp53\ntp54\nRp55\n.'
+    ),
+    ("ClassLabel", 5): (
+        b'\x80\x05\x95j\x01\x00\x00\x00\x00\x00\x00\x8c\x0edialg.classify\x94'
+        b'\x8c\nClassLabel\x94\x93\x94(\x8c\x02II\x94\x8c\x0cdialg.fields\x94'
+        b'\x8c\x06Scalar\x94\x93\x94h\x04\x8c\x05Field\x94\x93\x94\x8c\x05pri'
+        b'me\x94K\x05\x86\x94R\x94K\x03\x86\x94R\x94N\x8c\x0cdialg.linalg\x94'
+        b'\x8c\x03Mat\x94\x93\x94h\x0b\x8c\x08builtins\x94\x8c\x07getattr\x94'
+        b'\x93\x94h\x0e\x8c\x03Vec\x94\x93\x94\x8c\x03_of\x94\x86\x94R\x94h'
+        b'\x0bK\x01K\x00\x86\x94K\x01\x87\x94R\x94h\x13h\x15h\x16\x86\x94R'
+        b'\x94h\x0bK\x00K\x01\x86\x94K\x01\x87\x94R\x94\x86\x94K\x02\x87\x94R'
+        b'\x94\x8c\x0edialg.algebras\x94\x8c\tDialgebra\x94\x93\x94(h\x0bK'
+        b'\x02h\x13h$\x8c\x0fBilinearProduct\x94\x93\x94h\x16\x86\x94R\x94(h'
+        b'\x0bK\x02))\x86\x94)K\x00K\x01\x86\x94\x85\x94\x86\x94\x86\x94K\x01'
+        b't\x94R\x94h\x13h(h\x16\x86\x94R\x94(h\x0bK\x02))\x86\x94)K\x00K\x03'
+        b'\x86\x94\x85\x94\x86\x94\x86\x94K\x01t\x94R\x94\x8c\x01r\x94\x8c'
+        b'\x01s\x94\x86\x94t\x94R\x94t\x94\x81\x94.'
+    ),
+    ("BarUnitSet", 0): (
+        b'cdialg.identities\nBarUnitSet\np0\n(c__builtin__\ngetattr\np1\n(cdi'
+        b'alg.linalg\nVec\np2\nV_of\np3\ntp4\nRp5\n(cdialg.fields\nField\np6'
+        b'\n(Vprime\np7\nI3\ntp8\nRp9\n(I1\nI0\nI1\ntp10\nI1\ntp11\nRp12\ncdi'
+        b'alg.linalg\nSubspace\np13\n(g9\nI3\n(t(ttp14\nRp15\ntp16\nRp17\n.'
+    ),
+    ("BarUnitSet", 5): (
+        b'\x80\x05\x95\xae\x00\x00\x00\x00\x00\x00\x00\x8c\x10dialg.identitie'
+        b's\x94\x8c\nBarUnitSet\x94\x93\x94\x8c\x08builtins\x94\x8c\x07getatt'
+        b'r\x94\x93\x94\x8c\x0cdialg.linalg\x94\x8c\x03Vec\x94\x93\x94\x8c'
+        b'\x03_of\x94\x86\x94R\x94\x8c\x0cdialg.fields\x94\x8c\x05Field\x94'
+        b'\x93\x94\x8c\x05prime\x94K\x03\x86\x94R\x94K\x01K\x00K\x01\x87\x94K'
+        b'\x01\x87\x94R\x94h\x06\x8c\x08Subspace\x94\x93\x94(h\x11K\x03))t'
+        b'\x94R\x94\x86\x94R\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(PARENT_PICKLES), ids=[f"{n}-{p}" for n, p in PARENT_PICKLES])
+def test_a_pickle_of_an_unchecked_scalar_or_subspace_still_loads(key):
+    name, protocol = key
+    want = PARENT_VALUES[name]()
+    back = pickle.loads(PARENT_PICKLES[key])
+    assert type(back) is type(want) and back == want and hash(back) == hash(want)
+    assert repr(back) == repr(want) and pickle.dumps(back, protocol) == pickle.dumps(want, protocol)
 
 
 def test_a_deep_copy_of_a_shared_product_dialgebra_keeps_one_product():
