@@ -453,8 +453,8 @@ class Subspace(_Value):
         loads through it: they must be the ones _span makes of the rows."""
         ints = type(ambient_dim) is int and ambient_dim >= 0 and type(rows) is tuple and all(
             type(r) is tuple and len(r) == ambient_dim and all(type(x) is int for x in r) for r in rows)
-        span = ints and _span(field, ambient_dim, [list(r) for r in rows])
-        if not span or span.rows != rows or span.pivots != pivots:
+        span = _span(field, ambient_dim, [list(r) for r in rows]) if ints else None
+        if span is None or span.rows != rows or span.pivots != pivots:
             raise FieldMismatchError("subspace rows are not canonical")
         return span
 
